@@ -38,7 +38,6 @@ from .intervals import (
     TimePoint,
     box_minus_apply,
     diamond_minus_apply,
-    insert_coalesce,
     lcm_rationals,
     parse_interval,
     parse_rational,
@@ -48,8 +47,6 @@ from .reasoner import (
     Pattern,
     PeriodicModel,
     RuleGroup,
-    apply_rule,
-    entails,
     extend,
     group_and_sort,
     max_time_point,

@@ -165,16 +165,16 @@ def simple_cycles(
     graph: DepGraph, cycle_cap: int = DEFAULT_CYCLE_CAP
 ) -> dict[frozenset[str], list[Cycle]]:
     """All elementary cycles, grouped by the SCC they live in."""
-    g = graph.to_networkx()
-    out: dict[frozenset[str], list[Cycle]] = {}
-    for comp in nx.strongly_connected_components(g):
-        members = frozenset(comp)
-        sub = DepGraph(
-            tuple(sorted(members)),
-            tuple(e for e in graph.edges if e.source in members and e.target in members),
-        )
-        out[members] = _edge_cycles(sub, cycle_cap)
-    return out
+    sccs = [frozenset(c) for c in nx.strongly_connected_components(graph.to_networkx())]
+    scc_of = {node: i for i, members in enumerate(sccs) for node in members}
+    inner: list[list[Edge]] = [[] for _ in sccs]
+    for e in graph.edges:
+        if scc_of[e.source] == scc_of[e.target]:
+            inner[scc_of[e.source]].append(e)
+    return {
+        members: _edge_cycles(DepGraph(tuple(sorted(members)), tuple(edges)), cycle_cap)
+        for members, edges in zip(sccs, inner)
+    }
 
 
 def pattern_length(program: Program, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Fraction:
@@ -184,12 +184,23 @@ def pattern_length(program: Program, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Frac
     the lcm of the positive ones (1 when there are none). The overall
     length is the lcm across SCCs. The result is predicate-level and
     therefore unchanged by grounding.
+
+    Edges that differ only in their rule (the ground instances of one
+    rule, say) are enumerated once: a cycle's shift sum depends only on
+    the labels of its edges, so the set of shift sums is unchanged, while
+    the number of cycles no longer grows as (#instances)^(cycle length).
     """
     if not program.is_normal_form:
         raise InputError("pattern length requires a normal-form program")
     if not all(rule_form(r) in FP_FORMS for r in program.rules):
         raise InputError("pattern length is defined for forward-propagating programs")
     graph = dependency_graph(program)
+    by_label: dict[tuple, Edge] = {}
+    for e in graph.edges:
+        by_label.setdefault(
+            (e.source, e.target, e.special, e.interval_label, e.shift_label), e
+        )
+    graph = DepGraph(graph.nodes, tuple(by_label.values()))
     lengths: list[Fraction] = []
     for _, cycles in sorted(simple_cycles(graph, cycle_cap).items(), key=lambda kv: sorted(kv[0])):
         sums = [

@@ -237,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:
+        print("error: input is nested too deeply to process", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -247,9 +247,6 @@ class Interval:
             return None
         return Interval(lo, hi, lo_open, hi_open)
 
-    def clip(self, window: Interval) -> Interval | None:
-        return self.intersect(window)
-
     def shift(self, d: RationalLike) -> Interval:
         d = Fraction(d)
         return Interval(self.lo + d, self.hi + d, self.lo_open, self.hi_open)
@@ -480,12 +477,17 @@ class IntervalSet:
         return all(self.covers_interval(p) for p in other.pieces)
 
     def clip(self, window: Interval) -> IntervalSet:
-        out = []
-        for p in self.pieces:
-            hit = p.intersect(window)
-            if hit is not None:
-                out.append(hit)
-        return IntervalSet(tuple(out))
+        start, stop = self._touch_range(window)
+        if start >= stop:
+            return _EMPTY
+        # the window is convex, so only the two outer candidates can stick out
+        first = self.pieces[start].intersect(window)
+        last = self.pieces[stop - 1].intersect(window) if stop - start > 1 else None
+        return IntervalSet(
+            ((first,) if first is not None else ())
+            + self.pieces[start + 1:stop - 1]
+            + ((last,) if last is not None else ())
+        )
 
     def shift(self, d: RationalLike) -> IntervalSet:
         return IntervalSet(tuple(p.shift(d) for p in self.pieces))
@@ -499,11 +501,6 @@ class IntervalSet:
 
 
 _EMPTY = IntervalSet(())
-
-
-def insert_coalesce(s: IntervalSet, iv: Interval) -> IntervalSet:
-    """Insert an interval into a canonical set, merging where possible."""
-    return s.insert(iv)
 
 
 def lcm_rationals(values: Iterable[Fraction | int]) -> Fraction:

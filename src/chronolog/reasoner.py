@@ -101,11 +101,12 @@ class Model:
         return piece
 
     def add_set(self, atom: Atom, ivs: IntervalSet) -> bool:
-        changed = False
-        for piece in ivs:
-            if self.add(atom, piece) is not None:
-                changed = True
-        return changed
+        current = self.get(atom)
+        updated = current.union(ivs)
+        if updated == current:
+            return False
+        self._data[atom] = updated
+        return True
 
     def atoms(self) -> list[Atom]:
         return sorted(self._data, key=_atom_key)
@@ -170,50 +171,6 @@ def max_time_point(db: Model) -> Fraction:
 def min_time_point(db: Model) -> Fraction:
     points = db.finite_endpoints()
     return min(points) if points else Fraction(0)
-
-
-# ---------------------------------------------------------------------------
-# Rule application
-# ---------------------------------------------------------------------------
-
-def _body_set(atom: Atom, model: Model, extra: Model | None) -> IntervalSet:
-    base = model.get(atom)
-    if extra is None:
-        return base
-    return base.union(extra.get(atom))
-
-
-def apply_rule(rule: Rule, model: Model, extra: Model | None = None) -> list[Fact]:
-    """One immediate-consequence step for a ground forward rule.
-
-    Horn rules intersect their body sets; diamondminus / boxminus rules
-    apply the operator piecewise to the body's canonical set. Facts
-    already subsumed by ``model`` are filtered out. ``extra`` supplies
-    additional read-only body facts (unrolled patterns).
-    """
-    form = rule_form(rule)
-    if form not in FP_FORMS:
-        raise NotForwardPropagating(
-            f"rule {rule.id} is not a Horn, boxminus, or diamondminus rule"
-        )
-    if form == 1:
-        derived = _body_set(rule.body[0], model, extra)
-        for atom in rule.body[1:]:
-            if derived.is_empty:
-                break
-            derived = derived.intersect(_body_set(atom, model, extra))
-    else:
-        lit = rule.body[0]
-        source = _body_set(lit.inner, model, extra)
-        if form == 6:
-            derived = source.diamond_minus(lit.rho)
-        else:
-            derived = source.box_minus(lit.rho)
-    head = rule.head
-    existing = model.get(head)
-    return [
-        Fact(head, piece) for piece in derived if not existing.covers_interval(piece)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +385,22 @@ class Pattern:
     def first_occurrence(self) -> Interval:
         return self.occurrence(self.start_index)
 
+    def indices(self, window: Interval) -> range:
+        """Indices of the occurrences that may meet a window bounded above.
+
+        Worked out from the endpoints, so the cost does not depend on how
+        far the window lies from the start index. The first and the last
+        index may still miss the window at an open endpoint.
+        """
+        if not window.hi.is_finite:
+            raise ValueError("pattern occurrences need a window bounded above")
+        first = self.start_index
+        if window.lo.is_finite and self.offset.hi.is_finite:
+            reach = window.lo.value - self.offset.hi.value
+            first = max(first, math.ceil(reach / self.period))
+        last = math.floor((window.hi.value - self.offset.lo.value) / self.period)
+        return range(first, last + 1)
+
     def sort_key(self):
         return (_atom_key(self.atom), self.offset.sort_key())
 
@@ -435,6 +408,15 @@ class Pattern:
         return (
             f"{self.atom}@{self.offset}+{self.period}x for x>={self.start_index}"
         )
+
+
+def occurrences(pattern: Pattern, window: Interval) -> Iterator[Interval]:
+    """The occurrences of ``pattern`` that meet a window bounded above,
+    clipped to the window."""
+    for x in pattern.indices(window):
+        hit = pattern.occurrence(x).intersect(window)
+        if hit is not None:
+            yield hit
 
 
 @dataclass(frozen=True)
@@ -468,41 +450,31 @@ class PeriodicModel:
         """Materialize the represented model over ``(-inf, hi]``."""
         window = Interval(NEG_INF, TimePoint.of(Fraction(hi)), True, False)
         out = self.facts.restrict(window)
+        unrolled: dict[Atom, list[Interval]] = {}
         for pat in self.patterns:
-            x = pat.start_index
-            while True:
-                occ = pat.occurrence(x)
-                if occ.lo > window.hi:
-                    break
-                clipped = occ.intersect(window)
-                if clipped is not None:
-                    out.add(pat.atom, clipped)
-                x += 1
+            unrolled.setdefault(pat.atom, []).extend(occurrences(pat, window))
+        for atom, pieces in unrolled.items():
+            out.add_set(atom, IntervalSet.from_iterable(pieces))
         return out
 
     def coverage(self, atom: Atom, window: Interval) -> IntervalSet:
         """Exact point set of ``atom`` within a bounded-above window."""
-        out = self.facts.get(atom).clip(window)
+        pieces = list(self.facts.get(atom).clip(window))
         for pat in self.patterns:
-            if pat.atom != atom:
-                continue
-            x = pat.start_index
-            while True:
-                occ = pat.occurrence(x)
-                if occ.lo > window.hi:
-                    break
-                clipped = occ.intersect(window)
-                if clipped is not None:
-                    out = out.insert(clipped)
-                x += 1
-        return out
+            if pat.atom == atom:
+                pieces.extend(occurrences(pat, window))
+        return IntervalSet.from_iterable(pieces)
 
     def entails(self, fact: Fact) -> bool:
-        """Does every model of the program and database satisfy ``fact``?"""
+        """Does every model of the program and database satisfy ``fact``?
+
+        Only the query's own span is unrolled (one period past the last
+        anchor for an unbounded query), so the cost does not depend on
+        how far out the query lies.
+        """
         query = fact.interval
         if query.hi.is_finite:
-            window = Interval(NEG_INF, query.hi, True, False)
-            return self.coverage(fact.atom, window).covers_interval(query)
+            return self.coverage(fact.atom, query).covers_interval(query)
         # Unbounded query: beyond every aperiodic endpoint and pattern start
         # the represented content repeats with the period, so covering one
         # full period window there covers the entire tail.
@@ -519,7 +491,9 @@ class PeriodicModel:
                 pat.offset.hi.value + pat.period * pat.start_index
             )
         w = max(anchors)
-        window = Interval(NEG_INF, TimePoint.of(w + self.period), True, False)
+        window = Interval(
+            min(query.lo, TimePoint.of(w)), TimePoint.of(w + self.period)
+        )
         cover = self.coverage(fact.atom, window)
         head = query.intersect(window)
         if head is not None and not cover.covers_interval(head):
@@ -549,10 +523,6 @@ class PeriodicModel:
         }
 
 
-def entails(pm: PeriodicModel, fact: Fact) -> bool:
-    return pm.entails(fact)
-
-
 # ---------------------------------------------------------------------------
 # Windowed reasoning procedure
 # ---------------------------------------------------------------------------
@@ -565,12 +535,11 @@ def normalize(model: Model, plength: Fraction, n: int, predicates: frozenset[str
     window = Interval(
         TimePoint.of(plength * (n - 1)), TimePoint.of(plength * n), False, True
     )
-    clipped = model.restrict(window)
     if predicates is not None:
-        clipped = Model(
-            {a: s for a, s in clipped.items() if a.predicate in predicates}
+        model = Model(
+            {a: s for a, s in model._data.items() if a.predicate in predicates}
         )
-    return clipped.shift(-plength * (n - 1))
+    return model.restrict(window).shift(-plength * (n - 1))
 
 
 def extend(patterns: Iterable[Pattern], window: Interval) -> Model:
@@ -578,14 +547,8 @@ def extend(patterns: Iterable[Pattern], window: Interval) -> Model:
     if not (window.lo.is_finite and window.hi.is_finite):
         raise ValueError("extend requires a bounded window")
     out = Model()
-    lo, hi = window.lo.value, window.hi.value
     for pat in patterns:
-        if pat.offset.hi.is_finite:
-            first = math.ceil(Fraction(lo - pat.offset.hi.value) / pat.period)
-        else:
-            first = pat.start_index
-        last = math.floor(Fraction(hi - pat.offset.lo.value) / pat.period)
-        for x in range(max(pat.start_index, first), last + 1):
+        for x in pat.indices(window):
             occ = pat.occurrence(x)
             if occ.intersect(window) is not None:
                 out.add(pat.atom, occ)
@@ -620,39 +583,56 @@ def simplify(
 def _derive_group(
     group: RuleGroup,
     facts: Model,
-    patterns: list[Pattern],
+    patterns: dict[Atom, list[Pattern]],
     window: Interval,
 ) -> None:
     """Exhaustively apply the group's rules with heads clipped to the window.
 
     Semi-naive: each round only reconsiders pieces that changed in the
-    previous round (seeded with everything visible), so the work per
-    window is proportional to the facts it derives, not to the square of
-    the model size.
+    previous round, so the work per window is proportional to the facts
+    it derives, not to the square of the model size.
+
+    Only the atoms the group's rule bodies read are looked at: their facts
+    and the occurrences of their earlier groups' patterns seed the first
+    round, clipped to the padded window ``[window.lo - lookback,
+    window.hi)``, where the lookback is the largest upper end of the
+    group's operator ranges. For a range bounded above the clip is exact:
+    a head point ``t`` in the window depends only on body points in
+    ``[t - rho.hi, t]``, which lie in the padded window, and a clipped
+    body piece still reaches every such ``t``. A range unbounded above
+    (``diamondminus[a,inf)`` or ``boxminus[a,inf)``) lets a fact from the
+    distant past reach the window (``diamondminus`` makes it a ray), so
+    then the padded window reaches back to ``-inf``.
     """
-    lookback = Fraction(0)
+    reads = {atom for rule in group.rules for atom in body_atoms(rule)}
+    lookback = TimePoint.of(0)
     for rule in group.rules:
-        form = rule_form(rule)
-        if form in (4, 6):
-            rho = rule.body[0].rho
-            if rho.hi.is_finite:
-                lookback = max(lookback, rho.hi.value)
+        if rule_form(rule) in (4, 6):
+            lookback = max(lookback, rule.body[0].rho.hi)
     padded = Interval(window.lo - lookback, window.hi, window.lo_open, window.hi_open)
-    extra = extend(patterns, padded) if patterns else None
+
+    unrolled = {
+        atom: [piece for pat in patterns.get(atom, ()) for piece in occurrences(pat, padded)]
+        for atom in reads
+    }
+
+    def visible(atom: Atom) -> IntervalSet:
+        clipped = facts.get(atom).clip(padded)
+        if not unrolled[atom]:
+            return clipped
+        return IntervalSet.from_iterable([*clipped, *unrolled[atom]])
 
     view: dict[Atom, IntervalSet] = {}
 
     def full(atom: Atom) -> IntervalSet:
+        if not unrolled[atom]:
+            return facts.get(atom)  # joins bisect it; clipping would cost more
         cached = view.get(atom)
         if cached is None:
-            cached = view[atom] = _body_set(atom, facts, extra)
+            cached = view[atom] = visible(atom)
         return cached
 
-    frontier: dict[Atom, IntervalSet] = {a: ivs for a, ivs in facts.items()}
-    if extra is not None:
-        for atom, ivs in extra.items():
-            frontier[atom] = frontier.get(atom, IntervalSet.empty()).union(ivs)
-
+    frontier = {atom: seed for atom in reads if not (seed := visible(atom)).is_empty}
     while frontier:
         fresh: dict[Atom, list[Interval]] = {}
         view.clear()
@@ -702,8 +682,14 @@ def _group_settle(
     ``input_settle``; a rule fed from outside the group forwards such a
     disturbance at most its range's reach further. Matching two windows
     before this point could freeze a group that is still waiting for its
-    first facts. In-group propagation needs no allowance: every in-group
-    edge lies on a cycle, so its shift is bounded by the pattern length.
+    first facts. In-group propagation gets no allowance, on the premise
+    that every in-group edge lies on a cycle and so shifts by at most the
+    pattern length. A stretching in-group ``diamondminus[a,b]`` with ``a <
+    b`` breaks that premise: it moves a piece's left end by ``a`` but its
+    right end by ``b``, which may exceed the pattern length. Such a group
+    can then be frozen while its facts are still ending (``reason`` gives
+    a ray where the model stops), a known defect that needs a window
+    argument beyond this settle point.
     """
     reach = Fraction(0)
     for rule in group.rules:
@@ -764,7 +750,7 @@ def reason(
     n_min = math.floor(min_time_point(database) / plength)
 
     facts = database.copy()
-    patterns: list[Pattern] = []
+    patterns: dict[Atom, list[Pattern]] = {}
     horizons: dict[str, Fraction] = {}
     rays: list[Fact] = []
 
@@ -801,7 +787,8 @@ def reason(
             ):
                 group_rays, group_patterns = simplify(norm, plength, n)
                 rays.extend(group_rays)
-                patterns.extend(group_patterns)
+                for pat in group_patterns:
+                    patterns.setdefault(pat.atom, []).append(pat)
                 for ray in group_rays:
                     facts.add(ray.atom, ray.interval)  # later groups read it
                 horizon = plength * (n - 1)
@@ -825,6 +812,7 @@ def reason(
         out.add(ray.atom, ray.interval)
 
     final_horizon = max(horizons.values(), default=Fraction(0))
+    every_pattern = (pat for pats in patterns.values() for pat in pats)
     return PeriodicModel(
-        out, tuple(sorted(patterns, key=Pattern.sort_key)), plength, final_horizon
+        out, tuple(sorted(every_pattern, key=Pattern.sort_key)), plength, final_horizon
     )

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import InputError, ParseError
 from .intervals import Interval, TimePoint, NEG_INF, POS_INF
@@ -653,18 +653,9 @@ def parse_fact(text: str) -> Fact:
 # Pretty printing
 # ---------------------------------------------------------------------------
 
-def rule_text(rule: Rule) -> str:
-    return str(rule)
-
-
 def program_text(program: Program) -> str:
     lines = [str(r) for r in program.rules]
     lines.extend(f"-> {f.atom} ." for f in program.axioms)
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def database_text(facts: Iterable[Fact]) -> str:
-    lines = [f"{f} ." for f in facts]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -67,6 +67,23 @@ class TestReasonCommand:
         assert first == second
 
 
+    def test_ground_instances_of_a_cycle_share_its_period(self, tmp_path, capsys):
+        # 20 constants give 20^4 ground cycles but one cycle of labels
+        program = tmp_path / "cycle.dmtl"
+        program.write_text(
+            "diamondminus[1,1] A(X) -> B(X) .\nB(X) -> C(X) .\n"
+            "C(X) -> D(X) .\ndiamondminus[2,2] D(X) -> A(X) .\n"
+        )
+        database = tmp_path / "cycle.db"
+        database.write_text("".join(f"A(c{i})@[0,0].\n" for i in range(20)))
+        code, out = run(
+            capsys, "reason", "--program", str(program), "--database", str(database),
+            "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["period"] == "3"
+
+
 class TestQueryCommand:
     def test_weekly_repetition(self, tmp_path, capsys):
         program = tmp_path / "weekly.dmtl"
@@ -192,6 +209,13 @@ class TestExitCodes:
         assert main(
             ["classify", "--program", str(tmp_path / "absent.dmtl")]
         ) == EXIT_INPUT
+
+    def test_deeply_nested_literal_exits_2(self, tmp_path, capsys):
+        program = tmp_path / "deep.dmtl"
+        program.write_text("diamondminus[1,2] " * 1200 + "A -> B .\n")
+        assert main(["classify", "--program", str(program)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_fp_program_rejected_by_reason(self, tmp_path, capsys):
         program = tmp_path / "fwd.dmtl"

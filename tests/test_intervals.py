@@ -18,7 +18,6 @@ from chronolog.intervals import (
     TimePoint,
     box_minus_apply,
     diamond_minus_apply,
-    insert_coalesce,
     lcm_rationals,
     parse_interval,
     parse_rational,
@@ -185,23 +184,23 @@ class TestIntersect:
 
 class TestCoalescing:
     def test_merge_on_shared_endpoint(self):
-        assert insert_coalesce(ivs("[0,7]"), iv("[7,10]")) == ivs("[0,10]")
+        assert ivs("[0,7]").insert(iv("[7,10]")) == ivs("[0,10]")
 
     def test_insert_into_empty(self):
-        assert insert_coalesce(IntervalSet.empty(), iv("[1,2]")) == ivs("[1,2]")
+        assert IntervalSet.empty().insert(iv("[1,2]")) == ivs("[1,2]")
 
     def test_both_open_at_shared_point_stays_split(self):
-        out = insert_coalesce(ivs("[0,1)"), iv("(1,2]"))
+        out = ivs("[0,1)").insert(iv("(1,2]"))
         assert out == ivs("[0,1)", "(1,2]")
         assert len(out) == 2
 
     def test_adjacent_with_one_closed_merges(self):
-        assert insert_coalesce(ivs("[0,1]"), iv("(1,2]")) == ivs("[0,2]")
-        assert insert_coalesce(ivs("[0,1)"), iv("[1,2]")) == ivs("[0,2]")
+        assert ivs("[0,1]").insert(iv("(1,2]")) == ivs("[0,2]")
+        assert ivs("[0,1)").insert(iv("[1,2]")) == ivs("[0,2]")
 
     def test_covered_insert_is_identity(self):
         s = ivs("[0,10]")
-        assert insert_coalesce(s, iv("[2,3]")) == s
+        assert s.insert(iv("[2,3]")) == s
 
     @given(
         st.lists(
@@ -365,10 +364,32 @@ class TestShiftClip:
         assert iv("[1,2]").shift(0) == iv("[1,2]")
 
     def test_clip_subset(self):
-        assert iv("[3,5]").clip(iv("[0,14)")) == iv("[3,5]")
+        assert iv("[3,5]").intersect(iv("[0,14)")) == iv("[3,5]")
 
     def test_clip_cuts_and_keeps_window_flag(self):
-        assert iv("[5,20]").clip(iv("[0,14)")) == iv("[5,14)")
+        assert iv("[5,20]").intersect(iv("[0,14)")) == iv("[5,14)")
+
+    @given(
+        st.lists(st.tuples(st.integers(-8, 8), st.integers(0, 4), st.booleans()), max_size=6),
+        st.integers(-10, 10),
+        st.integers(0, 8),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_set_clip_matches_pointwise(self, raw, lo, width, lo_open, hi_open):
+        pieces = [
+            Interval(TimePoint.of(a), TimePoint.of(a + w), False, is_open and w > 0)
+            for a, w, is_open in raw
+        ]
+        s = IntervalSet.from_iterable(pieces)
+        if width == 0:
+            lo_open = hi_open = False
+        window = Interval(TimePoint.of(lo), TimePoint.of(lo + width), lo_open, hi_open)
+        clipped = s.clip(window)
+        assert clipped == IntervalSet.from_iterable(clipped)
+        for numerator in range(-48, 49):
+            t = F(numerator, 4)
+            assert clipped.contains(t) == (s.contains(t) and window.contains(t))
 
 
 class TestLcmRationals:
