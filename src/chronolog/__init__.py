@@ -47,14 +47,13 @@ from .reasoner import (
     Pattern,
     PeriodicModel,
     RuleGroup,
+    check_horizon,
     extend,
     group_and_sort,
     max_time_point,
     min_time_point,
     naive_fixpoint_bounded,
-    normalize,
     reason,
-    simplify,
 )
 from .syntax import (
     Atom,

@@ -107,9 +107,7 @@ def cmd_classify(args) -> int:
 
 def cmd_reason(args) -> int:
     program, database = _prepare(args)
-    pm = reasoner.reason(
-        program, database, window_cap=args.window_cap, cycle_cap=args.cycle_cap
-    )
+    pm = reasoner.reason(program, database, window_cap=args.window_cap)
     lines = [
         f"type: {pm.representation_type()}",
         f"period: {pm.period}",
@@ -128,9 +126,7 @@ def cmd_reason(args) -> int:
 def cmd_query(args) -> int:
     program, database = _prepare(args)
     fact = syntax.parse_fact(args.query)
-    pm = reasoner.reason(
-        program, database, window_cap=args.window_cap, cycle_cap=args.cycle_cap
-    )
+    pm = reasoner.reason(program, database, window_cap=args.window_cap)
     verdict = pm.entails(fact)
     _emit(args, "true" if verdict else "false", {"query": str(fact), "entailed": verdict})
     return EXIT_OK if verdict else EXIT_FALSE
@@ -147,13 +143,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_check(args) -> int:
     program, database = _prepare(args)
-    pm = reasoner.reason(
-        program, database, window_cap=args.window_cap, cycle_cap=args.cycle_cap
-    )
+    pm = reasoner.reason(program, database, window_cap=args.window_cap)
     if args.horizon is not None:
         horizon = parse_rational(args.horizon)
     else:
-        horizon = reasoner.max_time_point(database) + 3 * pm.period
+        horizon = reasoner.check_horizon(pm, database)
     unrolled = pm.unroll(horizon)
     oracle = reasoner.naive_fixpoint_bounded(program, database, horizon)
 
@@ -197,8 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="database file of facts",
         )
         p.add_argument("--format", choices=("human", "json"), default="human")
-        p.add_argument("--cycle-cap", type=positive_int, default=100_000)
-        p.add_argument("--window-cap", type=positive_int, default=10_000)
+        p.add_argument(
+            "--cycle-cap", type=positive_int, default=100_000,
+            help="most simple cycles classify enumerates",
+        )
+        p.add_argument(
+            "--window-cap", type=positive_int, default=10_000,
+            help="most chunks a group derives before its state repeats",
+        )
 
     p = sub.add_parser("classify", help="fragment flags, finite nodes, rule classes")
     common(p, database_required=False)
@@ -220,7 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="diff unrolled reason output against the oracle")
     common(p, database_required=True)
-    p.add_argument("--horizon", default=None, help="defaults to maxTimePoint + 3 periods")
+    p.add_argument(
+        "--horizon", default=None,
+        help="defaults to max(maxTimePoint, representation horizon) + 3 periods",
+    )
     p.set_defaults(func=cmd_check)
 
     return parser

@@ -1,5 +1,5 @@
-"""Materialization: rule application, a bounded fixpoint oracle, the
-windowed periodic reasoning procedure, and entailment.
+"""Materialization: a bounded fixpoint oracle, the periodic reasoning
+procedure, and entailment.
 
 Two independent evaluation routes are kept apart on purpose:
 
@@ -7,11 +7,11 @@ Two independent evaluation routes are kept apart on purpose:
   of the immediate consequence operator, clipped to a window, driven by
   a change worklist (or full literal re-evaluation for programs that are
   not in normal form).
-* ``reason`` is the windowed procedure: derive per SCC group over a
-  sliding window of pattern lengths, normalize each window back to the
-  origin, and stop as soon as two consecutive windows carry the same
-  normalized facts, emitting repetition patterns (or rays for facts that
-  fill a whole window).
+* ``reason`` derives per SCC group, forward in chunks, and stops once
+  the group's state (its facts on a slab as wide as its rules look back,
+  past every aperiodic input) repeats; the repeat gives the group's
+  period, and one period of its facts becomes repetition patterns (or
+  rays for facts that fill the whole period).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 
 import networkx as nx
 
-from .analysis import dependency_graph, pattern_length
+from .analysis import dependency_graph
 from .errors import InputError, NotForwardPropagating, StepCapExceeded, WindowCapExceeded
 from .intervals import (
     Interval,
@@ -34,6 +34,7 @@ from .intervals import (
     TimePoint,
     box_minus_apply,
     diamond_minus_apply,
+    lcm_rationals,
 )
 from .syntax import (
     Atom,
@@ -108,6 +109,13 @@ class Model:
         self._data[atom] = updated
         return True
 
+    def put(self, atom: Atom, ivs: IntervalSet) -> None:
+        """Replace the atom's set (dropping the atom when it is empty)."""
+        if ivs.is_empty:
+            self._data.pop(atom, None)
+        else:
+            self._data[atom] = ivs
+
     def atoms(self) -> list[Atom]:
         return sorted(self._data, key=_atom_key)
 
@@ -130,9 +138,6 @@ class Model:
             if not clipped.is_empty:
                 out._data[atom] = clipped
         return out
-
-    def shift(self, d: Fraction) -> Model:
-        return Model({a: ivs.shift(d) for a, ivs in self._data.items()})
 
     def union(self, other: Model) -> Model:
         out = self.copy()
@@ -171,6 +176,13 @@ def max_time_point(db: Model) -> Fraction:
 def min_time_point(db: Model) -> Fraction:
     points = db.finite_endpoints()
     return min(points) if points else Fraction(0)
+
+
+def check_horizon(pm: PeriodicModel, database: Model) -> Fraction:
+    """Where ``check`` compares ``reason`` with the oracle by default: three
+    periods past both the database's last endpoint and the horizon, so the
+    periodic part is compared over three full periods."""
+    return max(max_time_point(database), pm.horizon) + 3 * pm.period
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +536,8 @@ class PeriodicModel:
 
 
 # ---------------------------------------------------------------------------
-# Windowed reasoning procedure
+# Reasoning procedure
 # ---------------------------------------------------------------------------
-
-def normalize(model: Model, plength: Fraction, n: int, predicates: frozenset[str] | None = None) -> Model:
-    """Facts clipped to the window ``[(n-1)*plength, n*plength)`` and
-    shifted back to the origin."""
-    if plength <= 0 or n < 1:
-        raise ValueError("normalize requires plength > 0 and n >= 1")
-    window = Interval(
-        TimePoint.of(plength * (n - 1)), TimePoint.of(plength * n), False, True
-    )
-    if predicates is not None:
-        model = Model(
-            {a: s for a, s in model._data.items() if a.predicate in predicates}
-        )
-    return model.restrict(window).shift(-plength * (n - 1))
-
 
 def extend(patterns: Iterable[Pattern], window: Interval) -> Model:
     """Unroll pattern occurrences that intersect a bounded window."""
@@ -553,31 +550,6 @@ def extend(patterns: Iterable[Pattern], window: Interval) -> Model:
             if occ.intersect(window) is not None:
                 out.add(pat.atom, occ)
     return out
-
-
-def simplify(
-    norm: Model, plength: Fraction, n: int
-) -> tuple[list[Fact], list[Pattern]]:
-    """Convert matched normalized facts into rays and repetition patterns.
-
-    A normalized fact spanning the whole window ``[0, plength)`` tiles
-    the timeline seamlessly from occurrence to occurrence and becomes the
-    ray ``[(n-1)*plength, inf)``; anything else becomes a Pattern with
-    start index ``n - 1``.
-    """
-    full = Interval(
-        TimePoint.of(Fraction(0)), TimePoint.of(plength), False, True
-    )
-    rays: list[Fact] = []
-    patterns: list[Pattern] = []
-    for atom, ivs in norm.items():
-        for piece in ivs:
-            if piece == full:
-                start = TimePoint.of(plength * (n - 1))
-                rays.append(Fact(atom, Interval(start, POS_INF, False, True)))
-            else:
-                patterns.append(Pattern(atom, piece, n - 1, plength))
-    return rays, patterns
 
 
 def _derive_group(
@@ -673,39 +645,124 @@ def _derive_group(
         }
 
 
-def _group_settle(
-    group: RuleGroup, input_settle: Fraction
-) -> Fraction:
-    """Time point after which no new first-arrival can reach the group.
 
-    Inputs (database facts and previous groups) are aperiodic only up to
-    ``input_settle``; a rule fed from outside the group forwards such a
-    disturbance at most its range's reach further. Matching two windows
-    before this point could freeze a group that is still waiting for its
-    first facts. In-group propagation gets no allowance, on the premise
-    that every in-group edge lies on a cycle and so shifts by at most the
-    pattern length. A stretching in-group ``diamondminus[a,b]`` with ``a <
-    b`` breaks that premise: it moves a piece's left end by ``a`` but its
-    right end by ``b``, which may exceed the pattern length. Such a group
-    can then be frozen while its facts are still ending (``reason`` gives
-    a ray where the model stops), a known defect that needs a window
-    argument beyond this settle point.
+
+def _shift(rule: Rule) -> TimePoint:
+    """How far the rule moves a fact's left end: 0 for Horn, ``rho.lo`` for
+    ``diamondminus``, ``rho.hi`` for ``boxminus`` (as in the dependency graph)."""
+    form = rule_form(rule)
+    if form == 1:
+        return TimePoint.of(0)
+    rho = rule.body[0].rho
+    return rho.lo if form == 6 else rho.hi
+
+
+def _shift_gcd(group: RuleGroup) -> Fraction:
+    """gcd of the shift sums of the group's dependency cycles; 0 if none is
+    positive.
+
+    No cycle is enumerated. In each strongly connected part, a search
+    from one predicate gives every predicate a potential ``pot`` (the
+    shift sum of its search path); each edge ``u -> v`` with shift ``w``
+    has the slack ``pot[u] + w - pot[v]``. A cycle's shift sum is the sum
+    of its edges' slacks, and a slack is the difference of two closed
+    walks' shift sums, so the gcd of the slacks is the gcd of the cycles'
+    shift sums. ``boxminus[a,inf)`` never fires and carries no edge, so
+    the group may fall apart into several parts.
     """
-    reach = Fraction(0)
+    edges = []
+    for rule in group.rules:
+        shift = _shift(rule)
+        if shift.is_finite:
+            edges += [
+                (atom.predicate, rule.head.predicate, shift.value)
+                for atom in body_atoms(rule)
+                if atom.predicate in group.predicates
+            ]
+    succ: dict[str, list[tuple[str, Fraction]]] = {}
+    pred: dict[str, list[str]] = {}
+    for u, v, w in edges:
+        succ.setdefault(u, []).append((v, w))
+        pred.setdefault(v, []).append(u)
+    gcd = Fraction(0)
+    done: set[str] = set()
+    for root in sorted(succ):
+        if root in done:
+            continue
+        pot = {root: Fraction(0)}
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, w in succ.get(u, ()):
+                if v not in pot and v not in done:
+                    pot[v] = pot[u] + w
+                    stack.append(v)
+        part = {root}  # what the root reaches and is reached from
+        stack = [root]
+        while stack:
+            for u in pred.get(stack.pop(), ()):
+                if u in pot and u not in part:
+                    part.add(u)
+                    stack.append(u)
+        done |= part
+        for u, v, w in edges:
+            if u in part and v in part:
+                slack = abs(pot[u] + w - pot[v])
+                den = math.lcm(gcd.denominator, slack.denominator)
+                gcd = Fraction(math.gcd(int(gcd * den), int(slack * den)), den)
+    return gcd
+
+
+def _lookback(group: RuleGroup) -> Fraction:
+    """How far back the group's rules look from the point they derive: the
+    largest ``rho.hi``, or ``rho.lo`` for a ``diamondminus[a,inf)``, whose
+    body points further back only matter through its ray (see ``reason``).
+    ``boxminus[a,inf)`` never fires on facts that are bounded below."""
+    lookback = Fraction(0)
     for rule in group.rules:
         form = rule_form(rule)
         if form == 1:
             continue
-        lit = rule.body[0]
-        if lit.inner.predicate in group.predicates:
-            continue
-        rho = lit.rho
+        rho = rule.body[0].rho
         if rho.hi.is_finite:
-            reach = max(reach, rho.hi.value)
+            lookback = max(lookback, rho.hi.value)
         elif form == 6:
-            # unbounded diamond turns its input into a ray at rho.lo reach
-            reach = max(reach, rho.lo.value)
-    return input_settle + reach
+            lookback = max(lookback, rho.lo.value)
+    return lookback
+
+
+def _first_point(atom: Atom, facts: Model, patterns: dict[Atom, list[Pattern]]):
+    """Left end of the earliest piece of ``atom`` (None when it never holds)."""
+    ends = [pat.first_occurrence().lo for pat in patterns.get(atom, ())]
+    pieces = facts.get(atom).pieces
+    if pieces:
+        ends.append(pieces[0].lo)
+    return min(ends, default=None)
+
+
+def freeze(
+    facts: Model, atoms: Iterable[Atom], start: Fraction, period: Fraction
+) -> tuple[list[Fact], list[Pattern]]:
+    """The content of ``atoms`` on ``[start, start + period)`` as rays and
+    repetition patterns, for a model that repeats with ``period`` from
+    ``start`` on (``start`` a multiple of ``period``).
+
+    A piece filling the whole window tiles the timeline seamlessly and
+    becomes the ray ``[start, inf)``; any other piece becomes a Pattern
+    with its offset shifted back to the origin and start index
+    ``start / period``.
+    """
+    window = Interval(TimePoint.of(start), TimePoint.of(start + period), False, True)
+    index = int(start / period)
+    rays: list[Fact] = []
+    patterns: list[Pattern] = []
+    for atom in atoms:
+        for piece in facts.get(atom).clip(window):
+            if piece == window:
+                rays.append(Fact(atom, Interval(window.lo, POS_INF, False, True)))
+            else:
+                patterns.append(Pattern(atom, piece.shift(-start), index, period))
+    return rays, patterns
 
 
 def reason(
@@ -720,10 +777,55 @@ def reason(
 
     The program must be a ground, normal-form, forward-propagating
     program; database intervals must be bounded below (rays ``[c, inf)``
-    are fine). Proceeds SCC group by SCC group in dependency order,
-    sliding a window of one pattern length until two consecutive
-    normalized windows match, then freezes that group's behavior as
-    patterns and rays.
+    are fine). ``cycle_cap`` is accepted for compatibility and not used:
+    no cycle is enumerated here. ``window_cap`` bounds the number of
+    chunks a group derives before its state repeats; ``on_iteration`` is
+    called with the group, the chunk's number and a copy of the facts
+    after every derived chunk.
+
+    SCC groups are handled in dependency order. Each group derives forward
+    in chunks and finds its period from a repeated state:
+
+    * **State.** Let L be the group's lookback (``_lookback``). For a
+      forward-propagating group, the model on ``[t, inf)`` is fixed by
+      the group's own facts on the slab ``[t - L, t)``, by its inputs
+      (database facts and earlier groups) on ``[t - L, inf)``, and by
+      whether each ``diamondminus[a,inf)`` rule's body has held before
+      ``t - a`` (then its head is a ray covering ``[t, inf)``; otherwise
+      every body point it can still use lies in ``[t - L, inf)``). Every
+      other head point ``t' >= t`` reads body points in ``[t' - L, t']``.
+    * **Positions.** Once ``t - L`` lies strictly past every aperiodic
+      input (the database's last endpoint and the horizons of the groups
+      read), the inputs on ``[t - L, inf)`` are rays and patterns, so
+      they look the same from any two positions a multiple of ``b``
+      apart, where ``b`` is the lcm of the periods of the groups read.
+      Slabs are compared at positions a ``step`` apart: the lcm of ``b``
+      and ``c``, the gcd of the group's cycle shift sums (``_shift_gcd``),
+      or 1 when neither exists. ``c`` keeps a group's period a multiple
+      of its own cycles' rhythm: ``diamondminus[5,5] P -> P`` keeps
+      period 5 even when its facts fill every residue and the points
+      alone repeat every 1.
+    * **Period.** At the first position ``t + q`` whose normalized state
+      equals that of an earlier position ``t``, the future repeats: the
+      model on ``[t - L, inf)`` equals itself shifted by ``q``. The
+      group's facts are clipped before the first multiple ``h`` of ``q``
+      at or after ``t - L``, and ``[h, h + q)`` becomes rays and
+      patterns (``freeze``).
+    * **Minimality.** The inputs look the same from every position, so
+      the state's key holds only the slab (shifted to the origin) and the
+      ray flags, and from the first position on, the state at the next
+      position is a function of the state at this one. The first repeat
+      therefore closes the cycle of that sequence: ``q`` is the smallest
+      multiple of ``step`` that is a period of the state from some point
+      on. The paper's pattern length ``P`` is a period of the model, and
+      ``step`` divides ``P`` (``b`` by induction over the groups, ``c``
+      because it divides every cycle's shift sum), so ``P`` is such a
+      period of the state too. The gcd of two such periods is one as
+      well (step up by one, down by the other), and ``gcd(q, P)`` is a
+      multiple of ``step``, so ``q = gcd(q, P)``: ``q`` divides ``P``.
+
+    The model's period is the lcm of the groups' periods, and its horizon
+    the largest ``h``.
     """
     if not program.is_normal_form:
         raise InputError("reason requires a normal-form program")
@@ -741,78 +843,102 @@ def reason(
                 raise InputError(
                     f"database fact {atom}@{piece} is unbounded below"
                 )
-
-    plength = pattern_length(program, cycle_cap)
     if database.is_empty:
-        return PeriodicModel(Model(), (), plength, Fraction(0))
+        return PeriodicModel(Model(), (), Fraction(1), Fraction(0))
 
-    n = max(1, math.ceil(max_time_point(database) / plength))
-    n_min = math.floor(min_time_point(database) / plength)
-
+    start = min_time_point(database)
+    database_end = max_time_point(database)
     facts = database.copy()
     patterns: dict[Atom, list[Pattern]] = {}
+    periods: dict[str, Fraction] = {}
     horizons: dict[str, Fraction] = {}
-    rays: list[Fact] = []
 
-    input_settle = max_time_point(database)
     for group in group_and_sort(program):
-        settle = _group_settle(group, input_settle)
-        prev_norm: Model | None = None
-        n_prev = n_min
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > window_cap:
+        name = ",".join(sorted(group.predicates))
+        read = sorted({a.predicate for r in group.rules for a in body_atoms(r)} & periods.keys())
+        lookback = _lookback(group)
+        cycle_step = _shift_gcd(group)
+        step = lcm_rationals(
+            [periods[p] for p in read] + ([cycle_step] if cycle_step else []) or [1]
+        )
+        settle = max([database_end] + [horizons[p] for p in read])
+        position = (math.floor((settle + lookback) / step) + 1) * step
+        atoms = sorted(
+            {r.head for r in group.rules}
+            | {a for a in database.atoms() if a.predicate in group.predicates},
+            key=_atom_key,
+        )
+        rays_from = [
+            (r.body[0].inner, r.body[0].rho.lo.value)
+            for r in group.rules
+            if rule_form(r) == 6 and not r.body[0].rho.hi.is_finite
+        ]
+
+        def state(t: Fraction) -> tuple:
+            locks = tuple(
+                (first := _first_point(atom, facts, patterns)) is not None
+                and first < TimePoint.of(t - a)
+                for atom, a in rays_from
+            )
+            if not lookback:
+                return locks
+            slab = Interval(TimePoint.of(t - lookback), TimePoint.of(t), False, True)
+            return locks + tuple(
+                (atom, clipped.shift(-t))
+                for atom in atoms
+                if not (clipped := facts.get(atom).clip(slab)).is_empty
+            )
+
+        chunks = 0
+
+        def derive(lo: Fraction, hi: Fraction) -> None:
+            nonlocal chunks
+            chunks += 1
+            window = Interval(TimePoint.of(lo), TimePoint.of(hi), False, True)
+            _derive_group(group, facts, patterns, window)
+            if on_iteration is not None:
+                on_iteration(name, chunks, facts.copy())
+
+        seen: dict[tuple, Fraction] = {}
+        repeat: Fraction | None = None
+        derived, end, width = start, position, max(lookback, step)
+        while repeat is None:
+            if chunks >= window_cap:
                 raise WindowCapExceeded(
-                    f"no repetition within {window_cap} windows (group "
+                    f"no repetition within {window_cap} chunks (group "
                     f"{sorted(group.predicates)})"
                 )
-            window = Interval(
-                TimePoint.of(plength * n_prev),
-                TimePoint.of(plength * (n + 1)),
-                False,
-                True,
-            )
-            _derive_group(group, facts, patterns, window)
-            norm = normalize(facts, plength, n, group.predicates)
-            if on_iteration is not None:
-                on_iteration(",".join(sorted(group.predicates)), n, facts.copy())
-            # Matching is only sound once the compared window lies strictly
-            # beyond every aperiodic input (database content ends at the
-            # settle point inclusive, so strictly).
-            if (
-                prev_norm is not None
-                and norm == prev_norm
-                and plength * (n - 1) > settle
-            ):
-                group_rays, group_patterns = simplify(norm, plength, n)
-                rays.extend(group_rays)
-                for pat in group_patterns:
-                    patterns.setdefault(pat.atom, []).append(pat)
-                for ray in group_rays:
-                    facts.add(ray.atom, ray.interval)  # later groups read it
-                horizon = plength * (n - 1)
-                for pred in group.predicates:
-                    horizons[pred] = horizon
-                input_settle = max(input_settle, horizon)
-                break
-            prev_norm = norm
-            n_prev = n
-            n += 1
+            derive(derived, end)
+            derived = end
+            while position <= derived:
+                key = state(position)
+                if key in seen:
+                    repeat = seen[key]
+                    break
+                seen[key] = position
+                position += step
+            end, width = derived + width, 2 * width
 
-    out = Model()
-    for atom, ivs in facts.items():
-        horizon = horizons.get(atom.predicate)
-        if horizon is None:
-            out.add_set(atom, ivs)
-        else:
-            cutoff = Interval(NEG_INF, TimePoint.of(horizon), True, True)
-            out.add_set(atom, ivs.clip(cutoff))
-    for ray in rays:
-        out.add(ray.atom, ray.interval)
+        period = position - repeat
+        begin = math.ceil((repeat - lookback) / period) * period
+        if derived < begin + period:
+            derive(derived, begin + period)
+        group_rays, group_patterns = freeze(facts, atoms, begin, period)
+        cutoff = Interval(NEG_INF, TimePoint.of(begin), True, True)
+        for atom in atoms:
+            facts.put(atom, facts.get(atom).clip(cutoff))
+        for ray in group_rays:
+            facts.add(ray.atom, ray.interval)
+        for pat in group_patterns:
+            patterns.setdefault(pat.atom, []).append(pat)
+        for pred in group.predicates:
+            periods[pred] = period
+            horizons[pred] = begin
 
-    final_horizon = max(horizons.values(), default=Fraction(0))
     every_pattern = (pat for pats in patterns.values() for pat in pats)
     return PeriodicModel(
-        out, tuple(sorted(every_pattern, key=Pattern.sort_key)), plength, final_horizon
+        facts,
+        tuple(sorted(every_pattern, key=Pattern.sort_key)),
+        lcm_rationals(set(periods.values()) or [1]),
+        max(horizons.values(), default=Fraction(0)),
     )

@@ -1,6 +1,7 @@
 """Command-line interface: verdicts, formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,28 @@ class TestOracleAndCheck:
         assert code == EXIT_OK
         assert "no differences" in out
 
+    def test_default_horizon_reaches_past_the_representation_horizon(
+        self, tmp_path, capsys
+    ):
+        # B@[10,10] lies past maxTimePoint + 3 periods (0 + 3 * 1), so the
+        # default horizon must start from the representation's horizon
+        program = tmp_path / "late.dmtl"
+        program.write_text("diamondminus[10,10] A -> B .\n")
+        database = tmp_path / "late.db"
+        database.write_text("A@[0,0].\n")
+        files = ["--program", str(program), "--database", str(database), "--format", "json"]
+        _, out = run(capsys, "reason", *files)
+        doc = json.loads(out)
+        assert Fraction(doc["horizon"]) > 0 + 3 * Fraction(doc["period"])
+        code, out = run(capsys, "check", *files)
+        assert code == EXIT_OK
+        checked = json.loads(out)
+        assert checked["differences"] == []
+        assert Fraction(checked["horizon"]) == Fraction(doc["horizon"]) + 3 * Fraction(
+            doc["period"]
+        )
+        assert Fraction(checked["horizon"]) >= 10
+
     def test_check_json(self, paths, capsys):
         program, database = paths
         code, out = run(
@@ -234,13 +257,13 @@ class TestExitCodes:
         ) == EXIT_CAP
 
     def test_cycle_cap_exits_3(self, tmp_path):
+        # classify enumerates the cycles; reason finds its period without them
         names = [f"N{i}" for i in range(6)]
         text = "\n".join(f"{a} -> {b} ." for a in names for b in names if a != b)
         program = tmp_path / "dense.dmtl"
         program.write_text(text + "\n")
         database = tmp_path / "d.db"
         database.write_text("N0@[0,1].\n")
-        assert main(
-            ["reason", "--program", str(program), "--database", str(database),
-             "--cycle-cap", "5"]
-        ) == EXIT_CAP
+        argv = ["--program", str(program), "--database", str(database), "--cycle-cap", "5"]
+        assert main(["classify", *argv]) == EXIT_CAP
+        assert main(["reason", *argv]) == EXIT_OK

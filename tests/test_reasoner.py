@@ -4,21 +4,22 @@ from fractions import Fraction as F
 
 import pytest
 
+from chronolog.analysis import pattern_length
 from chronolog.errors import InputError, NotForwardPropagating, WindowCapExceeded
 from chronolog.intervals import NEG_INF, POS_INF, Interval, IntervalSet, TimePoint, parse_interval
 from chronolog.reasoner import (
     Model,
     Pattern,
     PeriodicModel,
+    check_horizon,
     extend,
+    freeze,
     group_and_sort,
     max_time_point,
     min_time_point,
     naive_fixpoint_bounded,
-    normalize,
     occurrences,
     reason,
-    simplify,
 )
 from chronolog.syntax import (
     Atom,
@@ -29,6 +30,8 @@ from chronolog.syntax import (
     parse_program,
     to_normal_form,
 )
+
+from test_acceptance import oracle_span
 
 WORKED_EXAMPLE = "diamondminus[3,4] A -> B .\nboxminus[3,4] B -> A ."
 BOX_SELF_LOOP = "boxminus[3,7] A -> A ."
@@ -160,33 +163,44 @@ class TestGroupAndSort:
         assert order.index(["S"]) < order.index(["T"])
 
 
-class TestNormalize:
+class TestFreeze:
     def test_documented_window(self):
         m = model_of("A@[7,8].\nB@[10,12].")
-        out = normalize(m, F(7), 2)
-        assert str(out) == "A@{[0,1]}; B@{[3,5]}"
+        rays, patterns = freeze(m, m.atoms(), F(7), F(7))
+        assert rays == []
+        assert patterns == [
+            Pattern(Atom("A"), iv("[0,1]"), 1, F(7)),
+            Pattern(Atom("B"), iv("[3,5]"), 1, F(7)),
+        ]
 
     def test_first_window_is_identity_clip(self):
         m = model_of("A@[0,1].\nA@[8,9].")
-        out = normalize(m, F(7), 1)
-        assert out.get(Atom("A")) == IntervalSet.of(iv("[0,1]"))
+        _, patterns = freeze(m, m.atoms(), F(0), F(7))
+        assert patterns == [Pattern(Atom("A"), iv("[0,1]"), 0, F(7))]
 
     def test_clip_keeps_fact_endpoint_flags(self):
         # [5,9] restricted to [7,14) is [7,9]; the 9 endpoint stays closed
-        out = normalize(model_of("A@[5,9]."), F(7), 2)
-        assert out.get(Atom("A")) == IntervalSet.of(iv("[0,2]"))
+        _, patterns = freeze(model_of("A@[5,9]."), [Atom("A")], F(7), F(7))
+        assert [p.offset for p in patterns] == [iv("[0,2]")]
 
     def test_window_boundary_is_half_open(self):
-        out = normalize(model_of("A@[5,14]."), F(7), 2)
-        assert out.get(Atom("A")) == IntervalSet.of(iv("[0,7)"))
+        # [5,13) ends inside [7,14): a pattern open at its right end
+        _, patterns = freeze(model_of("A@[5,13)."), [Atom("A")], F(7), F(7))
+        assert [p.offset for p in patterns] == [iv("[0,6)")]
 
-    def test_predicate_filter(self):
+    def test_full_window_becomes_ray(self):
+        # [5,14] covers the half-open window [7,14), so it tiles the line
+        rays, patterns = freeze(model_of("A@[5,14]."), [Atom("A")], F(7), F(7))
+        assert rays == [Fact(Atom("A"), iv("[7,inf)"))]
+        assert patterns == []
+
+    def test_only_the_given_atoms(self):
         m = model_of("A@[0,1].\nB@[2,3].")
-        out = normalize(m, F(7), 1, frozenset({"A"}))
-        assert out.atoms() == [Atom("A")]
+        _, patterns = freeze(m, [Atom("A")], F(0), F(7))
+        assert [p.atom for p in patterns] == [Atom("A")]
 
 
-class TestExtendSimplify:
+class TestExtend:
     def test_extend_unrolls_into_window(self):
         pat = Pattern(Atom("A"), iv("[0,1]"), 1, F(7))
         out = extend([pat], iv("[14,21)"))
@@ -200,22 +214,6 @@ class TestExtendSimplify:
         pat = Pattern(Atom("A"), iv("[5,8]"), 0, F(7))
         out = extend([pat], iv("[7,14)"))
         assert out.get(Atom("A")) == IntervalSet.of(iv("[5,8]"), iv("[12,15]"))
-
-    def test_full_window_becomes_ray(self):
-        norm = Model()
-        norm.add(Atom("A"), iv("[0,7)"))
-        rays, patterns = simplify(norm, F(7), 2)
-        assert rays == [Fact(Atom("A"), iv("[7,inf)"))]
-        assert patterns == []
-
-    def test_partial_facts_become_patterns(self):
-        norm = model_of("A@[0,1].\nB@[3,5].")
-        rays, patterns = simplify(norm, F(7), 2)
-        assert rays == []
-        assert patterns == [
-            Pattern(Atom("A"), iv("[0,1]"), 1, F(7)),
-            Pattern(Atom("B"), iv("[3,5]"), 1, F(7)),
-        ]
 
 
 class TestReason:
@@ -280,13 +278,30 @@ class TestReason:
             for atom in before.atoms():
                 assert after.get(atom).covers_set(before.get(atom))
 
+    def test_period_is_below_the_lcm_of_cycle_shift_sums(self):
+        # cycles of shift 4 and 6: pattern length 12, but from t = 4 on P
+        # holds at every even point
+        program = parse_program("diamondminus[4,4] P -> P .\ndiamondminus[6,6] P -> P .")
+        pm = reason(program, model_of("P@[0,0]."))
+        assert pattern_length(program) == 12
+        assert pm.period == 2
+        assert pm.patterns == (Pattern(Atom("P"), iv("[0,0]"), 2, F(2)),)
+
+    def test_period_keeps_the_rhythm_of_the_cycles(self):
+        # P holds at every integer from 0 on, which repeats every 1; the
+        # period stays a multiple of the cycle's shift sum 5
+        db = model_of("".join(f"P@[{t},{t}].\n" for t in range(5)))
+        pm = reason(parse_program("diamondminus[5,5] P -> P ."), db)
+        assert pm.period == 5
+        assert [p.offset for p in pm.patterns] == [iv(f"[{t},{t}]") for t in range(5)]
+
     def test_multi_group_uses_patterns_of_previous_group(self):
         program = parse_program(
             "diamondminus[7,7] S -> S .\nS -> T .\ndiamondminus[2,3] T -> T ."
         )
         db = model_of("S@[0,1].")
         pm = reason(program, db)
-        horizon = max_time_point(db) + 3 * pm.period
+        horizon = oracle_span(program, db, pm)
         oracle = naive_fixpoint_bounded(program, db, horizon)
         assert pm.unroll(horizon) == oracle
 
@@ -334,33 +349,56 @@ ORACLE_EQUIVALENCE_CASES = [
     # an unbounded range carries E@[0,0] into windows some 40 periods
     # later, beyond any finite lookback
     ("diamondminus[2,inf) E -> T .", "E@[0,0].\nE@[40,40]."),
+    # an in-group diamondminus reaching further (7) than its cycle shifts
+    # (3): the group is still ending after two slabs of width 3 match
+    (
+        "diamondminus[3,6] N1 -> N2 .\nN0, diamondminus[3,7] N0 -> N0 .",
+        "N0@[6,11].",
+    ),
 ]
 
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("text,db_text", ORACLE_EQUIVALENCE_CASES)
     def test_unrolled_reason_equals_oracle(self, text, db_text):
-        program = parse_program(text)
+        program = to_normal_form(parse_program(text))
         db = parse_database(db_text)
         pm = reason(program, db)
-        horizon = max_time_point(db) + 3 * pm.period
+        horizon = oracle_span(program, db, pm)
         assert pm.unroll(horizon) == naive_fixpoint_bounded(program, db, horizon)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "_group_settle gives in-group rules no reach, but the stretching "
-        "diamondminus[3,7] reaches 7, past the pattern length: reason freezes "
-        "A as the ray [9,inf) while the model has A@[9,18]; the fix needs a "
-        "window argument for in-group ranges"
-    ),
-)
 def test_in_group_stretching_diamond_matches_oracle():
+    # the stretching diamondminus[3,7] keeps A@[9,18] growing for longer
+    # than the pattern length; the slab is 7 wide, so A ends before it repeats
     program = parse_program("diamondminus[3,7] N0 -> A .\nN0, A -> N0 .")
     db = model_of("N0@[6,11].")
     pm = reason(program, db)
-    horizon = max_time_point(db) + 3 * pm.period
+    assert pm.facts.get(Atom("A")) == IntervalSet.of(iv("[9,18]"))
+    horizon = oracle_span(program, db, pm)
+    assert pm.unroll(horizon) == naive_fixpoint_bounded(program, db, horizon)
+
+
+# Its cycles' shift sums have the lcm 78540, yet its model is constant
+# from t = 9 on.
+LCM_78540_PROGRAM = (
+    "diamondminus[7,9] P2 -> P0 .\nP1, P3, P0 -> P2 .\nP3, P0, P1 -> P2 .\n"
+    "boxminus(4,10] P0 -> P3 .\ndiamondminus[12,12] P2 -> P1 .\n"
+    "diamondminus[4,8] P0 -> P0 .\ndiamondminus[2,6] P1 -> P3 .\n"
+    "P2, P1, P3 -> P0 .\nP1, P0, P3 -> P0 ."
+)
+LCM_78540_DATABASE = "P0@[22,34].\nP1@[7,34].\nP2@[6,30].\nP1@[29,inf)."
+
+
+def test_period_far_below_the_lcm_of_cycle_shift_sums():
+    program = parse_program(LCM_78540_PROGRAM)
+    db = model_of(LCM_78540_DATABASE)
+    assert pattern_length(program) == 78540
+    chunks = []
+    pm = reason(program, db, on_iteration=lambda group, n, facts: chunks.append(n))
+    assert len(chunks) < 200
+    assert 78540 % pm.period == 0
+    horizon = check_horizon(pm, db)
     assert pm.unroll(horizon) == naive_fixpoint_bounded(program, db, horizon)
 
 
@@ -447,6 +485,40 @@ class TestEntailsDifferential:
                 assert pm.entails(fact) == _brute_entails(pm, fact), (text, db_text, str(fact))
 
 
+class TestPeriodFromRepeatedState:
+    """``reason`` against the oracle on both random program generators, with
+    the paper's pattern length as a bound that every period divides."""
+
+    @pytest.mark.parametrize("generator", ["forward", "nested"])
+    def test_random_programs(self, generator, monkeypatch):
+        import random
+
+        from chronolog import analysis
+        from test_acceptance import _random_fp_program
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reason must not enumerate cycles")
+
+        make = {"forward": _random_fp_program, "nested": _random_nested_program}[generator]
+        rng = random.Random(4)
+        for _ in range(150):
+            text, db_text = make(rng)
+            program = to_normal_form(parse_program(text))
+            db = parse_database(db_text)
+            with monkeypatch.context() as patched:
+                patched.setattr(analysis, "pattern_length", refuse)
+                patched.setattr(analysis, "simple_cycles", refuse)
+                pm = reason(program, db)
+            plength = pattern_length(program)
+            assert plength % pm.period == 0, (text, db_text)
+            assert all(plength % pat.period == 0 for pat in pm.patterns), (text, db_text)
+            horizon = oracle_span(program, db, pm, plength_cap=200)
+            assert pm.unroll(horizon) == naive_fixpoint_bounded(program, db, horizon), (
+                text,
+                db_text,
+            )
+
+
 def _random_nested_program(rng):
     preds = ["N0", "N1", "N2"]
 
@@ -482,8 +554,9 @@ class TestFullPipeline:
             text, db_text = _random_nested_program(rng)
             original = parse_program(text)
             db = parse_database(db_text)
-            pm = reason(to_normal_form(original), db)
-            horizon = max_time_point(db) + 3 * pm.period
+            normal = to_normal_form(original)
+            pm = reason(normal, db)
+            horizon = oracle_span(normal, db, pm)
             left = Model(
                 {
                     atom: ivs
@@ -502,7 +575,7 @@ class TestRepresentationInvariant:
     def test_unrolling_beyond_horizon_reproduces_model(self, text, db_text):
         """Unrolling patterns into any window beyond the horizon and
         coalescing with the stored facts reproduces the oracle exactly."""
-        program = parse_program(text)
+        program = to_normal_form(parse_program(text))
         db = parse_database(db_text)
         pm = reason(program, db)
         for extra in (1, 2, 5):
