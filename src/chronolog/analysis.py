@@ -58,9 +58,6 @@ class DepGraph:
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def incoming(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.target == node]
-
     def to_networkx(self) -> nx.MultiDiGraph:
         g = nx.MultiDiGraph()
         g.add_nodes_from(self.nodes)
@@ -194,7 +191,12 @@ def pattern_length(program: Program, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Frac
         raise InputError("pattern length requires a normal-form program")
     if not all(rule_form(r) in FP_FORMS for r in program.rules):
         raise InputError("pattern length is defined for forward-propagating programs")
-    graph = dependency_graph(program)
+    return _pattern_length(dependency_graph(program), cycle_cap)
+
+
+def _pattern_length(graph: DepGraph, cycle_cap: int) -> Fraction:
+    """``pattern_length`` of the forward-propagating program with this
+    dependency graph."""
     by_label: dict[tuple, Edge] = {}
     for e in graph.edges:
         by_label.setdefault(
@@ -243,8 +245,11 @@ class FragmentFlags:
     forward_propagating: bool
 
 
-def fragment_checks(program: Program) -> FragmentFlags:
-    """Syntactic fragment membership of a normal-form program."""
+def fragment_checks(program: Program, graph: DepGraph | None = None) -> FragmentFlags:
+    """Syntactic fragment membership of a normal-form program.
+
+    ``graph`` is the program's dependency graph, built here when not given.
+    """
     if not program.is_normal_form:
         raise InputError("fragment checks require a normal-form program")
     bounded = not program.axioms
@@ -256,13 +261,12 @@ def fragment_checks(program: Program) -> FragmentFlags:
                 if not rho.is_bounded:
                     bounded = False
 
-    heads: list = []
-    for rule in program.rules:
-        head = rule.head
-        heads.append(head if program.is_ground else head.predicate)
+    ground = program.is_ground
+    heads = [rule.head if ground else rule.head.predicate for rule in program.rules]
     union_free = len(heads) == len(set(heads))
 
-    graph = dependency_graph(program)
+    if graph is None:
+        graph = dependency_graph(program)
     g = graph.to_networkx()
     scc_of: dict[str, int] = {}
     scc_special: set[int] = set()
@@ -296,6 +300,7 @@ class FragmentReport:
     harmless_program: bool
     pattern_len: Fraction | None
     cycles: list[Cycle]
+    nodes: tuple[str, ...]  # the dependency graph's nodes
     warning: str | None = None
 
     @property
@@ -336,78 +341,83 @@ def _finite_marking(
       iv   the node lies on at least one cycle, and every cycle through it
            has no database-fed node and only incoming rules that intersect
            the cycle (some body predicate on the cycle).
+
+    Each round builds the reduced graph (finite nodes and finite edges
+    deleted) once and gives each of its SCCs one verdict for case (iii),
+    without enumerating cycles: a cycle of the reduced graph is exactly a
+    cycle of ``all_cycles`` whose edges all survive (the reduced graph's
+    edges are a subset of the original's), and such a cycle lies inside
+    one reduced SCC. So an SCC fails when a surviving edge enters it or
+    when it holds a surviving cycle that is not temporal-acyclic. Case
+    (iv) reads no round state, so its verdict is taken once, per cycle.
+    The cost of a round is linear in the size of the graph and of the
+    cycles that are not temporal-acyclic.
     """
     body_preds = {
         r.id: {a.predicate for a in body_atoms(r)} for r in program.rules
     }
-    cycles_through: dict[str, list[Cycle]] = {n: [] for n in graph.nodes}
-    for cyc in all_cycles:
-        for node in set(cyc.nodes):
-            cycles_through[node].append(cyc)
+    incoming: dict[str, list[Edge]] = {n: [] for n in graph.nodes}
+    for e in graph.edges:
+        incoming[e.target].append(e)
     head_rules: dict[str, list[Rule]] = {n: [] for n in graph.nodes}
     for r in program.rules:
         head_rules[r.head.predicate].append(r)
 
+    on_cycle: set[str] = set()
+    unguarded: set[str] = set()
+    for cyc in all_cycles:
+        members = set(cyc.nodes)
+        on_cycle |= members
+        if members & seedable or any(
+            not (body_preds[rule.id] & members)
+            for member in members
+            for rule in head_rules[member]
+        ):
+            unguarded |= members
+    guarded = on_cycle - unguarded
+    temporal_cycles = [c for c in all_cycles if not c.temporal_acyclic]
+
     finite: dict[str, str] = {}
-
-    def edge_is_finite(edge: Edge) -> bool:
-        return any(p in finite for p in body_preds[edge.rule_id])
-
-    def case_iii(node: str, finite_edges: set[int]) -> bool:
-        keep_edges = [
-            e
-            for i, e in enumerate(graph.edges)
-            if i not in finite_edges and e.source not in finite and e.target not in finite
-        ]
-        g = nx.DiGraph()
-        g.add_nodes_from(n for n in graph.nodes if n not in finite)
-        g.add_edges_from((e.source, e.target) for e in keep_edges)
-        scc = next(c for c in nx.strongly_connected_components(g) if node in c)
-        if any(e.target in scc and e.source not in scc for e in keep_edges):
-            return False
-        inner = DepGraph(
-            tuple(sorted(scc)),
-            tuple(e for e in keep_edges if e.source in scc and e.target in scc),
-        )
-        return all(c.temporal_acyclic for c in _edge_cycles(inner, DEFAULT_CYCLE_CAP))
-
-    def case_iv(node: str) -> bool:
-        cycles = cycles_through[node]
-        if not cycles:
-            return False
-        for cyc in cycles:
-            members = set(cyc.nodes)
-            if members & seedable:
-                return False
-            for member in members:
-                for rule in head_rules[member]:
-                    if not (body_preds[rule.id] & members):
-                        return False
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        finite_edges = {
-            i for i, e in enumerate(graph.edges) if edge_is_finite(e)
+    while True:
+        finite_rules = {
+            rid for rid, preds in body_preds.items() if not preds.isdisjoint(finite)
         }
+
+        def survives(edge: Edge) -> bool:
+            # an edge out of a finite node belongs to a finite rule
+            return edge.rule_id not in finite_rules and edge.target not in finite
+
+        kept = [e for e in graph.edges if survives(e)]
+        reduced = nx.DiGraph()
+        reduced.add_nodes_from(n for n in graph.nodes if n not in finite)
+        reduced.add_edges_from((e.source, e.target) for e in kept)
+        scc_of = {
+            node: i
+            for i, members in enumerate(nx.strongly_connected_components(reduced))
+            for node in members
+        }
+        failed = {scc_of[e.target] for e in kept if scc_of[e.source] != scc_of[e.target]}
+        failed.update(
+            scc_of[c.edges[0].source]
+            for c in temporal_cycles
+            if all(survives(e) for e in c.edges)
+        )
+
         marks: dict[str, str] = {}
         for node in graph.nodes:
             if node in finite:
                 continue
-            incoming = graph.incoming(node)
-            if not incoming:
+            if not incoming[node]:
                 marks[node] = "i"
-            elif all(i in finite_edges for i, e in enumerate(graph.edges) if e.target == node):
+            elif all(e.rule_id in finite_rules for e in incoming[node]):
                 marks[node] = "ii"
-            elif case_iii(node, finite_edges):
+            elif scc_of[node] not in failed:
                 marks[node] = "iii"
-            elif case_iv(node):
+            elif node in guarded:
                 marks[node] = "iv"
-        if marks:
-            finite.update(marks)
-            changed = True
-    return finite
+        if not marks:
+            return finite
+        finite.update(marks)
 
 
 def classify_rules(
@@ -424,8 +434,8 @@ def classify_rules(
     """
     if not program.is_normal_form:
         raise InputError("classification requires a normal-form program")
-    flags = fragment_checks(program)
     graph = dependency_graph(program)
+    flags = fragment_checks(program, graph)
     per_scc = simple_cycles(graph, cycle_cap)
     all_cycles = [c for cycles in per_scc.values() for c in cycles]
 
@@ -451,7 +461,7 @@ def classify_rules(
     harmless = all(c is RuleClass.HARMLESS for c in classes.values())
     plength = None
     if flags.forward_propagating:
-        plength = pattern_length(program, cycle_cap)
+        plength = _pattern_length(graph, cycle_cap)
     return FragmentReport(
         flags=flags,
         rule_classes=classes,
@@ -459,5 +469,6 @@ def classify_rules(
         harmless_program=harmless,
         pattern_len=plength,
         cycles=all_cycles,
+        nodes=graph.nodes,
         warning=warning,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import analysis, reasoner, syntax
 from .errors import CapExceeded, InputError
@@ -47,6 +48,13 @@ def _prepare(args) -> tuple[syntax.Program, Model]:
     return syntax.ground(program, database), database
 
 
+def _horizon(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"invalid horizon {text!r}") from exc
+
+
 def _emit(args, human: str, structured: dict) -> None:
     if args.format == "json":
         print(json.dumps(structured, indent=2, sort_keys=True))
@@ -75,8 +83,7 @@ def cmd_classify(args) -> int:
     if report.warning:
         lines.append(f"warning: {report.warning}")
     lines.append("nodes:")
-    graph = analysis.dependency_graph(program)
-    for node in graph.nodes:
+    for node in report.nodes:
         case = report.finite_nodes.get(node)
         status = f"finite ({case})" if case else "not finite"
         lines.append(f"  {node}: {status}")
@@ -94,7 +101,7 @@ def cmd_classify(args) -> int:
         "harmless_program": report.harmless_program,
         "pattern_length": str(report.pattern_len) if report.pattern_len is not None else None,
         "warning": report.warning,
-        "finite_nodes": {n: report.finite_nodes.get(n) for n in graph.nodes},
+        "finite_nodes": {n: report.finite_nodes.get(n) for n in report.nodes},
         "rule_classes": {r.id: report.rule_classes[r.id].value for r in program.rules},
         "cycles": [
             {"nodes": list(c.nodes), "shift_sum": str(c.shift_sum), "weight": str(c.weight)}
@@ -133,8 +140,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    horizon = _horizon(args.horizon)
     program, database = _prepare(args)
-    horizon = parse_rational(args.horizon)
     model = reasoner.naive_fixpoint_bounded(program, database, horizon)
     lines = [f"{atom}@{ivs}" for atom, ivs in model.items()]
     _emit(args, "\n".join(lines) or "(empty)", {"facts": _model_dict(model)})
@@ -142,11 +149,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
+    horizon = None if args.horizon is None else _horizon(args.horizon)
     program, database = _prepare(args)
     pm = reasoner.reason(program, database, window_cap=args.window_cap)
-    if args.horizon is not None:
-        horizon = parse_rational(args.horizon)
-    else:
+    if horizon is None:
         horizon = reasoner.check_horizon(pm, database)
     unrolled = pm.unroll(horizon)
     oracle = reasoner.naive_fixpoint_bounded(program, database, horizon)
@@ -237,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:

@@ -416,7 +416,10 @@ class _Parser:
         if tok.kind == "IDENT" and tok.text == "inf":
             raise self.error("infinite endpoint is not a number here")
         tok = self.expect("NUMBER")
-        value = Fraction(tok.text)
+        try:
+            value = Fraction(tok.text)
+        except ZeroDivisionError:
+            raise self.error(f"zero denominator in {tok.text!r}", tok) from None
         if tok.unit:
             self.seen_unit = True
             value *= UNIT_SCALE[tok.unit]

@@ -3,10 +3,15 @@
 import random
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 
+from chronolog import analysis
 from chronolog.analysis import (
+    DEFAULT_CYCLE_CAP,
+    DepGraph,
     RuleClass,
+    _edge_cycles,
     classify_rules,
     dependency_graph,
     fragment_checks,
@@ -17,7 +22,15 @@ from chronolog.analysis import (
 from chronolog.errors import CycleCapExceeded
 from chronolog.intervals import Interval, TimePoint, POS_INF, parse_interval
 from chronolog.reasoner import naive_fixpoint_bounded
-from chronolog.syntax import Program, parse_database, parse_program
+from chronolog.syntax import (
+    Program,
+    body_atoms,
+    parse_database,
+    parse_program,
+    to_normal_form,
+)
+from test_acceptance import _random_fp_program
+from test_reasoner import _random_nested_program
 
 
 WORKED_EXAMPLE = "diamondminus[3,4] A -> B .\nboxminus[3,4] B -> A ."
@@ -171,6 +184,128 @@ class TestClassification:
             rng.shuffle(lines)
             report = classify_rules(parse_program("\n".join(lines)))
             assert report.finite_nodes == baseline
+
+
+def _per_node_marking(program, graph, all_cycles, seedable):
+    """Reference finite marking: every unmarked node tests each case on
+    its own, rebuilding the reduced graph and enumerating its SCC's
+    cycles afresh for case (iii)."""
+    body_preds = {r.id: {a.predicate for a in body_atoms(r)} for r in program.rules}
+    head_rules = {n: [r for r in program.rules if r.head.predicate == n] for n in graph.nodes}
+    finite: dict[str, str] = {}
+
+    def case_iii(node, finite_edges):
+        keep = [
+            e for i, e in enumerate(graph.edges)
+            if i not in finite_edges and e.source not in finite and e.target not in finite
+        ]
+        g = nx.DiGraph()
+        g.add_nodes_from(n for n in graph.nodes if n not in finite)
+        g.add_edges_from((e.source, e.target) for e in keep)
+        scc = next(c for c in nx.strongly_connected_components(g) if node in c)
+        if any(e.target in scc and e.source not in scc for e in keep):
+            return False
+        inner = DepGraph(
+            tuple(sorted(scc)),
+            tuple(e for e in keep if e.source in scc and e.target in scc),
+        )
+        return all(c.temporal_acyclic for c in _edge_cycles(inner, DEFAULT_CYCLE_CAP))
+
+    def case_iv(node):
+        cycles = [c for c in all_cycles if node in c.nodes]
+        return bool(cycles) and all(
+            not (set(c.nodes) & seedable)
+            and all(body_preds[r.id] & set(c.nodes) for m in c.nodes for r in head_rules[m])
+            for c in cycles
+        )
+
+    while True:
+        finite_edges = {
+            i for i, e in enumerate(graph.edges)
+            if any(p in finite for p in body_preds[e.rule_id])
+        }
+        marks = {}
+        for node in graph.nodes:
+            if node in finite:
+                continue
+            incoming = [i for i, e in enumerate(graph.edges) if e.target == node]
+            if not incoming:
+                marks[node] = "i"
+            elif all(i in finite_edges for i in incoming):
+                marks[node] = "ii"
+            elif case_iii(node, finite_edges):
+                marks[node] = "iii"
+            elif case_iv(node):
+                marks[node] = "iv"
+        if not marks:
+            return finite
+        finite.update(marks)
+
+
+class TestFiniteMarking:
+    def test_matches_per_node_marking_on_random_programs(self, monkeypatch):
+        rng = random.Random(5)
+        compared = case_iii = 0
+        for make in (_random_fp_program, _random_nested_program):
+            for _ in range(160):
+                text, db_text = make(rng)
+                program = to_normal_form(parse_program(text))
+                for database in (None, parse_database(db_text)):
+                    report = classify_rules(program, database)
+                    with monkeypatch.context() as patched:
+                        patched.setattr(analysis, "_finite_marking", _per_node_marking)
+                        reference = classify_rules(program, database)
+                    assert report.finite_nodes == reference.finite_nodes, (text, database)
+                    assert report.rule_classes == reference.rule_classes, (text, database)
+                    assert report.harmless_program == reference.harmless_program
+                    compared += 1
+                    case_iii += "iii" in report.finite_nodes.values()
+        assert compared == 640
+        assert case_iii >= 50
+
+    def test_marking_enumerates_no_cycles_and_one_scc_pass_per_round(self, monkeypatch):
+        # P and Q are marked in the first round, R in the second, and the
+        # third marks nothing; the 301-node cycle through C stays unmarked
+        # (C is fed), so every round tests it for case (iii)
+        text = "diamondminus[1,1] " * 300 + "C -> C .\nP(X), Q(X,Y) -> R(Y) .\n"
+        program = to_normal_form(parse_program(text))
+        database = parse_database("C@[0,0].\nP(a)@[0,1].\nQ(a,b)@[0,1].\n")
+        active: list[str] = []
+        edge_cycle_callers: list[tuple[str, ...]] = []
+        marking_sccs = 0
+
+        def tracked(name, fn):
+            def wrapper(*args, **kwargs):
+                active.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    active.pop()
+            return wrapper
+
+        def edge_cycles(*args, **kwargs):
+            edge_cycle_callers.append(tuple(active))
+            return _edge_cycles(*args, **kwargs)
+
+        components = nx.strongly_connected_components
+
+        def counted_components(*args, **kwargs):
+            nonlocal marking_sccs
+            marking_sccs += "_finite_marking" in active
+            return components(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_edge_cycles", edge_cycles)
+        monkeypatch.setattr(analysis, "simple_cycles", tracked("simple_cycles", simple_cycles))
+        monkeypatch.setattr(
+            analysis, "_finite_marking", tracked("_finite_marking", analysis._finite_marking)
+        )
+        monkeypatch.setattr(nx, "strongly_connected_components", counted_components)
+        report = classify_rules(program, database)
+
+        assert report.finite_nodes == {"P": "i", "Q": "i", "R": "ii"}
+        assert edge_cycle_callers
+        assert all(callers == ("simple_cycles",) for callers in edge_cycle_callers)
+        assert marking_sccs <= 3
 
 
 class TestFragmentChecks:

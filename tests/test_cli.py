@@ -267,3 +267,34 @@ class TestExitCodes:
         argv = ["--program", str(program), "--database", str(database), "--cycle-cap", "5"]
         assert main(["classify", *argv]) == EXIT_CAP
         assert main(["reason", *argv]) == EXIT_OK
+
+    def test_zero_denominator_in_database_exits_2(self, tmp_path, capsys):
+        program = tmp_path / "p.dmtl"
+        program.write_text("A -> B .\n")
+        database = tmp_path / "d.db"
+        database.write_text("A@[0,1/0].\n")
+        assert main(
+            ["reason", "--program", str(program), "--database", str(database)]
+        ) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1:6: zero denominator") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    def test_zero_denominator_horizon_exits_2(self, paths, capsys, command):
+        program, database = paths
+        assert main(
+            [command, "--program", program, "--database", database, "--horizon", "1/0"]
+        ) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: invalid horizon '1/0'\n"
+
+    def test_internal_value_error_is_not_an_input_error(self, paths, monkeypatch):
+        from chronolog import reasoner
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(reasoner, "reason", broken)
+        program, database = paths
+        with pytest.raises(ValueError, match="internal"):
+            main(["reason", "--program", program, "--database", database])
