@@ -794,23 +794,26 @@ def reason(
       ``t - a`` (then its head is a ray covering ``[t, inf)``; otherwise
       every body point it can still use lies in ``[t - L, inf)``). Every
       other head point ``t' >= t`` reads body points in ``[t' - L, t']``.
-    * **Positions.** Once ``t - L`` lies strictly past every aperiodic
-      input (the database's last endpoint and the horizons of the groups
-      read), the inputs on ``[t - L, inf)`` are rays and patterns, so
-      they look the same from any two positions a multiple of ``b``
-      apart, where ``b`` is the lcm of the periods of the groups read.
-      Slabs are compared at positions a ``step`` apart: the lcm of ``b``
-      and ``c``, the gcd of the group's cycle shift sums (``_shift_gcd``),
-      or 1 when neither exists. ``c`` keeps a group's period a multiple
-      of its own cycles' rhythm: ``diamondminus[5,5] P -> P`` keeps
-      period 5 even when its facts fill every residue and the points
-      alone repeat every 1.
+    * **Positions.** The group settles at the last finite database
+      endpoint of its own predicates and of the database-only predicates
+      its rules read, or at the horizon of a group it reads if that lies
+      later. These are all its aperiodic inputs: an earlier group's
+      database facts belong to that group's model, which is periodic
+      from its horizon on, and no other fact reaches this group. Once
+      ``t - L`` lies strictly past the settle point, the inputs on
+      ``[t - L, inf)`` are rays and patterns, so they look the same from
+      any two positions a multiple of ``r`` apart, where ``r`` is the lcm
+      of the periods of the groups read. Slabs are compared at positions
+      a ``step`` apart: the lcm of ``r`` and ``c``, the gcd of the
+      group's cycle shift sums (``_shift_gcd``), or 1 when neither
+      exists. ``c`` keeps a group's period a multiple of its own cycles'
+      rhythm: ``diamondminus[5,5] P -> P`` keeps period 5 even when its
+      facts fill every residue and the points alone repeat every 1.
     * **Period.** At the first position ``t + q`` whose normalized state
       equals that of an earlier position ``t``, the future repeats: the
-      model on ``[t - L, inf)`` equals itself shifted by ``q``. The
-      group's facts are clipped before the first multiple ``h`` of ``q``
-      at or after ``t - L``, and ``[h, h + q)`` becomes rays and
-      patterns (``freeze``).
+      model on ``[t - L, inf)`` equals itself shifted by ``q``, so it
+      repeats from the first multiple ``h`` of ``q`` at or after
+      ``t - L``.
     * **Minimality.** The inputs look the same from every position, so
       the state's key holds only the slab (shifted to the origin) and the
       ray flags, and from the first position on, the state at the next
@@ -818,14 +821,29 @@ def reason(
       therefore closes the cycle of that sequence: ``q`` is the smallest
       multiple of ``step`` that is a period of the state from some point
       on. The paper's pattern length ``P`` is a period of the model, and
-      ``step`` divides ``P`` (``b`` by induction over the groups, ``c``
+      ``step`` divides ``P`` (``r`` by induction over the groups, ``c``
       because it divides every cycle's shift sum), so ``P`` is such a
       period of the state too. The gcd of two such periods is one as
       well (step up by one, down by the other), and ``gcd(q, P)`` is a
       multiple of ``step``, so ``q = gcd(q, P)``: ``q`` divides ``P``.
+    * **Compaction.** ``h`` then moves back to the least multiple ``b``
+      of ``q`` from which the group's facts repeat: those on ``[b, h)``
+      equal those on ``[b + q, h + q)`` shifted by ``-q``. If they do,
+      every point ``s >= b`` holds what ``s + q`` holds, by this test
+      below ``h`` and by the repeat from ``h`` on. The test is monotone
+      in ``b`` (a later ``b`` compares a part of the same range), so
+      ``b`` is found by galloping back ``q, 2q, 4q, ...`` and then
+      bisecting, each test comparing only the range not yet compared;
+      when nothing compacts this is one comparison. The search stops at
+      ``floor(start / q) * q``, where ``start`` is the database's first
+      point: no fact lies before it, so a group that holds nothing would
+      otherwise walk back forever. The group's facts are clipped before
+      ``b`` and ``[b, b + q)`` becomes rays and patterns (``freeze``);
+      ``b`` is the group's horizon, so a later group reading it settles
+      early. Only the representation changes, not the model.
 
     The model's period is the lcm of the groups' periods, and its horizon
-    the largest ``h``.
+    the largest ``b``.
     """
     if not program.is_normal_form:
         raise InputError("reason requires a normal-form program")
@@ -847,7 +865,11 @@ def reason(
         return PeriodicModel(Model(), (), Fraction(1), Fraction(0))
 
     start = min_time_point(database)
-    database_end = max_time_point(database)
+    last_end: dict[str, Fraction] = {}  # per predicate, of its database facts
+    for atom, ivs in database.items():
+        last = ivs.pieces[-1]
+        end = (last.hi if last.hi.is_finite else last.lo).value
+        last_end[atom.predicate] = max(end, last_end.get(atom.predicate, end))
     facts = database.copy()
     patterns: dict[Atom, list[Pattern]] = {}
     periods: dict[str, Fraction] = {}
@@ -855,13 +877,19 @@ def reason(
 
     for group in group_and_sort(program):
         name = ",".join(sorted(group.predicates))
-        read = sorted({a.predicate for r in group.rules for a in body_atoms(r)} & periods.keys())
+        reads = {a.predicate for r in group.rules for a in body_atoms(r)}
+        read = sorted(reads & periods.keys())
         lookback = _lookback(group)
         cycle_step = _shift_gcd(group)
         step = lcm_rationals(
             [periods[p] for p in read] + ([cycle_step] if cycle_step else []) or [1]
         )
-        settle = max([database_end] + [horizons[p] for p in read])
+        db_inputs = (reads | group.predicates) - periods.keys()
+        settle = max(
+            [start]
+            + [last_end[p] for p in db_inputs if p in last_end]
+            + [horizons[p] for p in read]
+        )
         position = (math.floor((settle + lookback) / step) + 1) * step
         atoms = sorted(
             {r.head for r in group.rules}
@@ -923,6 +951,28 @@ def reason(
         begin = math.ceil((repeat - lookback) / period) * period
         if derived < begin + period:
             derive(derived, begin + period)
+
+        def repeats(lo: Fraction, hi: Fraction) -> bool:
+            here = Interval(TimePoint.of(lo), TimePoint.of(hi), False, True)
+            later = here.shift(period)
+            return all(
+                facts.get(atom).clip(here) == facts.get(atom).clip(later).shift(-period)
+                for atom in atoms
+            )
+
+        lowest, bad, jump = math.floor(start / period) * period, None, period
+        while begin > lowest:
+            b = max(begin - jump, lowest)
+            if not repeats(b, begin):
+                bad = b
+                break
+            begin, jump = b, 2 * jump
+        while bad is not None and begin - bad > period:
+            mid = begin - (begin - bad) / period // 2 * period
+            if repeats(mid, begin):
+                begin = mid
+            else:
+                bad = mid
         group_rays, group_patterns = freeze(facts, atoms, begin, period)
         cutoff = Interval(NEG_INF, TimePoint.of(begin), True, True)
         for atom in atoms:

@@ -7,6 +7,11 @@ from pathlib import Path
 import pytest
 
 from chronolog.cli import EXIT_CAP, EXIT_FALSE, EXIT_INPUT, EXIT_OK, main
+from chronolog.intervals import parse_interval
+from chronolog.reasoner import Model, Pattern, PeriodicModel
+from chronolog.syntax import Atom
+
+from test_acceptance import UNCOMPACTED_WORKED_EXAMPLE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,21 +44,37 @@ class TestReasonCommand:
         doc = json.loads(out)
         assert doc["type"] == "periodic"
         assert doc["period"] == "7"
-        assert doc["facts"] == [
-            {"atom": "A", "intervals": ["[0,1]"]},
-            {"atom": "B", "intervals": ["[3,5]"]},
-        ]
+        assert doc["horizon"] == "0"
+        assert doc["facts"] == []
         assert doc["patterns"] == [
-            {"atom": "A", "offset": "[0,1]", "period": "7", "start_index": 1},
-            {"atom": "B", "offset": "[3,5]", "period": "7", "start_index": 1},
+            {"atom": "A", "offset": "[0,1]", "period": "7", "start_index": 0},
+            {"atom": "B", "offset": "[3,5]", "period": "7", "start_index": 0},
         ]
+        printed = PeriodicModel(
+            Model(),
+            tuple(
+                Pattern(Atom(p["atom"]), parse_interval(p["offset"]),
+                        p["start_index"], Fraction(p["period"]))
+                for p in doc["patterns"]
+            ),
+            Fraction(doc["period"]),
+            Fraction(doc["horizon"]),
+        )
+        assert printed.unroll(70) == UNCOMPACTED_WORKED_EXAMPLE.unroll(70)
 
     def test_human_output(self, paths, capsys):
         program, database = paths
         code, out = run(capsys, "reason", "--program", program, "--database", database)
         assert code == EXIT_OK
-        assert "period: 7" in out
-        assert "A@[0,1]+7x for x>=1" in out
+        assert out.splitlines() == [
+            "type: periodic",
+            "period: 7",
+            "horizon: 0",
+            "facts:",
+            "patterns:",
+            "  A@[0,1]+7x for x>=0",
+            "  B@[3,5]+7x for x>=0",
+        ]
 
     def test_byte_identical_across_runs(self, paths, capsys):
         program, database = paths

@@ -31,7 +31,7 @@ from chronolog.syntax import (
     to_normal_form,
 )
 
-from test_acceptance import oracle_span
+from test_acceptance import UNCOMPACTED_WORKED_EXAMPLE, oracle_span
 
 WORKED_EXAMPLE = "diamondminus[3,4] A -> B .\nboxminus[3,4] B -> A ."
 BOX_SELF_LOOP = "boxminus[3,7] A -> A ."
@@ -220,13 +220,14 @@ class TestReason:
     def test_worked_example(self):
         pm = reason(parse_program(WORKED_EXAMPLE), model_of("A@[0,1]."))
         assert pm.period == 7
-        assert str(pm.facts) == "A@{[0,1]}; B@{[3,5]}"
+        assert str(pm.facts) == "(empty)"
         assert pm.patterns == (
-            Pattern(Atom("A"), iv("[0,1]"), 1, F(7)),
-            Pattern(Atom("B"), iv("[3,5]"), 1, F(7)),
+            Pattern(Atom("A"), iv("[0,1]"), 0, F(7)),
+            Pattern(Atom("B"), iv("[3,5]"), 0, F(7)),
         )
-        assert pm.horizon == 7
+        assert pm.horizon == 0
         assert pm.representation_type() == "periodic"
+        assert pm.unroll(70) == UNCOMPACTED_WORKED_EXAMPLE.unroll(70)
 
     def test_finite_outcome(self):
         pm = reason(parse_program(BOX_SELF_LOOP), model_of("A@[0,1]."))
@@ -487,10 +488,12 @@ class TestEntailsDifferential:
 
 class TestPeriodFromRepeatedState:
     """``reason`` against the oracle on both random program generators, with
-    the paper's pattern length as a bound that every period divides."""
+    the paper's pattern length as a bound that every period divides, and
+    a horizon from which one period earlier the model does not repeat."""
 
     @pytest.mark.parametrize("generator", ["forward", "nested"])
     def test_random_programs(self, generator, monkeypatch):
+        import math
         import random
 
         from chronolog import analysis
@@ -501,6 +504,7 @@ class TestPeriodFromRepeatedState:
 
         make = {"forward": _random_fp_program, "nested": _random_nested_program}[generator]
         rng = random.Random(4)
+        compacted = 0
         for _ in range(150):
             text, db_text = make(rng)
             program = to_normal_form(parse_program(text))
@@ -517,6 +521,18 @@ class TestPeriodFromRepeatedState:
                 text,
                 db_text,
             )
+            # one period before the horizon the model no longer repeats,
+            # unless the search for the horizon stopped at its floor
+            h, q = pm.horizon, pm.period
+            if h - q < math.floor(min_time_point(db) / q) * q:
+                continue
+            compacted += 1
+            unrolled = pm.unroll(h + q)
+            before = unrolled.restrict(Interval(TimePoint.of(h - q), TimePoint.of(h), False, True))
+            after = unrolled.restrict(Interval(TimePoint.of(h), TimePoint.of(h + q), False, True))
+            shifted = Model({atom: ivs.shift(-q) for atom, ivs in after.items()})
+            assert before != shifted, (text, db_text)
+        assert compacted >= 30
 
 
 def _random_nested_program(rng):
@@ -541,6 +557,58 @@ def _random_nested_program(rng):
         hi = rng.randint(lo, 12)
         facts.append(f"{rng.choice(preds)}@[{lo},{hi}].")
     return "\n".join(lines), "\n".join(facts)
+
+
+class TestMinimalHorizon:
+    """Each group settles on its own inputs, and its periodic part starts
+    at the least multiple of its period from which its facts repeat."""
+
+    def test_unrelated_fact_moves_nothing(self):
+        program = parse_program(WORKED_EXAMPLE)
+        derived = {}  # pieces of A after each chunk
+
+        def run(db_text):
+            sizes = derived.setdefault(db_text, [])
+
+            def count(group, n, facts):
+                sizes.append(len(facts.get(Atom("A"))))
+
+            return reason(program, model_of(db_text), on_iteration=count)
+
+        alone = run("A@[0,1].")
+        pm = run("A@[0,1].\nZ@[10000,10000].")
+        assert (pm.horizon, pm.period) == (alone.horizon, alone.period) == (0, 7)
+        # the group does not derive out to the unrelated fact either
+        assert derived["A@[0,1].\nZ@[10000,10000]."] == derived["A@[0,1]."]
+        assert pm.patterns == alone.patterns
+        assert str(pm.facts) == "Z@{[10000,10000]}"
+
+    def test_chain_cost_does_not_grow_with_the_first_group(self, monkeypatch):
+        """Count-only: the window widths the groups after ``P0`` derive do
+        not depend on how far out ``P0``'s last database point lies."""
+        from chronolog import reasoner
+
+        derive = reasoner._derive_group
+        widths: dict[str, F] = {}
+
+        def counting(group, facts, patterns, window):
+            name = ",".join(sorted(group.predicates))
+            widths[name] = widths.get(name, 0) + window.hi.value - window.lo.value
+            derive(group, facts, patterns, window)
+
+        monkeypatch.setattr(reasoner, "_derive_group", counting)
+        k = 20
+        rules = [f"diamondminus[5,5] P{i} -> P{i} ." for i in range(k)]
+        rules += [f"diamondminus[1,1] P{i} -> P{i + 1} ." for i in range(k - 1)]
+        program = parse_program("\n".join(rules))
+        later = []
+        for span in (500, 5000):
+            widths.clear()
+            points = [0, 1, 2, 3, 4, span - 7, span - 3, span - 1]
+            reason(program, model_of("".join(f"P0@[{t},{t}].\n" for t in points)))
+            assert len(widths) == k
+            later.append(sum(w for name, w in widths.items() if name != "P0"))
+        assert later[0] == later[1] < 1000
 
 
 class TestFullPipeline:
