@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -351,8 +351,30 @@ def naive_fixpoint_bounded(
 
 @dataclass(frozen=True)
 class RuleGroup:
+    """One SCC group's rules and the plan ``_derive_group`` runs them by,
+    built once: each rule's form, the rules indexed by each atom their
+    bodies read (in group order), and the lookback, the largest upper end
+    of the group's operator ranges."""
+
     predicates: frozenset[str]
     rules: tuple[Rule, ...]
+    forms: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    by_body: dict[Atom, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    lookback: TimePoint = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        forms = tuple(rule_form(rule) for rule in self.rules)
+        by_body: dict[Atom, list[int]] = {}
+        for i, rule in enumerate(self.rules):
+            for atom in dict.fromkeys(body_atoms(rule)):
+                by_body.setdefault(atom, []).append(i)
+        lookback = max(
+            (rule.body[0].rho.hi for rule, form in zip(self.rules, forms) if form in (4, 6)),
+            default=TimePoint.of(0),
+        )
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "by_body", {a: tuple(ids) for a, ids in by_body.items()})
+        object.__setattr__(self, "lookback", lookback)
 
 
 def group_and_sort(program: Program) -> list[RuleGroup]:
@@ -560,9 +582,11 @@ def _derive_group(
 ) -> None:
     """Exhaustively apply the group's rules with heads clipped to the window.
 
-    Semi-naive: each round only reconsiders pieces that changed in the
-    previous round, so the work per window is proportional to the facts
-    it derives, not to the square of the model size.
+    Semi-naive: each round visits, in group order, only the rules with a
+    body atom among the pieces that changed in the previous round (the
+    group's ``by_body`` index), and only those pieces compose with the
+    rest, so the work per window is proportional to the facts it derives,
+    not to the square of the model size or to the group's rule count.
 
     Only the atoms the group's rule bodies read are looked at: their facts
     and the occurrences of their earlier groups' patterns seed the first
@@ -576,16 +600,12 @@ def _derive_group(
     distant past reach the window (``diamondminus`` makes it a ray), so
     then the padded window reaches back to ``-inf``.
     """
-    reads = {atom for rule in group.rules for atom in body_atoms(rule)}
-    lookback = TimePoint.of(0)
-    for rule in group.rules:
-        if rule_form(rule) in (4, 6):
-            lookback = max(lookback, rule.body[0].rho.hi)
-    padded = Interval(window.lo - lookback, window.hi, window.lo_open, window.hi_open)
-
+    padded = Interval(
+        window.lo - group.lookback, window.hi, window.lo_open, window.hi_open
+    )
     unrolled = {
         atom: [piece for pat in patterns.get(atom, ()) for piece in occurrences(pat, padded)]
-        for atom in reads
+        for atom in group.by_body
     }
 
     def visible(atom: Atom) -> IntervalSet:
@@ -604,15 +624,18 @@ def _derive_group(
             cached = view[atom] = visible(atom)
         return cached
 
-    frontier = {atom: seed for atom in reads if not (seed := visible(atom)).is_empty}
+    frontier = {
+        atom: seed for atom in group.by_body if not (seed := visible(atom)).is_empty
+    }
     while frontier:
         fresh: dict[Atom, list[Interval]] = {}
         view.clear()
-        for rule in group.rules:
-            form = rule_form(rule)
+        touched = sorted({i for atom in frontier for i in group.by_body.get(atom, ())})
+        for i in touched:
+            rule, form = group.rules[i], group.forms[i]
             derived = IntervalSet.empty()
             if form == 1:
-                for i, atom in enumerate(rule.body):
+                for k, atom in enumerate(rule.body):
                     delta = frontier.get(atom)
                     if delta is None:
                         continue
@@ -620,7 +643,7 @@ def _derive_group(
                     for j, other in enumerate(rule.body):
                         if part.is_empty:
                             break
-                        if j != i:
+                        if j != k:
                             part = part.intersect(full(other))
                     derived = derived.union(part)
             else:
@@ -877,7 +900,7 @@ def reason(
 
     for group in group_and_sort(program):
         name = ",".join(sorted(group.predicates))
-        reads = {a.predicate for r in group.rules for a in body_atoms(r)}
+        reads = {a.predicate for a in group.by_body}
         read = sorted(reads & periods.keys())
         lookback = _lookback(group)
         cycle_step = _shift_gcd(group)
@@ -898,8 +921,8 @@ def reason(
         )
         rays_from = [
             (r.body[0].inner, r.body[0].rho.lo.value)
-            for r in group.rules
-            if rule_form(r) == 6 and not r.body[0].rho.hi.is_finite
+            for r, form in zip(group.rules, group.forms)
+            if form == 6 and not r.body[0].rho.hi.is_finite
         ]
 
         def state(t: Fraction) -> tuple:

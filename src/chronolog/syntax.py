@@ -24,10 +24,10 @@ Database files contain facts: ``atom "@" interval "."``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InputError, ParseError
 from .intervals import Interval, TimePoint, NEG_INF, POS_INF
@@ -112,58 +112,71 @@ class Atom(Literal):
         return all(isinstance(t, Constant) for t in self.terms)
 
 
+# The temporal operators hash once, at construction, from their operands'
+# stored hashes, so hashing a nested literal costs the same at any depth
+# (the normal form looks every nested sub-literal up by hash).
+
 @dataclass(frozen=True, slots=True)
-class BoxMinus(Literal):
+class _Unary(Literal):
     rho: Interval
     inner: Literal
+    _hash: int = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((type(self).__name__, self.rho, self.inner)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class BoxMinus(_Unary):
     def __str__(self) -> str:
         return f"boxminus{self.rho} {self.inner}"
 
 
-@dataclass(frozen=True, slots=True)
-class BoxPlus(Literal):
-    rho: Interval
-    inner: Literal
-
+@dataclass(frozen=True, slots=True, eq=False)
+class BoxPlus(_Unary):
     def __str__(self) -> str:
         return f"boxplus{self.rho} {self.inner}"
 
 
-@dataclass(frozen=True, slots=True)
-class DiamondMinus(Literal):
-    rho: Interval
-    inner: Literal
-
+@dataclass(frozen=True, slots=True, eq=False)
+class DiamondMinus(_Unary):
     def __str__(self) -> str:
         return f"diamondminus{self.rho} {self.inner}"
 
 
-@dataclass(frozen=True, slots=True)
-class DiamondPlus(Literal):
-    rho: Interval
-    inner: Literal
-
+@dataclass(frozen=True, slots=True, eq=False)
+class DiamondPlus(_Unary):
     def __str__(self) -> str:
         return f"diamondplus{self.rho} {self.inner}"
 
 
 @dataclass(frozen=True, slots=True)
-class Since(Literal):
+class _Binary(Literal):
     left: Literal
     rho: Interval
     right: Literal
+    _hash: int = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((type(self).__name__, self.left, self.rho, self.right))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Since(_Binary):
     def __str__(self) -> str:
         return f"{_operand_text(self.left)} since{self.rho} {_operand_text(self.right)}"
 
 
-@dataclass(frozen=True, slots=True)
-class Until(Literal):
-    left: Literal
-    rho: Interval
-    right: Literal
-
+@dataclass(frozen=True, slots=True, eq=False)
+class Until(_Binary):
     def __str__(self) -> str:
         return f"{_operand_text(self.left)} until{self.rho} {_operand_text(self.right)}"
 
@@ -674,10 +687,10 @@ class _Normalizer:
         self.axioms: list[Fact] = list(program.axioms)
         self.true_atom: Atom | None = None
 
-    def fresh_atom(self, variables: tuple[Term, ...]) -> Atom:
-        atom = Atom(f"{AUX_PREFIX}{self.counter}", variables)
+    def fresh_name(self) -> str:
+        name = f"{AUX_PREFIX}{self.counter}"
         self.counter += 1
-        return atom
+        return name
 
     def emit(self, body: tuple[Literal, ...], head: Literal, rid: str) -> None:
         self.rules.append(Rule(body, head, rid))
@@ -708,20 +721,25 @@ class _Normalizer:
         return lit
 
     def atomize(self, lit: Literal, rid: str) -> Atom:
-        """Define a fresh predicate equivalent to ``lit`` and return it."""
+        """Define a fresh predicate equivalent to ``lit`` and return it.
+
+        The name is taken before the operands are atomized, so an outer
+        literal numbers before its operands. The variables are read off
+        the flattened literal, whose operands are atoms carrying their
+        own variables, so no level walks the literal below it.
+        """
         if isinstance(lit, Atom):
             return lit
         if isinstance(lit, Top):
             return self.always_true()
-        key = lit
-        cached = self.aux_for.get(key)
+        cached = self.aux_for.get(lit)
         if cached is not None:
             return cached
-        variables = tuple(Variable(v) for v in sorted(literal_variables(lit)))
-        aux = self.fresh_atom(variables)
-        self.aux_for[key] = aux
+        name = self.fresh_name()
         flat = self.flatten(lit, rid)
-        self.emit((flat,), aux, f"{rid}~{aux.predicate}")
+        aux = Atom(name, tuple(Variable(v) for v in sorted(literal_variables(flat))))
+        self.aux_for[lit] = aux
+        self.emit((flat,), aux, f"{rid}~{name}")
         return aux
 
     def flatten(self, lit: Literal, rid: str) -> Literal:
@@ -750,11 +768,11 @@ class _Normalizer:
         if isinstance(head, Top):
             return  # trivially satisfied
         rid = rule.id
-        # Peel box heads via the dual diamond rule.
+        # Peel box heads via the dual diamond rule; every level carries
+        # the variables of the one atom inside.
+        carried = tuple(Variable(v) for v in sorted(literal_variables(head)))
         while isinstance(head, (BoxMinus, BoxPlus)):
-            carrier = self.fresh_atom(
-                tuple(Variable(v) for v in sorted(literal_variables(head.inner)))
-            )
+            carrier = Atom(self.fresh_name(), carried)
             self.finish_rule(tuple(body), carrier, rid)
             dual = DiamondPlus if isinstance(head, BoxMinus) else DiamondMinus
             body = [dual(head.rho, carrier)]
@@ -819,20 +837,145 @@ def _substitute(lit: Literal, binding: dict[str, str]) -> Literal:
     return lit
 
 
-def ground(program: Program, database=None) -> Program:
-    """Instantiate every rule with constants drawn from program and database.
+def _required_atoms(lit: Literal) -> Iterator[Atom]:
+    """The atoms that hold at some time wherever ``lit`` holds: an atom
+    itself, those of a unary operator's inner literal, and those of the
+    right operand of ``since``/``until`` (the left one needs to hold only
+    on an interval that may be empty). ``top`` requires nothing."""
+    if isinstance(lit, Atom):
+        yield lit
+    elif isinstance(lit, UNARY_OPS):
+        yield from _required_atoms(lit.inner)
+    elif isinstance(lit, (Since, Until)):
+        yield from _required_atoms(lit.right)
 
-    Rules whose variables cannot be bound (no constants anywhere) produce
-    no instances; propositional rules pass through untouched.
+
+def _matches(
+    atoms: list[Atom], relations: list[Iterable[tuple[str, ...]]]
+) -> list[dict[str, str]]:
+    """Every binding of the atoms' variables under which each atom's
+    constants form a tuple of the relation beside it. Each relation is
+    indexed on the positions already bound, so a join costs about what
+    it yields."""
+    bindings: list[dict[str, str]] = [{}]
+    known: set[str] = set()
+    for atom, relation in zip(atoms, relations):
+        terms = atom.terms
+        keys = [
+            i for i, t in enumerate(terms) if isinstance(t, Constant) or t.name in known
+        ]
+        index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for tup in relation:
+            if len(tup) == len(terms):
+                index.setdefault(tuple(tup[i] for i in keys), []).append(tup)
+        extended = []
+        for binding in bindings:
+            key = tuple(
+                t.name if isinstance(t, Constant) else binding[t.name]
+                for t in (terms[i] for i in keys)
+            )
+            for tup in index.get(key, ()):
+                new = dict(binding)
+                if all(
+                    isinstance(t, Constant) or new.setdefault(t.name, value) == value
+                    for t, value in zip(terms, tup)
+                ):
+                    extended.append(new)
+        bindings = extended
+        if not bindings:
+            break
+        known.update(t.name for t in terms if isinstance(t, Variable))
+    return bindings
+
+
+def _instances(
+    terms: tuple[Term, ...], binding: dict[str, str], names: list[str]
+) -> Iterator[tuple[str, ...]]:
+    """The constants of ``terms`` under ``binding``, each variable it
+    leaves free ranging over ``names``."""
+    free = sorted(
+        {t.name for t in terms if isinstance(t, Variable) and t.name not in binding}
+    )
+    for values in product(names, repeat=len(free)):
+        full = {**binding, **dict(zip(free, values))}
+        yield tuple(t.name if isinstance(t, Constant) else full[t.name] for t in terms)
+
+
+def ground(program: Program, database=None) -> Program:
+    """Instantiate each rule with the bindings under which it can fire.
+
+    Constants are drawn from the program and the database. First the
+    time-abstracted program is evaluated: plain Datalog, semi-naive, over
+    the atoms of the database and the axioms, each rule deriving its head
+    atoms from its *required* body atoms (``_required_atoms``). Then each
+    rule is instantiated only with the bindings under which every
+    required atom is in that abstract model; a variable that no required
+    atom binds (one in the head or a ``since`` left operand only) ranges
+    over all constants.
+
+    No instance that can fire is dropped. An atom that holds at some time
+    in the least model is in the abstract model, by induction on its
+    derivation: the instance that derives it has a body that holds at
+    some time, so each required atom holds at some time, is in the
+    abstract model by induction, and there the abstract rule derives the
+    head's atoms. A dropped instance has a required atom outside the
+    abstract model, which holds nowhere, so its body holds nowhere, and
+    dropping it leaves the model unchanged.
+
+    The kept instances are a subsequence of the exhaustive grounding,
+    in its order (rule by rule, bindings in lexicographic order of the
+    sorted variables over the sorted constants) and with its rule ids.
+    Rules without variables pass through untouched, and a program
+    without variables is returned as it is. A rule whose variables
+    cannot be bound (no constants anywhere) has no instances.
     """
-    constants = set(program.constants())
+    if program.is_ground:
+        return program
+    seeds = [f.atom for f in program.axioms]
     if database is not None:
-        constants.update(
-            t.name for atom in database.atoms() for t in atom.terms
-        )
-    names = sorted(constants)
-    out: list[Rule] = []
+        seeds += database.atoms()
+    names = sorted(program.constants() | {t.name for a in seeds for t in a.terms})
+    plans = []
     for rule in program.rules:
+        required = [a for lit in rule.body for a in _required_atoms(lit)]
+        bound = sorted({t.name for a in required for t in a.terms if isinstance(t, Variable)})
+        plans.append((required, bound, head_atoms(rule), set()))
+
+    holds: dict[str, set[tuple[str, ...]]] = {}
+    delta: dict[str, set[tuple[str, ...]]] = {}
+    for atom in seeds:
+        delta.setdefault(atom.predicate, set()).add(tuple(t.name for t in atom.terms))
+    first = True
+    while first or delta:
+        for pred, tuples in delta.items():
+            holds.setdefault(pred, set()).update(tuples)
+        fresh: dict[str, set[tuple[str, ...]]] = {}
+        for required, bound, heads, fired in plans:
+            if first:
+                found = _matches(required, [holds.get(a.predicate, ()) for a in required])
+            else:
+                found = []
+                for i, atom in enumerate(required):
+                    if atom.predicate in delta:
+                        rest = required[:i] + required[i + 1:]
+                        found += _matches(
+                            [atom, *rest],
+                            [delta[atom.predicate], *(holds.get(a.predicate, ()) for a in rest)],
+                        )
+            for binding in found:
+                key = tuple(binding[v] for v in bound)
+                if key in fired:
+                    continue
+                fired.add(key)
+                for head in heads:
+                    known = holds.get(head.predicate, ())
+                    for tup in _instances(head.terms, binding, names):
+                        if tup not in known:
+                            fresh.setdefault(head.predicate, set()).add(tup)
+        delta, first = fresh, False
+
+    out: list[Rule] = []
+    for rule, (_, bound, _, fired) in zip(program.rules, plans):
         variables = sorted(
             set().union(
                 literal_variables(rule.head),
@@ -842,7 +985,13 @@ def ground(program: Program, database=None) -> Program:
         if not variables:
             out.append(rule)
             continue
-        for combo in product(names, repeat=len(variables)):
+        terms = tuple(Variable(v) for v in variables)
+        combos = sorted(
+            combo
+            for key in fired
+            for combo in _instances(terms, dict(zip(bound, key)), names)
+        )
+        for combo in combos:
             binding = dict(zip(variables, combo))
             out.append(
                 Rule(

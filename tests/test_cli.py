@@ -223,6 +223,7 @@ FIXTURE_PAIRS = [
     ("diamond_join.dmtl", "diamond_join.db"),
     ("weekly.dmtl", "weekly.db"),
     ("mixed_shift.dmtl", "mixed_shift.db"),
+    ("reach_join.dmtl", "reach_join.db"),
 ]
 
 

@@ -1,12 +1,13 @@
 """Parsing, printing, normal form, and grounding."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 from chronolog.errors import ParseError
 from chronolog.intervals import Interval, parse_interval
-from chronolog.reasoner import Model, naive_fixpoint_bounded
+from chronolog.reasoner import Model, check_horizon, naive_fixpoint_bounded, reason
 from chronolog.syntax import (
     Atom,
     BoxMinus,
@@ -14,9 +15,13 @@ from chronolog.syntax import (
     DiamondMinus,
     Fact,
     Program,
+    Rule,
     Since,
     Variable,
+    _substitute,
+    body_atoms,
     ground,
+    head_atoms,
     is_forward_propagating,
     parse_database,
     parse_fact,
@@ -213,6 +218,33 @@ class TestNormalForm:
         aux_defs = [r for r in n.rules if r.head.predicate.startswith("_aux")]
         assert len(aux_defs) == 1
 
+    def test_work_is_linear_in_nesting_depth(self):
+        """Count-only: the Python calls ``to_normal_form`` makes on
+        ``diamondminus[1,1]``^d ``C -> C`` grow linearly in d; looking up
+        each nested sub-literal by a hash that walks it grew as d^2."""
+        import sys
+
+        work = {}
+        for depth in (100, 400):
+            nested = "C"
+            for _ in range(depth):
+                nested = f"diamondminus[1,1] {nested}"
+            program = parse_program(f"{nested} -> C .")
+            calls = 0
+
+            def count(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
+
+            sys.setprofile(count)
+            try:
+                normal = to_normal_form(program)
+            finally:
+                sys.setprofile(None)
+            assert len(normal.rules) == depth
+            work[depth] = calls
+        assert work[400] <= 4.5 * work[100]
+
     def _window_model(self, program, db_text, lo=-100, hi=100):
         window = Interval(lo, hi)
         return naive_fixpoint_bounded(program, parse_database(db_text), window=window)
@@ -254,20 +286,154 @@ class TestGround:
 
     def test_two_variables_two_constants(self):
         p = parse_program("A(X),B(Y) -> C(X) .")
-        g = ground(p, parse_database("A(c)@[0,1].\nB(d)@[0,1]."))
+        g = ground(p, parse_database("A(c)@[0,1].\nB(d)@[0,1].\nA(d)@[0,1].\nB(c)@[0,1]."))
         assert len(g.rules) == 4
         heads = {str(r.head) for r in g.rules}
         assert heads == {"C(c)", "C(d)"}
+        # only the binding whose body atoms can hold is instantiated
+        g = ground(p, parse_database("A(c)@[0,1].\nB(d)@[0,1]."))
+        assert [str(r) for r in g.rules] == ["A(c), B(d) -> C(c) ."]
 
     def test_constants_from_program_count(self):
-        p = parse_program("A(X) -> B(X) .\nSeed(c) -> Go .")
-        g = ground(p, Model())
+        # `c` occurs only in the program; a propositional fact seeds A(c)
+        p = parse_program("A(X) -> B(X) .\nGo -> A(c) .")
+        g = ground(p, parse_database("Go@[0,1]."))
         assert "A(c) -> B(c) ." in [str(r) for r in g.rules]
+
+    def test_join_instances_grow_linearly(self):
+        n = 50
+        p = parse_program("P(X), Q(X,Y) -> R(Y) .")
+        db = parse_database(
+            "".join(f"P(c{i})@[0,1].\nQ(c{i},c{(7 * i) % n})@[0,1].\n" for i in range(n))
+        )
+        g = ground(p, db)
+        assert len(g.rules) == n
+        assert "P(c1), Q(c1,c7) -> R(c7) ." in [str(r) for r in g.rules]
+
+    def test_unbound_variables_range_over_all_constants(self):
+        # a head-only variable (possible only outside the parser) and one
+        # bound only by a since left operand, which needs no point to hold
+        head_only = Rule((Atom("Go"),), Atom("C", (Variable("X"),)), "r1")
+        since = parse_program("A(X) since[0,1] Go -> D(X) .").rules[0]
+        p = Program((head_only, since))
+        g = ground(p, parse_database("Go@[0,1].\nK(a)@[0,1].\nK(b)@[0,1]."))
+        assert [str(r) for r in g.rules] == [
+            "Go -> C(a) .",
+            "Go -> C(b) .",
+            "A(a) since[0,1] Go -> D(a) .",
+            "A(b) since[0,1] Go -> D(b) .",
+        ]
+
+    def test_instance_enabled_through_a_derived_atom_is_kept(self):
+        p = parse_program("A(X) -> B(X) .\nB(X), C(X,Y) -> D(Y) .")
+        g = ground(p, parse_database("A(a)@[0,1].\nC(a,b)@[0,1].\nC(z,w)@[0,1]."))
+        assert [str(r) for r in g.rules] == ["A(a) -> B(a) .", "B(a), C(a,b) -> D(b) ."]
+
+    def test_axiom_seeds_the_abstract_model(self):
+        p = parse_program("-> A(c) .\nA(X) -> B(X) .")
+        g = ground(p, Model())
+        assert [str(r) for r in g.rules] == ["A(c) -> B(c) ."]
+
+    def test_program_without_variables_is_returned_as_is(self):
+        p = parse_program("diamondminus[1,2] A -> B .")
+        assert ground(p, parse_database("A@[0,1].")) is p
+
+    def test_differential_against_exhaustive_grounding(self):
+        """On random non-ground programs (joins and temporal rules, 2-4
+        constants) the kept instances are a subsequence of the exhaustive
+        grounding, and the oracle and ``reason`` give the same models."""
+        import random
+
+        rng = random.Random(11)
+        dropped = 0
+        for _ in range(200):
+            text, db_text = _random_nonground_program(rng)
+            program, db = parse_program(text), parse_database(db_text)
+            relevant, exhaustive = ground(program, db), _exhaustive_ground(program, db)
+            rules = iter(exhaustive.rules)
+            assert all(rule in rules for rule in relevant.rules), text
+            dropped += len(exhaustive.rules) - len(relevant.rules)
+            pm, pm_all = reason(relevant, db), reason(exhaustive, db)
+            horizon = max(check_horizon(pm, db), check_horizon(pm_all, db))
+            assert pm.unroll(horizon) == pm_all.unroll(horizon), (text, db_text)
+            assert naive_fixpoint_bounded(relevant, db, horizon) == naive_fixpoint_bounded(
+                exhaustive, db, horizon
+            ), (text, db_text)
+        assert dropped > 2000
 
     def test_ground_flag(self):
         p = parse_program("A(X) -> B(X) .")
         assert not p.is_ground
         assert ground(p, parse_database("A(c)@[0,1].")).is_ground
+
+
+def _exhaustive_ground(program, database):
+    """Every rule instantiated with every binding of its variables over the
+    constants of the program and the database, in lexicographic order."""
+    names = sorted(
+        program.constants() | {t.name for a in database.atoms() for t in a.terms}
+    )
+    out = []
+    for rule in program.rules:
+        variables = sorted(
+            {
+                t.name
+                for a in body_atoms(rule) + head_atoms(rule)
+                for t in a.terms
+                if isinstance(t, Variable)
+            }
+        )
+        if not variables:
+            out.append(rule)
+            continue
+        for combo in product(names, repeat=len(variables)):
+            binding = dict(zip(variables, combo))
+            out.append(
+                Rule(
+                    tuple(_substitute(b, binding) for b in rule.body),
+                    _substitute(rule.head, binding),
+                    f"{rule.id}[{','.join(combo)}]",
+                )
+            )
+    return Program(tuple(out), program.axioms)
+
+
+def _random_nonground_program(rng):
+    """Horn joins and diamondminus/boxminus rules over unary and binary
+    predicates, with a database over 2-4 constants that seeds only some
+    predicates."""
+    arity = {f"P{i}": rng.randint(1, 2) for i in range(rng.randint(2, 5))}
+    preds = sorted(arity)
+    consts = [f"c{i}" for i in range(rng.randint(2, 4))]
+
+    def atom(pred, pool):
+        terms = [rng.choice(pool) for _ in range(arity[pred])]
+        return f"{pred}({','.join(terms)})", {t for t in terms if t[0].isupper()}
+
+    lines = []
+    for _ in range(rng.randint(1, 5)):
+        head = rng.choice(preds)
+        if rng.random() < 0.5:
+            body, bound = [], set()
+            for pred in rng.sample(preds, k=rng.randint(1, min(3, len(preds)))):
+                text, names = atom(pred, ["X", "Y", "Z", rng.choice(consts)])
+                body.append(text)
+                bound |= names
+            body = ", ".join(body)
+        else:
+            lo = rng.randint(0, 6)
+            op = rng.choice(["diamondminus", "boxminus"])
+            inner, bound = atom(rng.choice(preds), ["X", "Y", rng.choice(consts)])
+            body = f"{op}[{lo},{rng.randint(lo, 6)}] {inner}"
+        text, _ = atom(head, sorted(bound) + [rng.choice(consts)])
+        lines.append(f"{body} -> {text} .")
+    facts = []
+    seeded = rng.sample(preds, k=rng.randint(1, len(preds) - 1))
+    for _ in range(rng.randint(1, 5)):
+        text, _ = atom(rng.choice(seeded), consts)
+        lo = rng.randint(0, 8)
+        facts.append(f"{text}@[{lo},{rng.randint(lo, 8)}].")
+    return "\n".join(lines), "\n".join(facts)
 
 
 def test_forward_propagating_flag():
