@@ -351,29 +351,43 @@ def naive_fixpoint_bounded(
 
 @dataclass(frozen=True)
 class RuleGroup:
-    """One SCC group's rules and the plan ``_derive_group`` runs them by,
-    built once: each rule's form, the rules indexed by each atom their
-    bodies read (in group order), and the lookback, the largest upper end
-    of the group's operator ranges."""
+    """One SCC group's rules and what ``reason`` and ``_derive_group`` read
+    off them, built once: each rule's form, the rules indexed by each atom
+    their bodies read (in group order), and how far back the rules look.
+
+    ``padding`` is how far before a window ``_derive_group`` reads body
+    facts: the largest upper end of the ``boxminus``/``diamondminus``
+    ranges, infinite for a range unbounded above. ``lookback`` is the L
+    of ``reason``'s state: the same, except that a ``diamondminus[a,inf)``
+    counts ``a`` (its body points further back only matter through its
+    ray) and a ``boxminus[a,inf)`` counts nothing (it never fires on
+    facts bounded below)."""
 
     predicates: frozenset[str]
     rules: tuple[Rule, ...]
     forms: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
     by_body: dict[Atom, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    lookback: TimePoint = field(init=False, repr=False, compare=False)
+    padding: TimePoint = field(init=False, repr=False, compare=False)
+    lookback: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         forms = tuple(rule_form(rule) for rule in self.rules)
         by_body: dict[Atom, list[int]] = {}
-        for i, rule in enumerate(self.rules):
+        padding, lookback = TimePoint.of(0), Fraction(0)
+        for i, (rule, form) in enumerate(zip(self.rules, forms)):
             for atom in dict.fromkeys(body_atoms(rule)):
                 by_body.setdefault(atom, []).append(i)
-        lookback = max(
-            (rule.body[0].rho.hi for rule, form in zip(self.rules, forms) if form in (4, 6)),
-            default=TimePoint.of(0),
-        )
+            if form not in (4, 6):
+                continue
+            rho = rule.body[0].rho
+            padding = max(padding, rho.hi)
+            if rho.hi.is_finite:
+                lookback = max(lookback, rho.hi.value)
+            elif form == 6:
+                lookback = max(lookback, rho.lo.value)
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "by_body", {a: tuple(ids) for a, ids in by_body.items()})
+        object.__setattr__(self, "padding", padding)
         object.__setattr__(self, "lookback", lookback)
 
 
@@ -590,9 +604,9 @@ def _derive_group(
 
     Only the atoms the group's rule bodies read are looked at: their facts
     and the occurrences of their earlier groups' patterns seed the first
-    round, clipped to the padded window ``[window.lo - lookback,
-    window.hi)``, where the lookback is the largest upper end of the
-    group's operator ranges. For a range bounded above the clip is exact:
+    round, clipped to the padded window ``[window.lo - padding,
+    window.hi)``, where the group's ``padding`` is the largest upper end
+    of its operator ranges. For a range bounded above the clip is exact:
     a head point ``t`` in the window depends only on body points in
     ``[t - rho.hi, t]``, which lie in the padded window, and a clipped
     body piece still reaches every such ``t``. A range unbounded above
@@ -601,7 +615,7 @@ def _derive_group(
     then the padded window reaches back to ``-inf``.
     """
     padded = Interval(
-        window.lo - group.lookback, window.hi, window.lo_open, window.hi_open
+        window.lo - group.padding, window.hi, window.lo_open, window.hi_open
     )
     unrolled = {
         atom: [piece for pat in patterns.get(atom, ()) for piece in occurrences(pat, padded)]
@@ -670,10 +684,10 @@ def _derive_group(
 
 
 
-def _shift(rule: Rule) -> TimePoint:
-    """How far the rule moves a fact's left end: 0 for Horn, ``rho.lo`` for
-    ``diamondminus``, ``rho.hi`` for ``boxminus`` (as in the dependency graph)."""
-    form = rule_form(rule)
+def _shift(rule: Rule, form: int | None) -> TimePoint:
+    """How far the rule (of the given form) moves a fact's left end: 0 for
+    Horn, ``rho.lo`` for ``diamondminus``, ``rho.hi`` for ``boxminus`` (as
+    in the dependency graph)."""
     if form == 1:
         return TimePoint.of(0)
     rho = rule.body[0].rho
@@ -694,8 +708,8 @@ def _shift_gcd(group: RuleGroup) -> Fraction:
     the group may fall apart into several parts.
     """
     edges = []
-    for rule in group.rules:
-        shift = _shift(rule)
+    for rule, form in zip(group.rules, group.forms):
+        shift = _shift(rule, form)
         if shift.is_finite:
             edges += [
                 (atom.predicate, rule.head.predicate, shift.value)
@@ -734,24 +748,6 @@ def _shift_gcd(group: RuleGroup) -> Fraction:
                 den = math.lcm(gcd.denominator, slack.denominator)
                 gcd = Fraction(math.gcd(int(gcd * den), int(slack * den)), den)
     return gcd
-
-
-def _lookback(group: RuleGroup) -> Fraction:
-    """How far back the group's rules look from the point they derive: the
-    largest ``rho.hi``, or ``rho.lo`` for a ``diamondminus[a,inf)``, whose
-    body points further back only matter through its ray (see ``reason``).
-    ``boxminus[a,inf)`` never fires on facts that are bounded below."""
-    lookback = Fraction(0)
-    for rule in group.rules:
-        form = rule_form(rule)
-        if form == 1:
-            continue
-        rho = rule.body[0].rho
-        if rho.hi.is_finite:
-            lookback = max(lookback, rho.hi.value)
-        elif form == 6:
-            lookback = max(lookback, rho.lo.value)
-    return lookback
 
 
 def _first_point(atom: Atom, facts: Model, patterns: dict[Atom, list[Pattern]]):
@@ -809,7 +805,7 @@ def reason(
     SCC groups are handled in dependency order. Each group derives forward
     in chunks and finds its period from a repeated state:
 
-    * **State.** Let L be the group's lookback (``_lookback``). For a
+    * **State.** Let L be the group's lookback (``RuleGroup.lookback``). For a
       forward-propagating group, the model on ``[t, inf)`` is fixed by
       the group's own facts on the slab ``[t - L, t)``, by its inputs
       (database facts and earlier groups) on ``[t - L, inf)``, and by
@@ -902,7 +898,7 @@ def reason(
         name = ",".join(sorted(group.predicates))
         reads = {a.predicate for a in group.by_body}
         read = sorted(reads & periods.keys())
-        lookback = _lookback(group)
+        lookback = group.lookback
         cycle_step = _shift_gcd(group)
         step = lcm_rationals(
             [periods[p] for p in read] + ([cycle_step] if cycle_step else []) or [1]

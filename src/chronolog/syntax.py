@@ -922,6 +922,11 @@ def ground(program: Program, database=None) -> Program:
     abstract model, which holds nowhere, so its body holds nowhere, and
     dropping it leaves the model unchanged.
 
+    The result is therefore meant for ``database`` alone (or a database
+    whose atoms all lie in its abstract model): reasoning over another
+    database may need an instance that was dropped here, so ground the
+    program again for each database.
+
     The kept instances are a subsequence of the exhaustive grounding,
     in its order (rule by rule, bindings in lexicographic order of the
     sorted variables over the sorted constants) and with its rule ids.

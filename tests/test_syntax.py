@@ -17,12 +17,15 @@ from chronolog.syntax import (
     Program,
     Rule,
     Since,
+    Top,
+    Until,
     Variable,
     _substitute,
     body_atoms,
     ground,
     head_atoms,
     is_forward_propagating,
+    literal_variables,
     parse_database,
     parse_fact,
     parse_program,
@@ -334,6 +337,16 @@ class TestGround:
         g = ground(p, Model())
         assert [str(r) for r in g.rules] == ["A(c) -> B(c) ."]
 
+    def test_grounding_is_valid_for_its_own_database_only(self):
+        p = parse_program("A(X) -> B(X) .")
+        seen = parse_database("A(a)@[0,1].\nC(b)@[0,1].")
+        other = parse_database("A(b)@[0,1].")
+        g = ground(p, seen)
+        assert [str(r) for r in g.rules] == ["A(a) -> B(a) ."]
+        fact = parse_fact("B(b)@[0,1]")
+        assert not reason(g, other).entails(fact)
+        assert reason(ground(p, other), other).entails(fact)
+
     def test_program_without_variables_is_returned_as_is(self):
         p = parse_program("diamondminus[1,2] A -> B .")
         assert ground(p, parse_database("A@[0,1].")) is p
@@ -360,6 +373,36 @@ class TestGround:
                 exhaustive, db, horizon
             ), (text, db_text)
         assert dropped > 2000
+
+    def test_differential_with_since_until_and_top(self):
+        """Random programs that also have ``since``/``until`` bodies (whose
+        left operand may alone bind a head variable, and whose right one
+        may be ``top``) and ``top -> P(c)`` rules, which have no required
+        atom: the kept instances are a subsequence of the exhaustive
+        grounding, and both have the same least model at every point k/2
+        of [0, 24] (``_grid_model``)."""
+        import random
+
+        rng = random.Random(5)
+        dropped = left_only = top_seeds = 0
+        for _ in range(150):
+            text, db_text = _random_nonground_program(rng, rich=True)
+            program, db = parse_program(text), parse_database(db_text)
+            relevant, exhaustive = ground(program, db), _exhaustive_ground(program, db)
+            rules = iter(exhaustive.rules)
+            assert all(rule in rules for rule in relevant.rules), text
+            dropped += len(exhaustive.rules) - len(relevant.rules)
+            assert _grid_model(relevant, db) == _grid_model(exhaustive, db), (text, db_text)
+            read = {atom for rule in relevant.rules for atom in body_atoms(rule)}
+            for rule in program.rules:
+                lit = rule.body[0]
+                if isinstance(lit, (Since, Until)):
+                    left_only += bool(
+                        literal_variables(lit.left) - literal_variables(lit.right)
+                    )
+                elif isinstance(lit, Top):
+                    top_seeds += rule.head in read and db.get(rule.head).is_empty
+        assert dropped > 1000 and left_only > 20 and top_seeds > 10
 
     def test_ground_flag(self):
         p = parse_program("A(X) -> B(X) .")
@@ -398,10 +441,12 @@ def _exhaustive_ground(program, database):
     return Program(tuple(out), program.axioms)
 
 
-def _random_nonground_program(rng):
+def _random_nonground_program(rng, rich=False):
     """Horn joins and diamondminus/boxminus rules over unary and binary
     predicates, with a database over 2-4 constants that seeds only some
-    predicates."""
+    predicates. ``rich`` also draws ``since``/``until`` rules, whose right
+    operand may be ``top``, and ``top -> P(c)`` rules. Every operator
+    range is closed with integer ends."""
     arity = {f"P{i}": rng.randint(1, 2) for i in range(rng.randint(2, 5))}
     preds = sorted(arity)
     consts = [f"c{i}" for i in range(rng.randint(2, 4))]
@@ -413,7 +458,21 @@ def _random_nonground_program(rng):
     lines = []
     for _ in range(rng.randint(1, 5)):
         head = rng.choice(preds)
-        if rng.random() < 0.5:
+        kind = rng.random() if rich else 1.0
+        if kind < 0.15:
+            text, _ = atom(head, consts)
+            lines.append(f"top -> {text} .")
+            continue
+        if kind < 0.5:
+            lo = rng.randint(0, 3)
+            op = rng.choice(["since", "until"])
+            left, bound = atom(rng.choice(preds), ["X", "Y", rng.choice(consts)])
+            right, names = ("top", set()) if rng.random() < 0.25 else atom(
+                rng.choice(preds), ["Y", "Z", rng.choice(consts)]
+            )
+            bound |= names
+            body = f"{left} {op}[{lo},{rng.randint(lo, 4)}] {right}"
+        elif rng.random() < 0.5:
             body, bound = [], set()
             for pred in rng.sample(preds, k=rng.randint(1, min(3, len(preds)))):
                 text, names = atom(pred, ["X", "Y", "Z", rng.choice(consts)])
@@ -434,6 +493,78 @@ def _random_nonground_program(rng):
         lo = rng.randint(0, 8)
         facts.append(f"{text}@[{lo},{rng.randint(lo, 8)}].")
     return "\n".join(lines), "\n".join(facts)
+
+
+def _grid_model(program, database, last=24):
+    """The least model of a ground program at the points k/2 for
+    0 <= k <= 2 * last, every literal being false outside them: a map
+    from each atom that holds somewhere to the set of its k.
+
+    The program's operator ranges must be closed with integer ends and
+    the database's endpoints integers. Then every truth set is a union of
+    intervals with integer ends, constant on each open unit interval, so
+    the point k/2 with k odd stands for the whole of its unit interval
+    and the grid gives each literal's truth exactly (cut at 0 and
+    ``last``). Unlike both reasoners it evaluates ``since`` and ``until``:
+    at t, A since[a,b] B holds when B holds at some s with t - s in
+    [a,b] and A holds on the open interval (s, t)."""
+    points = range(2 * last + 1)
+    facts = [(f.atom, f.interval) for f in program.axioms]
+    facts += [(atom, piece) for atom, ivs in database.items() for piece in ivs]
+    truth = {}
+    for atom, piece in facts:
+        truth.setdefault(atom, set()).update(k for k in points if piece.contains(F(k, 2)))
+
+    def between(lhs, j, k):
+        # lhs holds on the open interval between the points j < k
+        return (
+            all(i in lhs for i in range(j + 1, k))
+            and (j % 2 == 0 or j in lhs)
+            and (k % 2 == 0 or k in lhs)
+        )
+
+    def holds(lit):
+        if isinstance(lit, Atom):
+            return truth.get(lit, set())
+        if isinstance(lit, Top):
+            return set(points)
+        steps = range(2 * int(lit.rho.lo.as_fraction()), 2 * int(lit.rho.hi.as_fraction()) + 1)
+        if isinstance(lit, DiamondMinus):
+            inner = holds(lit.inner)
+            return {k for k in points if any(k - d in inner for d in steps)}
+        if isinstance(lit, BoxMinus):
+            inner = holds(lit.inner)
+            return {k for k in points if all(k - d in inner for d in steps)}
+        left, right = holds(lit.left), holds(lit.right)
+        if isinstance(lit, Since):
+            return {
+                k for k in points
+                if any(k - d in right and (d == 0 or between(left, k - d, k)) for d in steps)
+            }
+        return {
+            k for k in points
+            if any(k + d in right and (d == 0 or between(left, k, k + d)) for d in steps)
+        }
+
+    changed = True
+    while changed:
+        changed = False
+        for rule in program.rules:
+            body = set(points)
+            for lit in rule.body:
+                body &= holds(lit)
+            known = truth.setdefault(rule.head, set())
+            if not body <= known:
+                known |= body
+                changed = True
+    return {atom: ks for atom, ks in truth.items() if ks}
+
+
+def test_grid_model_evaluates_since_and_until():
+    p = parse_program("A since[1,2] B -> C .\nA until[0,1] B -> D .")
+    m = _grid_model(p, parse_database("B@[3,3].\nA@[3,5].\nB@[8,8]."), last=10)
+    assert m[Atom("C")] == {8, 9, 10}  # [4,5]: B at 3, A on (3,t)
+    assert m[Atom("D")] == {6, 16}  # 3 and 8: only s = t, no A after
 
 
 def test_forward_propagating_flag():
