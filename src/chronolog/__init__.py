@@ -35,12 +35,13 @@ from .intervals import (
     IntervalSet,
     NEG_INF,
     POS_INF,
-    TimePoint,
+    Time,
     box_minus_apply,
     diamond_minus_apply,
     lcm_rationals,
     parse_interval,
     parse_rational,
+    to_time,
 )
 from .reasoner import (
     Model,

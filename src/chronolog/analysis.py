@@ -10,15 +10,15 @@ moves an interval's left endpoint into the future).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from fractions import Fraction
 
 import networkx as nx
 
 from .errors import CycleCapExceeded, InputError
-from .intervals import Interval, TimePoint, lcm_rationals
+from .intervals import POS_INF, Interval, Time, lcm_rationals, plus, to_time
 from .syntax import (
     BoxMinus,
     DiamondMinus,
@@ -35,7 +35,6 @@ from .syntax import (
 
 DEFAULT_CYCLE_CAP = 100_000
 
-_ZERO = TimePoint(Fraction(0))
 _ZERO_INTERVAL = Interval.closed(0, 0)
 
 
@@ -46,7 +45,7 @@ class Edge:
     rule_id: str
     special: bool
     interval_label: Interval
-    shift_label: TimePoint
+    shift_label: Time
 
     def __str__(self) -> str:
         tag = "*" if self.special else ""
@@ -66,24 +65,24 @@ class DepGraph:
         return g
 
 
-def _edge_labels(rule: Rule) -> tuple[bool, Interval, TimePoint]:
+def _edge_labels(rule: Rule) -> tuple[bool, Interval, Time]:
     """(special, interval label, shift label) shared by a rule's edges."""
     form = rule_form(rule)
     if form is None:
         raise InputError(f"rule {rule.id} is not in temporal normal form")
     if form == 1:
-        return False, _ZERO_INTERVAL, _ZERO
+        return False, _ZERO_INTERVAL, 0
     lit = rule.body[0]
     if isinstance(lit, DiamondMinus):
         return True, lit.rho, lit.rho.lo
     if isinstance(lit, BoxMinus):
         return True, lit.rho, lit.rho.hi
     if isinstance(lit, (Since,)):
-        return True, lit.rho, _ZERO
+        return True, lit.rho, 0
     if isinstance(lit, Until):
-        return True, lit.rho.negate(), _ZERO
+        return True, lit.rho.negate(), 0
     # forward unary operators: diamondplus / boxplus
-    return True, lit.rho.negate(), _ZERO
+    return True, lit.rho.negate(), 0
 
 
 def dependency_graph(program: Program) -> DepGraph:
@@ -112,11 +111,9 @@ class Cycle:
         return tuple(e.source for e in self.edges)
 
     @property
-    def shift_sum(self) -> TimePoint:
-        total = _ZERO
-        for e in self.edges:
-            total = total + e.shift_label
-        return total
+    def shift_sum(self) -> Time:
+        # shift labels are >= 0 or inf, so no sum is inf - inf
+        return reduce(plus, (e.shift_label for e in self.edges), 0)
 
     @property
     def weight(self) -> Interval:
@@ -174,13 +171,17 @@ def simple_cycles(
     }
 
 
-def pattern_length(program: Program, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Fraction:
+def pattern_length(program: Program, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int | Fraction:
     """Length of the repetition pattern of a forward-propagating program.
 
     Per SCC: collect the finite shift sums of its simple cycles and take
     the lcm of the positive ones (1 when there are none). The overall
-    length is the lcm across SCCs. The result is predicate-level and
-    therefore unchanged by grounding.
+    length is the lcm across SCCs. The result is computed on predicates,
+    so grounding does not change it, and for a program with constants it
+    need not be a period of the model: a cycle of ground atoms through
+    several constants can be longer than every predicate cycle. On
+    ``tests/fixtures/reach_join`` (``Reach(a) -> Open(a) -> Reach(b) ->
+    Open(b) -> Reach(a)``) the length is 3 and the model's period is 6.
 
     Edges that differ only in their rule (the ground instances of one
     rule, say) are enumerated once: a cycle's shift sum depends only on
@@ -194,7 +195,7 @@ def pattern_length(program: Program, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Frac
     return _pattern_length(dependency_graph(program), cycle_cap)
 
 
-def _pattern_length(graph: DepGraph, cycle_cap: int) -> Fraction:
+def _pattern_length(graph: DepGraph, cycle_cap: int) -> int | Fraction:
     """``pattern_length`` of the forward-propagating program with this
     dependency graph."""
     by_label: dict[tuple, Edge] = {}
@@ -203,28 +204,24 @@ def _pattern_length(graph: DepGraph, cycle_cap: int) -> Fraction:
             (e.source, e.target, e.special, e.interval_label, e.shift_label), e
         )
     graph = DepGraph(graph.nodes, tuple(by_label.values()))
-    lengths: list[Fraction] = []
+    lengths: list[int | Fraction] = []
     for _, cycles in sorted(simple_cycles(graph, cycle_cap).items(), key=lambda kv: sorted(kv[0])):
-        sums = [
-            c.shift_sum.as_fraction()
-            for c in cycles
-            if c.shift_sum.is_finite and c.shift_sum > _ZERO
-        ]
-        lengths.append(lcm_rationals(sums) if sums else Fraction(1))
-    return lcm_rationals(lengths) if lengths else Fraction(1)
+        sums = [s for c in cycles if 0 < (s := c.shift_sum) < POS_INF]
+        lengths.append(lcm_rationals(sums) if sums else 1)
+    return lcm_rationals(lengths) if lengths else 1
 
 
-def max_applications(t1: Fraction | int, t2: Fraction | int) -> int:
+def max_applications(t1: int | Fraction, t2: int | Fraction) -> int:
     """Upper bound on self-loop applications before a diamond cycle settles.
 
     For a rule shifting by the range [t1, t2], the derived interval grows
     by t2 - t1 per application, so after floor(t1/(t2-t1) + 1) rounds the
     new interval overlaps the previous one.
     """
-    t1, t2 = Fraction(t1), Fraction(t2)
-    if not 0 <= t1 < t2:
-        raise ValueError("required: 0 <= t1 < t2")
-    return math.floor(t1 / (t2 - t1) + 1)
+    t1, t2 = to_time(t1), to_time(t2)
+    if not 0 <= t1 < t2 < POS_INF:
+        raise ValueError("required: 0 <= t1 < t2 < inf")
+    return t1 // (t2 - t1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +295,7 @@ class FragmentReport:
     rule_classes: dict[str, RuleClass]
     finite_nodes: dict[str, str]  # node -> marking case "i".."iv"
     harmless_program: bool
-    pattern_len: Fraction | None
+    pattern_len: int | Fraction | None
     cycles: list[Cycle]
     nodes: tuple[str, ...]  # the dependency graph's nodes
     warning: str | None = None
@@ -325,6 +322,7 @@ def _finite_marking(
     graph: DepGraph,
     all_cycles: list[Cycle],
     seedable: frozenset[str],
+    unbounded: frozenset[str],
 ) -> dict[str, str]:
     """Fixpoint of the four finite-node cases.
 
@@ -332,6 +330,9 @@ def _finite_marking(
     state at the start of the round, so the outcome and the case
     attribution are independent of node order. An edge counts as finite
     when its rule has some body atom whose node is already finite.
+    ``seedable`` holds the predicates with database facts, ``unbounded``
+    those with an unbounded one (a ray): such a predicate holds at
+    infinitely many points, so no case marks it.
 
     Case specifics:
       i    no incoming edge.
@@ -405,7 +406,7 @@ def _finite_marking(
 
         marks: dict[str, str] = {}
         for node in graph.nodes:
-            if node in finite:
+            if node in finite or node in unbounded:
                 continue
             if not incoming[node]:
                 marks[node] = "i"
@@ -429,8 +430,9 @@ def classify_rules(
 
     ``database`` (a Model), when given, marks its predicates as
     database-fed: cycles through fed nodes lose the empty-cycle
-    assumption behind case (iv). Unbounded programs skip the marking
-    fixpoint entirely and report a warning.
+    assumption behind case (iv), and a predicate with an unbounded fact
+    is not finite. Without it every cycle is assumed unseeded. Unbounded
+    programs skip the marking fixpoint entirely and report a warning.
     """
     if not program.is_normal_form:
         raise InputError("classification requires a normal-form program")
@@ -441,10 +443,13 @@ def classify_rules(
 
     warning = None
     if flags.bounded:
-        seedable = frozenset(
-            atom.predicate for atom in database.atoms()
-        ) if database is not None else frozenset()
-        finite = _finite_marking(program, graph, all_cycles, seedable)
+        items = database.items() if database is not None else []
+        seedable = frozenset(atom.predicate for atom, _ in items)
+        unbounded = frozenset(
+            atom.predicate for atom, ivs in items
+            if not all(piece.is_bounded for piece in ivs)
+        )
+        finite = _finite_marking(program, graph, all_cycles, seedable, unbounded)
     else:
         finite = {}
         warning = "program is unbounded; no node was marked finite"

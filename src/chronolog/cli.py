@@ -48,7 +48,7 @@ def _prepare(args) -> tuple[syntax.Program, Model]:
     return syntax.ground(program, database), database
 
 
-def _horizon(text: str) -> Fraction:
+def _horizon(text: str) -> int | Fraction:
     try:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -82,6 +82,10 @@ def cmd_classify(args) -> int:
         lines.append(f"  pattern_length: {report.pattern_len}")
     if report.warning:
         lines.append(f"warning: {report.warning}")
+    if database is None:
+        lines.append(
+            "note: without --database, case (iv) marks assume every cycle is unseeded"
+        )
     lines.append("nodes:")
     for node in report.nodes:
         case = report.finite_nodes.get(node)
@@ -228,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, database_required=True)
     p.add_argument(
         "--horizon", default=None,
-        help="defaults to max(maxTimePoint, representation horizon) + 3 periods",
+        help="defaults to max(last database endpoint, representation horizon) + 3 periods",
     )
     p.set_defaults(func=cmd_check)
 

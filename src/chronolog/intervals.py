@@ -1,9 +1,28 @@
 """Exact rational time points, open/closed intervals, and interval sets.
 
-All arithmetic is exact: endpoints are arbitrary-precision rationals
-(`fractions.Fraction`) extended with the two symbolic infinities. Interval
-sets are kept canonical (sorted, pairwise disjoint, non-adjacent), which
-makes structural equality coincide with point-set equality.
+A time point is a plain Python number: an ``int`` for an integral value,
+a ``fractions.Fraction`` for any other rational, and ``-math.inf`` or
+``math.inf`` (``NEG_INF``, ``POS_INF``) for the two infinities. So a
+program with integer endpoints runs on machine-int compares and adds,
+and a fractional one stays exact. Only the boundary constructors
+(``to_time``, ``Interval.closed``/``point``/``ray_from``/``up_to``,
+``parse_interval``, ``parse_rational``) convert their input; the rest
+keeps arithmetic exact by construction:
+
+* sums and differences of ints and Fractions are exact, and a finite
+  number plus an infinity is that infinity. Float arithmetic converts
+  the finite side, which overflows for an int past the float range, so
+  a sum that can meet an infinity goes through ``plus``;
+* ``/`` is never applied to time points (``int / int`` is a float):
+  floor and ceiling division (``a // b``, ``-(-a // b)``) are exact for
+  ints and Fractions alike;
+* ``inf - inf`` is ``nan``, which no ``Interval`` accepts as an endpoint;
+* an infinity is recognized by comparison (``x == POS_INF``), never by
+  ``math.isfinite`` or ``float()``, which overflow on large ints.
+
+Interval sets are kept canonical (sorted, pairwise disjoint,
+non-adjacent), which makes structural equality coincide with point-set
+equality.
 
 The two temporal operator applications live here as well:
 
@@ -22,199 +41,110 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Iterator, Union
 
-RationalLike = Union[int, Fraction, str]
+RationalLike = Union[int, Fraction, float, str]
+Time = Union[int, Fraction, float]  # a float only for -inf and inf
+
+NEG_INF = -math.inf
+POS_INF = math.inf
 
 
-@dataclass(frozen=True, slots=True)
-class TimePoint:
-    """A rational number extended with -inf / +inf.
+def to_time(x: RationalLike) -> Time:
+    """The endpoint for an int, Fraction, float or string: an ``int`` when
+    the value is integral, a ``Fraction`` otherwise, and ``NEG_INF`` or
+    ``POS_INF`` for ``-inf`` and ``inf``. A finite float becomes its exact
+    Fraction; ``nan`` raises ``ValueError``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        s = x.strip()
+        if s in ("inf", "+inf"):
+            return POS_INF
+        if s == "-inf":
+            return NEG_INF
+        x = Fraction(s)
+    elif isinstance(x, float) and (x == POS_INF or x == NEG_INF):
+        return x
+    else:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
-    ``inf`` is -1, 0, or +1; ``value`` is only meaningful when ``inf == 0``.
-    Comparisons are total; arithmetic follows extended-rational rules and
-    raises on the undefined combination inf - inf.
+
+def plus(a: Time, b: Time) -> Time:
+    """``a + b`` for two time points of which one may be infinite.
+
+    A finite number plus an infinity is that infinity, also for an int
+    too large to convert to a float (where ``a + b`` raises
+    ``OverflowError``). ``inf + -inf`` stays ``nan``, which no interval
+    accepts.
     """
-
-    value: Fraction
-    inf: int = 0
-
-    def __post_init__(self):
-        if self.inf not in (-1, 0, 1):
-            raise ValueError(f"invalid infinity sign {self.inf!r}")
-        if self.inf != 0 and self.value != 0:
-            object.__setattr__(self, "value", Fraction(0))
-        if self.inf == 0 and not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-
-    @classmethod
-    def of(cls, x: TimePoint | RationalLike) -> TimePoint:
-        if type(x) is TimePoint:
-            return x
-        if isinstance(x, str):
-            s = x.strip()
-            if s in ("inf", "+inf"):
-                return POS_INF
-            if s == "-inf":
-                return NEG_INF
-            return cls(Fraction(s))
-        return cls(Fraction(x))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.inf == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.inf != 0:
-            raise ValueError("infinite time point has no rational value")
-        return self.value
-
-    def __str__(self) -> str:
-        if self.inf > 0:
-            return "inf"
-        if self.inf < 0:
-            return "-inf"
-        return str(self.value)
-
-    def __repr__(self) -> str:
-        return f"TimePoint({self})"
-
-    # comparisons are hand-rolled: they sit on the hot path of every
-    # interval operation, so avoid total_ordering and ABC dispatch
-    def __eq__(self, other):
-        if type(other) is not TimePoint:
-            if isinstance(other, (int, Fraction)):
-                other = TimePoint(Fraction(other))
-            else:
-                return NotImplemented
-        return self.inf == other.inf and self.value == other.value
-
-    def __lt__(self, other):
-        if type(other) is not TimePoint:
-            if isinstance(other, (int, Fraction)):
-                other = TimePoint(Fraction(other))
-            else:
-                return NotImplemented
-        if self.inf != other.inf:
-            return self.inf < other.inf
-        return self.inf == 0 and self.value < other.value
-
-    def __le__(self, other):
-        if type(other) is not TimePoint:
-            if isinstance(other, (int, Fraction)):
-                other = TimePoint(Fraction(other))
-            else:
-                return NotImplemented
-        if self.inf != other.inf:
-            return self.inf < other.inf
-        return self.inf != 0 or self.value <= other.value
-
-    def __gt__(self, other):
-        le = self.__le__(other)
-        return NotImplemented if le is NotImplemented else not le
-
-    def __ge__(self, other):
-        lt = self.__lt__(other)
-        return NotImplemented if lt is NotImplemented else not lt
-
-    def __hash__(self) -> int:
-        return hash((self.inf, self.value))
-
-    def __add__(self, other: TimePoint | RationalLike) -> TimePoint:
-        other = TimePoint.of(other)
-        if self.inf and other.inf:
-            if self.inf != other.inf:
-                raise ValueError("undefined sum inf + -inf")
-            return self
-        if self.inf:
-            return self
-        if other.inf:
-            return other
-        return TimePoint(self.value + other.value)
-
-    def __radd__(self, other: RationalLike) -> TimePoint:
-        return self + other
-
-    def __neg__(self) -> TimePoint:
-        if self.inf:
-            return TimePoint(Fraction(0), -self.inf)
-        return TimePoint(-self.value)
-
-    def __sub__(self, other: TimePoint | RationalLike) -> TimePoint:
-        return self + (-TimePoint.of(other))
-
-    def __mul__(self, other: RationalLike) -> TimePoint:
-        k = Fraction(other)
-        if self.inf:
-            if k == 0:
-                raise ValueError("undefined product 0 * inf")
-            return TimePoint(Fraction(0), self.inf if k > 0 else -self.inf)
-        return TimePoint(self.value * k)
-
-
-NEG_INF = TimePoint(Fraction(0), -1)
-POS_INF = TimePoint(Fraction(0), 1)
+    try:
+        return a + b
+    except OverflowError:  # only floats are infinite, and one side is finite
+        return a if type(a) is float else b
 
 
 @dataclass(frozen=True, slots=True)
 class Interval:
     """A non-empty interval over the extended rational line.
 
+    Endpoints are taken as given (see ``to_time`` for converting input).
     Infinite endpoints are forced open on construction (there is no point
-    at infinity to include). Construction of an empty interval raises;
-    operations that may produce the empty set return ``None`` instead.
+    at infinity to include). Construction of an empty interval, or of one
+    with an undefined endpoint (``nan``, say from ``inf - inf``), raises
+    ``ValueError``; operations that may produce the empty set return
+    ``None`` instead.
     """
 
-    lo: TimePoint
-    hi: TimePoint
+    lo: Time
+    hi: Time
     lo_open: bool = False
     hi_open: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", TimePoint.of(self.lo))
-        object.__setattr__(self, "hi", TimePoint.of(self.hi))
-        if not self.lo.is_finite:
-            object.__setattr__(self, "lo_open", True)
-        if not self.hi.is_finite:
-            object.__setattr__(self, "hi_open", True)
-        if self.lo > self.hi or (
-            self.lo == self.hi and (self.lo_open or self.hi_open)
+        lo, hi = self.lo, self.hi
+        if lo < hi:
+            if lo == NEG_INF:
+                object.__setattr__(self, "lo_open", True)
+            if hi == POS_INF:
+                object.__setattr__(self, "hi_open", True)
+        elif not (
+            lo == hi and not (self.lo_open or self.hi_open) and NEG_INF < lo < POS_INF
         ):
+            if lo != lo or hi != hi:  # only nan differs from itself
+                raise ValueError(f"undefined endpoint in {self._render()}")
             raise ValueError(f"empty interval {self._render()}")
 
     @classmethod
     def closed(cls, lo: RationalLike, hi: RationalLike) -> Interval:
-        return cls(TimePoint.of(lo), TimePoint.of(hi))
+        return cls(to_time(lo), to_time(hi))
 
     @classmethod
     def point(cls, t: RationalLike) -> Interval:
-        tp = TimePoint.of(t)
+        tp = to_time(t)
         return cls(tp, tp)
 
     @classmethod
     def ray_from(cls, lo: RationalLike, lo_open: bool = False) -> Interval:
-        return cls(TimePoint.of(lo), POS_INF, lo_open, True)
+        return cls(to_time(lo), POS_INF, lo_open, True)
 
     @classmethod
     def up_to(cls, hi: RationalLike, hi_open: bool = False) -> Interval:
-        return cls(NEG_INF, TimePoint.of(hi), True, hi_open)
+        return cls(NEG_INF, to_time(hi), True, hi_open)
 
     @property
     def is_bounded(self) -> bool:
-        return self.lo.is_finite and self.hi.is_finite
+        return NEG_INF < self.lo and self.hi < POS_INF
 
     @property
     def is_punctual(self) -> bool:
         return self.lo == self.hi
 
-    def length(self) -> TimePoint:
-        if not self.is_bounded:
-            return POS_INF
-        return TimePoint(self.hi.value - self.lo.value)
+    def length(self) -> Time:
+        return plus(self.hi, -self.lo)
 
-    def contains(self, t: TimePoint | RationalLike) -> bool:
-        t = TimePoint.of(t)
+    def contains(self, t: Time) -> bool:
         if t < self.lo or (t == self.lo and self.lo_open):
             return False
         if t > self.hi or (t == self.hi and self.hi_open):
@@ -247,15 +177,14 @@ class Interval:
             return None
         return Interval(lo, hi, lo_open, hi_open)
 
-    def shift(self, d: RationalLike) -> Interval:
-        d = Fraction(d)
-        return Interval(self.lo + d, self.hi + d, self.lo_open, self.hi_open)
+    def shift(self, d: Time) -> Interval:
+        return Interval(plus(self.lo, d), plus(self.hi, d), self.lo_open, self.hi_open)
 
     def minkowski(self, other: Interval) -> Interval:
         """Endpoint-wise sum; an endpoint is closed iff both summands are."""
         return Interval(
-            self.lo + other.lo,
-            self.hi + other.hi,
+            plus(self.lo, other.lo),
+            plus(self.hi, other.hi),
             self.lo_open or other.lo_open,
             self.hi_open or other.hi_open,
         )
@@ -303,17 +232,17 @@ class Interval:
         return (self.lo, self.lo_open)
 
 
-def _lo_of(piece: Interval) -> TimePoint:
+def _lo_of(piece: Interval) -> Time:
     return piece.lo
 
 
-def _hi_of(piece: Interval) -> TimePoint:
+def _hi_of(piece: Interval) -> Time:
     return piece.hi
 
 
 def check_operator_range(rho: Interval) -> None:
     """Temporal operator ranges must not reach into the past of the anchor."""
-    if rho.lo < TimePoint(Fraction(0)):
+    if rho.lo < 0:
         raise ValueError(f"operator range {rho} has a negative left endpoint")
 
 
@@ -323,9 +252,9 @@ def diamond_minus_apply(i: Interval, rho: Interval) -> Interval:
     return i.minkowski(rho)
 
 
-def _box_holds_at(t: TimePoint, i: Interval, rho: Interval) -> bool:
-    # The probe window t - rho must lie entirely inside i.
-    lo = NEG_INF if not rho.hi.is_finite else t - rho.hi
+def _box_holds_at(t: Time, i: Interval, rho: Interval) -> bool:
+    # The probe window t - rho must lie entirely inside i (t is finite).
+    lo = NEG_INF if rho.hi == POS_INF else t - rho.hi
     window = Interval(lo, t - rho.lo, rho.hi_open, rho.lo_open)
     return i.contains_interval(window)
 
@@ -338,21 +267,21 @@ def box_minus_apply(i: Interval, rho: Interval) -> Interval | None:
     which keeps the openness flags correct for every flag combination.
     """
     check_operator_range(rho)
-    if not rho.hi.is_finite:
+    if rho.hi == POS_INF:
         if NEG_INF < i.lo:
             return None
         lo = NEG_INF
     else:
-        lo = i.lo + rho.hi
-    hi = i.hi + rho.lo
+        lo = plus(i.lo, rho.hi)
+    hi = plus(i.hi, rho.lo)
     if lo > hi:
         return None
     if lo == hi:
-        if lo.is_finite and _box_holds_at(lo, i, rho):
+        if NEG_INF < lo and _box_holds_at(lo, i, rho):
             return Interval(lo, hi)
         return None
-    lo_open = True if not lo.is_finite else not _box_holds_at(lo, i, rho)
-    hi_open = True if not hi.is_finite else not _box_holds_at(hi, i, rho)
+    lo_open = lo == NEG_INF or not _box_holds_at(lo, i, rho)
+    hi_open = hi == POS_INF or not _box_holds_at(hi, i, rho)
     return Interval(lo, hi, lo_open, hi_open)
 
 
@@ -462,8 +391,7 @@ class IntervalSet:
                     out.append(hit)
         return IntervalSet(tuple(out))
 
-    def contains(self, t: TimePoint | RationalLike) -> bool:
-        t = TimePoint.of(t)
+    def contains(self, t: Time) -> bool:
         idx = bisect_right(self.pieces, t, key=_lo_of) - 1
         return idx >= 0 and self.pieces[idx].contains(t)
 
@@ -489,7 +417,7 @@ class IntervalSet:
             + ((last,) if last is not None else ())
         )
 
-    def shift(self, d: RationalLike) -> IntervalSet:
+    def shift(self, d: Time) -> IntervalSet:
         return IntervalSet(tuple(p.shift(d) for p in self.pieces))
 
     def diamond_minus(self, rho: Interval) -> IntervalSet:
@@ -503,25 +431,22 @@ class IntervalSet:
 _EMPTY = IntervalSet(())
 
 
-def lcm_rationals(values: Iterable[Fraction | int]) -> Fraction:
-    """Least common multiple of positive rationals.
+def lcm_rationals(values: Iterable[RationalLike]) -> int | Fraction:
+    """Least common multiple of positive rationals, an int when integral.
 
-    ``lcm(a/b, c/d) = lcm(a, c) / gcd(b, d)`` for fractions in lowest
-    terms; equivalently, scale to a common denominator, take the integer
-    lcm, and divide back. Raises on an empty input.
+    For rationals in lowest terms, ``lcm(a/b, c/d) = lcm(a, c) / gcd(b, d)``
+    (a prime dividing both ``b`` and ``d`` divides neither ``a`` nor ``c``,
+    so the result is in lowest terms again). Raises on an empty input.
     """
-    fracs = [Fraction(v) for v in values]
-    if not fracs:
+    values = [to_time(v) for v in values]
+    if not values:
         raise ValueError("lcm of an empty set is undefined")
-    for v in fracs:
-        if v <= 0:
-            raise ValueError(f"lcm requires positive values, got {v}")
-    return reduce(
-        lambda a, b: Fraction(
-            math.lcm(a.numerator, b.numerator), math.gcd(a.denominator, b.denominator)
-        ),
-        fracs,
-    )
+    for v in values:
+        if not 0 < v < POS_INF:
+            raise ValueError(f"lcm requires positive rationals, got {v}")
+    num = math.lcm(*(v.numerator for v in values))
+    den = math.gcd(*(v.denominator for v in values))
+    return num if den == 1 else Fraction(num, den)
 
 
 _INTERVAL_RE = re.compile(
@@ -529,9 +454,9 @@ _INTERVAL_RE = re.compile(
 )
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse an integer, decimal, or p/q fraction."""
-    return Fraction(text.strip())
+def parse_rational(text: str) -> int | Fraction:
+    """Parse an integer, decimal, or p/q fraction (an int when integral)."""
+    return to_time(Fraction(text.strip()))
 
 
 def parse_interval(text: str) -> Interval:
@@ -545,8 +470,8 @@ def parse_interval(text: str) -> Interval:
         raise ValueError(f"malformed interval {text!r}")
     lb, lo_s, hi_s, rb = m.groups()
     try:
-        lo = TimePoint.of(lo_s)
-        hi = TimePoint.of(hi_s)
+        lo = to_time(lo_s)
+        hi = to_time(hi_s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed interval endpoint in {text!r}: {exc}") from exc
     return Interval(lo, hi, lb == "(", rb == ")")

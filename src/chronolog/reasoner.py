@@ -31,10 +31,11 @@ from .intervals import (
     IntervalSet,
     NEG_INF,
     POS_INF,
-    TimePoint,
+    Time,
     box_minus_apply,
     diamond_minus_apply,
     lcm_rationals,
+    plus,
 )
 from .syntax import (
     Atom,
@@ -145,14 +146,14 @@ class Model:
             out.add_set(atom, ivs)
         return out
 
-    def finite_endpoints(self) -> list[Fraction]:
+    def finite_endpoints(self) -> list[int | Fraction]:
         out = []
         for ivs in self._data.values():
             for piece in ivs:
-                if piece.lo.is_finite:
-                    out.append(piece.lo.value)
-                if piece.hi.is_finite:
-                    out.append(piece.hi.value)
+                if piece.lo != NEG_INF:
+                    out.append(piece.lo)
+                if piece.hi != POS_INF:
+                    out.append(piece.hi)
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -167,18 +168,16 @@ class Model:
         return "; ".join(f"{a}@{ivs}" for a, ivs in self.items()) or "(empty)"
 
 
-def max_time_point(db: Model) -> Fraction:
+def max_time_point(db: Model) -> int | Fraction:
     """Largest finite endpoint in the database (0 when there is none)."""
-    points = db.finite_endpoints()
-    return max(points) if points else Fraction(0)
+    return max(db.finite_endpoints(), default=0)
 
 
-def min_time_point(db: Model) -> Fraction:
-    points = db.finite_endpoints()
-    return min(points) if points else Fraction(0)
+def min_time_point(db: Model) -> int | Fraction:
+    return min(db.finite_endpoints(), default=0)
 
 
-def check_horizon(pm: PeriodicModel, database: Model) -> Fraction:
+def check_horizon(pm: PeriodicModel, database: Model) -> int | Fraction:
     """Where ``check`` compares ``reason`` with the oracle by default: three
     periods past both the database's last endpoint and the horizon, so the
     periodic part is compared over three full periods."""
@@ -316,7 +315,7 @@ def _oracle_worklist(
 def naive_fixpoint_bounded(
     program: Program,
     database: Model,
-    horizon: Fraction | int | None = None,
+    horizon: int | Fraction | None = None,
     *,
     window: Interval | None = None,
     step_cap: int = DEFAULT_STEP_CAP,
@@ -332,7 +331,7 @@ def naive_fixpoint_bounded(
     if horizon is not None:
         if window is not None:
             raise ValueError("pass either horizon or window, not both")
-        window = Interval(NEG_INF, TimePoint.of(Fraction(horizon)), True, False)
+        window = Interval.up_to(horizon)
     model = Model.from_facts(program.axioms)
     for atom, ivs in database.items():
         model.add_set(atom, ivs)
@@ -367,13 +366,13 @@ class RuleGroup:
     rules: tuple[Rule, ...]
     forms: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
     by_body: dict[Atom, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    padding: TimePoint = field(init=False, repr=False, compare=False)
-    lookback: Fraction = field(init=False, repr=False, compare=False)
+    padding: Time = field(init=False, repr=False, compare=False)
+    lookback: int | Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         forms = tuple(rule_form(rule) for rule in self.rules)
         by_body: dict[Atom, list[int]] = {}
-        padding, lookback = TimePoint.of(0), Fraction(0)
+        padding = lookback = 0
         for i, (rule, form) in enumerate(zip(self.rules, forms)):
             for atom in dict.fromkeys(body_atoms(rule)):
                 by_body.setdefault(atom, []).append(i)
@@ -381,10 +380,10 @@ class RuleGroup:
                 continue
             rho = rule.body[0].rho
             padding = max(padding, rho.hi)
-            if rho.hi.is_finite:
-                lookback = max(lookback, rho.hi.value)
+            if rho.hi != POS_INF:
+                lookback = max(lookback, rho.hi)
             elif form == 6:
-                lookback = max(lookback, rho.lo.value)
+                lookback = max(lookback, rho.lo)
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "by_body", {a: tuple(ids) for a, ids in by_body.items()})
         object.__setattr__(self, "padding", padding)
@@ -425,7 +424,7 @@ class Pattern:
     atom: Atom
     offset: Interval
     start_index: int
-    period: Fraction
+    period: int | Fraction
 
     def occurrence(self, x: int) -> Interval:
         return self.offset.shift(self.period * x)
@@ -440,13 +439,12 @@ class Pattern:
         far the window lies from the start index. The first and the last
         index may still miss the window at an open endpoint.
         """
-        if not window.hi.is_finite:
+        if window.hi == POS_INF:
             raise ValueError("pattern occurrences need a window bounded above")
         first = self.start_index
-        if window.lo.is_finite and self.offset.hi.is_finite:
-            reach = window.lo.value - self.offset.hi.value
-            first = max(first, math.ceil(reach / self.period))
-        last = math.floor((window.hi.value - self.offset.lo.value) / self.period)
+        if window.lo != NEG_INF and self.offset.hi != POS_INF:
+            first = max(first, -((self.offset.hi - window.lo) // self.period))
+        last = (window.hi - self.offset.lo) // self.period
         return range(first, last + 1)
 
     def sort_key(self):
@@ -477,8 +475,8 @@ class PeriodicModel:
 
     facts: Model
     patterns: tuple[Pattern, ...]
-    period: Fraction
-    horizon: Fraction
+    period: int | Fraction
+    horizon: int | Fraction
 
     def representation_type(self) -> str:
         if not self.patterns:
@@ -494,9 +492,9 @@ class PeriodicModel:
             out.setdefault(p.atom, None)
         return sorted(out, key=_atom_key)
 
-    def unroll(self, hi: Fraction | int) -> Model:
+    def unroll(self, hi: int | Fraction) -> Model:
         """Materialize the represented model over ``(-inf, hi]``."""
-        window = Interval(NEG_INF, TimePoint.of(Fraction(hi)), True, False)
+        window = Interval.up_to(hi)
         out = self.facts.restrict(window)
         unrolled: dict[Atom, list[Interval]] = {}
         for pat in self.patterns:
@@ -521,32 +519,23 @@ class PeriodicModel:
         how far out the query lies.
         """
         query = fact.interval
-        if query.hi.is_finite:
+        if query.hi != POS_INF:
             return self.coverage(fact.atom, query).covers_interval(query)
         # Unbounded query: beyond every aperiodic endpoint and pattern start
         # the represented content repeats with the period, so covering one
         # full period window there covers the entire tail.
-        anchors = [self.horizon, Fraction(0)]
-        if query.lo.is_finite:
-            anchors.append(query.lo.value)
-        for piece in (p for _, ivs in self.facts.items() for p in ivs):
-            if piece.hi.is_finite:
-                anchors.append(piece.hi.value)
-            if piece.lo.is_finite:
-                anchors.append(piece.lo.value)
+        anchors = [self.horizon, 0, *self.facts.finite_endpoints()]
+        if query.lo != NEG_INF:
+            anchors.append(query.lo)
         for pat in self.patterns:
-            anchors.append(
-                pat.offset.hi.value + pat.period * pat.start_index
-            )
+            anchors.append(pat.offset.hi + pat.period * pat.start_index)
         w = max(anchors)
-        window = Interval(
-            min(query.lo, TimePoint.of(w)), TimePoint.of(w + self.period)
-        )
+        window = Interval(min(query.lo, w), w + self.period)
         cover = self.coverage(fact.atom, window)
         head = query.intersect(window)
         if head is not None and not cover.covers_interval(head):
             return False
-        tail = Interval(TimePoint.of(w), TimePoint.of(w + self.period), False, True)
+        tail = Interval(w, w + self.period, False, True)
         return cover.covers_interval(tail)
 
     def to_dict(self) -> dict:
@@ -577,7 +566,7 @@ class PeriodicModel:
 
 def extend(patterns: Iterable[Pattern], window: Interval) -> Model:
     """Unroll pattern occurrences that intersect a bounded window."""
-    if not (window.lo.is_finite and window.hi.is_finite):
+    if not window.is_bounded:
         raise ValueError("extend requires a bounded window")
     out = Model()
     for pat in patterns:
@@ -615,7 +604,7 @@ def _derive_group(
     then the padded window reaches back to ``-inf``.
     """
     padded = Interval(
-        window.lo - group.padding, window.hi, window.lo_open, window.hi_open
+        plus(window.lo, -group.padding), window.hi, window.lo_open, window.hi_open
     )
     unrolled = {
         atom: [piece for pat in patterns.get(atom, ()) for piece in occurrences(pat, padded)]
@@ -684,17 +673,17 @@ def _derive_group(
 
 
 
-def _shift(rule: Rule, form: int | None) -> TimePoint:
+def _shift(rule: Rule, form: int | None) -> Time:
     """How far the rule (of the given form) moves a fact's left end: 0 for
     Horn, ``rho.lo`` for ``diamondminus``, ``rho.hi`` for ``boxminus`` (as
     in the dependency graph)."""
     if form == 1:
-        return TimePoint.of(0)
+        return 0
     rho = rule.body[0].rho
     return rho.lo if form == 6 else rho.hi
 
 
-def _shift_gcd(group: RuleGroup) -> Fraction:
+def _shift_gcd(group: RuleGroup) -> int | Fraction:
     """gcd of the shift sums of the group's dependency cycles; 0 if none is
     positive.
 
@@ -710,23 +699,24 @@ def _shift_gcd(group: RuleGroup) -> Fraction:
     edges = []
     for rule, form in zip(group.rules, group.forms):
         shift = _shift(rule, form)
-        if shift.is_finite:
+        if shift != POS_INF:
             edges += [
-                (atom.predicate, rule.head.predicate, shift.value)
+                (atom.predicate, rule.head.predicate, shift)
                 for atom in body_atoms(rule)
                 if atom.predicate in group.predicates
             ]
-    succ: dict[str, list[tuple[str, Fraction]]] = {}
+    succ: dict[str, list[tuple[str, int | Fraction]]] = {}
     pred: dict[str, list[str]] = {}
     for u, v, w in edges:
         succ.setdefault(u, []).append((v, w))
         pred.setdefault(v, []).append(u)
-    gcd = Fraction(0)
+    # gcd(a/b, c/d) = gcd(a, c) / lcm(b, d) in lowest terms
+    num, den = 0, 1
     done: set[str] = set()
     for root in sorted(succ):
         if root in done:
             continue
-        pot = {root: Fraction(0)}
+        pot = {root: 0}
         stack = [root]
         while stack:
             u = stack.pop()
@@ -745,9 +735,9 @@ def _shift_gcd(group: RuleGroup) -> Fraction:
         for u, v, w in edges:
             if u in part and v in part:
                 slack = abs(pot[u] + w - pot[v])
-                den = math.lcm(gcd.denominator, slack.denominator)
-                gcd = Fraction(math.gcd(int(gcd * den), int(slack * den)), den)
-    return gcd
+                num = math.gcd(num, slack.numerator)
+                den = math.lcm(den, slack.denominator)
+    return num if den == 1 else Fraction(num, den)
 
 
 def _first_point(atom: Atom, facts: Model, patterns: dict[Atom, list[Pattern]]):
@@ -760,7 +750,7 @@ def _first_point(atom: Atom, facts: Model, patterns: dict[Atom, list[Pattern]]):
 
 
 def freeze(
-    facts: Model, atoms: Iterable[Atom], start: Fraction, period: Fraction
+    facts: Model, atoms: Iterable[Atom], start: int | Fraction, period: int | Fraction
 ) -> tuple[list[Fact], list[Pattern]]:
     """The content of ``atoms`` on ``[start, start + period)`` as rays and
     repetition patterns, for a model that repeats with ``period`` from
@@ -769,10 +759,10 @@ def freeze(
     A piece filling the whole window tiles the timeline seamlessly and
     becomes the ray ``[start, inf)``; any other piece becomes a Pattern
     with its offset shifted back to the origin and start index
-    ``start / period``.
+    ``start // period``.
     """
-    window = Interval(TimePoint.of(start), TimePoint.of(start + period), False, True)
-    index = int(start / period)
+    window = Interval(start, start + period, False, True)
+    index = start // period
     rays: list[Fact] = []
     patterns: list[Pattern] = []
     for atom in atoms:
@@ -839,12 +829,15 @@ def reason(
       position is a function of the state at this one. The first repeat
       therefore closes the cycle of that sequence: ``q`` is the smallest
       multiple of ``step`` that is a period of the state from some point
-      on. The paper's pattern length ``P`` is a period of the model, and
-      ``step`` divides ``P`` (``r`` by induction over the groups, ``c``
-      because it divides every cycle's shift sum), so ``P`` is such a
-      period of the state too. The gcd of two such periods is one as
-      well (step up by one, down by the other), and ``gcd(q, P)`` is a
-      multiple of ``step``, so ``q = gcd(q, P)``: ``q`` divides ``P``.
+      on. For a propositional program the paper's pattern length ``P``
+      is a period of the model, and ``step`` divides ``P`` (``r`` by
+      induction over the groups, ``c`` because it divides every cycle's
+      shift sum), so ``P`` is such a period of the state too. The gcd of
+      two such periods is one as well (step up by one, down by the
+      other), and ``gcd(q, P)`` is a multiple of ``step``, so
+      ``q = gcd(q, P)``: ``q`` divides ``P``. With constants ``P`` is
+      computed on predicates and need not be a period of the model (see
+      ``analysis.pattern_length``), and ``q`` need not divide it.
     * **Compaction.** ``h`` then moves back to the least multiple ``b``
       of ``q`` from which the group's facts repeat: those on ``[b, h)``
       equal those on ``[b + q, h + q)`` shifted by ``-q``. If they do,
@@ -876,23 +869,23 @@ def reason(
         raise InputError("reason does not support facts over (-inf, inf)")
     for atom, ivs in database.items():
         for piece in ivs:
-            if not piece.lo.is_finite:
+            if piece.lo == NEG_INF:
                 raise InputError(
                     f"database fact {atom}@{piece} is unbounded below"
                 )
     if database.is_empty:
-        return PeriodicModel(Model(), (), Fraction(1), Fraction(0))
+        return PeriodicModel(Model(), (), 1, 0)
 
     start = min_time_point(database)
-    last_end: dict[str, Fraction] = {}  # per predicate, of its database facts
+    last_end: dict[str, int | Fraction] = {}  # per predicate, of its database facts
     for atom, ivs in database.items():
         last = ivs.pieces[-1]
-        end = (last.hi if last.hi.is_finite else last.lo).value
+        end = last.hi if last.hi != POS_INF else last.lo
         last_end[atom.predicate] = max(end, last_end.get(atom.predicate, end))
     facts = database.copy()
     patterns: dict[Atom, list[Pattern]] = {}
-    periods: dict[str, Fraction] = {}
-    horizons: dict[str, Fraction] = {}
+    periods: dict[str, int | Fraction] = {}
+    horizons: dict[str, int | Fraction] = {}
 
     for group in group_and_sort(program):
         name = ",".join(sorted(group.predicates))
@@ -909,27 +902,27 @@ def reason(
             + [last_end[p] for p in db_inputs if p in last_end]
             + [horizons[p] for p in read]
         )
-        position = (math.floor((settle + lookback) / step) + 1) * step
+        position = ((settle + lookback) // step + 1) * step
         atoms = sorted(
             {r.head for r in group.rules}
             | {a for a in database.atoms() if a.predicate in group.predicates},
             key=_atom_key,
         )
         rays_from = [
-            (r.body[0].inner, r.body[0].rho.lo.value)
+            (r.body[0].inner, r.body[0].rho.lo)
             for r, form in zip(group.rules, group.forms)
-            if form == 6 and not r.body[0].rho.hi.is_finite
+            if form == 6 and r.body[0].rho.hi == POS_INF
         ]
 
-        def state(t: Fraction) -> tuple:
+        def state(t: int | Fraction) -> tuple:
             locks = tuple(
                 (first := _first_point(atom, facts, patterns)) is not None
-                and first < TimePoint.of(t - a)
+                and first < t - a
                 for atom, a in rays_from
             )
             if not lookback:
                 return locks
-            slab = Interval(TimePoint.of(t - lookback), TimePoint.of(t), False, True)
+            slab = Interval(t - lookback, t, False, True)
             return locks + tuple(
                 (atom, clipped.shift(-t))
                 for atom in atoms
@@ -938,16 +931,16 @@ def reason(
 
         chunks = 0
 
-        def derive(lo: Fraction, hi: Fraction) -> None:
+        def derive(lo: int | Fraction, hi: int | Fraction) -> None:
             nonlocal chunks
             chunks += 1
-            window = Interval(TimePoint.of(lo), TimePoint.of(hi), False, True)
+            window = Interval(lo, hi, False, True)
             _derive_group(group, facts, patterns, window)
             if on_iteration is not None:
                 on_iteration(name, chunks, facts.copy())
 
-        seen: dict[tuple, Fraction] = {}
-        repeat: Fraction | None = None
+        seen: dict[tuple, int | Fraction] = {}
+        repeat: int | Fraction | None = None
         derived, end, width = start, position, max(lookback, step)
         while repeat is None:
             if chunks >= window_cap:
@@ -967,19 +960,19 @@ def reason(
             end, width = derived + width, 2 * width
 
         period = position - repeat
-        begin = math.ceil((repeat - lookback) / period) * period
+        begin = -((lookback - repeat) // period) * period
         if derived < begin + period:
             derive(derived, begin + period)
 
-        def repeats(lo: Fraction, hi: Fraction) -> bool:
-            here = Interval(TimePoint.of(lo), TimePoint.of(hi), False, True)
+        def repeats(lo: int | Fraction, hi: int | Fraction) -> bool:
+            here = Interval(lo, hi, False, True)
             later = here.shift(period)
             return all(
                 facts.get(atom).clip(here) == facts.get(atom).clip(later).shift(-period)
                 for atom in atoms
             )
 
-        lowest, bad, jump = math.floor(start / period) * period, None, period
+        lowest, bad, jump = start // period * period, None, period
         while begin > lowest:
             b = max(begin - jump, lowest)
             if not repeats(b, begin):
@@ -987,13 +980,13 @@ def reason(
                 break
             begin, jump = b, 2 * jump
         while bad is not None and begin - bad > period:
-            mid = begin - (begin - bad) / period // 2 * period
+            mid = begin - (begin - bad) // period // 2 * period
             if repeats(mid, begin):
                 begin = mid
             else:
                 bad = mid
         group_rays, group_patterns = freeze(facts, atoms, begin, period)
-        cutoff = Interval(NEG_INF, TimePoint.of(begin), True, True)
+        cutoff = Interval(NEG_INF, begin, True, True)
         for atom in atoms:
             facts.put(atom, facts.get(atom).clip(cutoff))
         for ray in group_rays:
@@ -1009,5 +1002,5 @@ def reason(
         facts,
         tuple(sorted(every_pattern, key=Pattern.sort_key)),
         lcm_rationals(set(periods.values()) or [1]),
-        max(horizons.values(), default=Fraction(0)),
+        max(horizons.values(), default=0),
     )

@@ -30,7 +30,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import InputError, ParseError
-from .intervals import Interval, TimePoint, NEG_INF, POS_INF
+from .intervals import Interval, NEG_INF, POS_INF, Time, to_time
 
 AUX_PREFIX = "_aux"
 
@@ -420,27 +420,29 @@ class _Parser:
 
     # -- numbers and intervals ------------------------------------------
 
-    def parse_number(self) -> Fraction:
-        sign = Fraction(1)
-        if self.at_punct("-"):
+    def parse_number(self) -> int | Fraction:
+        negative = self.at_punct("-")
+        if negative:
             self.next()
-            sign = Fraction(-1)
         tok = self.peek()
         if tok.kind == "IDENT" and tok.text == "inf":
             raise self.error("infinite endpoint is not a number here")
         tok = self.expect("NUMBER")
-        try:
-            value = Fraction(tok.text)
-        except ZeroDivisionError:
-            raise self.error(f"zero denominator in {tok.text!r}", tok) from None
+        if tok.text.isdecimal():
+            value = int(tok.text)
+        else:
+            try:
+                value = Fraction(tok.text)
+            except ZeroDivisionError:
+                raise self.error(f"zero denominator in {tok.text!r}", tok) from None
         if tok.unit:
             self.seen_unit = True
             value *= UNIT_SCALE[tok.unit]
         else:
             self.seen_bare = True
-        return sign * value
+        return to_time(-value if negative else value)
 
-    def parse_endpoint(self) -> TimePoint:
+    def parse_endpoint(self) -> Time:
         if self.at_punct("-"):
             save = self.pos
             self.next()
@@ -451,7 +453,7 @@ class _Parser:
         if self.at_keyword("inf"):
             self.next()
             return POS_INF
-        return TimePoint(self.parse_number())
+        return self.parse_number()
 
     def parse_interval(self) -> Interval:
         tok = self.peek()
@@ -480,7 +482,7 @@ class _Parser:
     def parse_operator_interval(self) -> Interval:
         tok = self.peek()
         rho = self.parse_interval()
-        if rho.lo < TimePoint(Fraction(0)):
+        if rho.lo < 0:
             raise ParseError(f"negative operator range {rho}", tok.line, tok.col)
         return rho
 

@@ -16,12 +16,14 @@ from chronolog.analysis import (
     pattern_length,
 )
 from chronolog.intervals import (
+    NEG_INF,
+    POS_INF,
     Interval,
     IntervalSet,
-    TimePoint,
     box_minus_apply,
     diamond_minus_apply,
     parse_interval,
+    to_time,
 )
 from chronolog.reasoner import (
     Model,
@@ -54,7 +56,7 @@ def oracle_span(program, db, pm, plength_cap=None):
 
 def closed_form_model(entries, limit: F) -> Model:
     """Union of arithmetic families atom@[a + s*n, b + s*n], clipped."""
-    window = Interval(0, TimePoint.of(limit))
+    window = Interval.closed(0, limit)
     model = Model()
     for pred, a, b, step in entries:
         n = 0
@@ -70,7 +72,7 @@ def unrolled(program_text: str, db_text: str, limit: F) -> Model:
     program = parse_program(program_text)
     db = parse_database(db_text)
     pm = reason(program, db)
-    window = Interval(0, TimePoint.of(limit))
+    window = Interval.closed(0, limit)
     return pm.unroll(limit).restrict(window)
 
 
@@ -405,7 +407,7 @@ def test_criterion_7_linear_diamond_programs_become_constant():
         for _, ivs in pm.facts.items():
             for piece in ivs:
                 assert piece.is_bounded or (
-                    piece.lo.is_finite and not piece.hi.is_finite
+                    piece.lo != NEG_INF and piece.hi == POS_INF
                 ), (text, str(piece))
     report(7, "50 temporal-linear diamond programs produced only bounded "
               "facts and rays, never patterns")
@@ -423,7 +425,7 @@ def _random_interval(rng: random.Random, lo_min: int) -> Interval:
         hi_open = rng.random() < 0.5
         if width == 0 and (lo_open or hi_open):
             continue
-        return Interval(TimePoint.of(lo), TimePoint.of(lo + width), lo_open, hi_open)
+        return Interval(to_time(lo), to_time(lo + width), lo_open, hi_open)
 
 
 def test_criterion_8_interval_algebra_conformance():

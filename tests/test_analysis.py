@@ -1,7 +1,9 @@
 """Dependency graphs, cycle enumeration, classification, pattern length."""
 
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -20,11 +22,12 @@ from chronolog.analysis import (
     simple_cycles,
 )
 from chronolog.errors import CycleCapExceeded
-from chronolog.intervals import Interval, TimePoint, POS_INF, parse_interval
-from chronolog.reasoner import naive_fixpoint_bounded
+from chronolog.intervals import Interval, POS_INF, parse_interval
+from chronolog.reasoner import check_horizon, naive_fixpoint_bounded, reason
 from chronolog.syntax import (
     Program,
     body_atoms,
+    ground,
     parse_database,
     parse_program,
     to_normal_form,
@@ -32,6 +35,8 @@ from chronolog.syntax import (
 from test_acceptance import _random_fp_program
 from test_reasoner import _random_nested_program
 
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 WORKED_EXAMPLE = "diamondminus[3,4] A -> B .\nboxminus[3,4] B -> A ."
 
@@ -61,8 +66,8 @@ class TestDependencyGraph:
         assert len(g.edges) == 2
         assert all(e.special for e in g.edges)
         shifts = {(e.source, e.target): e.shift_label for e in g.edges}
-        assert shifts[("A", "B")] == TimePoint.of(3)  # diamond labels its left end
-        assert shifts[("B", "A")] == TimePoint.of(4)  # box labels its right end
+        assert shifts[("A", "B")] == 3  # diamond labels its left end
+        assert shifts[("B", "A")] == 4  # box labels its right end
 
     def test_empty_program(self):
         g = dependency_graph(Program(()))
@@ -72,10 +77,10 @@ class TestDependencyGraph:
         g = dependency_graph(parse_program(NONLINEAR_DIAMOND))
         by_pair = {(e.source, e.target): e for e in g.edges}
         assert set(by_pair) == {("A", "C"), ("B", "C"), ("C", "A"), ("C", "B")}
-        assert by_pair[("A", "C")].shift_label == TimePoint.of(0)
-        assert by_pair[("B", "C")].shift_label == TimePoint.of(0)
-        assert by_pair[("C", "A")].shift_label == TimePoint.of(3)
-        assert by_pair[("C", "B")].shift_label == TimePoint.of(5)
+        assert by_pair[("A", "C")].shift_label == 0
+        assert by_pair[("B", "C")].shift_label == 0
+        assert by_pair[("C", "A")].shift_label == 3
+        assert by_pair[("C", "B")].shift_label == 5
 
     def test_unbounded_box_shift_is_infinite(self):
         g = dependency_graph(parse_program("boxminus[3,inf) A -> B ."))
@@ -98,7 +103,7 @@ class TestSimpleCycles:
         cycles = per_scc[frozenset({"A", "B"})]
         assert len(cycles) == 1
         (cycle,) = cycles
-        assert cycle.shift_sum == TimePoint.of(7)
+        assert cycle.shift_sum == 7
         # Minkowski sum of the labels [3,4] + [3,4]
         assert cycle.weight == parse_interval("[6,8]")
 
@@ -106,7 +111,7 @@ class TestSimpleCycles:
         g = dependency_graph(parse_program("diamondminus[1,2] D -> D ."))
         cycles = simple_cycles(g)[frozenset({"D"})]
         assert len(cycles) == 1
-        assert cycles[0].shift_sum == TimePoint.of(1)
+        assert cycles[0].shift_sum == 1
 
     def test_acyclic(self):
         g = dependency_graph(parse_program("A -> B .\nB -> C ."))
@@ -186,10 +191,11 @@ class TestClassification:
             assert report.finite_nodes == baseline
 
 
-def _per_node_marking(program, graph, all_cycles, seedable):
+def _per_node_marking(program, graph, all_cycles, seedable, unbounded):
     """Reference finite marking: every unmarked node tests each case on
     its own, rebuilding the reduced graph and enumerating its SCC's
-    cycles afresh for case (iii)."""
+    cycles afresh for case (iii). A node with an unbounded database fact
+    is never marked."""
     body_preds = {r.id: {a.predicate for a in body_atoms(r)} for r in program.rules}
     head_rules = {n: [r for r in program.rules if r.head.predicate == n] for n in graph.nodes}
     finite: dict[str, str] = {}
@@ -226,7 +232,7 @@ def _per_node_marking(program, graph, all_cycles, seedable):
         }
         marks = {}
         for node in graph.nodes:
-            if node in finite:
+            if node in finite or node in unbounded:
                 continue
             incoming = [i for i, e in enumerate(graph.edges) if e.target == node]
             if not incoming:
@@ -250,7 +256,8 @@ class TestFiniteMarking:
             for _ in range(160):
                 text, db_text = make(rng)
                 program = to_normal_form(parse_program(text))
-                for database in (None, parse_database(db_text)):
+                rays = re.sub(r",[^,\]]+\]\.", ",inf).", db_text, count=1)
+                for database in (None, parse_database(db_text), parse_database(rays)):
                     report = classify_rules(program, database)
                     with monkeypatch.context() as patched:
                         patched.setattr(analysis, "_finite_marking", _per_node_marking)
@@ -260,8 +267,22 @@ class TestFiniteMarking:
                     assert report.harmless_program == reference.harmless_program
                     compared += 1
                     case_iii += "iii" in report.finite_nodes.values()
-        assert compared == 640
+        assert compared == 960
         assert case_iii >= 50
+
+    def test_database_ray_is_not_finite(self):
+        # Link(a,b)@[0,inf) feeds Reach and Open forever: reason gives
+        # them period-6 patterns that never stop
+        program = to_normal_form(parse_program((FIXTURES / "reach_join.dmtl").read_text()))
+        database = parse_database((FIXTURES / "reach_join.db").read_text())
+        report = classify_rules(program, database)
+        assert report.finite_nodes == {}
+        assert not report.harmless_program
+        pm = reason(ground(program, database), database)
+        assert {p.atom.predicate for p in pm.patterns} == {"Open", "Reach"}
+        # a bounded database fact on a source predicate is still case (i)
+        bounded = parse_database("Link(a,b)@[0,5].\nOpen(a)@[0,0].")
+        assert classify_rules(program, bounded).finite_nodes["Link"] == "i"
 
     def test_marking_enumerates_no_cycles_and_one_scc_pass_per_round(self, monkeypatch):
         # P and Q are marked in the first round, R in the second, and the
@@ -355,6 +376,18 @@ class TestPatternLength:
     def test_worked_example(self):
         assert pattern_length(parse_program(WORKED_EXAMPLE)) == 7
 
+    def test_not_a_period_of_a_program_with_constants(self):
+        # the ground cycle Reach(a) -> Open(a) -> Reach(b) -> Open(b) ->
+        # Reach(a) has shift sum 6; every predicate cycle has 3
+        program = to_normal_form(parse_program((FIXTURES / "reach_join.dmtl").read_text()))
+        database = parse_database((FIXTURES / "reach_join.db").read_text())
+        grounded = ground(program, database)
+        assert pattern_length(program) == pattern_length(grounded) == 3
+        pm = reason(grounded, database)
+        assert pm.period == 6
+        horizon = check_horizon(pm, database)
+        assert pm.unroll(horizon) == naive_fixpoint_bounded(grounded, database, horizon)
+
     def test_horn_only(self):
         assert pattern_length(parse_program("A -> B .\nB -> A .")) == 1
 
@@ -369,11 +402,11 @@ class TestPatternLength:
         db = parse_database("A@[0,3].\nB@[2,4].")
         length = pattern_length(program)
         assert length == 15
-        T = F(20)
+        T = 20
         horizon = T + 2 * length
         model = naive_fixpoint_bounded(program, db, horizon)
-        first = Interval(TimePoint.of(T), TimePoint.of(T + length), False, True)
-        second = Interval(TimePoint.of(T + length), TimePoint.of(T + 2 * length), False, True)
+        first = Interval(T, T + length, False, True)
+        second = Interval(T + length, T + 2 * length, False, True)
         for atom in model.atoms():
             lhs = model.get(atom).clip(first).shift(length)
             assert lhs == model.get(atom).clip(second), atom

@@ -166,6 +166,21 @@ class TestClassifyCommand:
         assert json.loads(without)["rule_classes"]["r1"] == "harmless"
         assert json.loads(with_db)["rule_classes"]["r1"] == "dangerous"
 
+    def test_human_output_names_the_unseeded_assumption(self, tmp_path, capsys):
+        program = tmp_path / "p.dmtl"
+        program.write_text("boxminus[3,7] A -> A .\n")
+        database = tmp_path / "d.db"
+        database.write_text("A@[0,1].\n")
+        note = "note: without --database, case (iv) marks assume every cycle is unseeded"
+        _, without = run(capsys, "classify", "--program", str(program))
+        _, with_db = run(
+            capsys, "classify", "--program", str(program), "--database", str(database)
+        )
+        _, as_json = run(capsys, "classify", "--program", str(program), "--format", "json")
+        assert note in without.splitlines()
+        assert "A: finite (iv)" in without
+        assert note not in with_db and "note" not in as_json
+
 
 class TestOracleAndCheck:
     def test_oracle_dump(self, paths, capsys):

@@ -5,6 +5,7 @@ pointwise oracles built only from interval intersection / containment,
 evaluated on rational grids around every endpoint.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -15,12 +16,13 @@ from chronolog.intervals import (
     IntervalSet,
     NEG_INF,
     POS_INF,
-    TimePoint,
     box_minus_apply,
     diamond_minus_apply,
     lcm_rationals,
     parse_interval,
     parse_rational,
+    plus,
+    to_time,
 )
 
 
@@ -38,15 +40,15 @@ def ivs(*texts: str) -> IntervalSet:
 
 def diamond_holds_at(t: F, i: Interval, rho: Interval) -> bool:
     """exists s in i with t - s in rho  <=>  i intersects t - rho."""
-    probe_lo = NEG_INF if not rho.hi.is_finite else TimePoint.of(t) - rho.hi
-    probe = Interval(probe_lo, TimePoint.of(t) - rho.lo, rho.hi_open, rho.lo_open)
+    probe_lo = NEG_INF if rho.hi == POS_INF else t - rho.hi
+    probe = Interval(probe_lo, t - rho.lo, rho.hi_open, rho.lo_open)
     return i.intersect(probe) is not None
 
 
 def box_holds_at(t: F, i: Interval, rho: Interval) -> bool:
     """forall s with t - s in rho: s in i  <=>  t - rho inside i."""
-    probe_lo = NEG_INF if not rho.hi.is_finite else TimePoint.of(t) - rho.hi
-    probe = Interval(probe_lo, TimePoint.of(t) - rho.lo, rho.hi_open, rho.lo_open)
+    probe_lo = NEG_INF if rho.hi == POS_INF else t - rho.hi
+    probe = Interval(probe_lo, t - rho.lo, rho.hi_open, rho.lo_open)
     return i.contains_interval(probe)
 
 
@@ -56,8 +58,8 @@ def probe_grid(*intervals: Interval) -> list[F]:
     endpoints = []
     for interval in intervals:
         for tp in (interval.lo, interval.hi):
-            if tp.is_finite:
-                endpoints.append(tp.value)
+            if NEG_INF < tp < POS_INF:
+                endpoints.append(tp)
     sums = {a + b for a in endpoints for b in endpoints} | set(endpoints)
     for s in sums:
         for delta in (F(0), F(1, 3), -F(1, 3), F(1), -F(1)):
@@ -66,36 +68,59 @@ def probe_grid(*intervals: Interval) -> list[F]:
 
 
 # ---------------------------------------------------------------------------
-# TimePoint
+# Time points: plain ints, Fractions and the two float infinities
 # ---------------------------------------------------------------------------
 
 class TestTimePoint:
+    """A time point is an int, a Fraction, NEG_INF or POS_INF."""
+
     def test_total_order_with_infinities(self):
-        assert NEG_INF < TimePoint.of(-10**9) < TimePoint.of(F(1, 3)) < POS_INF
-        assert sorted([POS_INF, TimePoint.of(0), NEG_INF]) == [
-            NEG_INF,
-            TimePoint.of(0),
-            POS_INF,
-        ]
+        assert NEG_INF < -10**9 < F(1, 3) < POS_INF
+        assert NEG_INF < -10**400 < 10**400 < POS_INF
+        assert sorted([POS_INF, 0, NEG_INF]) == [NEG_INF, 0, POS_INF]
+        assert (NEG_INF, POS_INF) == (-math.inf, math.inf)
 
     def test_exact_arithmetic(self):
-        assert TimePoint.of(F(1, 3)) + F(1, 6) == TimePoint.of(F(1, 2))
-        assert TimePoint.of(F(7)) - 7 == TimePoint.of(0)
+        assert to_time(F(1, 3)) + F(1, 6) == F(1, 2)
+        assert to_time(F(7)) - 7 == 0
+        assert type(to_time(F(7))) is int and type(to_time(F(7, 2))) is F
+        assert to_time(0.1) == F(3602879701896397, 36028797018963968)
+        assert -(-F(7, 2) // 1) == 4 and F(7, 2) // 1 == 3  # exact ceil, floor
 
     def test_infinity_absorbs_finite(self):
         assert POS_INF + 5 == POS_INF
         assert NEG_INF - 100 == NEG_INF
+        assert NEG_INF + F(1, 3) == NEG_INF
         assert -POS_INF == NEG_INF
+        # float arithmetic overflows on an int past the float range
+        with pytest.raises(OverflowError):
+            POS_INF + 10**400
+        assert plus(POS_INF, 10**400) == POS_INF == plus(F(10**400, 3), POS_INF)
+        assert plus(-(10**400), NEG_INF) == NEG_INF
+        assert Interval.closed(10**400, 10**400 + 1).minkowski(iv("[0,inf)")) == (
+            Interval.ray_from(10**400)
+        )
 
     def test_opposite_infinities_error(self):
+        # inf - inf is nan, which no interval takes as an endpoint
         with pytest.raises(ValueError):
-            POS_INF + NEG_INF
+            Interval.ray_from(0).shift(NEG_INF)
         with pytest.raises(ValueError):
-            POS_INF - POS_INF
+            Interval(POS_INF - POS_INF, 0)
+        with pytest.raises(ValueError):
+            Interval(0, 0 * POS_INF)
+        with pytest.raises(ValueError):
+            to_time(math.nan)
+
+    def test_infinity_needs_no_float_conversion(self):
+        # math.isfinite(10**400) raises OverflowError; interval code compares
+        big = Interval.closed(10**400, 10**400 + 1)
+        assert big.is_bounded and big.contains(10**400) and str(big.length()) == "1"
+        assert parse_interval(str(big)) == big
 
     def test_rendering_round_trip(self):
         for text in ("7", "-3", "1/2", "-5/3", "inf", "-inf"):
-            assert str(TimePoint.of(text)) == text
+            assert str(to_time(text)) == text
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +130,12 @@ class TestTimePoint:
 class TestInterval:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Interval(TimePoint.of(3), TimePoint.of(2))
+            Interval(to_time(3), to_time(2))
         with pytest.raises(ValueError):
-            Interval(TimePoint.of(1), TimePoint.of(1), lo_open=True)
+            Interval(to_time(1), to_time(1), lo_open=True)
 
     def test_infinite_endpoints_forced_open(self):
-        ray = Interval(TimePoint.of(0), POS_INF)
+        ray = Interval(to_time(0), POS_INF)
         assert ray.hi_open
         assert str(ray) == "[0,inf)"
 
@@ -139,7 +164,7 @@ class TestInterval:
     def test_round_trip_property(self, lo, width, lo_open, hi_open):
         if width == 0 and (lo_open or hi_open):
             return
-        interval = Interval(TimePoint.of(lo), TimePoint.of(lo + width), lo_open, hi_open)
+        interval = Interval(to_time(lo), to_time(lo + width), lo_open, hi_open)
         assert parse_interval(str(interval)) == interval
 
 
@@ -167,8 +192,8 @@ class TestIntersect:
     )
     def test_agrees_with_point_membership(self, a_lo, a_w, b_lo, b_w, flags):
         try:
-            a = Interval(TimePoint.of(a_lo), TimePoint.of(a_lo + a_w), flags[0], flags[1])
-            b = Interval(TimePoint.of(b_lo), TimePoint.of(b_lo + b_w), flags[2], flags[3])
+            a = Interval(to_time(a_lo), to_time(a_lo + a_w), flags[0], flags[1])
+            b = Interval(to_time(b_lo), to_time(b_lo + b_w), flags[2], flags[3])
         except ValueError:
             return
         hit = a.intersect(b)
@@ -214,7 +239,7 @@ class TestCoalescing:
         for lo, w, lo_open, hi_open in raw:
             try:
                 intervals.append(
-                    Interval(TimePoint.of(lo), TimePoint.of(lo + w), lo_open, hi_open)
+                    Interval(to_time(lo), to_time(lo + w), lo_open, hi_open)
                 )
             except ValueError:
                 continue
@@ -231,7 +256,7 @@ class TestCoalescing:
     )
     def test_union_matches_point_oracle(self, raw):
         intervals = [
-            Interval(TimePoint.of(lo), TimePoint.of(lo + w)) for lo, w in raw
+            Interval(to_time(lo), to_time(lo + w)) for lo, w in raw
         ]
         s = IntervalSet.from_iterable(intervals)
         for numerator in range(-36, 37):
@@ -303,7 +328,7 @@ class TestBoxMinus:
 def _interval_strategy(max_abs=8, allow_rays=False):
     def build(lo, w, lo_open, hi_open):
         try:
-            return Interval(TimePoint.of(lo), TimePoint.of(lo + w), lo_open, hi_open)
+            return Interval(to_time(lo), to_time(lo + w), lo_open, hi_open)
         except ValueError:
             return None
 
@@ -319,7 +344,7 @@ def _interval_strategy(max_abs=8, allow_rays=False):
 def _range_strategy():
     def build(lo, w, lo_open, hi_open):
         try:
-            return Interval(TimePoint.of(lo), TimePoint.of(lo + w), lo_open, hi_open)
+            return Interval(to_time(lo), to_time(lo + w), lo_open, hi_open)
         except ValueError:
             return None
 
@@ -378,13 +403,13 @@ class TestShiftClip:
     )
     def test_set_clip_matches_pointwise(self, raw, lo, width, lo_open, hi_open):
         pieces = [
-            Interval(TimePoint.of(a), TimePoint.of(a + w), False, is_open and w > 0)
+            Interval(to_time(a), to_time(a + w), False, is_open and w > 0)
             for a, w, is_open in raw
         ]
         s = IntervalSet.from_iterable(pieces)
         if width == 0:
             lo_open = hi_open = False
-        window = Interval(TimePoint.of(lo), TimePoint.of(lo + width), lo_open, hi_open)
+        window = Interval(to_time(lo), to_time(lo + width), lo_open, hi_open)
         clipped = s.clip(window)
         assert clipped == IntervalSet.from_iterable(clipped)
         for numerator in range(-48, 49):

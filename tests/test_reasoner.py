@@ -6,7 +6,7 @@ import pytest
 
 from chronolog.analysis import pattern_length
 from chronolog.errors import InputError, NotForwardPropagating, WindowCapExceeded
-from chronolog.intervals import NEG_INF, POS_INF, Interval, IntervalSet, TimePoint, parse_interval
+from chronolog.intervals import NEG_INF, POS_INF, Interval, IntervalSet, to_time, parse_interval
 from chronolog.reasoner import (
     Model,
     Pattern,
@@ -315,7 +315,7 @@ class TestReason:
         for pat in pm.patterns:
             for x in range(pat.start_index, pat.start_index + 8):
                 occ = pat.occurrence(x)
-                if occ.hi.value <= deep:
+                if occ.hi <= deep:
                     assert oracle.get(pat.atom).covers_interval(occ), (pat, x)
 
 
@@ -453,15 +453,15 @@ class TestEntails:
 def _brute_entails(pm, fact):
     """Entailment read off the unrolled model, occurrence by occurrence."""
     query = fact.interval
-    if query.hi.is_finite:
-        hi = query.hi.value
+    if query.hi != POS_INF:
+        hi = query.hi
     else:
         # past every stored endpoint and pattern start the model repeats,
         # so a query ray holds iff it holds for two periods beyond them
-        ends = [pm.horizon, query.lo.value, *pm.facts.finite_endpoints()]
-        ends += [p.first_occurrence().hi.value for p in pm.patterns]
+        ends = [pm.horizon, query.lo, *pm.facts.finite_endpoints()]
+        ends += [p.first_occurrence().hi for p in pm.patterns]
         hi = max(ends) + 2 * pm.period
-        query = query.intersect(Interval(NEG_INF, TimePoint.of(hi)))
+        query = query.intersect(Interval(NEG_INF, hi))
     return pm.unroll(hi + pm.period).get(fact.atom).covers_interval(query)
 
 
@@ -480,7 +480,7 @@ class TestEntailsDifferential:
             pm = reason(program, parse_database(db_text))
             for _ in range(8):
                 atom = Atom(rng.choice(program.predicates()))
-                lo = TimePoint.of(F(rng.randint(-4, 240), rng.choice((1, 2))))
+                lo = to_time(F(rng.randint(-4, 240), rng.choice((1, 2))))
                 hi = rng.choice((lo, lo + rng.randint(1, 9), POS_INF))
                 fact = Fact(atom, Interval(lo, hi))
                 assert pm.entails(fact) == _brute_entails(pm, fact), (text, db_text, str(fact))
@@ -524,15 +524,115 @@ class TestPeriodFromRepeatedState:
             # one period before the horizon the model no longer repeats,
             # unless the search for the horizon stopped at its floor
             h, q = pm.horizon, pm.period
-            if h - q < math.floor(min_time_point(db) / q) * q:
+            if h - q < min_time_point(db) // q * q:
                 continue
             compacted += 1
             unrolled = pm.unroll(h + q)
-            before = unrolled.restrict(Interval(TimePoint.of(h - q), TimePoint.of(h), False, True))
-            after = unrolled.restrict(Interval(TimePoint.of(h), TimePoint.of(h + q), False, True))
+            before = unrolled.restrict(Interval(h - q, h, False, True))
+            after = unrolled.restrict(Interval(h, h + q, False, True))
             shifted = Model({atom: ivs.shift(-q) for atom, ivs in after.items()})
             assert before != shifted, (text, db_text)
         assert compacted >= 30
+
+
+def _inexact_endpoints(model) -> list:
+    """The endpoints of a model that are not an int, a Fraction or an
+    infinity (a finite float or nan would be one)."""
+    return [
+        e for _, ivs in model.items() for p in ivs for e in (p.lo, p.hi)
+        if type(e) not in (int, F) and e not in (NEG_INF, POS_INF)
+    ]
+
+
+def _inexact_parts(pm) -> list:
+    pieces = Model({pat.atom: IntervalSet.of(pat.offset) for pat in pm.patterns})
+    numbers = [pm.period, pm.horizon, *(pat.period for pat in pm.patterns)]
+    return (
+        _inexact_endpoints(pm.facts) + _inexact_endpoints(pieces)
+        + [n for n in numbers if type(n) not in (int, F)]
+    )
+
+
+class TestExactNumbers:
+    """Endpoints are ints, Fractions or the two infinities: never a float
+    from ``/``, nor a rounded huge int."""
+
+    @pytest.mark.parametrize("generator", ["forward", "nested"])
+    def test_outputs_hold_only_exact_numbers(self, generator):
+        import random
+
+        from test_acceptance import _random_fp_program
+
+        make = {"forward": _random_fp_program, "nested": _random_nested_program}[generator]
+        rng = random.Random(12)
+        for _ in range(60):
+            text, db_text = make(rng)
+            program = to_normal_form(parse_program(text))
+            db = parse_database(db_text)
+            pm = reason(program, db)
+            horizon = check_horizon(pm, db)
+            assert not _inexact_parts(pm), (text, db_text)
+            assert not _inexact_endpoints(pm.unroll(horizon)), (text, db_text)
+            assert not _inexact_endpoints(naive_fixpoint_bounded(program, db, horizon))
+
+    @pytest.mark.parametrize("generator", ["forward", "nested"])
+    def test_far_endpoints_and_thirds_match_oracle(self, generator):
+        import random
+        import re
+
+        from test_acceptance import _random_fp_program
+
+        make = {"forward": _random_fp_program, "nested": _random_nested_program}[generator]
+        rng = random.Random(60)
+        for trial in range(40):
+            text, db_text = make(rng)
+            if trial % 2:  # operator ranges with denominator 3
+                text = re.sub(r"\[(\d+),(\d+)\]", r"[\1/3,\2/3]", text)
+            base = 2**60 + trial
+            db_text = re.sub(
+                r"\[(\d+),(\d+)\]",
+                lambda m: f"[{base + int(m[1])},{base + int(m[2])}]",
+                db_text,
+            )
+            program = to_normal_form(parse_program(text))
+            db = parse_database(db_text)
+            pm = reason(program, db)
+            horizon = check_horizon(pm, db)
+            assert pm.unroll(horizon) == naive_fixpoint_bounded(program, db, horizon), (
+                text, db_text,
+            )
+            assert not _inexact_parts(pm), (text, db_text)
+
+    def test_ints_past_the_float_range_meet_infinities(self):
+        # 10**400 + inf overflows in float arithmetic
+        big = 10**400
+        program = parse_program(
+            "diamondminus[1,inf) A -> B .\nboxminus[0,inf) B -> C .\n"
+            "diamondminus[2,3] A -> D .\ndiamondminus[1,1] D -> D ."
+        )
+        db = parse_database(f"A@[{big},{big + 1}].\nC@[{big},inf).")
+        pm = reason(program, db)
+        horizon = check_horizon(pm, db)
+        assert pm.unroll(horizon) == naive_fixpoint_bounded(program, db, horizon)
+        assert pm.entails(Fact(Atom("B"), Interval.ray_from(big + 1)))
+        assert pm.entails(Fact(Atom("D"), Interval.ray_from(big + 2)))
+        assert not pm.entails(Fact(Atom("D"), Interval.ray_from(big + 1)))
+
+    def test_weekly_query_just_past_ten_to_the_eighteenth(self):
+        from pathlib import Path
+
+        fixtures = Path(__file__).parent / "fixtures"
+        program = parse_program((fixtures / "weekly.dmtl").read_text())
+        pm = reason(program, parse_database((fixtures / "weekly.db").read_text()))
+        # 10**18 = 7 * 142857142857142857 + 1: Monday@[10**18 - 1, 10**18];
+        # a float quotient of these ints is off by more than one period
+        assert pm.entails(parse_fact("Monday@[999999999999999999.5,1000000000000000000]"))
+        assert not pm.entails(
+            parse_fact("Monday@[1000000000000000000.5,1000000000000000000.5]")
+        )
+        assert pm.entails(parse_fact("Monday@[999999999999999999,1000000000000000000]"))
+        assert pm.entails(parse_fact("Monday@[1000000000000000006,1000000000000000006]"))
+        assert not pm.entails(parse_fact("Monday@[1000000000000000000,1000000000000000001]"))
 
 
 def _random_nested_program(rng):
@@ -593,7 +693,7 @@ class TestMinimalHorizon:
 
         def counting(group, facts, patterns, window):
             name = ",".join(sorted(group.predicates))
-            widths[name] = widths.get(name, 0) + window.hi.value - window.lo.value
+            widths[name] = widths.get(name, 0) + window.hi - window.lo
             derive(group, facts, patterns, window)
 
         monkeypatch.setattr(reasoner, "_derive_group", counting)

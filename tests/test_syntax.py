@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from chronolog.errors import ParseError
-from chronolog.intervals import Interval, parse_interval
+from chronolog.intervals import NEG_INF, POS_INF, Interval, parse_interval
 from chronolog.reasoner import Model, check_horizon, naive_fixpoint_bounded, reason
 from chronolog.syntax import (
     Atom,
@@ -108,7 +108,7 @@ class TestParseProgram:
         assert not p.rules
         (axiom,) = p.axioms
         assert axiom.atom == Atom("A", (Constant("c"),))
-        assert not axiom.interval.lo.is_finite and not axiom.interval.hi.is_finite
+        assert (axiom.interval.lo, axiom.interval.hi) == (NEG_INF, POS_INF)
 
 
 class TestParseDatabase:
@@ -528,7 +528,7 @@ def _grid_model(program, database, last=24):
             return truth.get(lit, set())
         if isinstance(lit, Top):
             return set(points)
-        steps = range(2 * int(lit.rho.lo.as_fraction()), 2 * int(lit.rho.hi.as_fraction()) + 1)
+        steps = range(2 * lit.rho.lo, 2 * lit.rho.hi + 1)
         if isinstance(lit, DiamondMinus):
             inner = holds(lit.inner)
             return {k for k in points if any(k - d in inner for d in steps)}
