@@ -49,7 +49,6 @@ from .reasoner import (
     PeriodicModel,
     RuleGroup,
     check_horizon,
-    extend,
     group_and_sort,
     max_time_point,
     min_time_point,

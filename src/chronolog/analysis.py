@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from fractions import Fraction
 
 import networkx as nx
@@ -57,12 +57,19 @@ class DepGraph:
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        g = nx.MultiDiGraph()
+    @cached_property
+    def components(self) -> tuple[frozenset[str], ...]:
+        """The strongly connected components in dependency order: each
+        comes after every component with an edge into it, and of two
+        components free to go next the one with the smaller sorted member
+        list goes first."""
+        g = nx.DiGraph()
         g.add_nodes_from(self.nodes)
-        for idx, e in enumerate(self.edges):
-            g.add_edge(e.source, e.target, key=idx)
-        return g
+        g.add_edges_from((e.source, e.target) for e in self.edges)
+        cond = nx.condensation(g)
+        members = {c: tuple(sorted(cond.nodes[c]["members"])) for c in cond}
+        order = nx.lexicographical_topological_sort(cond, key=members.__getitem__)
+        return tuple(frozenset(members[c]) for c in order)
 
 
 def _edge_labels(rule: Rule) -> tuple[bool, Interval, Time]:
@@ -158,8 +165,9 @@ def _edge_cycles(graph: DepGraph, cap: int) -> list[Cycle]:
 def simple_cycles(
     graph: DepGraph, cycle_cap: int = DEFAULT_CYCLE_CAP
 ) -> dict[frozenset[str], list[Cycle]]:
-    """All elementary cycles, grouped by the SCC they live in."""
-    sccs = [frozenset(c) for c in nx.strongly_connected_components(graph.to_networkx())]
+    """All elementary cycles, grouped by the SCC they live in, the SCCs in
+    dependency order."""
+    sccs = graph.components
     scc_of = {node: i for i, members in enumerate(sccs) for node in members}
     inner: list[list[Edge]] = [[] for _ in sccs]
     for e in graph.edges:
@@ -205,7 +213,7 @@ def _pattern_length(graph: DepGraph, cycle_cap: int) -> int | Fraction:
         )
     graph = DepGraph(graph.nodes, tuple(by_label.values()))
     lengths: list[int | Fraction] = []
-    for _, cycles in sorted(simple_cycles(graph, cycle_cap).items(), key=lambda kv: sorted(kv[0])):
+    for cycles in simple_cycles(graph, cycle_cap).values():
         sums = [s for c in cycles if 0 < (s := c.shift_sum) < POS_INF]
         lengths.append(lcm_rationals(sums) if sums else 1)
     return lcm_rationals(lengths) if lengths else 1
@@ -264,15 +272,12 @@ def fragment_checks(program: Program, graph: DepGraph | None = None) -> Fragment
 
     if graph is None:
         graph = dependency_graph(program)
-    g = graph.to_networkx()
-    scc_of: dict[str, int] = {}
-    scc_special: set[int] = set()
-    for i, comp in enumerate(nx.strongly_connected_components(g)):
-        for node in comp:
-            scc_of[node] = i
-    for e in graph.edges:
-        if e.special and scc_of[e.source] == scc_of[e.target]:
-            scc_special.add(scc_of[e.source])
+    scc_of = {node: i for i, members in enumerate(graph.components) for node in members}
+    scc_special = {
+        scc_of[e.source]
+        for e in graph.edges
+        if e.special and scc_of[e.source] == scc_of[e.target]
+    }
 
     temporal_linear = True
     for rule in program.rules:
@@ -388,14 +393,10 @@ def _finite_marking(
             # an edge out of a finite node belongs to a finite rule
             return edge.rule_id not in finite_rules and edge.target not in finite
 
-        kept = [e for e in graph.edges if survives(e)]
-        reduced = nx.DiGraph()
-        reduced.add_nodes_from(n for n in graph.nodes if n not in finite)
-        reduced.add_edges_from((e.source, e.target) for e in kept)
+        kept = tuple(e for e in graph.edges if survives(e))
+        reduced = DepGraph(tuple(n for n in graph.nodes if n not in finite), kept)
         scc_of = {
-            node: i
-            for i, members in enumerate(nx.strongly_connected_components(reduced))
-            for node in members
+            node: i for i, members in enumerate(reduced.components) for node in members
         }
         failed = {scc_of[e.target] for e in kept if scc_of[e.source] != scc_of[e.target]}
         failed.update(

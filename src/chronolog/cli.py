@@ -201,25 +201,32 @@ def build_parser() -> argparse.ArgumentParser:
             help="database file of facts",
         )
         p.add_argument("--format", choices=("human", "json"), default="human")
+
+    def reasoning(p):
+        common(p, database_required=True)
         p.add_argument(
-            "--cycle-cap", type=positive_int, default=100_000,
-            help="most simple cycles classify enumerates",
+            "--window-cap", type=positive_int, default=reasoner.DEFAULT_WINDOW_CAP,
+            help="most chunks a group derives before its state repeats",
         )
         p.add_argument(
-            "--window-cap", type=positive_int, default=10_000,
-            help="most chunks a group derives before its state repeats",
+            "--cycle-cap", type=positive_int, default=analysis.DEFAULT_CYCLE_CAP,
+            help="accepted and not used: reason enumerates no cycles",
         )
 
     p = sub.add_parser("classify", help="fragment flags, finite nodes, rule classes")
     common(p, database_required=False)
+    p.add_argument(
+        "--cycle-cap", type=positive_int, default=analysis.DEFAULT_CYCLE_CAP,
+        help="most simple cycles classify enumerates",
+    )
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("reason", help="compute the periodic representation")
-    common(p, database_required=True)
+    reasoning(p)
     p.set_defaults(func=cmd_reason)
 
     p = sub.add_parser("query", help="fact entailment against the representation")
-    common(p, database_required=True)
+    reasoning(p)
     p.add_argument("--query", required=True, help="fact, e.g. 'A(c)@[1,2]'")
     p.set_defaults(func=cmd_query)
 
@@ -229,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("check", help="diff unrolled reason output against the oracle")
-    common(p, database_required=True)
+    reasoning(p)
     p.add_argument(
         "--horizon", default=None,
         help="defaults to max(last database endpoint, representation horizon) + 3 periods",

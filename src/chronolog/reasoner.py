@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-import networkx as nx
-
-from .analysis import dependency_graph
+from .analysis import DEFAULT_CYCLE_CAP, Edge, dependency_graph
 from .errors import InputError, NotForwardPropagating, StepCapExceeded, WindowCapExceeded
 from .intervals import (
     Interval,
@@ -123,11 +121,6 @@ class Model:
     def items(self) -> list[tuple[Atom, IntervalSet]]:
         return [(a, self._data[a]) for a in self.atoms()]
 
-    def facts(self) -> Iterator[Fact]:
-        for atom, ivs in self.items():
-            for piece in ivs:
-                yield Fact(atom, piece)
-
     @property
     def is_empty(self) -> bool:
         return not self._data
@@ -138,12 +131,6 @@ class Model:
             clipped = ivs.clip(window)
             if not clipped.is_empty:
                 out._data[atom] = clipped
-        return out
-
-    def union(self, other: Model) -> Model:
-        out = self.copy()
-        for atom, ivs in other._data.items():
-            out.add_set(atom, ivs)
         return out
 
     def finite_endpoints(self) -> list[int | Fraction]:
@@ -350,7 +337,8 @@ def naive_fixpoint_bounded(
 
 @dataclass(frozen=True)
 class RuleGroup:
-    """One SCC group's rules and what ``reason`` and ``_derive_group`` read
+    """One SCC group's rules (in program order) and the dependency graph's
+    edges inside the group, and what ``reason`` and ``_derive_group`` read
     off them, built once: each rule's form, the rules indexed by each atom
     their bodies read (in group order), and how far back the rules look.
 
@@ -364,6 +352,7 @@ class RuleGroup:
 
     predicates: frozenset[str]
     rules: tuple[Rule, ...]
+    edges: tuple[Edge, ...]
     forms: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
     by_body: dict[Atom, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     padding: Time = field(init=False, repr=False, compare=False)
@@ -391,26 +380,25 @@ class RuleGroup:
 
 
 def group_and_sort(program: Program) -> list[RuleGroup]:
-    """Rules grouped by the SCC of their head predicate, dependencies first.
+    """Rules grouped by the SCC of their head predicate, in the dependency
+    order of ``DepGraph.components``.
 
     Groups whose SCC has no rules (database-only predicates) are omitted.
-    The order is a deterministic topological order of the condensation.
     """
     graph = dependency_graph(program)
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.nodes)
-    g.add_edges_from((e.source, e.target) for e in graph.edges)
-    cond = nx.condensation(g)
-    order = nx.lexicographical_topological_sort(
-        cond, key=lambda n: tuple(sorted(cond.nodes[n]["members"]))
-    )
-    groups: list[RuleGroup] = []
-    for comp in order:
-        members = frozenset(cond.nodes[comp]["members"])
-        rules = tuple(r for r in program.rules if r.head.predicate in members)
-        if rules:
-            groups.append(RuleGroup(members, rules))
-    return groups
+    scc_of = {node: i for i, members in enumerate(graph.components) for node in members}
+    rules: list[list[Rule]] = [[] for _ in graph.components]
+    edges: list[list[Edge]] = [[] for _ in graph.components]
+    for rule in program.rules:
+        rules[scc_of[rule.head.predicate]].append(rule)
+    for e in graph.edges:
+        if scc_of[e.source] == scc_of[e.target]:
+            edges[scc_of[e.target]].append(e)
+    return [
+        RuleGroup(members, tuple(group_rules), tuple(group_edges))
+        for members, group_rules, group_edges in zip(graph.components, rules, edges)
+        if group_rules
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +552,6 @@ class PeriodicModel:
 # Reasoning procedure
 # ---------------------------------------------------------------------------
 
-def extend(patterns: Iterable[Pattern], window: Interval) -> Model:
-    """Unroll pattern occurrences that intersect a bounded window."""
-    if not window.is_bounded:
-        raise ValueError("extend requires a bounded window")
-    out = Model()
-    for pat in patterns:
-        for x in pat.indices(window):
-            occ = pat.occurrence(x)
-            if occ.intersect(window) is not None:
-                out.add(pat.atom, occ)
-    return out
-
-
 def _derive_group(
     group: RuleGroup,
     facts: Model,
@@ -671,18 +646,6 @@ def _derive_group(
         }
 
 
-
-
-def _shift(rule: Rule, form: int | None) -> Time:
-    """How far the rule (of the given form) moves a fact's left end: 0 for
-    Horn, ``rho.lo`` for ``diamondminus``, ``rho.hi`` for ``boxminus`` (as
-    in the dependency graph)."""
-    if form == 1:
-        return 0
-    rho = rule.body[0].rho
-    return rho.lo if form == 6 else rho.hi
-
-
 def _shift_gcd(group: RuleGroup) -> int | Fraction:
     """gcd of the shift sums of the group's dependency cycles; 0 if none is
     positive.
@@ -693,18 +656,14 @@ def _shift_gcd(group: RuleGroup) -> int | Fraction:
     has the slack ``pot[u] + w - pot[v]``. A cycle's shift sum is the sum
     of its edges' slacks, and a slack is the difference of two closed
     walks' shift sums, so the gcd of the slacks is the gcd of the cycles'
-    shift sums. ``boxminus[a,inf)`` never fires and carries no edge, so
-    the group may fall apart into several parts.
+    shift sums. ``boxminus[a,inf)`` never fires, so its edges (shift
+    ``inf``) are dropped and the group may fall apart into several parts.
     """
-    edges = []
-    for rule, form in zip(group.rules, group.forms):
-        shift = _shift(rule, form)
-        if shift != POS_INF:
-            edges += [
-                (atom.predicate, rule.head.predicate, shift)
-                for atom in body_atoms(rule)
-                if atom.predicate in group.predicates
-            ]
+    edges = [
+        (e.source, e.target, e.shift_label)
+        for e in group.edges
+        if e.shift_label != POS_INF
+    ]
     succ: dict[str, list[tuple[str, int | Fraction]]] = {}
     pred: dict[str, list[str]] = {}
     for u, v, w in edges:
@@ -779,7 +738,7 @@ def reason(
     database: Model,
     *,
     window_cap: int = DEFAULT_WINDOW_CAP,
-    cycle_cap: int = 100_000,
+    cycle_cap: int = DEFAULT_CYCLE_CAP,
     on_iteration: Callable[[str, int, Model], None] | None = None,
 ) -> PeriodicModel:
     """Compute a finite periodic representation of the minimum model.

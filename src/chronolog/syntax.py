@@ -368,11 +368,11 @@ def _tokenize(text: str) -> list[_Token]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        for name in ("ARROW", "NUMBER", "IDENT", "QUOTED", "PUNCT"):
-            if m.group(name) is not None:
-                tokens.append(_Token(name, m.group(name), line, col, m.group("UNIT")))
-                break
-        consumed = m.group(0)
+        kind, consumed = m.lastgroup, m.group()
+        if kind == "UNIT":  # a number with a unit suffix
+            tokens.append(_Token("NUMBER", m.group("NUMBER"), line, col, m.group("UNIT")))
+        elif kind != "WS" and kind != "COMMENT":
+            tokens.append(_Token(kind, consumed, line, col))
         newlines = consumed.count("\n")
         if newlines:
             line += newlines

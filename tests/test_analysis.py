@@ -96,6 +96,41 @@ class TestDependencyGraph:
                 assert e.shift_label in (e.interval_label.lo, e.interval_label.hi)
 
 
+class TestComponents:
+    def test_dependency_order_before_names(self):
+        # B feeds A, so B's component comes first though A sorts first
+        g = DepGraph(
+            ("A", "B", "C"),
+            (analysis.Edge("B", "A", "r1", False, Interval.closed(0, 0), 0),),
+        )
+        assert g.components == (frozenset({"B"}), frozenset({"A"}), frozenset({"C"}))
+
+    def test_ties_go_to_the_smaller_sorted_member_list(self):
+        g = dependency_graph(parse_program(
+            "D -> C .\nC -> D .\nB -> A .\nA -> B .\nE -> A .\nE -> C ."
+        ))
+        assert g.components == (
+            frozenset({"E"}), frozenset({"A", "B"}), frozenset({"C", "D"}),
+        )
+
+    def test_computed_once(self, monkeypatch):
+        g = dependency_graph(parse_program(FIGURE_PROGRAM))
+        calls = 0
+        condensation = nx.condensation
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return condensation(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "condensation", counted)
+        first = g.components
+        assert g.components is first
+        simple_cycles(g)
+        fragment_checks(parse_program(FIGURE_PROGRAM), g)
+        assert calls == 1
+
+
 class TestSimpleCycles:
     def test_worked_example_single_cycle(self):
         g = dependency_graph(parse_program(WORKED_EXAMPLE))

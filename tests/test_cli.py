@@ -181,6 +181,19 @@ class TestClassifyCommand:
         assert "A: finite (iv)" in without
         assert note not in with_db and "note" not in as_json
 
+    def test_cycles_listed_by_scc_in_dependency_order(self, tmp_path, capsys):
+        # Z feeds A, so Z's cycle comes first though A sorts first
+        program = tmp_path / "p.dmtl"
+        program.write_text(
+            "diamondminus[2,2] A -> A .\nZ -> A .\ndiamondminus[1,1] Z -> Z .\n"
+        )
+        code, out = run(capsys, "classify", "--program", str(program), "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["cycles"] == [
+            {"nodes": ["Z"], "shift_sum": "1", "weight": "[1,1]"},
+            {"nodes": ["A"], "shift_sum": "2", "weight": "[2,2]"},
+        ]
+
 
 class TestOracleAndCheck:
     def test_oracle_dump(self, paths, capsys):
@@ -304,6 +317,20 @@ class TestExitCodes:
         argv = ["--program", str(program), "--database", str(database), "--cycle-cap", "5"]
         assert main(["classify", *argv]) == EXIT_CAP
         assert main(["reason", *argv]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "command, cap",
+        [("classify", "--window-cap"), ("oracle", "--window-cap"), ("oracle", "--cycle-cap")],
+    )
+    def test_caps_a_command_does_not_read_are_rejected(self, paths, capsys, command, cap):
+        program, database = paths
+        argv = [command, "--program", program, "--database", database, cap, "5"]
+        if command == "oracle":
+            argv += ["--horizon", "10"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        assert f"unrecognized arguments: {cap} 5" in capsys.readouterr().err
 
     def test_zero_denominator_in_database_exits_2(self, tmp_path, capsys):
         program = tmp_path / "p.dmtl"

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from chronolog.analysis import pattern_length
+from chronolog.analysis import dependency_graph, pattern_length
 from chronolog.errors import InputError, NotForwardPropagating, WindowCapExceeded
 from chronolog.intervals import NEG_INF, POS_INF, Interval, IntervalSet, to_time, parse_interval
 from chronolog.reasoner import (
@@ -12,7 +12,6 @@ from chronolog.reasoner import (
     Pattern,
     PeriodicModel,
     check_horizon,
-    extend,
     freeze,
     group_and_sort,
     max_time_point,
@@ -162,6 +161,30 @@ class TestGroupAndSort:
         order = [sorted(g.predicates) for g in groups]
         assert order.index(["S"]) < order.index(["T"])
 
+    def test_rules_in_program_order_and_exactly_the_inner_edges(self):
+        p = parse_program(
+            "B -> A .\n"
+            "diamondminus[1,1] A -> B .\n"
+            "C -> A .\n"
+            "A -> D .\n"
+            "boxminus[2,2] B -> A .\n"
+        )
+        groups = group_and_sort(p)
+        assert [sorted(g.predicates) for g in groups] == [["A", "B"], ["D"]]
+        cycle, tail = groups
+        assert [r.id for r in cycle.rules] == ["r1", "r2", "r3", "r5"]
+        assert [r.id for r in tail.rules] == ["r4"]
+        edges = dependency_graph(p).edges
+        for group in groups:
+            assert group.edges == tuple(
+                e for e in edges
+                if e.source in group.predicates and e.target in group.predicates
+            )
+        assert [(e.source, e.target, e.rule_id) for e in cycle.edges] == [
+            ("B", "A", "r1"), ("A", "B", "r2"), ("B", "A", "r5"),
+        ]
+        assert tail.edges == ()
+
 
 class TestFreeze:
     def test_documented_window(self):
@@ -200,20 +223,18 @@ class TestFreeze:
         assert [p.atom for p in patterns] == [Atom("A")]
 
 
-class TestExtend:
-    def test_extend_unrolls_into_window(self):
+class TestOccurrences:
+    def test_unrolls_into_window(self):
         pat = Pattern(Atom("A"), iv("[0,1]"), 1, F(7))
-        out = extend([pat], iv("[14,21)"))
-        assert out.get(Atom("A")) == IntervalSet.of(iv("[14,15]"))
+        assert list(occurrences(pat, iv("[14,21)"))) == [iv("[14,15]")]
 
-    def test_extend_respects_start_index(self):
+    def test_respects_start_index(self):
         pat = Pattern(Atom("A"), iv("[0,1]"), 2, F(7))
-        assert extend([pat], iv("[7,14)")).is_empty
+        assert list(occurrences(pat, iv("[7,14)"))) == []
 
-    def test_extend_includes_straddling_occurrences(self):
+    def test_clips_straddling_occurrences(self):
         pat = Pattern(Atom("A"), iv("[5,8]"), 0, F(7))
-        out = extend([pat], iv("[7,14)"))
-        assert out.get(Atom("A")) == IntervalSet.of(iv("[5,8]"), iv("[12,15]"))
+        assert list(occurrences(pat, iv("[7,14)"))) == [iv("[7,8]"), iv("[12,14)")]
 
 
 class TestReason:
@@ -256,6 +277,18 @@ class TestReason:
     def test_rejects_database_unbounded_below(self):
         with pytest.raises(InputError):
             reason(parse_program(WORKED_EXAMPLE), model_of("A@(-inf,1]."))
+
+    def test_infinite_shift_edge_splits_the_group(self):
+        # boxminus[3,inf) never fires: without its edge A's self-loop is
+        # the only cycle, so the group's step is 2, not the gcd with B's
+        program = parse_program(
+            "boxminus[3,inf) A -> B .\nB -> A .\ndiamondminus[2,2] A -> A ."
+        )
+        database = model_of("A@[0,0].\nB@[1,1].")
+        pm = reason(program, database)
+        assert pm.period == 2
+        horizon = check_horizon(pm, database)
+        assert pm.unroll(horizon) == naive_fixpoint_bounded(program, database, horizon)
 
     def test_window_cap_is_a_diagnostic_error(self):
         with pytest.raises(WindowCapExceeded):

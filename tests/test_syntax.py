@@ -21,6 +21,7 @@ from chronolog.syntax import (
     Until,
     Variable,
     _substitute,
+    _tokenize,
     body_atoms,
     ground,
     head_atoms,
@@ -69,6 +70,19 @@ class TestParseProgram:
     def test_comments_and_whitespace(self):
         p = parse_program("% intro\nA -> B . % trailing\n\n% done\n")
         assert len(p.rules) == 1
+
+    def test_tokens_carry_kind_unit_and_position(self):
+        tokens = _tokenize("% note\n  diamondminus[12h,2] A -> B .")
+        first, _, number, _, plain = tokens[:5]
+        assert (first.kind, first.text, first.line, first.col) == ("IDENT", "diamondminus", 2, 3)
+        assert (number.kind, number.text, number.unit) == ("NUMBER", "12", "h")
+        assert (number.line, number.col) == (2, 16)
+        assert (plain.kind, plain.text, plain.unit) == ("NUMBER", "2", None)
+        assert [t.kind for t in tokens[5:]] == ["PUNCT", "IDENT", "ARROW", "IDENT", "PUNCT", "EOF"]
+
+    def test_parse_error_position_after_a_comment(self):
+        with pytest.raises(ParseError, match="^2:6:"):
+            parse_program("% A -> B .\nA -> ; .")
 
     def test_quoted_constants(self):
         p = parse_program("Route('New York') -> Covered .")
