@@ -10,12 +10,11 @@ moves an interval's left endpoint into the future).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
 from fractions import Fraction
-
-import networkx as nx
 
 from .errors import CycleCapExceeded, InputError
 from .intervals import POS_INF, Interval, Time, lcm_rationals, plus, to_time
@@ -63,13 +62,123 @@ class DepGraph:
         comes after every component with an edge into it, and of two
         components free to go next the one with the smaller sorted member
         list goes first."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from((e.source, e.target) for e in self.edges)
-        cond = nx.condensation(g)
-        members = {c: tuple(sorted(cond.nodes[c]["members"])) for c in cond}
-        order = nx.lexicographical_topological_sort(cond, key=members.__getitem__)
-        return tuple(frozenset(members[c]) for c in order)
+        succ: dict[str, list[str]] = {node: [] for node in self.nodes}
+        for e in self.edges:
+            succ[e.source].append(e.target)
+        members = [tuple(sorted(c)) for c in _sccs(succ)]
+        scc_of = {node: i for i, c in enumerate(members) for node in c}
+        later: list[list[int]] = [[] for _ in members]
+        indegree = [0] * len(members)
+        for e in self.edges:
+            a, b = scc_of[e.source], scc_of[e.target]
+            if a != b:
+                later[a].append(b)
+                indegree[b] += 1
+        # Kahn's sort, always taking the ready component of smallest key
+        ready = [(c, i) for i, c in enumerate(members) if not indegree[i]]
+        heapq.heapify(ready)
+        order: list[frozenset[str]] = []
+        while ready:
+            c, i = heapq.heappop(ready)
+            order.append(frozenset(c))
+            for j in later[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    heapq.heappush(ready, (members[j], j))
+        return tuple(order)
+
+
+def _sccs(succ: dict) -> list[list]:
+    """The strongly connected components of the graph with successor
+    lists ``succ`` (every node a key), by Tarjan's algorithm, each after
+    every component it has an edge into. Iterative: a dependency chain
+    may be far deeper than the recursion limit."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    found: list[list] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.remove(w)
+                        component.append(w)
+                        if w == v:
+                            break
+                    found.append(component)
+    return found
+
+
+def _circuits(succ: dict[int, list[int]]):
+    """Yield every elementary circuit of the graph with successor lists
+    ``succ`` (no self-loops) as its list of nodes, by Johnson's algorithm:
+    in each strongly connected component, the circuits through one node,
+    found by a search whose dead ends stay blocked until a circuit frees
+    them; then the same for the components left once that node is gone.
+    Iterative, like ``_sccs``."""
+    pending = [c for c in _sccs(succ) if len(c) > 1]
+    while pending:
+        component = pending.pop()
+        inside = set(component)
+        sub = {v: [w for w in succ[v] if w in inside] for v in component}
+        start = component[0]
+        path, closed = [start], [False]
+        blocked = {start}
+        blocked_by: dict[int, set[int]] = {v: set() for v in component}
+        stack = [iter(sub[start])]
+        while stack:
+            for w in stack[-1]:
+                if w == start:
+                    yield path[:]
+                    closed[-1] = True
+                elif w not in blocked:
+                    path.append(w)
+                    closed.append(False)
+                    blocked.add(w)
+                    stack.append(iter(sub[w]))
+                    break
+            else:
+                stack.pop()
+                v = path.pop()
+                if closed.pop():
+                    if closed:
+                        closed[-1] = True
+                    release = [v]
+                    while release:
+                        u = release.pop()
+                        if u in blocked:
+                            blocked.remove(u)
+                            release.extend(blocked_by[u])
+                            blocked_by[u].clear()
+                else:
+                    for w in sub[v]:
+                        blocked_by[w].add(v)
+        rest = {v: [w for w in sub[v] if w != start] for v in component if v != start}
+        pending.extend(c for c in _sccs(rest) if len(c) > 1)
 
 
 def _edge_labels(rule: Rule) -> tuple[bool, Interval, Time]:
@@ -142,17 +251,19 @@ def _edge_cycles(graph: DepGraph, cap: int) -> list[Cycle]:
 
     Parallel edges matter here (two self-loops with different shifts are
     two cycles), so every edge is subdivided through a unique midpoint
-    node before running the node-level circuit enumeration.
+    node before running the node-level circuit enumeration: predicate
+    ``k`` of ``graph.nodes`` is node ``k`` and edge ``idx`` is node
+    ``len(graph.nodes) + idx``.
     """
-    g = nx.DiGraph()
-    for node in graph.nodes:
-        g.add_node(("p", node))
+    n = len(graph.nodes)
+    position = {node: k for k, node in enumerate(graph.nodes)}
+    succ: dict[int, list[int]] = {k: [] for k in range(n)}
     for idx, e in enumerate(graph.edges):
-        g.add_edge(("p", e.source), ("e", idx))
-        g.add_edge(("e", idx), ("p", e.target))
+        succ[position[e.source]].append(n + idx)
+        succ[n + idx] = [position[e.target]]
     cycles: list[Cycle] = []
-    for cyc in nx.simple_cycles(g):
-        idxs = [n[1] for n in cyc if n[0] == "e"]
+    for cyc in _circuits(succ):
+        idxs = [v - n for v in cyc if v >= n]
         first = idxs.index(min(idxs))
         idxs = idxs[first:] + idxs[:first]
         cycles.append(Cycle(tuple(graph.edges[i] for i in idxs)))

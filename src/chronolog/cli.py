@@ -8,6 +8,7 @@ differences), 2 input error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -179,7 +180,10 @@ def cmd_check(args) -> int:
     return EXIT_OK if not differences else EXIT_FALSE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves
+    it unchanged, and building it costs far more than parsing."""
     parser = argparse.ArgumentParser(
         prog="chronolog",
         description="DatalogMTL reasoning over finite model representations",
@@ -247,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceeded as exc:

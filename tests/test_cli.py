@@ -1,12 +1,16 @@
 """Command-line interface: verdicts, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from chronolog.cli import EXIT_CAP, EXIT_FALSE, EXIT_INPUT, EXIT_OK, main
+import chronolog
+from chronolog.cli import EXIT_CAP, EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
 from chronolog.intervals import parse_interval
 from chronolog.reasoner import Model, Pattern, PeriodicModel
 from chronolog.syntax import Atom
@@ -362,3 +366,49 @@ class TestExitCodes:
         program, database = paths
         with pytest.raises(ValueError, match="internal"):
             main(["reason", "--program", program, "--database", database])
+
+
+class TestProcess:
+    def test_a_reused_parser_prints_what_fresh_ones_print(self, paths, capsys):
+        program, database = paths
+        calls = [
+            ["classify", "--program", program, "--format", "json"],
+            ["reason", "--program", program, "--database", database, "--window-cap", "0"],
+            ["reason", "--program", program, "--database", database],
+            ["check", "--program", program, "--database", database, "--format", "json"],
+            ["classify", "--program", program, "--database", database],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        assert build_parser() is build_parser()
+        reused = [outcome(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_INPUT, EXIT_OK, EXIT_OK, EXIT_OK]
+
+    def test_commands_do_not_import_networkx(self):
+        program, database = FIXTURES / "weekly.dmtl", FIXTURES / "weekly.db"
+        code = (
+            "import sys\n"
+            "from chronolog.cli import main\n"
+            f"assert main(['classify', '--program', {str(program)!r}]) == 0\n"
+            f"assert main(['check', '--program', {str(program)!r},"
+            f" '--database', {str(database)!r}]) == 0\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        )
+        src = Path(chronolog.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
