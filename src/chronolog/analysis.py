@@ -24,11 +24,8 @@ from .syntax import (
     Program,
     Rule,
     Since,
-    Until,
-    FP_FORMS,
     body_atoms,
-    literal_contains_top,
-    literal_intervals,
+    is_forward_propagating,
     rule_form,
 )
 
@@ -86,6 +83,11 @@ class DepGraph:
                 if not indegree[j]:
                     heapq.heappush(ready, (members[j], j))
         return tuple(order)
+
+    @cached_property
+    def scc_of(self) -> dict[str, int]:
+        """Each node's index in ``components``."""
+        return {node: i for i, members in enumerate(self.components) for node in members}
 
 
 def _sccs(succ: dict) -> list[list]:
@@ -193,11 +195,9 @@ def _edge_labels(rule: Rule) -> tuple[bool, Interval, Time]:
         return True, lit.rho, lit.rho.lo
     if isinstance(lit, BoxMinus):
         return True, lit.rho, lit.rho.hi
-    if isinstance(lit, (Since,)):
+    if isinstance(lit, Since):
         return True, lit.rho, 0
-    if isinstance(lit, Until):
-        return True, lit.rho.negate(), 0
-    # forward unary operators: diamondplus / boxplus
+    # the forward operators: diamondplus, boxplus, until
     return True, lit.rho.negate(), 0
 
 
@@ -276,31 +276,31 @@ def _edge_cycles(graph: DepGraph, cap: int) -> list[Cycle]:
 def simple_cycles(
     graph: DepGraph, cycle_cap: int = DEFAULT_CYCLE_CAP
 ) -> dict[frozenset[str], list[Cycle]]:
-    """All elementary cycles, grouped by the SCC they live in, the SCCs in
-    dependency order."""
-    sccs = graph.components
-    scc_of = {node: i for i, members in enumerate(sccs) for node in members}
-    inner: list[list[Edge]] = [[] for _ in sccs]
-    for e in graph.edges:
-        if scc_of[e.source] == scc_of[e.target]:
-            inner[scc_of[e.source]].append(e)
-    return {
-        members: _edge_cycles(DepGraph(tuple(sorted(members)), tuple(edges)), cycle_cap)
-        for members, edges in zip(sccs, inner)
-    }
+    """All elementary cycles, at most ``cycle_cap`` in total, grouped by
+    the SCC they live in, the SCCs in dependency order."""
+    per_scc: list[list[Cycle]] = [[] for _ in graph.components]
+    for cycle in _edge_cycles(graph, cycle_cap):
+        per_scc[graph.scc_of[cycle.edges[0].source]].append(cycle)
+    return dict(zip(graph.components, per_scc))
+
+
+def _shift_lcm(cycles: list[Cycle]) -> int | Fraction:
+    """The lcm of the cycles' positive finite shift sums, 1 when none."""
+    sums = [s for c in cycles if 0 < (s := c.shift_sum) < POS_INF]
+    return lcm_rationals(sums) if sums else 1
 
 
 def pattern_length(program: Program, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int | Fraction:
-    """Length of the repetition pattern of a forward-propagating program.
+    """Length of the repetition pattern of a forward-propagating program:
+    the lcm of the positive finite shift sums of its simple cycles (1
+    when there are none).
 
-    Per SCC: collect the finite shift sums of its simple cycles and take
-    the lcm of the positive ones (1 when there are none). The overall
-    length is the lcm across SCCs. The result is computed on predicates,
-    so grounding does not change it, and for a program with constants it
-    need not be a period of the model: a cycle of ground atoms through
-    several constants can be longer than every predicate cycle. On
-    ``tests/fixtures/reach_join`` (``Reach(a) -> Open(a) -> Reach(b) ->
-    Open(b) -> Reach(a)``) the length is 3 and the model's period is 6.
+    The result is computed on predicates, so grounding does not change
+    it, and for a program with constants it need not be a period of the
+    model: a cycle of ground atoms through several constants can be
+    longer than every predicate cycle. On ``tests/fixtures/reach_join``
+    (``Reach(a) -> Open(a) -> Reach(b) -> Open(b) -> Reach(a)``) the
+    length is 3 and the model's period is 6.
 
     Edges that differ only in their rule (the ground instances of one
     rule, say) are enumerated once: a cycle's shift sum depends only on
@@ -309,25 +309,16 @@ def pattern_length(program: Program, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int 
     """
     if not program.is_normal_form:
         raise InputError("pattern length requires a normal-form program")
-    if not all(rule_form(r) in FP_FORMS for r in program.rules):
+    if not is_forward_propagating(program):
         raise InputError("pattern length is defined for forward-propagating programs")
-    return _pattern_length(dependency_graph(program), cycle_cap)
-
-
-def _pattern_length(graph: DepGraph, cycle_cap: int) -> int | Fraction:
-    """``pattern_length`` of the forward-propagating program with this
-    dependency graph."""
+    graph = dependency_graph(program)
     by_label: dict[tuple, Edge] = {}
     for e in graph.edges:
         by_label.setdefault(
             (e.source, e.target, e.special, e.interval_label, e.shift_label), e
         )
-    graph = DepGraph(graph.nodes, tuple(by_label.values()))
-    lengths: list[int | Fraction] = []
-    for cycles in simple_cycles(graph, cycle_cap).values():
-        sums = [s for c in cycles if 0 < (s := c.shift_sum) < POS_INF]
-        lengths.append(lcm_rationals(sums) if sums else 1)
-    return lcm_rationals(lengths) if lengths else 1
+    distinct = DepGraph(graph.nodes, tuple(by_label.values()))
+    return _shift_lcm(_edge_cycles(distinct, cycle_cap))
 
 
 def max_applications(t1: int | Fraction, t2: int | Fraction) -> int:
@@ -368,14 +359,11 @@ def fragment_checks(program: Program, graph: DepGraph | None = None) -> Fragment
     """
     if not program.is_normal_form:
         raise InputError("fragment checks require a normal-form program")
-    bounded = not program.axioms
-    for rule in program.rules:
-        for lit in rule.body + (rule.head,):
-            if literal_contains_top(lit):
-                bounded = False
-            for rho in literal_intervals(lit):
-                if not rho.is_bounded:
-                    bounded = False
+    # a normal-form rule has no `top` and no operator but its body's one
+    # temporal literal
+    bounded = not program.axioms and all(
+        rule_form(r) == 1 or r.body[0].rho.is_bounded for r in program.rules
+    )
 
     ground = program.is_ground
     heads = [rule.head if ground else rule.head.predicate for rule in program.rules]
@@ -383,7 +371,7 @@ def fragment_checks(program: Program, graph: DepGraph | None = None) -> Fragment
 
     if graph is None:
         graph = dependency_graph(program)
-    scc_of = {node: i for i, members in enumerate(graph.components) for node in members}
+    scc_of = graph.scc_of
     scc_special = {
         scc_of[e.source]
         for e in graph.edges
@@ -401,13 +389,13 @@ def fragment_checks(program: Program, graph: DepGraph | None = None) -> Fragment
         if len(recursive) > 1:
             temporal_linear = False
 
-    forward = all(rule_form(r) in FP_FORMS for r in program.rules)
-    return FragmentFlags(bounded, union_free, temporal_linear, forward)
+    return FragmentFlags(
+        bounded, union_free, temporal_linear, is_forward_propagating(program)
+    )
 
 
 @dataclass(frozen=True)
-class FragmentReport:
-    flags: FragmentFlags
+class FragmentReport(FragmentFlags):
     rule_classes: dict[str, RuleClass]
     finite_nodes: dict[str, str]  # node -> marking case "i".."iv"
     harmless_program: bool
@@ -415,22 +403,6 @@ class FragmentReport:
     cycles: list[Cycle]
     nodes: tuple[str, ...]  # the dependency graph's nodes
     warning: str | None = None
-
-    @property
-    def bounded(self) -> bool:
-        return self.flags.bounded
-
-    @property
-    def union_free(self) -> bool:
-        return self.flags.union_free
-
-    @property
-    def temporal_linear(self) -> bool:
-        return self.flags.temporal_linear
-
-    @property
-    def forward_propagating(self) -> bool:
-        return self.flags.forward_propagating
 
 
 def _finite_marking(
@@ -506,9 +478,7 @@ def _finite_marking(
 
         kept = tuple(e for e in graph.edges if survives(e))
         reduced = DepGraph(tuple(n for n in graph.nodes if n not in finite), kept)
-        scc_of = {
-            node: i for i, members in enumerate(reduced.components) for node in members
-        }
+        scc_of = reduced.scc_of
         failed = {scc_of[e.target] for e in kept if scc_of[e.source] != scc_of[e.target]}
         failed.update(
             scc_of[c.edges[0].source]
@@ -550,8 +520,7 @@ def classify_rules(
         raise InputError("classification requires a normal-form program")
     graph = dependency_graph(program)
     flags = fragment_checks(program, graph)
-    per_scc = simple_cycles(graph, cycle_cap)
-    all_cycles = [c for cycles in per_scc.values() for c in cycles]
+    all_cycles = [c for cycles in simple_cycles(graph, cycle_cap).values() for c in cycles]
 
     warning = None
     if flags.bounded:
@@ -575,16 +544,12 @@ def classify_rules(
         else:
             classes[rule.id] = RuleClass.DANGEROUS
 
-    harmless = all(c is RuleClass.HARMLESS for c in classes.values())
-    plength = None
-    if flags.forward_propagating:
-        plength = _pattern_length(graph, cycle_cap)
     return FragmentReport(
-        flags=flags,
+        **vars(flags),
         rule_classes=classes,
         finite_nodes=finite,
-        harmless_program=harmless,
-        pattern_len=plength,
+        harmless_program=all(c is RuleClass.HARMLESS for c in classes.values()),
+        pattern_len=_shift_lcm(all_cycles) if flags.forward_propagating else None,
         cycles=all_cycles,
         nodes=graph.nodes,
         warning=warning,

@@ -8,6 +8,7 @@ differences), 2 input error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -75,9 +76,10 @@ def cmd_classify(args) -> int:
     database = _load_database(args) if args.database else None
     report = analysis.classify_rules(program, database, cycle_cap=args.cycle_cap)
 
-    lines = ["fragments:"]
-    for name in ("bounded", "union_free", "temporal_linear", "forward_propagating"):
-        lines.append(f"  {name}: {getattr(report, name)}")
+    fragments = {
+        f.name: getattr(report, f.name) for f in dataclasses.fields(analysis.FragmentFlags)
+    }
+    lines = ["fragments:"] + [f"  {name}: {value}" for name, value in fragments.items()]
     lines.append(f"  harmless_program: {report.harmless_program}")
     if report.pattern_len is not None:
         lines.append(f"  pattern_length: {report.pattern_len}")
@@ -97,12 +99,7 @@ def cmd_classify(args) -> int:
         lines.append(f"  {rule.id}: {report.rule_classes[rule.id].value}  {rule}")
 
     structured = {
-        "fragments": {
-            "bounded": report.bounded,
-            "union_free": report.union_free,
-            "temporal_linear": report.temporal_linear,
-            "forward_propagating": report.forward_propagating,
-        },
+        "fragments": fragments,
         "harmless_program": report.harmless_program,
         "pattern_length": str(report.pattern_len) if report.pattern_len is not None else None,
         "warning": report.warning,

@@ -47,8 +47,8 @@ from .syntax import (
     Program,
     Rule,
     Top,
-    FP_FORMS,
     body_atoms,
+    is_forward_propagating,
     rule_form,
 )
 
@@ -312,8 +312,8 @@ def naive_fixpoint_bounded(
     ``horizon`` is shorthand for the window ``(-inf, horizon]``. With no
     window at all the fixpoint must be naturally finite (harmless
     programs); the step cap turns runaway derivations into a diagnostic
-    error. Supports nested diamondminus/boxminus bodies and box heads;
-    forward operators and since/until are rejected.
+    error. Evaluates diamondminus/boxminus/diamondplus/boxplus bodies,
+    nested too, and box heads; only since/until are rejected.
     """
     if horizon is not None:
         if window is not None:
@@ -324,9 +324,7 @@ def naive_fixpoint_bounded(
         model.add_set(atom, ivs)
     if window is not None:
         model = model.restrict(window)
-    if program.is_normal_form and program.is_ground and all(
-        rule_form(r) in FP_FORMS for r in program.rules
-    ):
+    if program.is_normal_form and program.is_ground and is_forward_propagating(program):
         return _oracle_worklist(program, model, window, step_cap)
     return _oracle_rounds(program, model, window, step_cap)
 
@@ -386,7 +384,7 @@ def group_and_sort(program: Program) -> list[RuleGroup]:
     Groups whose SCC has no rules (database-only predicates) are omitted.
     """
     graph = dependency_graph(program)
-    scc_of = {node: i for i, members in enumerate(graph.components) for node in members}
+    scc_of = graph.scc_of
     rules: list[list[Rule]] = [[] for _ in graph.components]
     edges: list[list[Edge]] = [[] for _ in graph.components]
     for rule in program.rules:
@@ -820,7 +818,7 @@ def reason(
         raise InputError("reason requires a normal-form program")
     if not program.is_ground:
         raise InputError("reason requires a ground program (see ground())")
-    if not all(rule_form(r) in FP_FORMS for r in program.rules):
+    if not is_forward_propagating(program):
         raise NotForwardPropagating(
             "reason supports only Horn, boxminus, and diamondminus rules"
         )

@@ -188,7 +188,6 @@ def _operand_text(lit: Literal) -> str:
 
 
 UNARY_OPS = (BoxMinus, BoxPlus, DiamondMinus, DiamondPlus)
-BACKWARD_OPS = (BoxPlus, DiamondPlus, Until)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,26 +262,6 @@ def literal_atoms(lit: Literal) -> Iterator[Atom]:
     elif isinstance(lit, (Since, Until)):
         yield from literal_atoms(lit.left)
         yield from literal_atoms(lit.right)
-
-
-def literal_intervals(lit: Literal) -> Iterator[Interval]:
-    if isinstance(lit, UNARY_OPS):
-        yield lit.rho
-        yield from literal_intervals(lit.inner)
-    elif isinstance(lit, (Since, Until)):
-        yield lit.rho
-        yield from literal_intervals(lit.left)
-        yield from literal_intervals(lit.right)
-
-
-def literal_contains_top(lit: Literal) -> bool:
-    if isinstance(lit, Top):
-        return True
-    if isinstance(lit, UNARY_OPS):
-        return literal_contains_top(lit.inner)
-    if isinstance(lit, (Since, Until)):
-        return literal_contains_top(lit.left) or literal_contains_top(lit.right)
-    return False
 
 
 def body_atoms(rule: Rule) -> list[Atom]:

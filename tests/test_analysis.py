@@ -28,12 +28,14 @@ from chronolog.syntax import (
     Program,
     body_atoms,
     ground,
+    is_forward_propagating,
     parse_database,
     parse_program,
     to_normal_form,
 )
-from test_acceptance import _random_fp_program
+from test_acceptance import _random_fp_program, _random_linear_diamond
 from test_reasoner import _random_nested_program
+from test_syntax import _random_nonground_program
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -127,6 +129,8 @@ class TestComponents:
         monkeypatch.setattr(analysis, "_sccs", counted)
         first = g.components
         assert g.components is first
+        assert g.scc_of is g.scc_of
+        assert g.scc_of == {n: i for i, c in enumerate(first) for n in c}
         simple_cycles(g)
         fragment_checks(parse_program(FIGURE_PROGRAM), g)
         assert calls == 1
@@ -444,8 +448,8 @@ class TestFiniteMarking:
         report = classify_rules(program, database)
 
         assert report.finite_nodes == {"P": "i", "Q": "i", "R": "ii"}
-        assert edge_cycle_callers
-        assert all(callers == ("simple_cycles",) for callers in edge_cycle_callers)
+        # one enumeration of the whole graph, not one per SCC
+        assert edge_cycle_callers == [("simple_cycles",)]
         assert 0 < marking_sccs <= 3
 
 
@@ -490,6 +494,9 @@ class TestFragmentChecks:
         assert not fragment_checks(to_normal_form(parse_program("top -> B ."))).bounded
         # a vacuous `top` conjunct normalizes away and stays bounded
         assert fragment_checks(to_normal_form(parse_program("top, A -> B ."))).bounded
+        assert fragment_checks(parse_program("A until[1,2] B -> C .")).bounded
+        assert not fragment_checks(parse_program("A since[1,inf) B -> C .")).bounded
+        assert not fragment_checks(parse_program("boxplus[0,inf) A -> B .")).bounded
 
 
 class TestPatternLength:
@@ -542,6 +549,39 @@ class TestPatternLength:
             "diamondminus[1/2,1] A -> B .\ndiamondminus[1/4,1] B -> A ."
         )
         assert pattern_length(program) == F(3, 4)
+
+    def test_fraction_length_ignores_sccs_without_cycles(self):
+        # C has no cycle and imposes nothing: the length stays 3/4, the
+        # model's period, rather than lcm(3/4, 1) = 3
+        program = parse_program(
+            "diamondminus[1/2,1] A -> B .\ndiamondminus[1/4,1] B -> A .\nA -> C ."
+        )
+        assert pattern_length(program) == classify_rules(program).pattern_len == F(3, 4)
+        database = parse_database("A@[0,0].")
+        assert reason(program, database).period == F(3, 4)
+
+    def test_classify_agrees_with_the_deduplicated_graph(self):
+        """``classify_rules`` takes the length from every cycle of the
+        program's graph, ``pattern_length`` from a graph with one edge per
+        label: the two agree on random forward-propagating programs."""
+        rng = random.Random(11)
+        makers = (
+            _random_fp_program,
+            _random_nested_program,
+            _random_linear_diamond,
+            lambda rng: _random_nonground_program(rng, rich=True),
+        )
+        for make in makers:
+            compared = 0
+            for _ in range(300):
+                text, db_text = make(rng)
+                program = to_normal_form(parse_program(text))
+                if not is_forward_propagating(program):
+                    continue
+                for p in (program, ground(program, parse_database(db_text))):
+                    assert classify_rules(p).pattern_len == pattern_length(p), text
+                compared += 1
+            assert compared >= 100, make
 
     def test_divisible_by_every_scc_length(self):
         program = parse_program(

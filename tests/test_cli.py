@@ -322,6 +322,22 @@ class TestExitCodes:
         assert main(["classify", *argv]) == EXIT_CAP
         assert main(["reason", *argv]) == EXIT_OK
 
+    def test_cycle_cap_bounds_the_total_over_all_sccs(self, tmp_path, capsys):
+        # A <-> B and C <-> D, each node with a diamondminus self-loop: 3
+        # cycles per SCC, 6 in all
+        program = tmp_path / "two_sccs.dmtl"
+        program.write_text("".join(
+            f"{a} -> {b} .\n{b} -> {a} .\n"
+            f"diamondminus[1,1] {a} -> {a} .\ndiamondminus[1,1] {b} -> {b} .\n"
+            for a, b in (("A", "B"), ("C", "D"))
+        ))
+        argv = ["classify", "--program", str(program), "--format", "json", "--cycle-cap"]
+        assert main([*argv, "4"]) == EXIT_CAP
+        assert "more than 4 simple cycles" in capsys.readouterr().err
+        code, out = run(capsys, *argv, "6")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["cycles"]) == 6
+
     @pytest.mark.parametrize(
         "command, cap",
         [("classify", "--window-cap"), ("oracle", "--window-cap"), ("oracle", "--cycle-cap")],

@@ -123,6 +123,10 @@ class TestOracle:
         m = naive_fixpoint_bounded(p, model_of("X@[0,1]."))
         assert m.get(Atom("Y")) == IntervalSet.of(iv("[1,3]"))
         assert m.get(Atom("Z")) == IntervalSet.of(iv("[1,3]"))
+        # a forward operator in the body is evaluated too
+        p = parse_program("diamondplus[1,2] A -> B .")
+        m = naive_fixpoint_bounded(p, model_of("A@[5,6]."))
+        assert m.get(Atom("B")) == IntervalSet.of(iv("[3,5]"))
 
     def test_ground_unary_program(self):
         p = ground(parse_program("A(X) -> B(X) ."), model_of("A(c)@[0,2]."))
