@@ -20,9 +20,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .analysis import DEFAULT_CYCLE_CAP, Edge, dependency_graph
+from .analysis import DEFAULT_CYCLE_CAP, Edge, _sccs, dependency_graph
 from .errors import InputError, NotForwardPropagating, StepCapExceeded, WindowCapExceeded
 from .intervals import (
     Interval,
@@ -304,21 +304,17 @@ def naive_fixpoint_bounded(
     database: Model,
     horizon: int | Fraction | None = None,
     *,
-    window: Interval | None = None,
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> Model:
-    """Least fixpoint with every derived interval clipped to a window.
+    """Least fixpoint with every derived interval clipped to the window
+    ``(-inf, horizon]``.
 
-    ``horizon`` is shorthand for the window ``(-inf, horizon]``. With no
-    window at all the fixpoint must be naturally finite (harmless
+    With no horizon the fixpoint must be naturally finite (harmless
     programs); the step cap turns runaway derivations into a diagnostic
     error. Evaluates diamondminus/boxminus/diamondplus/boxplus bodies,
     nested too, and box heads; only since/until are rejected.
     """
-    if horizon is not None:
-        if window is not None:
-            raise ValueError("pass either horizon or window, not both")
-        window = Interval.up_to(horizon)
+    window = None if horizon is None else Interval.up_to(horizon)
     model = Model.from_facts(program.axioms)
     for atom, ivs in database.items():
         model.add_set(atom, ivs)
@@ -451,18 +447,41 @@ def occurrences(pattern: Pattern, window: Interval) -> Iterator[Interval]:
             yield hit
 
 
+def _coverage(
+    facts: Model, by_atom: Mapping[Atom, Sequence[Pattern]], atom: Atom, window: Interval
+) -> IntervalSet:
+    """Exact point set of ``atom`` within a window bounded above: its facts
+    and the occurrences of its patterns (``by_atom`` indexes them by
+    atom), clipped to the window."""
+    clipped = facts.get(atom).clip(window)
+    hits = [hit for pat in by_atom.get(atom, ()) for hit in occurrences(pat, window)]
+    if not hits:
+        return clipped
+    return IntervalSet.from_iterable([*clipped, *hits])
+
+
 @dataclass(frozen=True)
 class PeriodicModel:
     """Finite representation of a possibly infinite model.
 
     ``facts`` holds the aperiodic prefix plus rays; ``patterns`` repeat
     forever with ``period``. Behavior is patterned from ``horizon`` on.
+    The patterns are indexed by atom once, for ``_coverage``.
     """
 
     facts: Model
     patterns: tuple[Pattern, ...]
     period: int | Fraction
     horizon: int | Fraction
+    _by_atom: dict[Atom, tuple[Pattern, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_atom: dict[Atom, list[Pattern]] = {}
+        for pat in self.patterns:
+            by_atom.setdefault(pat.atom, []).append(pat)
+        object.__setattr__(
+            self, "_by_atom", {atom: tuple(pats) for atom, pats in by_atom.items()}
+        )
 
     def representation_type(self) -> str:
         if not self.patterns:
@@ -473,29 +492,19 @@ class PeriodicModel:
         return "periodic"
 
     def atoms(self) -> list[Atom]:
-        out = {a: None for a in self.facts.atoms()}
-        for p in self.patterns:
-            out.setdefault(p.atom, None)
-        return sorted(out, key=_atom_key)
+        return sorted({*self.facts.atoms(), *self._by_atom}, key=_atom_key)
 
     def unroll(self, hi: int | Fraction) -> Model:
         """Materialize the represented model over ``(-inf, hi]``."""
         window = Interval.up_to(hi)
         out = self.facts.restrict(window)
-        unrolled: dict[Atom, list[Interval]] = {}
-        for pat in self.patterns:
-            unrolled.setdefault(pat.atom, []).extend(occurrences(pat, window))
-        for atom, pieces in unrolled.items():
-            out.add_set(atom, IntervalSet.from_iterable(pieces))
+        for atom in self._by_atom:
+            out.put(atom, self.coverage(atom, window))
         return out
 
     def coverage(self, atom: Atom, window: Interval) -> IntervalSet:
         """Exact point set of ``atom`` within a bounded-above window."""
-        pieces = list(self.facts.get(atom).clip(window))
-        for pat in self.patterns:
-            if pat.atom == atom:
-                pieces.extend(occurrences(pat, window))
-        return IntervalSet.from_iterable(pieces)
+        return _coverage(self.facts, self._by_atom, atom, window)
 
     def entails(self, fact: Fact) -> bool:
         """Does every model of the program and database satisfy ``fact``?
@@ -513,8 +522,7 @@ class PeriodicModel:
         anchors = [self.horizon, 0, *self.facts.finite_endpoints()]
         if query.lo != NEG_INF:
             anchors.append(query.lo)
-        for pat in self.patterns:
-            anchors.append(pat.offset.hi + pat.period * pat.start_index)
+        anchors += [pat.first_occurrence().hi for pat in self.patterns]
         w = max(anchors)
         window = Interval(min(query.lo, w), w + self.period)
         cover = self.coverage(fact.atom, window)
@@ -565,47 +573,28 @@ def _derive_group(
     not to the square of the model size or to the group's rule count.
 
     Only the atoms the group's rule bodies read are looked at: their facts
-    and the occurrences of their earlier groups' patterns seed the first
-    round, clipped to the padded window ``[window.lo - padding,
-    window.hi)``, where the group's ``padding`` is the largest upper end
-    of its operator ranges. For a range bounded above the clip is exact:
-    a head point ``t`` in the window depends only on body points in
-    ``[t - rho.hi, t]``, which lie in the padded window, and a clipped
-    body piece still reaches every such ``t``. A range unbounded above
-    (``diamondminus[a,inf)`` or ``boxminus[a,inf)``) lets a fact from the
-    distant past reach the window (``diamondminus`` makes it a ray), so
-    then the padded window reaches back to ``-inf``.
+    and the occurrences of their earlier groups' patterns (``_coverage``)
+    seed the first round, clipped to the padded window ``[window.lo -
+    padding, window.hi)``, where the group's ``padding`` is the largest
+    upper end of its operator ranges. For a range bounded above the clip
+    is exact: a head point ``t`` in the window depends only on body
+    points in ``[t - rho.hi, t]``, which lie in the padded window, and a
+    clipped body piece still reaches every such ``t``. A range unbounded
+    above (``diamondminus[a,inf)`` or ``boxminus[a,inf)``) lets a fact
+    from the distant past reach the window (``diamondminus`` makes it a
+    ray), so then the padded window reaches back to ``-inf``. An atom
+    with patterns belongs to an earlier group and holds still for the
+    whole call, so joins read its seed; they read every other atom's
+    facts as they grow.
     """
     padded = Interval(
         plus(window.lo, -group.padding), window.hi, window.lo_open, window.hi_open
     )
-    unrolled = {
-        atom: [piece for pat in patterns.get(atom, ()) for piece in occurrences(pat, padded)]
-        for atom in group.by_body
-    }
-
-    def visible(atom: Atom) -> IntervalSet:
-        clipped = facts.get(atom).clip(padded)
-        if not unrolled[atom]:
-            return clipped
-        return IntervalSet.from_iterable([*clipped, *unrolled[atom]])
-
-    view: dict[Atom, IntervalSet] = {}
-
-    def full(atom: Atom) -> IntervalSet:
-        if not unrolled[atom]:
-            return facts.get(atom)  # joins bisect it; clipping would cost more
-        cached = view.get(atom)
-        if cached is None:
-            cached = view[atom] = visible(atom)
-        return cached
-
-    frontier = {
-        atom: seed for atom in group.by_body if not (seed := visible(atom)).is_empty
-    }
+    seeds = {atom: _coverage(facts, patterns, atom, padded) for atom in group.by_body}
+    frozen = {atom: seed for atom, seed in seeds.items() if atom in patterns}
+    frontier = {atom: seed for atom, seed in seeds.items() if not seed.is_empty}
     while frontier:
         fresh: dict[Atom, list[Interval]] = {}
-        view.clear()
         touched = sorted({i for atom in frontier for i in group.by_body.get(atom, ())})
         for i in touched:
             rule, form = group.rules[i], group.forms[i]
@@ -620,7 +609,9 @@ def _derive_group(
                         if part.is_empty:
                             break
                         if j != k:
-                            part = part.intersect(full(other))
+                            part = part.intersect(
+                                frozen[other] if other in frozen else facts.get(other)
+                            )
                     derived = derived.union(part)
             else:
                 lit = rule.body[0]
@@ -657,43 +648,29 @@ def _shift_gcd(group: RuleGroup) -> int | Fraction:
     shift sums. ``boxminus[a,inf)`` never fires, so its edges (shift
     ``inf``) are dropped and the group may fall apart into several parts.
     """
-    edges = [
-        (e.source, e.target, e.shift_label)
-        for e in group.edges
-        if e.shift_label != POS_INF
-    ]
     succ: dict[str, list[tuple[str, int | Fraction]]] = {}
-    pred: dict[str, list[str]] = {}
-    for u, v, w in edges:
-        succ.setdefault(u, []).append((v, w))
-        pred.setdefault(v, []).append(u)
+    for e in group.edges:
+        if e.shift_label != POS_INF:
+            succ.setdefault(e.source, []).append((e.target, e.shift_label))
+            succ.setdefault(e.target, [])
     # gcd(a/b, c/d) = gcd(a, c) / lcm(b, d) in lowest terms
     num, den = 0, 1
-    done: set[str] = set()
-    for root in sorted(succ):
-        if root in done:
-            continue
-        pot = {root: 0}
-        stack = [root]
+    for part in _sccs({u: [v for v, _ in out] for u, out in succ.items()}):
+        members = set(part)
+        pot = {part[0]: 0}
+        stack = [part[0]]
         while stack:
             u = stack.pop()
-            for v, w in succ.get(u, ()):
-                if v not in pot and v not in done:
+            for v, w in succ[u]:
+                if v in members and v not in pot:
                     pot[v] = pot[u] + w
                     stack.append(v)
-        part = {root}  # what the root reaches and is reached from
-        stack = [root]
-        while stack:
-            for u in pred.get(stack.pop(), ()):
-                if u in pot and u not in part:
-                    part.add(u)
-                    stack.append(u)
-        done |= part
-        for u, v, w in edges:
-            if u in part and v in part:
-                slack = abs(pot[u] + w - pot[v])
-                num = math.gcd(num, slack.numerator)
-                den = math.lcm(den, slack.denominator)
+        for u in part:
+            for v, w in succ[u]:
+                if v in members:
+                    slack = abs(pot[u] + w - pot[v])
+                    num = math.gcd(num, slack.numerator)
+                    den = math.lcm(den, slack.denominator)
     return num if den == 1 else Fraction(num, den)
 
 
@@ -704,6 +681,21 @@ def _first_point(atom: Atom, facts: Model, patterns: dict[Atom, list[Pattern]]):
     if pieces:
         ends.append(pieces[0].lo)
     return min(ends, default=None)
+
+
+def _slab(
+    facts: Model, atoms: Iterable[Atom], lo: int | Fraction, hi: int | Fraction
+) -> tuple:
+    """The facts of ``atoms`` on ``[lo, hi)`` shifted back by ``lo``: for
+    each atom that holds there, in the order of ``atoms``, the atom and
+    its pieces as ``(lo, hi, lo_open, hi_open)`` tuples, which hash and
+    compare without building intervals."""
+    window = Interval(lo, hi, False, True)
+    return tuple([
+        (atom, tuple([(p.lo - lo, p.hi - lo, p.lo_open, p.hi_open) for p in pieces]))
+        for atom in atoms
+        if (pieces := facts.get(atom).clip(window).pieces)
+    ])
 
 
 def freeze(
@@ -718,16 +710,16 @@ def freeze(
     with its offset shifted back to the origin and start index
     ``start // period``.
     """
-    window = Interval(start, start + period, False, True)
+    whole = (0, period, False, True)
     index = start // period
     rays: list[Fact] = []
     patterns: list[Pattern] = []
-    for atom in atoms:
-        for piece in facts.get(atom).clip(window):
-            if piece == window:
-                rays.append(Fact(atom, Interval(window.lo, POS_INF, False, True)))
+    for atom, pieces in _slab(facts, atoms, start, start + period):
+        for piece in pieces:
+            if piece == whole:
+                rays.append(Fact(atom, Interval(start, POS_INF, False, True)))
             else:
-                patterns.append(Pattern(atom, piece.shift(-start), index, period))
+                patterns.append(Pattern(atom, Interval(*piece), index, period))
     return rays, patterns
 
 
@@ -750,7 +742,11 @@ def reason(
     after every derived chunk.
 
     SCC groups are handled in dependency order. Each group derives forward
-    in chunks and finds its period from a repeated state:
+    in chunks and finds its period from a repeated state. The state, the
+    compaction test and the frozen period all read the group's facts on a
+    half-open window shifted to the origin, through one helper
+    (``_slab``); earlier groups are read through ``_coverage``, over each
+    chunk and its lookback (see ``_derive_group``):
 
     * **State.** Let L be the group's lookback (``RuleGroup.lookback``). For a
       forward-propagating group, the model on ``[t, inf)`` is fixed by
@@ -781,7 +777,7 @@ def reason(
       repeats from the first multiple ``h`` of ``q`` at or after
       ``t - L``.
     * **Minimality.** The inputs look the same from every position, so
-      the state's key holds only the slab (shifted to the origin) and the
+      the state's key holds only the slab (shifted by ``L - t``) and the
       ray flags, and from the first position on, the state at the next
       position is a function of the state at this one. The first repeat
       therefore closes the cycle of that sequence: ``q`` is the smallest
@@ -797,7 +793,7 @@ def reason(
       ``analysis.pattern_length``), and ``q`` need not divide it.
     * **Compaction.** ``h`` then moves back to the least multiple ``b``
       of ``q`` from which the group's facts repeat: those on ``[b, h)``
-      equal those on ``[b + q, h + q)`` shifted by ``-q``. If they do,
+      and those on ``[b + q, h + q)`` make the same slab. If they do,
       every point ``s >= b`` holds what ``s + q`` holds, by this test
       below ``h`` and by the repeat from ``h`` on. The test is monotone
       in ``b`` (a later ``b`` compares a part of the same range), so
@@ -835,7 +831,9 @@ def reason(
 
     start = min_time_point(database)
     last_end: dict[str, int | Fraction] = {}  # per predicate, of its database facts
+    db_atoms: dict[str, list[Atom]] = {}  # per predicate
     for atom, ivs in database.items():
+        db_atoms.setdefault(atom.predicate, []).append(atom)
         last = ivs.pieces[-1]
         end = last.hi if last.hi != POS_INF else last.lo
         last_end[atom.predicate] = max(end, last_end.get(atom.predicate, end))
@@ -862,7 +860,7 @@ def reason(
         position = ((settle + lookback) // step + 1) * step
         atoms = sorted(
             {r.head for r in group.rules}
-            | {a for a in database.atoms() if a.predicate in group.predicates},
+            | {a for p in group.predicates for a in db_atoms.get(p, ())},
             key=_atom_key,
         )
         rays_from = [
@@ -877,14 +875,7 @@ def reason(
                 and first < t - a
                 for atom, a in rays_from
             )
-            if not lookback:
-                return locks
-            slab = Interval(t - lookback, t, False, True)
-            return locks + tuple(
-                (atom, clipped.shift(-t))
-                for atom in atoms
-                if not (clipped := facts.get(atom).clip(slab)).is_empty
-            )
+            return locks + _slab(facts, atoms, t - lookback, t) if lookback else locks
 
         chunks = 0
 
@@ -922,12 +913,7 @@ def reason(
             derive(derived, begin + period)
 
         def repeats(lo: int | Fraction, hi: int | Fraction) -> bool:
-            here = Interval(lo, hi, False, True)
-            later = here.shift(period)
-            return all(
-                facts.get(atom).clip(here) == facts.get(atom).clip(later).shift(-period)
-                for atom in atoms
-            )
+            return _slab(facts, atoms, lo, hi) == _slab(facts, atoms, lo + period, hi + period)
 
         lowest, bad, jump = start // period * period, None, period
         while begin > lowest:

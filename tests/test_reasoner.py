@@ -1,11 +1,17 @@
 """Rule application, the bounded oracle, and the windowed procedure."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from chronolog.analysis import dependency_graph, pattern_length
-from chronolog.errors import InputError, NotForwardPropagating, WindowCapExceeded
+from chronolog.analysis import dependency_graph, pattern_length, simple_cycles
+from chronolog.errors import (
+    InputError,
+    NotForwardPropagating,
+    StepCapExceeded,
+    WindowCapExceeded,
+)
 from chronolog.intervals import NEG_INF, POS_INF, Interval, IntervalSet, to_time, parse_interval
 from chronolog.reasoner import (
     Model,
@@ -137,6 +143,17 @@ class TestOracle:
         p = to_normal_form(parse_program("-> Tick .\nTick, A -> B ."))
         m = naive_fixpoint_bounded(p, model_of("A@[1,2]."), 10)
         assert m.get(Atom("B")) == IntervalSet.of(iv("[1,2]"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "diamondminus[1,1] A -> A .",  # the change worklist
+            "diamondminus[1,1] diamondminus[0,0] A -> A .",  # rounds: not normal form
+        ],
+    )
+    def test_step_cap_stops_a_runaway_derivation(self, text):
+        with pytest.raises(StepCapExceeded):
+            naive_fixpoint_bounded(parse_program(text), model_of("A@[0,0]."), step_cap=50)
 
 
 class TestGroupAndSort:
@@ -394,6 +411,54 @@ ORACLE_EQUIVALENCE_CASES = [
         "N0@[6,11].",
     ),
 ]
+
+
+def _gcd(values) -> F:
+    """gcd of rationals: gcd(a/b, c/d) = gcd(ad, cb) / bd."""
+    out = F(0)
+    for v in map(F, values):
+        out = F(
+            math.gcd(out.numerator * v.denominator, v.numerator * out.denominator),
+            out.denominator * v.denominator,
+        )
+    return out
+
+
+class TestShiftGcd:
+    def test_agrees_with_the_shift_sums_of_the_cycles(self):
+        """``_shift_gcd`` enumerates no cycle, yet gives the gcd of the
+        positive finite shift sums of the group's simple cycles (0 when
+        there is none), with fractional ranges and with ``inf`` edges
+        that split a group into several parts."""
+        import random
+
+        from chronolog.reasoner import _shift_gcd
+
+        rng = random.Random(5692)
+        groups = positive = 0
+        for _ in range(400):
+            preds = [f"P{i}" for i in range(rng.randint(1, 4))]
+            lines = []
+            for _ in range(rng.randint(1, 7)):
+                op = rng.choice(["diamondminus", "boxminus", None])
+                if op is None:
+                    body = ", ".join(rng.sample(preds, k=rng.randint(1, len(preds))))
+                else:
+                    a = F(rng.randint(0, 8), rng.choice((1, 2, 3)))
+                    b = rng.choice([a, a + rng.randint(0, 4), "inf"])
+                    close = ")" if b == "inf" else "]"
+                    body = f"{op}[{a},{b}{close} {rng.choice(preds)}"
+                lines.append(f"{body} -> {rng.choice(preds)} .")
+            program = parse_program("\n".join(lines))
+            cycles = simple_cycles(dependency_graph(program))
+            for group in group_and_sort(program):
+                sums = [
+                    s for c in cycles[group.predicates] if 0 < (s := c.shift_sum) < POS_INF
+                ]
+                assert _shift_gcd(group) == _gcd(sums), lines
+                groups += 1
+                positive += bool(sums)
+        assert groups > 400 and positive > 100
 
 
 class TestOracleEquivalence:
@@ -746,6 +811,31 @@ class TestMinimalHorizon:
             assert len(widths) == k
             later.append(sum(w for name, w in widths.items() if name != "P0"))
         assert later[0] == later[1] < 1000
+
+    def test_group_loop_does_not_sort_the_whole_database(self, monkeypatch):
+        """Count-only: with many database atoms that no rule reads, the
+        atoms ``reason`` orders by ``_atom_key`` grow with the database
+        once, not once per group."""
+        from chronolog import reasoner
+
+        key = reasoner._atom_key
+        calls = 0
+
+        def counting(atom):
+            nonlocal calls
+            calls += 1
+            return key(atom)
+
+        monkeypatch.setattr(reasoner, "_atom_key", counting)
+        k, n = 40, 2000
+        program = parse_program(
+            "\n".join(f"diamondminus[1,1] P{i} -> P{i + 1} ." for i in range(k))
+        )
+        database = model_of("P0@[0,0].\n" + "".join(f"Z(c{j})@[0,1].\n" for j in range(n)))
+        calls = 0
+        pm = reason(program, database)
+        assert pm.horizon == k + 1
+        assert calls < 3 * n
 
 
 class TestFullPipeline:

@@ -262,9 +262,8 @@ class TestNormalForm:
             work[depth] = calls
         assert work[400] <= 4.5 * work[100]
 
-    def _window_model(self, program, db_text, lo=-100, hi=100):
-        window = Interval(lo, hi)
-        return naive_fixpoint_bounded(program, parse_database(db_text), window=window)
+    def _window_model(self, program, db_text, horizon=100):
+        return naive_fixpoint_bounded(program, parse_database(db_text), horizon)
 
     @pytest.mark.parametrize(
         "text,db",
