@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import CycleCapExceeded, InputError
 from .intervals import POS_INF, Interval, Time, lcm_rationals, plus, to_time
 from .syntax import (
+    Atom,
     BoxMinus,
     DiamondMinus,
     Program,
@@ -188,14 +189,14 @@ def _edge_labels(rule: Rule) -> tuple[bool, Interval, Time]:
     form = rule_form(rule)
     if form is None:
         raise InputError(f"rule {rule.id} is not in temporal normal form")
-    if form == 1:
+    if form is Atom:
         return False, _ZERO_INTERVAL, 0
     lit = rule.body[0]
-    if isinstance(lit, DiamondMinus):
+    if form is DiamondMinus:
         return True, lit.rho, lit.rho.lo
-    if isinstance(lit, BoxMinus):
+    if form is BoxMinus:
         return True, lit.rho, lit.rho.hi
-    if isinstance(lit, Since):
+    if form is Since:
         return True, lit.rho, 0
     # the forward operators: diamondplus, boxplus, until
     return True, lit.rho.negate(), 0
@@ -362,7 +363,7 @@ def fragment_checks(program: Program, graph: DepGraph | None = None) -> Fragment
     # a normal-form rule has no `top` and no operator but its body's one
     # temporal literal
     bounded = not program.axioms and all(
-        rule_form(r) == 1 or r.body[0].rho.is_bounded for r in program.rules
+        rule_form(r) is Atom or r.body[0].rho.is_bounded for r in program.rules
     )
 
     ground = program.is_ground
@@ -539,7 +540,7 @@ def classify_rules(
     for rule in program.rules:
         if any(a.predicate in finite for a in body_atoms(rule)):
             classes[rule.id] = RuleClass.HARMLESS
-        elif rule_form(rule) == 1:
+        elif rule_form(rule) is Atom:
             classes[rule.id] = RuleClass.HARMFUL
         else:
             classes[rule.id] = RuleClass.DANGEROUS

@@ -269,7 +269,7 @@ def _oracle_worklist(
         atom, delta = queue.popleft()
         for rule in by_body.get(atom.predicate, ()):
             form = rule_form(rule)
-            if form == 1:
+            if form is Atom:
                 if atom not in rule.body:
                     continue
                 derived = IntervalSet.of(delta)
@@ -282,7 +282,7 @@ def _oracle_worklist(
                 lit = rule.body[0]
                 if lit.inner != atom:
                     continue
-                if form == 6:
+                if form is DiamondMinus:
                     pieces = [diamond_minus_apply(delta, lit.rho)]
                 else:
                     hit = box_minus_apply(delta, lit.rho)
@@ -347,7 +347,7 @@ class RuleGroup:
     predicates: frozenset[str]
     rules: tuple[Rule, ...]
     edges: tuple[Edge, ...]
-    forms: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    forms: tuple[type[Literal] | None, ...] = field(init=False, repr=False, compare=False)
     by_body: dict[Atom, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     padding: Time = field(init=False, repr=False, compare=False)
     lookback: int | Fraction = field(init=False, repr=False, compare=False)
@@ -359,13 +359,13 @@ class RuleGroup:
         for i, (rule, form) in enumerate(zip(self.rules, forms)):
             for atom in dict.fromkeys(body_atoms(rule)):
                 by_body.setdefault(atom, []).append(i)
-            if form not in (4, 6):
+            if form not in (BoxMinus, DiamondMinus):
                 continue
             rho = rule.body[0].rho
             padding = max(padding, rho.hi)
             if rho.hi != POS_INF:
                 lookback = max(lookback, rho.hi)
-            elif form == 6:
+            elif form is DiamondMinus:
                 lookback = max(lookback, rho.lo)
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "by_body", {a: tuple(ids) for a, ids in by_body.items()})
@@ -599,7 +599,7 @@ def _derive_group(
         for i in touched:
             rule, form = group.rules[i], group.forms[i]
             derived = IntervalSet.empty()
-            if form == 1:
+            if form is Atom:
                 for k, atom in enumerate(rule.body):
                     delta = frontier.get(atom)
                     if delta is None:
@@ -620,7 +620,7 @@ def _derive_group(
                     continue
                 derived = (
                     delta.diamond_minus(lit.rho)
-                    if form == 6
+                    if form is DiamondMinus
                     else delta.box_minus(lit.rho)
                 )
             for piece in derived:
@@ -866,7 +866,7 @@ def reason(
         rays_from = [
             (r.body[0].inner, r.body[0].rho.lo)
             for r, form in zip(group.rules, group.forms)
-            if form == 6 and r.body[0].rho.hi == POS_INF
+            if form is DiamondMinus and r.body[0].rho.hi == POS_INF
         ]
 
         def state(t: int | Fraction) -> tuple:

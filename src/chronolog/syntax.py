@@ -4,17 +4,22 @@ Concrete grammar (one statement per ``.``; ``%`` starts a comment):
 
     rule      :=  [ body ] "->" head
     body      :=  literal { "," literal }
-    literal   :=  unary [ ("since" | "until") interval unary ]
-    unary     :=  ("boxminus" | "boxplus" | "diamondminus" | "diamondplus")
-                  interval unary
+    literal   :=  unary [ BINARY interval unary ]
+    unary     :=  UNARY interval unary
                |  "top" | "bottom" | atom | "(" literal ")"
     head      :=  "top" | atom
-               |  ("boxminus" | "boxplus") interval head
+               |  BOX interval head
     atom      :=  IDENT [ "(" term { "," term } ")" ]
     interval  :=  ("[" | "(") endpoint "," endpoint ("]" | ")")
 
+Each temporal operator is defined once, by its class below, which states
+its keyword, and ``OPERATORS`` maps each keyword to its class. UNARY is
+`boxminus`, `boxplus`, `diamondminus` or `diamondplus`; BOX is `boxminus`
+or `boxplus`; BINARY is `since` or `until`.
+
 Terms inside an atom are variables when they start with an uppercase
-letter, otherwise constants (quoted constants are always constants).
+letter, otherwise constants (quoted constants are always constants, and
+a constant spelled like a keyword must be quoted).
 Duration endpoints take an optional unit suffix (d/h/m/s, days = 1);
 mixing suffixed and bare numbers within one file is rejected.
 
@@ -26,25 +31,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Iterator
+from itertools import product, repeat
+from typing import ClassVar, Iterable, Iterator
 
 from .errors import InputError, ParseError
 from .intervals import Interval, NEG_INF, POS_INF, Time, to_time
 
 AUX_PREFIX = "_aux"
-
-KEYWORDS = {
-    "top",
-    "bottom",
-    "boxminus",
-    "boxplus",
-    "diamondminus",
-    "diamondplus",
-    "since",
-    "until",
-    "inf",
-}
 
 UNIT_SCALE = {
     "d": Fraction(1),
@@ -63,7 +56,7 @@ class Constant:
     name: str
 
     def __str__(self) -> str:
-        if re.fullmatch(r"[a-z][A-Za-z0-9_]*", self.name):
+        if self.name not in KEYWORDS and re.fullmatch(r"[a-z][A-Za-z0-9_]*", self.name):
             return self.name
         return "'" + self.name.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
@@ -112,82 +105,104 @@ class Atom(Literal):
         return all(isinstance(t, Constant) for t in self.terms)
 
 
-# The temporal operators hash once, at construction, from their operands'
-# stored hashes, so hashing a nested literal costs the same at any depth
-# (the normal form looks every nested sub-literal up by hash).
+class _Operator(Literal):
+    """A temporal operator with range ``rho``. Each concrete class is the
+    one definition of its operator: it states its ``keyword``, which
+    ``OPERATORS`` maps back to it for the parser and ``__str__`` prints.
+    ``operands`` are its literal arguments in order, and ``rebuild`` makes
+    the same operator with the same range over new operands.
+
+    An operator hashes once, at construction, from its operands' stored
+    hashes, so hashing a nested literal costs the same at any depth (the
+    normal form looks every nested sub-literal up by hash)."""
+
+    __slots__ = ()
+    keyword: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.keyword, self.rho, *self.operands)))
+
 
 @dataclass(frozen=True, slots=True)
-class _Unary(Literal):
+class _Unary(_Operator):
     rho: Interval
     inner: Literal
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((type(self).__name__, self.rho, self.inner)))
-
     def __hash__(self) -> int:
         return self._hash
 
-
-@dataclass(frozen=True, slots=True, eq=False)
-class BoxMinus(_Unary):
     def __str__(self) -> str:
-        return f"boxminus{self.rho} {self.inner}"
+        return f"{self.keyword}{self.rho} {_operand_text(self.inner)}"
 
+    @property
+    def operands(self) -> tuple[Literal]:
+        return (self.inner,)
 
-@dataclass(frozen=True, slots=True, eq=False)
-class BoxPlus(_Unary):
-    def __str__(self) -> str:
-        return f"boxplus{self.rho} {self.inner}"
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class DiamondMinus(_Unary):
-    def __str__(self) -> str:
-        return f"diamondminus{self.rho} {self.inner}"
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class DiamondPlus(_Unary):
-    def __str__(self) -> str:
-        return f"diamondplus{self.rho} {self.inner}"
+    def rebuild(self, inner: Literal) -> _Unary:
+        return type(self)(self.rho, inner)
 
 
 @dataclass(frozen=True, slots=True)
-class _Binary(Literal):
+class _Binary(_Operator):
     left: Literal
     rho: Interval
     right: Literal
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((type(self).__name__, self.left, self.rho, self.right))
-        )
-
     def __hash__(self) -> int:
         return self._hash
+
+    def __str__(self) -> str:
+        return f"{_operand_text(self.left)} {self.keyword}{self.rho} {_operand_text(self.right)}"
+
+    @property
+    def operands(self) -> tuple[Literal, Literal]:
+        return (self.left, self.right)
+
+    def rebuild(self, left: Literal, right: Literal) -> _Binary:
+        return type(self)(left, self.rho, right)
+
+
+def _operand_text(lit: Literal) -> str:
+    return f"({lit})" if isinstance(lit, _Binary) else str(lit)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class BoxMinus(_Unary):
+    keyword = "boxminus"
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class BoxPlus(_Unary):
+    keyword = "boxplus"
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class DiamondMinus(_Unary):
+    keyword = "diamondminus"
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class DiamondPlus(_Unary):
+    keyword = "diamondplus"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Since(_Binary):
-    def __str__(self) -> str:
-        return f"{_operand_text(self.left)} since{self.rho} {_operand_text(self.right)}"
+    keyword = "since"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Until(_Binary):
-    def __str__(self) -> str:
-        return f"{_operand_text(self.left)} until{self.rho} {_operand_text(self.right)}"
+    keyword = "until"
 
 
-def _operand_text(lit: Literal) -> str:
-    if isinstance(lit, (Since, Until)):
-        return f"({lit})"
-    return str(lit)
+OPERATORS: dict[str, type[_Operator]] = {
+    op.keyword: op for op in (BoxMinus, BoxPlus, DiamondMinus, DiamondPlus, Since, Until)
+}
 
-
-UNARY_OPS = (BoxMinus, BoxPlus, DiamondMinus, DiamondPlus)
+KEYWORDS = {"top", "bottom", "inf", *OPERATORS}
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,11 +272,9 @@ class Program:
 def literal_atoms(lit: Literal) -> Iterator[Atom]:
     if isinstance(lit, Atom):
         yield lit
-    elif isinstance(lit, UNARY_OPS):
-        yield from literal_atoms(lit.inner)
-    elif isinstance(lit, (Since, Until)):
-        yield from literal_atoms(lit.left)
-        yield from literal_atoms(lit.right)
+    elif isinstance(lit, _Operator):
+        for operand in lit.operands:
+            yield from literal_atoms(operand)
 
 
 def body_atoms(rule: Rule) -> list[Atom]:
@@ -276,36 +289,28 @@ def literal_variables(lit: Literal) -> set[str]:
     return {t.name for a in literal_atoms(lit) for t in a.terms if isinstance(t, Variable)}
 
 
-def rule_form(rule: Rule) -> int | None:
+def rule_form(rule: Rule) -> type[Literal] | None:
     """The temporal-normal-form shape of a rule, or None if not normal.
 
-    1 Horn; 2 since; 3 until; 4 boxminus; 5 boxplus; 6 diamondminus;
-    7 diamondplus. Bodies of forms 2-7 consist of exactly the one
-    temporal literal over atoms, and every head is an atom.
+    ``Atom`` for a Horn rule, whose body is one or more atoms; for a
+    temporal rule, the class of its body's one literal, an operator
+    whose operands are atoms. Every head is an atom.
     """
-    if not isinstance(rule.head, Atom):
+    if not isinstance(rule.head, Atom) or not rule.body:
         return None
-    if all(isinstance(b, Atom) for b in rule.body) and rule.body:
-        return 1
-    if len(rule.body) != 1:
-        return None
+    if all(isinstance(b, Atom) for b in rule.body):
+        return Atom
     lit = rule.body[0]
-    if isinstance(lit, Since) and isinstance(lit.left, Atom) and isinstance(lit.right, Atom):
-        return 2
-    if isinstance(lit, Until) and isinstance(lit.left, Atom) and isinstance(lit.right, Atom):
-        return 3
-    if isinstance(lit, BoxMinus) and isinstance(lit.inner, Atom):
-        return 4
-    if isinstance(lit, BoxPlus) and isinstance(lit.inner, Atom):
-        return 5
-    if isinstance(lit, DiamondMinus) and isinstance(lit.inner, Atom):
-        return 6
-    if isinstance(lit, DiamondPlus) and isinstance(lit.inner, Atom):
-        return 7
+    if (
+        len(rule.body) == 1
+        and isinstance(lit, _Operator)
+        and all(isinstance(o, Atom) for o in lit.operands)
+    ):
+        return type(lit)
     return None
 
 
-FP_FORMS = {1, 4, 6}
+FP_FORMS = {Atom, BoxMinus, DiamondMinus}
 
 
 def is_forward_propagating(program: Program) -> bool:
@@ -499,23 +504,11 @@ class _Parser:
         return Atom(name, tuple(terms))
 
     def parse_unary(self, *, nested: bool = False) -> Literal:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text in (
-            "boxminus",
-            "boxplus",
-            "diamondminus",
-            "diamondplus",
-        ):
+        op = OPERATORS.get(self.peek().text)
+        if op is not None and issubclass(op, _Unary):
             self.next()
             rho = self.parse_operator_interval()
-            inner = self.parse_unary(nested=True)
-            ctor = {
-                "boxminus": BoxMinus,
-                "boxplus": BoxPlus,
-                "diamondminus": DiamondMinus,
-                "diamondplus": DiamondPlus,
-            }[tok.text]
-            return ctor(rho, inner)
+            return op(rho, self.parse_unary(nested=True))
         if self.at_keyword("top"):
             self.next()
             return Top()
@@ -533,30 +526,23 @@ class _Parser:
 
     def parse_literal(self, *, nested: bool = False) -> Literal:
         left = self.parse_unary(nested=nested)
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text in ("since", "until"):
+        op = OPERATORS.get(self.peek().text)
+        if op is not None and issubclass(op, _Binary):
             if isinstance(left, Bottom):
                 raise self.error("'bottom' may only appear as a whole body literal")
             self.next()
             rho = self.parse_operator_interval()
-            right = self.parse_unary(nested=True)
-            return (Since if tok.text == "since" else Until)(left, rho, right)
+            return op(left, rho, self.parse_unary(nested=True))
         return left
 
     def parse_head(self) -> Literal:
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.text in ("boxminus", "boxplus"):
+        op = OPERATORS.get(tok.text)
+        if op in (BoxMinus, BoxPlus):
             self.next()
             rho = self.parse_operator_interval()
-            inner = self.parse_head()
-            return (BoxMinus if tok.text == "boxminus" else BoxPlus)(rho, inner)
-        if tok.kind == "IDENT" and tok.text in (
-            "diamondminus",
-            "diamondplus",
-            "since",
-            "until",
-            "bottom",
-        ):
+            return op(rho, self.parse_head())
+        if op is not None or self.at_keyword("bottom"):
             raise self.error(f"{tok.text!r} is not allowed in a rule head")
         if self.at_keyword("top"):
             self.next()
@@ -687,19 +673,14 @@ class _Normalizer:
 
     def simplify(self, lit: Literal) -> Literal:
         """Fold `top` through the operators; since/until over top reduce."""
-        if isinstance(lit, UNARY_OPS):
-            inner = self.simplify(lit.inner)
-            if isinstance(inner, Top):
-                return Top()
-            return type(lit)(lit.rho, inner)
-        if isinstance(lit, (Since, Until)):
-            left = self.simplify(lit.left)
-            right = self.simplify(lit.right)
-            if isinstance(left, Top):
-                op = DiamondMinus if isinstance(lit, Since) else DiamondPlus
-                return op(lit.rho, right)
-            return type(lit)(left, lit.rho, right)
-        return lit
+        if not isinstance(lit, _Operator):
+            return lit
+        first, *rest = map(self.simplify, lit.operands)
+        if not isinstance(first, Top):
+            return lit.rebuild(first, *rest)
+        if isinstance(lit, _Unary):
+            return Top()
+        return (DiamondMinus if isinstance(lit, Since) else DiamondPlus)(lit.rho, *rest)
 
     def atomize(self, lit: Literal, rid: str) -> Atom:
         """Define a fresh predicate equivalent to ``lit`` and return it.
@@ -725,15 +706,9 @@ class _Normalizer:
 
     def flatten(self, lit: Literal, rid: str) -> Literal:
         """Rewrite one literal so each operator applies directly to an atom."""
-        if isinstance(lit, (Atom, Top, Bottom)):
-            return lit
-        if isinstance(lit, UNARY_OPS):
-            return type(lit)(lit.rho, self.atomize(lit.inner, rid))
-        if isinstance(lit, (Since, Until)):
-            return type(lit)(
-                self.atomize(lit.left, rid), lit.rho, self.atomize(lit.right, rid)
-            )
-        raise InputError(f"cannot normalize literal {lit}")
+        if isinstance(lit, _Operator):
+            return lit.rebuild(*map(self.atomize, lit.operands, repeat(rid)))
+        return lit
 
     def add_rule(self, rule: Rule) -> None:
         body: list[Literal] = []
@@ -809,12 +784,8 @@ def _substitute_term(term: Term, binding: dict[str, str]) -> Term:
 def _substitute(lit: Literal, binding: dict[str, str]) -> Literal:
     if isinstance(lit, Atom):
         return Atom(lit.predicate, tuple(_substitute_term(t, binding) for t in lit.terms))
-    if isinstance(lit, UNARY_OPS):
-        return type(lit)(lit.rho, _substitute(lit.inner, binding))
-    if isinstance(lit, (Since, Until)):
-        return type(lit)(
-            _substitute(lit.left, binding), lit.rho, _substitute(lit.right, binding)
-        )
+    if isinstance(lit, _Operator):
+        return lit.rebuild(*map(_substitute, lit.operands, repeat(binding)))
     return lit
 
 
@@ -825,9 +796,9 @@ def _required_atoms(lit: Literal) -> Iterator[Atom]:
     on an interval that may be empty). ``top`` requires nothing."""
     if isinstance(lit, Atom):
         yield lit
-    elif isinstance(lit, UNARY_OPS):
+    elif isinstance(lit, _Unary):
         yield from _required_atoms(lit.inner)
-    elif isinstance(lit, (Since, Until)):
+    elif isinstance(lit, _Binary):
         yield from _required_atoms(lit.right)
 
 

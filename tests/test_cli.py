@@ -135,6 +135,18 @@ class TestQueryCommand:
         )
         assert code == EXIT_OK
 
+    def test_reported_atom_with_a_keyword_constant_queries_back(self, tmp_path, capsys):
+        program = tmp_path / "copy.dmtl"
+        program.write_text("A(X) -> B(X) .\n")
+        database = tmp_path / "copy.db"
+        database.write_text("A('inf')@[0,1].\n")
+        files = ("--program", str(program), "--database", str(database))
+        code, out = run(capsys, "reason", *files)
+        assert code == EXIT_OK
+        (atom,) = [line.split("@")[0].strip() for line in out.splitlines() if "B(" in line]
+        code, _ = run(capsys, "query", *files, "--query", f"{atom}@[0,1]")
+        assert code == EXIT_OK
+
 
 class TestClassifyCommand:
     def test_finite_markers(self, tmp_path, capsys):
@@ -411,6 +423,23 @@ class TestProcess:
             fresh.append(outcome(argv))
         assert reused == fresh
         assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_INPUT, EXIT_OK, EXIT_OK, EXIT_OK]
+
+    @pytest.mark.parametrize("command", ["classify", "reason"])
+    def test_deep_nesting_answers(self, tmp_path, command):
+        """Each nesting level costs a bounded number of stack frames, so a
+        450-deep literal stays within the default recursion limit."""
+        program = tmp_path / "deep.dmtl"
+        program.write_text("diamondminus[1,1] " * 450 + "C -> C .\n")
+        database = tmp_path / "deep.db"
+        database.write_text("C@[0,0].\n")
+        src = Path(chronolog.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "chronolog.cli", command,
+             "--program", str(program), "--database", str(database)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_commands_do_not_import_networkx(self):
         program, database = FIXTURES / "weekly.dmtl", FIXTURES / "weekly.db"

@@ -9,6 +9,7 @@ from chronolog.errors import ParseError
 from chronolog.intervals import NEG_INF, POS_INF, Interval, parse_interval
 from chronolog.reasoner import Model, check_horizon, naive_fixpoint_bounded, reason
 from chronolog.syntax import (
+    KEYWORDS,
     Atom,
     BoxMinus,
     Constant,
@@ -92,13 +93,12 @@ class TestParseProgram:
         p = parse_program("A since[1,2] B -> C .")
         assert isinstance(p.rules[0].body[0], Since)
 
-    def test_head_diamond_rejected(self):
-        with pytest.raises(ParseError):
-            parse_program("A -> diamondminus[1,2] B .")
-
-    def test_head_bottom_rejected(self):
-        with pytest.raises(ParseError):
-            parse_program("A -> bottom .")
+    @pytest.mark.parametrize(
+        "keyword", ["diamondminus", "diamondplus", "since", "until", "bottom"]
+    )
+    def test_head_diamond_rejected(self, keyword):
+        with pytest.raises(ParseError, match=f"'{keyword}' is not allowed in a rule head"):
+            parse_program(f"A -> {keyword}[1,2] B .")
 
     def test_negative_operator_range_rejected(self):
         with pytest.raises(ParseError):
@@ -158,6 +158,9 @@ class TestRoundTrip:
         "diamondminus[0,inf) A -> B .",
         "boxplus[1,2] A -> B .\ndiamondplus[3,4] B -> C .",
         "-> Seed(c) .",
+        "A -> boxplus[1,2] boxminus[0,1] B .",
+        "diamondminus[1,2] (A since[0,1] B) -> C .",
+        "boxminus[1,2] (A until[0,1] B), C -> D .",
     ]
 
     @pytest.mark.parametrize("text", CORPUS)
@@ -169,6 +172,11 @@ class TestRoundTrip:
     def test_nested_operand_parenthesized(self):
         p = parse_program("(A since[1,2] B) since[3,4] C -> D .")
         assert parse_program(program_text(p)) == p
+
+    @pytest.mark.parametrize("keyword", sorted(KEYWORDS))
+    def test_constant_spelled_like_a_keyword(self, keyword):
+        once = parse_program(f"A('{keyword}') -> B .")
+        assert parse_program(program_text(once)) == once
 
 
 class TestNormalForm:
