@@ -4,9 +4,9 @@ procedure, and entailment.
 Two independent evaluation routes are kept apart on purpose:
 
 * ``naive_fixpoint_bounded`` is the ground truth -- a straight fixpoint
-  of the immediate consequence operator, clipped to a window, driven by
-  a change worklist (or full literal re-evaluation for programs that are
-  not in normal form).
+  of the immediate consequence operator on a ground program, clipped to
+  a window, in one semi-naive loop: each round re-evaluates only the
+  rules that read an atom whose pieces changed in the round before.
 * ``reason`` derives per SCC group, forward in chunks, and stops once
   the group's state (its facts on a slab as wide as its rules look back,
   past every aperiodic input) repeats; the repeat gives the group's
@@ -17,7 +17,6 @@ Two independent evaluation routes are kept apart on purpose:
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -30,8 +29,6 @@ from .intervals import (
     NEG_INF,
     POS_INF,
     Time,
-    box_minus_apply,
-    diamond_minus_apply,
     lcm_rationals,
     plus,
 )
@@ -47,6 +44,7 @@ from .syntax import (
     Program,
     Rule,
     Top,
+    _Unary,
     body_atoms,
     is_forward_propagating,
     rule_form,
@@ -179,27 +177,29 @@ def _reflect(ivs: IntervalSet) -> IntervalSet:
     return IntervalSet.from_iterable(p.negate() for p in ivs)
 
 
-def _eval_literal(lit: Literal, model: Model) -> IntervalSet:
-    """Truth set of a (possibly nested) unary temporal literal.
+def _eval_literal(lit: Literal, get: Callable[[Atom], IntervalSet]) -> IntervalSet:
+    """Truth set of a (possibly nested) unary temporal literal, reading
+    each atom's set through ``get``: the model's, or for a linear literal
+    the atom's changed pieces.
 
     The forward operators are evaluated by reflecting the timeline, so
     the oracle can validate rewrites that introduce them; since/until
     remain out of scope.
     """
     if isinstance(lit, Atom):
-        return model.get(lit)
+        return get(lit)
     if isinstance(lit, Top):
         return IntervalSet.of(_FULL_LINE)
     if isinstance(lit, Bottom):
         return IntervalSet.empty()
     if isinstance(lit, DiamondMinus):
-        return _eval_literal(lit.inner, model).diamond_minus(lit.rho)
+        return _eval_literal(lit.inner, get).diamond_minus(lit.rho)
     if isinstance(lit, BoxMinus):
-        return _eval_literal(lit.inner, model).box_minus(lit.rho)
+        return _eval_literal(lit.inner, get).box_minus(lit.rho)
     if isinstance(lit, DiamondPlus):
-        return _reflect(_reflect(_eval_literal(lit.inner, model)).diamond_minus(lit.rho))
+        return _reflect(_reflect(_eval_literal(lit.inner, get)).diamond_minus(lit.rho))
     if isinstance(lit, BoxPlus):
-        return _reflect(_reflect(_eval_literal(lit.inner, model)).box_minus(lit.rho))
+        return _reflect(_reflect(_eval_literal(lit.inner, get)).box_minus(lit.rho))
     raise InputError(f"the oracle cannot evaluate literal {lit}")
 
 
@@ -219,84 +219,11 @@ def _head_facts(head: Literal, truth: IntervalSet) -> list[tuple[Atom, Interval]
     raise InputError(f"the oracle cannot apply head {head}")
 
 
-def _oracle_rounds(
-    program: Program, model: Model, window: Interval | None, step_cap: int
-) -> Model:
-    steps = 0
-    changed = True
-    while changed:
-        changed = False
-        steps += 1
-        if steps > step_cap:
-            raise StepCapExceeded(f"oracle exceeded {step_cap} rounds")
-        for rule in program.rules:
-            truth = _eval_literal(rule.body[0], model)
-            for lit in rule.body[1:]:
-                if truth.is_empty:
-                    break
-                truth = truth.intersect(_eval_literal(lit, model))
-            if truth.is_empty:
-                continue
-            for atom, piece in _head_facts(rule.head, truth):
-                if window is not None:
-                    clipped = piece.intersect(window)
-                    if clipped is None:
-                        continue
-                    piece = clipped
-                if model.add(atom, piece) is not None:
-                    changed = True
-    return model
-
-
-def _oracle_worklist(
-    program: Program, model: Model, window: Interval | None, step_cap: int
-) -> Model:
-    by_body: dict[str, list[Rule]] = {}
-    for rule in program.rules:
-        for atom in body_atoms(rule):
-            by_body.setdefault(atom.predicate, []).append(rule)
-
-    queue: deque[tuple[Atom, Interval]] = deque()
-    for atom, ivs in model.items():
-        for piece in ivs:
-            queue.append((atom, piece))
-
-    steps = 0
-    while queue:
-        steps += 1
-        if steps > step_cap:
-            raise StepCapExceeded(f"oracle exceeded {step_cap} steps")
-        atom, delta = queue.popleft()
-        for rule in by_body.get(atom.predicate, ()):
-            form = rule_form(rule)
-            if form is Atom:
-                if atom not in rule.body:
-                    continue
-                derived = IntervalSet.of(delta)
-                for other in rule.body:
-                    if other == atom or derived.is_empty:
-                        continue
-                    derived = derived.intersect(model.get(other))
-                pieces = list(derived)
-            else:
-                lit = rule.body[0]
-                if lit.inner != atom:
-                    continue
-                if form is DiamondMinus:
-                    pieces = [diamond_minus_apply(delta, lit.rho)]
-                else:
-                    hit = box_minus_apply(delta, lit.rho)
-                    pieces = [hit] if hit is not None else []
-            for piece in pieces:
-                if window is not None:
-                    clipped = piece.intersect(window)
-                    if clipped is None:
-                        continue
-                    piece = clipped
-                merged = model.add(rule.head, piece)
-                if merged is not None:
-                    queue.append((rule.head, merged))
-    return model
+def _linear_atom(lit: Literal) -> Atom | None:
+    """The atom a body literal reads through at most one unary operator."""
+    if isinstance(lit, _Unary):
+        lit = lit.inner
+    return lit if isinstance(lit, Atom) else None
 
 
 def naive_fixpoint_bounded(
@@ -306,23 +233,81 @@ def naive_fixpoint_bounded(
     *,
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> Model:
-    """Least fixpoint with every derived interval clipped to the window
-    ``(-inf, horizon]``.
+    """Least fixpoint of a ground program with every derived interval
+    clipped to the window ``(-inf, horizon]``.
+
+    One semi-naive loop: the first round evaluates every rule on the whole
+    model; each later round evaluates only the rules that read an atom
+    whose pieces changed in the round before. A linear rule (each body
+    literal reads one atom through at most one unary operator) joins the
+    atom's changed pieces with the rest of the model. This is exact: a
+    changed piece is a whole piece of the model when it is added, so a box
+    sees it entire, a diamond distributes over pieces, and a piece that
+    grows later is changed again. Any other rule (a nested literal, top,
+    bottom) is evaluated whole.
 
     With no horizon the fixpoint must be naturally finite (harmless
-    programs); the step cap turns runaway derivations into a diagnostic
-    error. Evaluates diamondminus/boxminus/diamondplus/boxplus bodies,
-    nested too, and box heads; only since/until are rejected.
+    programs); the step cap, which counts the model's pieces at the start
+    and each piece changed since, turns runaway derivations into a
+    diagnostic error. Evaluates diamondminus/boxminus/diamondplus/boxplus
+    bodies, nested too, and box heads; only since/until are rejected.
     """
+    if not program.is_ground:
+        raise InputError("the oracle requires a ground program (see ground())")
     window = None if horizon is None else Interval.up_to(horizon)
     model = Model.from_facts(program.axioms)
     for atom, ivs in database.items():
         model.add_set(atom, ivs)
     if window is not None:
         model = model.restrict(window)
-    if program.is_normal_form and program.is_ground and is_forward_propagating(program):
-        return _oracle_worklist(program, model, window, step_cap)
-    return _oracle_rounds(program, model, window, step_cap)
+
+    # for each atom, the linear rules reading it (with the literal's
+    # position) and the rules evaluated whole that read it
+    linear: dict[Atom, list[tuple[Rule, int]]] = {}
+    whole: dict[Atom, list[Rule]] = {}
+    for rule in program.rules:
+        read = [_linear_atom(lit) for lit in rule.body]
+        if None in read:
+            for atom in body_atoms(rule):
+                whole.setdefault(atom, []).append(rule)
+        else:
+            for position, atom in enumerate(read):
+                linear.setdefault(atom, []).append((rule, position))
+
+    # a job evaluates its rule's literal at ``position`` through ``get``
+    # (the model, or one atom's changed pieces) and the rest on the model
+    steps = sum(len(ivs) for _, ivs in model.items())
+    jobs: list[tuple[Rule, int, Callable[[Atom], IntervalSet]]] = [
+        (rule, 0, model.get) for rule in program.rules
+    ]
+    while jobs:
+        if steps > step_cap:
+            raise StepCapExceeded(f"oracle exceeded {step_cap} steps")
+        changed: dict[Atom, list[Interval]] = {}
+        for rule, position, get in jobs:
+            truth = _eval_literal(rule.body[position], get)
+            for other, lit in enumerate(rule.body):
+                if truth.is_empty:
+                    break
+                if other != position:
+                    truth = truth.intersect(_eval_literal(lit, model.get))
+            for atom, piece in _head_facts(rule.head, truth):
+                if window is not None:
+                    piece = piece.intersect(window)
+                    if piece is None:
+                        continue
+                merged = model.add(atom, piece)
+                if merged is not None:
+                    changed.setdefault(atom, []).append(merged)
+        jobs = []
+        again: dict[Rule, None] = {}
+        for atom, pieces in changed.items():
+            steps += len(pieces)
+            get = {atom: IntervalSet.from_iterable(pieces)}.__getitem__
+            jobs.extend((rule, position, get) for rule, position in linear.get(atom, ()))
+            again.update(dict.fromkeys(whole.get(atom, ())))
+        jobs.extend((rule, 0, model.get) for rule in again)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,13 @@ class _Unary(_Operator):
         return self._hash
 
     def __str__(self) -> str:
-        return f"{self.keyword}{self.rho} {_operand_text(self.inner)}"
+        # a chain of unary operators prints in a loop, not one frame per level
+        prefix = []
+        lit: Literal = self
+        while isinstance(lit, _Unary):
+            prefix.append(f"{lit.keyword}{lit.rho} ")
+            lit = lit.inner
+        return "".join(prefix) + _operand_text(lit)
 
     @property
     def operands(self) -> tuple[Literal]:

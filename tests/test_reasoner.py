@@ -147,13 +147,37 @@ class TestOracle:
     @pytest.mark.parametrize(
         "text",
         [
-            "diamondminus[1,1] A -> A .",  # the change worklist
-            "diamondminus[1,1] diamondminus[0,0] A -> A .",  # rounds: not normal form
+            "diamondminus[1,1] A -> A .",  # a linear rule
+            "diamondminus[1,1] diamondminus[0,0] A -> A .",  # a rule evaluated whole
         ],
     )
     def test_step_cap_stops_a_runaway_derivation(self, text):
         with pytest.raises(StepCapExceeded):
             naive_fixpoint_bounded(parse_program(text), model_of("A@[0,0]."), step_cap=50)
+
+    def test_rules_with_variables_are_rejected(self):
+        with pytest.raises(InputError, match="requires a ground program"):
+            naive_fixpoint_bounded(parse_program("A(X) -> B(X) ."), model_of("A(c)@[0,2]."), 10)
+
+    def test_semi_naive_outside_the_forward_propagating_fragment(self, monkeypatch):
+        """Count-only: each round joins the one new point of ``A`` with
+        ``B``; re-evaluating ``diamondplus[1,1] A`` on the whole model
+        every round made the work quadratic in the number of points."""
+        calls = 0
+        minkowski = Interval.minkowski
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return minkowski(self, other)
+
+        monkeypatch.setattr(Interval, "minkowski", counting)
+        program = parse_program("diamondplus[1,1] A, B -> A .")
+        m = naive_fixpoint_bounded(program, model_of("A@[300,300].\nB@[0,300]."), 300)
+        assert m.get(Atom("A")) == IntervalSet.from_iterable(
+            Interval.point(t) for t in range(301)
+        )
+        assert calls < 3 * 301
 
 
 class TestGroupAndSort:

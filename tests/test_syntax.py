@@ -12,6 +12,7 @@ from chronolog.syntax import (
     KEYWORDS,
     Atom,
     BoxMinus,
+    BoxPlus,
     Constant,
     DiamondMinus,
     Fact,
@@ -177,6 +178,19 @@ class TestRoundTrip:
     def test_constant_spelled_like_a_keyword(self, keyword):
         once = parse_program(f"A('{keyword}') -> B .")
         assert parse_program(program_text(once)) == once
+
+    # deep chains compare as text, not as literals: ``==`` on a deep
+    # literal itself recurses
+
+    def test_deep_unary_chain_prints_without_recursion(self):
+        lit = Atom("C")
+        for _ in range(5000):
+            lit = BoxPlus(rho("[0,1]"), lit)
+        assert str(lit) == "boxplus[0,1] " * 5000 + "C"
+
+    def test_deep_parsed_chain_prints_its_source(self):
+        text = "diamondminus[1,1] " * 450 + "C -> C ."
+        assert str(parse_program(text)) == text + "\n"
 
 
 class TestNormalForm:
