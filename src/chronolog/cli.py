@@ -64,13 +64,6 @@ def _emit(args, human: str, structured: dict) -> None:
         print(human)
 
 
-def _model_dict(model: Model) -> list[dict]:
-    return [
-        {"atom": str(atom), "intervals": [str(p) for p in ivs]}
-        for atom, ivs in model.items()
-    ]
-
-
 def cmd_classify(args) -> int:
     program = syntax.to_normal_form(_load_program(args))
     database = _load_database(args) if args.database else None
@@ -146,7 +139,7 @@ def cmd_oracle(args) -> int:
     program, database = _prepare(args)
     model = reasoner.naive_fixpoint_bounded(program, database, horizon)
     lines = [f"{atom}@{ivs}" for atom, ivs in model.items()]
-    _emit(args, "\n".join(lines) or "(empty)", {"facts": _model_dict(model)})
+    _emit(args, "\n".join(lines) or "(empty)", {"facts": model.rows()})
     return EXIT_OK
 
 

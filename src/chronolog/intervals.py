@@ -137,10 +137,6 @@ class Interval:
     def is_bounded(self) -> bool:
         return NEG_INF < self.lo and self.hi < POS_INF
 
-    @property
-    def is_punctual(self) -> bool:
-        return self.lo == self.hi
-
     def length(self) -> Time:
         return plus(self.hi, -self.lo)
 
@@ -400,9 +396,6 @@ class IntervalSet:
         # the only candidate is the rightmost piece starting at or before iv
         idx = bisect_right(self.pieces, (iv.lo, iv.lo_open), key=Interval._lo_key) - 1
         return idx >= 0 and self.pieces[idx].contains_interval(iv)
-
-    def covers_set(self, other: IntervalSet) -> bool:
-        return all(self.covers_interval(p) for p in other.pieces)
 
     def clip(self, window: Interval) -> IntervalSet:
         start, stop = self._touch_range(window)

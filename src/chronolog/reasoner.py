@@ -9,9 +9,10 @@ Two independent evaluation routes are kept apart on purpose:
   rules that read an atom whose pieces changed in the round before.
 * ``reason`` derives per SCC group, forward in chunks, and stops once
   the group's state (its facts on a slab as wide as its rules look back,
-  past every aperiodic input) repeats; the repeat gives the group's
-  period, and one period of its facts becomes repetition patterns (or
-  rays for facts that fill the whole period).
+  past every aperiodic input, and which of its atoms hold for good)
+  repeats; the repeat gives the group's period, and one period of its
+  facts becomes repetition patterns (or rays for facts that fill the
+  whole period).
 """
 
 from __future__ import annotations
@@ -23,15 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .analysis import DEFAULT_CYCLE_CAP, Edge, _sccs, dependency_graph
 from .errors import InputError, NotForwardPropagating, StepCapExceeded, WindowCapExceeded
-from .intervals import (
-    Interval,
-    IntervalSet,
-    NEG_INF,
-    POS_INF,
-    Time,
-    lcm_rationals,
-    plus,
-)
+from .intervals import Interval, IntervalSet, NEG_INF, POS_INF, lcm_rationals
 from .syntax import (
     Atom,
     Bottom,
@@ -118,6 +111,14 @@ class Model:
 
     def items(self) -> list[tuple[Atom, IntervalSet]]:
         return [(a, self._data[a]) for a in self.atoms()]
+
+    def rows(self) -> list[dict]:
+        """Deterministic structured form: one row per atom, in atom order,
+        with its pieces rendered as strings."""
+        return [
+            {"atom": str(atom), "intervals": [str(p) for p in ivs]}
+            for atom, ivs in self.items()
+        ]
 
     @property
     def is_empty(self) -> bool:
@@ -321,40 +322,36 @@ class RuleGroup:
     off them, built once: each rule's form, the rules indexed by each atom
     their bodies read (in group order), and how far back the rules look.
 
-    ``padding`` is how far before a window ``_derive_group`` reads body
-    facts: the largest upper end of the ``boxminus``/``diamondminus``
-    ranges, infinite for a range unbounded above. ``lookback`` is the L
-    of ``reason``'s state: the same, except that a ``diamondminus[a,inf)``
-    counts ``a`` (its body points further back only matter through its
-    ray) and a ``boxminus[a,inf)`` counts nothing (it never fires on
-    facts bounded below)."""
+    ``lookback`` is how far before a window ``_derive_group`` reads body
+    facts, and the L of ``reason``'s state: the largest upper end of the
+    ``boxminus``/``diamondminus`` ranges, except that a
+    ``diamondminus[a,inf)`` counts ``a`` (a body point further back has
+    already made its head a ray, stored whole) and a ``boxminus[a,inf)``
+    counts nothing (it never fires on facts bounded below)."""
 
     predicates: frozenset[str]
     rules: tuple[Rule, ...]
     edges: tuple[Edge, ...]
     forms: tuple[type[Literal] | None, ...] = field(init=False, repr=False, compare=False)
     by_body: dict[Atom, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    padding: Time = field(init=False, repr=False, compare=False)
     lookback: int | Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         forms = tuple(rule_form(rule) for rule in self.rules)
         by_body: dict[Atom, list[int]] = {}
-        padding = lookback = 0
+        lookback = 0
         for i, (rule, form) in enumerate(zip(self.rules, forms)):
             for atom in dict.fromkeys(body_atoms(rule)):
                 by_body.setdefault(atom, []).append(i)
             if form not in (BoxMinus, DiamondMinus):
                 continue
             rho = rule.body[0].rho
-            padding = max(padding, rho.hi)
             if rho.hi != POS_INF:
                 lookback = max(lookback, rho.hi)
             elif form is DiamondMinus:
                 lookback = max(lookback, rho.lo)
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "by_body", {a: tuple(ids) for a, ids in by_body.items()})
-        object.__setattr__(self, "padding", padding)
         object.__setattr__(self, "lookback", lookback)
 
 
@@ -523,10 +520,7 @@ class PeriodicModel:
             "type": self.representation_type(),
             "period": str(self.period),
             "horizon": str(self.horizon),
-            "facts": [
-                {"atom": str(atom), "intervals": [str(p) for p in ivs]}
-                for atom, ivs in self.facts.items()
-            ],
+            "facts": self.facts.rows(),
             "patterns": [
                 {
                     "atom": str(p.atom),
@@ -549,7 +543,8 @@ def _derive_group(
     patterns: dict[Atom, list[Pattern]],
     window: Interval,
 ) -> None:
-    """Exhaustively apply the group's rules with heads clipped to the window.
+    """Exhaustively apply the group's rules with heads clipped to the window
+    (a ray only at the window's lower end).
 
     Semi-naive: each round visits, in group order, only the rules with a
     body atom among the pieces that changed in the previous round (the
@@ -559,23 +554,24 @@ def _derive_group(
 
     Only the atoms the group's rule bodies read are looked at: their facts
     and the occurrences of their earlier groups' patterns (``_coverage``)
-    seed the first round, clipped to the padded window ``[window.lo -
-    padding, window.hi)``, where the group's ``padding`` is the largest
-    upper end of its operator ranges. For a range bounded above the clip
-    is exact: a head point ``t`` in the window depends only on body
-    points in ``[t - rho.hi, t]``, which lie in the padded window, and a
-    clipped body piece still reaches every such ``t``. A range unbounded
-    above (``diamondminus[a,inf)`` or ``boxminus[a,inf)``) lets a fact
-    from the distant past reach the window (``diamondminus`` makes it a
-    ray), so then the padded window reaches back to ``-inf``. An atom
-    with patterns belongs to an earlier group and holds still for the
-    whole call, so joins read its seed; they read every other atom's
-    facts as they grow.
+    seed the first round, clipped to ``[window.lo - lookback, window.hi)``
+    (``RuleGroup.lookback``). A derived piece is clipped to the window,
+    except that a piece unbounded above is cut only at ``window.lo``, so
+    a ray is stored whole. The seed is exact: a head point ``t`` in the
+    window depends, through a range bounded above, only on body points in
+    ``[t - rho.hi, t]``, which lie in the seeded span, and a clipped body
+    piece still reaches every such ``t``. A ``diamondminus[a,inf)`` body
+    point before ``window.lo`` lies in an earlier window (no fact precedes
+    the first), where it made its head a ray, and a ``boxminus[a,inf)``
+    never fires on facts bounded below. An atom with patterns belongs to an earlier group and
+    holds still for the whole call, so joins read its seed; they read
+    every other atom's facts as they grow.
     """
-    padded = Interval(
-        plus(window.lo, -group.padding), window.hi, window.lo_open, window.hi_open
+    seeded = Interval(
+        window.lo - group.lookback, window.hi, window.lo_open, window.hi_open
     )
-    seeds = {atom: _coverage(facts, patterns, atom, padded) for atom in group.by_body}
+    ray = Interval(window.lo, POS_INF, window.lo_open, True)
+    seeds = {atom: _coverage(facts, patterns, atom, seeded) for atom in group.by_body}
     frozen = {atom: seed for atom, seed in seeds.items() if atom in patterns}
     frontier = {atom: seed for atom, seed in seeds.items() if not seed.is_empty}
     while frontier:
@@ -609,7 +605,7 @@ def _derive_group(
                     else delta.box_minus(lit.rho)
                 )
             for piece in derived:
-                clipped = piece.intersect(window)
+                clipped = piece.intersect(ray if piece.hi == POS_INF else window)
                 if clipped is None:
                     continue
                 merged = facts.add(rule.head, clipped)
@@ -657,15 +653,6 @@ def _shift_gcd(group: RuleGroup) -> int | Fraction:
                     num = math.gcd(num, slack.numerator)
                     den = math.lcm(den, slack.denominator)
     return num if den == 1 else Fraction(num, den)
-
-
-def _first_point(atom: Atom, facts: Model, patterns: dict[Atom, list[Pattern]]):
-    """Left end of the earliest piece of ``atom`` (None when it never holds)."""
-    ends = [pat.first_occurrence().lo for pat in patterns.get(atom, ())]
-    pieces = facts.get(atom).pieces
-    if pieces:
-        ends.append(pieces[0].lo)
-    return min(ends, default=None)
 
 
 def _slab(
@@ -736,11 +723,15 @@ def reason(
     * **State.** Let L be the group's lookback (``RuleGroup.lookback``). For a
       forward-propagating group, the model on ``[t, inf)`` is fixed by
       the group's own facts on the slab ``[t - L, t)``, by its inputs
-      (database facts and earlier groups) on ``[t - L, inf)``, and by
-      whether each ``diamondminus[a,inf)`` rule's body has held before
-      ``t - a`` (then its head is a ray covering ``[t, inf)``; otherwise
-      every body point it can still use lies in ``[t - L, inf)``). Every
-      other head point ``t' >= t`` reads body points in ``[t' - L, t']``.
+      (database facts and earlier groups) on ``[t - L, inf)``, and by one
+      flag per group atom: do its facts already cover ``[t, inf)``?
+      ``_derive_group`` stores a derived ray whole, so once a
+      ``diamondminus[a,inf)`` rule's body has held before ``t - a``, its
+      head's facts cover ``[t, inf)``. An atom without the flag can
+      therefore still gain only from body points in ``[t - L, inf)``, and
+      an atom with it gains nothing more. Every other head point
+      ``t' >= t`` reads body points in ``[t' - L, t']``. A flag can only
+      turn on as ``t`` grows.
     * **Positions.** The group settles at the last finite database
       endpoint of its own predicates and of the database-only predicates
       its rules read, or at the horizon of a group it reads if that lies
@@ -763,18 +754,21 @@ def reason(
       ``t - L``.
     * **Minimality.** The inputs look the same from every position, so
       the state's key holds only the slab (shifted by ``L - t``) and the
-      ray flags, and from the first position on, the state at the next
-      position is a function of the state at this one. The first repeat
-      therefore closes the cycle of that sequence: ``q`` is the smallest
-      multiple of ``step`` that is a period of the state from some point
-      on. For a propositional program the paper's pattern length ``P``
-      is a period of the model, and ``step`` divides ``P`` (``r`` by
-      induction over the groups, ``c`` because it divides every cycle's
-      shift sum), so ``P`` is such a period of the state too. The gcd of
-      two such periods is one as well (step up by one, down by the
-      other), and ``gcd(q, P)`` is a multiple of ``step``, so
-      ``q = gcd(q, P)``: ``q`` divides ``P``. With constants ``P`` is
-      computed on predicates and need not be a period of the model (see
+      ray flags. Let ``q*`` be the least multiple of ``step`` with which
+      the group's model repeats from some point on; every such period is
+      a multiple of ``q*`` (the gcd of two is one as well: step up by
+      one, down by the other). The first repeat, of ``t`` at ``t + q``,
+      makes ``q`` such a period, and then the model repeats with ``q*``
+      on all of ``[t - L, inf)``: a point there holds what it holds a
+      multiple of ``q`` later, far enough on for ``q*`` to apply. So the
+      slabs at ``t`` and ``t + q*`` agree, and so do the flags, which can
+      only turn on and agree at ``t`` and ``t + q``. As no position
+      before ``t + q`` repeats an earlier one, ``q = q*``. For a
+      propositional program the paper's pattern length ``P`` is a period
+      of the model, and ``step`` divides ``P`` (``r`` by induction over
+      the groups, ``c`` because it divides every cycle's shift sum), so
+      ``q`` divides ``P``. With constants ``P`` is computed on
+      predicates and need not be a period of the model (see
       ``analysis.pattern_length``), and ``q`` need not divide it.
     * **Compaction.** ``h`` then moves back to the least multiple ``b``
       of ``q`` from which the group's facts repeat: those on ``[b, h)``
@@ -848,19 +842,11 @@ def reason(
             | {a for p in group.predicates for a in db_atoms.get(p, ())},
             key=_atom_key,
         )
-        rays_from = [
-            (r.body[0].inner, r.body[0].rho.lo)
-            for r, form in zip(group.rules, group.forms)
-            if form is DiamondMinus and r.body[0].rho.hi == POS_INF
-        ]
 
         def state(t: int | Fraction) -> tuple:
-            locks = tuple(
-                (first := _first_point(atom, facts, patterns)) is not None
-                and first < t - a
-                for atom, a in rays_from
-            )
-            return locks + _slab(facts, atoms, t - lookback, t) if lookback else locks
+            ray = Interval(t, POS_INF, False, True)
+            rays = tuple([facts.get(atom).covers_interval(ray) for atom in atoms])
+            return rays + _slab(facts, atoms, t - lookback, t) if lookback else rays
 
         chunks = 0
 

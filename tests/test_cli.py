@@ -268,6 +268,7 @@ FIXTURE_PAIRS = [
     ("weekly.dmtl", "weekly.db"),
     ("mixed_shift.dmtl", "mixed_shift.db"),
     ("reach_join.dmtl", "reach_join.db"),
+    ("ray_gate.dmtl", "ray_gate.db"),
 ]
 
 

@@ -140,7 +140,6 @@ class TestInterval:
         assert str(ray) == "[0,inf)"
 
     def test_punctual(self):
-        assert iv("[2,2]").is_punctual
         assert iv("[2,2]").contains(2)
 
     @pytest.mark.parametrize(

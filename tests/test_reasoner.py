@@ -355,7 +355,7 @@ class TestReason:
         assert len(snapshots) >= 2
         for before, after in zip(snapshots, snapshots[1:]):
             for atom in before.atoms():
-                assert after.get(atom).covers_set(before.get(atom))
+                assert all(after.get(atom).covers_interval(p) for p in before.get(atom))
 
     def test_period_is_below_the_lcm_of_cycle_shift_sums(self):
         # cycles of shift 4 and 6: pattern length 12, but from t = 4 on P
@@ -783,6 +783,101 @@ def _random_nested_program(rng):
         hi = rng.randint(lo, 12)
         facts.append(f"{rng.choice(preds)}@[{lo},{hi}].")
     return "\n".join(lines), "\n".join(facts)
+
+
+def _random_ray_program(rng):
+    """A program whose ranges may be unbounded above (``[a,inf)``) or
+    fractional, with nested body literals, cycles of fixed shift, and a
+    database that may hold rays ``@[c,inf)``."""
+    preds = [f"R{i}" for i in range(rng.randint(1, 5))]
+    ray_share = rng.choice((0.1, 0.2, 0.35))
+
+    def rho():
+        den = rng.choice((1, 1, 1, 2, 3))
+        a = rng.randint(0, 10)
+        if rng.random() < ray_share:
+            return f"[{a}/{den},inf)"
+        b = a if rng.random() < 0.5 else rng.randint(a, 12)
+        return f"[{a}/{den},{b}/{den}]"
+
+    def literal(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return rng.choice(preds)
+        op = rng.choice(["diamondminus", "diamondminus", "boxminus"])
+        return f"{op}{rho()} {literal(depth - 1)}"
+
+    lines = []
+    for _ in range(rng.randint(1, 6)):
+        body = ", ".join(literal(rng.randint(0, 2)) for _ in range(rng.randint(1, 2)))
+        lines.append(f"{body} -> {rng.choice(preds)} .")
+    for _ in range(rng.choice((0, 1, 2, 2))):
+        k = rng.randint(2, 7)
+        lines.append(f"diamondminus[{k},{k}] {rng.choice(preds)} -> {rng.choice(preds)} .")
+    rng.shuffle(lines)
+    facts = []
+    for _ in range(rng.randint(1, 4)):
+        lo = rng.randint(0, 14)
+        hi = "inf)" if rng.random() < 0.25 else f"{rng.randint(lo, 16)}]"
+        facts.append(f"{rng.choice(preds)}@[{lo},{hi}.")
+    return "\n".join(lines), "\n".join(facts)
+
+
+# one group: Tick -> Armed -> Fire -> Tick, with a ray rule inside
+RAY_GATE = (
+    "diamondminus[3,3] Tick -> Tick .\ndiamondminus[10,inf) Tick -> Armed .\n"
+    "Armed, Tick -> Fire .\ndiamondminus[2,2] Fire -> Tick ."
+)
+
+
+class TestRaysStoredWhole:
+    """``_derive_group`` stores a derived ray whole, so a group reads its
+    bodies back only as far as its lookback, and ``reason``'s state reads
+    the rays off the facts."""
+
+    def test_random_ray_programs_match_oracle(self):
+        import random
+
+        rng = random.Random(15)
+        ray_rules = database_rays = 0
+        for _ in range(300):
+            text, db_text = _random_ray_program(rng)
+            program = to_normal_form(parse_program(text))
+            db = parse_database(db_text)
+            ray_rules += ",inf)" in text
+            database_rays += ",inf)" in db_text
+            pm = reason(program, db)
+            horizon = check_horizon(pm, db)
+            assert pm.unroll(horizon) == naive_fixpoint_bounded(program, db, horizon), (
+                text,
+                db_text,
+            )
+        assert ray_rules >= 100 and database_rays >= 100
+
+    def test_lookback_stays_finite(self, monkeypatch):
+        """Count guard: with a ``diamondminus[10,inf)`` rule in the group,
+        no window ``_derive_group`` reads starts at -inf."""
+        from chronolog import reasoner
+
+        coverage = reasoner._coverage
+        windows = []
+
+        def recording(facts, by_atom, atom, window):
+            windows.append(window)
+            return coverage(facts, by_atom, atom, window)
+
+        monkeypatch.setattr(reasoner, "_coverage", recording)
+        pm = reason(parse_program(RAY_GATE), model_of("Tick@[0,0]."))
+        assert pm.facts.get(Atom("Armed")) == IntervalSet.of(iv("[10,inf)"))
+        assert windows and all(w.lo != NEG_INF for w in windows)
+
+    def test_derived_ray_is_stored_whole(self):
+        snapshots = []
+        reason(
+            parse_program(RAY_GATE),
+            model_of("Tick@[0,0]."),
+            on_iteration=lambda group, n, facts: snapshots.append(facts),
+        )
+        assert snapshots[0].get(Atom("Armed")) == IntervalSet.of(iv("[10,inf)"))
 
 
 class TestMinimalHorizon:
