@@ -202,10 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--window-cap", type=positive_int, default=reasoner.DEFAULT_WINDOW_CAP,
             help="most chunks a group derives before its state repeats",
         )
-        p.add_argument(
-            "--cycle-cap", type=positive_int, default=analysis.DEFAULT_CYCLE_CAP,
-            help="accepted and not used: reason enumerates no cycles",
-        )
+        # not an option: reason enumerates no cycles, and the benchmark's
+        # layer tracer reads the default
+        p.set_defaults(cycle_cap=analysis.DEFAULT_CYCLE_CAP)
 
     p = sub.add_parser("classify", help="fragment flags, finite nodes, rule classes")
     common(p, database_required=False)

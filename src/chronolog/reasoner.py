@@ -91,14 +91,6 @@ class Model:
             self._data[atom] = updated
         return piece
 
-    def add_set(self, atom: Atom, ivs: IntervalSet) -> bool:
-        current = self.get(atom)
-        updated = current.union(ivs)
-        if updated == current:
-            return False
-        self._data[atom] = updated
-        return True
-
     def put(self, atom: Atom, ivs: IntervalSet) -> None:
         """Replace the atom's set (dropping the atom when it is empty)."""
         if ivs.is_empty:
@@ -256,9 +248,9 @@ def naive_fixpoint_bounded(
     if not program.is_ground:
         raise InputError("the oracle requires a ground program (see ground())")
     window = None if horizon is None else Interval.up_to(horizon)
-    model = Model.from_facts(program.axioms)
-    for atom, ivs in database.items():
-        model.add_set(atom, ivs)
+    model = database.copy()
+    for fact in program.axioms:
+        model.add(fact.atom, fact.interval)
     if window is not None:
         model = model.restrict(window)
 
@@ -442,6 +434,21 @@ def _coverage(
     return IntervalSet.from_iterable([*clipped, *hits])
 
 
+def _settled(ivs: IntervalSet, patterns: Iterable[Pattern]) -> int | Fraction:
+    """Where an atom turns periodic: the largest of its last finite fact
+    endpoint (a ray's lower end) and the end of each of its patterns'
+    first occurrences; ``-inf`` for an atom that holds nothing.
+
+    From there on the atom holds only rays and pattern occurrences, so
+    its content repeats with every common multiple of its patterns'
+    periods."""
+    ends = [pat.first_occurrence().hi for pat in patterns]
+    if ivs.pieces:
+        last = ivs.pieces[-1]
+        ends.append(last.hi if last.hi != POS_INF else last.lo)
+    return max(ends, default=NEG_INF)
+
+
 @dataclass(frozen=True)
 class PeriodicModel:
     """Finite representation of a possibly infinite model.
@@ -491,28 +498,22 @@ class PeriodicModel:
     def entails(self, fact: Fact) -> bool:
         """Does every model of the program and database satisfy ``fact``?
 
-        Only the query's own span is unrolled (one period past the last
-        anchor for an unbounded query), so the cost does not depend on
-        how far out the query lies.
+        Only the query's own span is unrolled, so the cost does not depend
+        on how far out the query lies. An unbounded query reads only its
+        atom: from ``w``, the later of the query's lower end, 0 and the
+        point where the atom settles (``_settled``), the atom's content
+        repeats with ``q``, the lcm of its own patterns' periods (1 if it
+        has none). So it holds on the whole query iff it holds on the
+        query up to ``w + q``.
         """
         query = fact.interval
         if query.hi != POS_INF:
             return self.coverage(fact.atom, query).covers_interval(query)
-        # Unbounded query: beyond every aperiodic endpoint and pattern start
-        # the represented content repeats with the period, so covering one
-        # full period window there covers the entire tail.
-        anchors = [self.horizon, 0, *self.facts.finite_endpoints()]
-        if query.lo != NEG_INF:
-            anchors.append(query.lo)
-        anchors += [pat.first_occurrence().hi for pat in self.patterns]
-        w = max(anchors)
-        window = Interval(min(query.lo, w), w + self.period)
-        cover = self.coverage(fact.atom, window)
-        head = query.intersect(window)
-        if head is not None and not cover.covers_interval(head):
-            return False
-        tail = Interval(w, w + self.period, False, True)
-        return cover.covers_interval(tail)
+        pats = self._by_atom.get(fact.atom, ())
+        w = max(query.lo, _settled(self.facts.get(fact.atom), pats), 0)
+        q = lcm_rationals([pat.period for pat in pats] or [1])
+        span = Interval(query.lo, w + q, query.lo_open, False)
+        return self.coverage(fact.atom, span).covers_interval(span)
 
     def to_dict(self) -> dict:
         """Deterministic structured form; rationals rendered as strings."""
@@ -732,14 +733,16 @@ def reason(
       an atom with it gains nothing more. Every other head point
       ``t' >= t`` reads body points in ``[t' - L, t']``. A flag can only
       turn on as ``t`` grows.
-    * **Positions.** The group settles at the last finite database
-      endpoint of its own predicates and of the database-only predicates
-      its rules read, or at the horizon of a group it reads if that lies
-      later. These are all its aperiodic inputs: an earlier group's
-      database facts belong to that group's model, which is periodic
-      from its horizon on, and no other fact reaches this group. Once
-      ``t - L`` lies strictly past the settle point, the inputs on
-      ``[t - L, inf)`` are rays and patterns, so they look the same from
+    * **Positions.** The group settles at the database's first point or,
+      if later, where an atom it owns or reads settles (``_settled``):
+      the atom's last finite fact endpoint, or the end of one of its
+      patterns' first occurrences. Its own atoms and the database-only
+      atoms it reads hold only database facts here, and an earlier
+      group's atoms hold that group's model; no other fact reaches this
+      group, and a fact of an atom it neither owns nor reads does not
+      delay it. Past where it settles an atom holds only rays and
+      pattern occurrences, so once ``t - L`` lies strictly past the
+      settle point, the inputs on ``[t - L, inf)`` look the same from
       any two positions a multiple of ``r`` apart, where ``r`` is the lcm
       of the periods of the groups read. Slabs are compared at positions
       a ``step`` apart: the lcm of ``r`` and ``c``, the gcd of the
@@ -783,8 +786,10 @@ def reason(
       point: no fact lies before it, so a group that holds nothing would
       otherwise walk back forever. The group's facts are clipped before
       ``b`` and ``[b, b + q)`` becomes rays and patterns (``freeze``);
-      ``b`` is the group's horizon, so a later group reading it settles
-      early. Only the representation changes, not the model.
+      ``b`` is the group's horizon: its rays start and its other facts
+      end by ``b``, and its patterns' first occurrences end by ``b + q``,
+      so a later group reading it settles early. Only the representation
+      changes, not the model.
 
     The model's period is the lcm of the groups' periods, and its horizon
     the largest ``b``.
@@ -809,39 +814,33 @@ def reason(
         return PeriodicModel(Model(), (), 1, 0)
 
     start = min_time_point(database)
-    last_end: dict[str, int | Fraction] = {}  # per predicate, of its database facts
     db_atoms: dict[str, list[Atom]] = {}  # per predicate
-    for atom, ivs in database.items():
+    for atom in database.atoms():
         db_atoms.setdefault(atom.predicate, []).append(atom)
-        last = ivs.pieces[-1]
-        end = last.hi if last.hi != POS_INF else last.lo
-        last_end[atom.predicate] = max(end, last_end.get(atom.predicate, end))
     facts = database.copy()
     patterns: dict[Atom, list[Pattern]] = {}
     periods: dict[str, int | Fraction] = {}
-    horizons: dict[str, int | Fraction] = {}
+    horizons: list[int | Fraction] = []
 
     for group in group_and_sort(program):
         name = ",".join(sorted(group.predicates))
-        reads = {a.predicate for a in group.by_body}
-        read = sorted(reads & periods.keys())
         lookback = group.lookback
         cycle_step = _shift_gcd(group)
         step = lcm_rationals(
-            [periods[p] for p in read] + ([cycle_step] if cycle_step else []) or [1]
+            [periods[a.predicate] for a in group.by_body if a.predicate in periods]
+            + ([cycle_step] if cycle_step else [])
+            or [1]
         )
-        db_inputs = (reads | group.predicates) - periods.keys()
-        settle = max(
-            [start]
-            + [last_end[p] for p in db_inputs if p in last_end]
-            + [horizons[p] for p in read]
-        )
-        position = ((settle + lookback) // step + 1) * step
         atoms = sorted(
             {r.head for r in group.rules}
             | {a for p in group.predicates for a in db_atoms.get(p, ())},
             key=_atom_key,
         )
+        settle = max(
+            [start]
+            + [_settled(facts.get(a), patterns.get(a, ())) for a in {*atoms, *group.by_body}]
+        )
+        position = ((settle + lookback) // step + 1) * step
 
         def state(t: int | Fraction) -> tuple:
             ray = Interval(t, POS_INF, False, True)
@@ -909,12 +908,12 @@ def reason(
             patterns.setdefault(pat.atom, []).append(pat)
         for pred in group.predicates:
             periods[pred] = period
-            horizons[pred] = begin
+        horizons.append(begin)
 
     every_pattern = (pat for pats in patterns.values() for pat in pats)
     return PeriodicModel(
         facts,
         tuple(sorted(every_pattern, key=Pattern.sort_key)),
         lcm_rationals(set(periods.values()) or [1]),
-        max(horizons.values(), default=0),
+        max(horizons, default=0),
     )

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
-from typing import ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator, NamedTuple
 
 from .errors import InputError, ParseError
 from .intervals import Interval, NEG_INF, POS_INF, Time, to_time
@@ -336,46 +336,45 @@ _TOKEN_RE = re.compile(
     | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<QUOTED>'(?:[^'\\\n]|\\.)*')
     | (?P<PUNCT>[()\[\],.@\-])
+    | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    col: int
+    offset: int
     unit: str | None = None
 
 
+def _error_at(text: str, offset: int, message: str) -> ParseError:
+    """A parse error at ``offset`` in ``text``, located by line and column
+    (both from 1), which are worked out only here."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text`` in one pass of ``_TOKEN_RE``, which matches at
+    every position: a character no token starts with is ``BAD``."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind, consumed = m.lastgroup, m.group()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
         if kind == "UNIT":  # a number with a unit suffix
-            tokens.append(_Token("NUMBER", m.group("NUMBER"), line, col, m.group("UNIT")))
+            tokens.append(_Token("NUMBER", m.group("NUMBER"), m.start(), m.group("UNIT")))
+        elif kind == "BAD":
+            raise _error_at(text, m.start(), f"unexpected character {m.group()!r}")
         elif kind != "WS" and kind != "COMMENT":
-            tokens.append(_Token(kind, consumed, line, col))
-        newlines = consumed.count("\n")
-        if newlines:
-            line += newlines
-            col = len(consumed) - consumed.rfind("\n")
-        else:
-            col += len(consumed)
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, col))
+            tokens.append(_Token(kind, m.group(), m.start()))
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.seen_unit = False
@@ -390,8 +389,7 @@ class _Parser:
         return tok
 
     def error(self, message: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
+        return _error_at(self.text, (tok or self.peek()).offset, message)
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.peek()
@@ -414,9 +412,6 @@ class _Parser:
         negative = self.at_punct("-")
         if negative:
             self.next()
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "inf":
-            raise self.error("infinite endpoint is not a number here")
         tok = self.expect("NUMBER")
         if tok.text.isdecimal():
             value = int(tok.text)
@@ -467,13 +462,13 @@ class _Parser:
         try:
             return Interval(lo, hi, lo_open, hi_open)
         except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from exc
+            raise self.error(str(exc), tok) from exc
 
     def parse_operator_interval(self) -> Interval:
         tok = self.peek()
         rho = self.parse_interval()
         if rho.lo < 0:
-            raise ParseError(f"negative operator range {rho}", tok.line, tok.col)
+            raise self.error(f"negative operator range {rho}", tok)
         return rho
 
     # -- atoms and literals ---------------------------------------------
@@ -573,11 +568,7 @@ class _Parser:
         bound = set().union(*(literal_variables(b) for b in rule.body)) if body else set()
         loose = head_vars - bound
         if loose:
-            raise ParseError(
-                f"head variables {sorted(loose)} do not occur in the body",
-                tok.line,
-                tok.col,
-            )
+            raise self.error(f"head variables {sorted(loose)} do not occur in the body", tok)
         return rule
 
     def parse_program(self) -> Program:
@@ -614,9 +605,7 @@ class _Parser:
 
     def _check_units(self) -> None:
         if self.seen_unit and self.seen_bare:
-            raise ParseError(
-                "file mixes unit-suffixed and bare durations", 1, 1
-            )
+            raise _error_at(self.text, 0, "file mixes unit-suffixed and bare durations")
 
 
 def parse_program(text: str) -> Program:

@@ -25,6 +25,7 @@ from chronolog.errors import CycleCapExceeded
 from chronolog.intervals import Interval, POS_INF, parse_interval
 from chronolog.reasoner import check_horizon, naive_fixpoint_bounded, reason
 from chronolog.syntax import (
+    Atom,
     Program,
     body_atoms,
     ground,
@@ -609,6 +610,23 @@ class TestMaxApplications:
             max_applications(4, 4)
         with pytest.raises(ValueError):
             max_applications(5, 3)
+
+    def test_bound_holds_against_reason(self):
+        """``diamondminus[t1,t2] A -> A`` from ``A@[0,0]``: the k-th
+        application holds on ``[k*t1, k*t2]``, which meets the next one
+        from ``k = ceil(t1/(t2-t1))`` on, so ``A``'s last fact is the ray
+        ``[k*t1, inf)``, reached within ``max_applications`` steps."""
+        pairs = [
+            (t1, t1 + d)
+            for t1 in (0, 1, 2, 3, 5, F(3, 2), F(7, 3))
+            for d in (1, 2, 3, 4, F(1, 2), F(1, 4), F(5, 3))
+        ]
+        for t1, t2 in pairs:
+            program = parse_program(f"diamondminus[{t1},{t2}] A -> A .")
+            pm = reason(program, parse_database("A@[0,0]."))
+            k = -(-t1 // (t2 - t1))
+            assert pm.facts.get(Atom("A")).pieces[-1] == Interval(k * t1, POS_INF, False, True)
+            assert k <= max_applications(t1, t2), (t1, t2)
 
     @pytest.mark.parametrize("t1,t2", [(3, 4), (5, 6), (1, 3), (0, 2)])
     def test_bound_matches_oracle_round_count(self, t1, t2):

@@ -331,8 +331,8 @@ class TestExitCodes:
         program.write_text(text + "\n")
         database = tmp_path / "d.db"
         database.write_text("N0@[0,1].\n")
-        argv = ["--program", str(program), "--database", str(database), "--cycle-cap", "5"]
-        assert main(["classify", *argv]) == EXIT_CAP
+        argv = ["--program", str(program), "--database", str(database)]
+        assert main(["classify", *argv, "--cycle-cap", "5"]) == EXIT_CAP
         assert main(["reason", *argv]) == EXIT_OK
 
     def test_cycle_cap_bounds_the_total_over_all_sccs(self, tmp_path, capsys):
@@ -353,13 +353,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command, cap",
-        [("classify", "--window-cap"), ("oracle", "--window-cap"), ("oracle", "--cycle-cap")],
+        [
+            ("classify", "--window-cap"),
+            ("oracle", "--window-cap"),
+            ("oracle", "--cycle-cap"),
+            ("reason", "--cycle-cap"),
+            ("query", "--cycle-cap"),
+            ("check", "--cycle-cap"),
+        ],
     )
     def test_caps_a_command_does_not_read_are_rejected(self, paths, capsys, command, cap):
         program, database = paths
         argv = [command, "--program", program, "--database", database, cap, "5"]
         if command == "oracle":
             argv += ["--horizon", "10"]
+        if command == "query":
+            argv += ["--query", "A@[0,0]"]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_INPUT

@@ -592,13 +592,17 @@ def _brute_entails(pm, fact):
 
 
 class TestEntailsDifferential:
-    @pytest.mark.parametrize("generator", ["forward", "nested"])
+    @pytest.mark.parametrize("generator", ["forward", "nested", "ray"])
     def test_entails_equals_unrolled_model(self, generator):
         import random
 
         from test_acceptance import _random_fp_program
 
-        make = {"forward": _random_fp_program, "nested": _random_nested_program}[generator]
+        make = {
+            "forward": _random_fp_program,
+            "nested": _random_nested_program,
+            "ray": _random_ray_program,
+        }[generator]
         rng = random.Random(31)
         for _ in range(60):
             text, db_text = make(rng)
@@ -610,6 +614,27 @@ class TestEntailsDifferential:
                 hi = rng.choice((lo, lo + rng.randint(1, 9), POS_INF))
                 fact = Fact(atom, Interval(lo, hi))
                 assert pm.entails(fact) == _brute_entails(pm, fact), (text, db_text, str(fact))
+                # the same upper end, from -inf and from an open lower end
+                lowers = [Interval(NEG_INF, hi)] + ([Interval(lo, hi, True)] if lo < hi else [])
+                for query in lowers:
+                    fact = Fact(atom, query)
+                    assert pm.entails(fact) == _brute_entails(pm, fact), (
+                        text, db_text, str(fact)
+                    )
+
+    def test_unbounded_query_reads_only_its_atom(self, monkeypatch):
+        """Count guard: an unbounded query reads the queried atom's facts
+        and patterns, not every endpoint of the model."""
+        program = parse_program(WORKED_EXAMPLE)
+        pm = reason(program, model_of("A@[0,1].\nZ@[10000,10000]."))
+
+        def refuse(self):
+            raise AssertionError("entails must not scan the whole model")
+
+        monkeypatch.setattr(Model, "finite_endpoints", refuse)
+        assert not pm.entails(parse_fact("A@[0,inf)"))
+        assert pm.entails(parse_fact("Z@[10000,10000]"))
+        assert not pm.entails(parse_fact("Z@[10000,inf)"))
 
 
 class TestPeriodFromRepeatedState:
@@ -903,6 +928,24 @@ class TestMinimalHorizon:
         assert derived["A@[0,1].\nZ@[10000,10000]."] == derived["A@[0,1]."]
         assert pm.patterns == alone.patterns
         assert str(pm.facts) == "Z@{[10000,10000]}"
+
+    def test_unread_database_atom_does_not_delay_the_group(self, monkeypatch):
+        """Count guard: the group of ``Q(a)`` reads ``P(a)`` but not
+        ``P(b)``, so ``P(b)``'s late fact does not move its windows out."""
+        from chronolog import reasoner
+
+        derive = reasoner._derive_group
+        windows = []
+
+        def recording(group, facts, patterns, window):
+            windows.append(window)
+            derive(group, facts, patterns, window)
+
+        monkeypatch.setattr(reasoner, "_derive_group", recording)
+        program = parse_program("P(a) -> Q(a) .\ndiamondminus[2,2] Q(a) -> Q(a) .")
+        pm = reason(program, model_of("P(a)@[0,0].\nP(b)@[1000,1000]."))
+        assert (pm.period, pm.horizon) == (2, 0)
+        assert windows and all(w.hi <= 50 for w in windows)
 
     def test_chain_cost_does_not_grow_with_the_first_group(self, monkeypatch):
         """Count-only: the window widths the groups after ``P0`` derive do

@@ -22,6 +22,7 @@ from chronolog.syntax import (
     Top,
     Until,
     Variable,
+    _error_at,
     _substitute,
     _tokenize,
     body_atoms,
@@ -74,11 +75,17 @@ class TestParseProgram:
         assert len(p.rules) == 1
 
     def test_tokens_carry_kind_unit_and_position(self):
-        tokens = _tokenize("% note\n  diamondminus[12h,2] A -> B .")
+        text = "% note\n  diamondminus[12h,2] A -> B ."
+        tokens = _tokenize(text)
         first, _, number, _, plain = tokens[:5]
-        assert (first.kind, first.text, first.line, first.col) == ("IDENT", "diamondminus", 2, 3)
+
+        def position(tok):
+            at = _error_at(text, tok.offset, "")
+            return at.line, at.column
+
+        assert (first.kind, first.text, position(first)) == ("IDENT", "diamondminus", (2, 3))
         assert (number.kind, number.text, number.unit) == ("NUMBER", "12", "h")
-        assert (number.line, number.col) == (2, 16)
+        assert position(number) == (2, 16)
         assert (plain.kind, plain.text, plain.unit) == ("NUMBER", "2", None)
         assert [t.kind for t in tokens[5:]] == ["PUNCT", "IDENT", "ARROW", "IDENT", "PUNCT", "EOF"]
 
