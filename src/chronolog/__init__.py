@@ -48,6 +48,7 @@ from .reasoner import (
     Pattern,
     PeriodicModel,
     RuleGroup,
+    backward_slice,
     check_horizon,
     group_and_sort,
     max_time_point,

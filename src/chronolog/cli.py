@@ -126,8 +126,18 @@ def cmd_reason(args) -> int:
 
 
 def cmd_query(args) -> int:
+    """Reason over the backward slice of the queried atom, then entail.
+
+    The verdict is the one ``reason`` on the whole input gives: every rule
+    that can derive an atom of the slice is in it and reads only atoms of
+    the slice, so the slice's least model equals the whole least model on
+    the queried atom (``reasoner.backward_slice``). The whole input is
+    checked before it is cut, so an input error is never sliced away;
+    ``--window-cap`` counts only the chunks of the groups the query reads.
+    """
     program, database = _prepare(args)
     fact = syntax.parse_fact(args.query)
+    program, database = reasoner.backward_slice(program, database, fact.atom)
     pm = reasoner.reason(program, database, window_cap=args.window_cap)
     verdict = pm.entails(fact)
     _emit(args, "true" if verdict else "false", {"query": str(fact), "entailed": verdict})

@@ -696,6 +696,59 @@ def freeze(
     return rays, patterns
 
 
+def _check_input(program: Program, database: Model) -> None:
+    """Reject an input ``reason`` does not support: a program that is not
+    in normal form, not ground, not forward-propagating or that has facts
+    over ``(-inf, inf)``, or a database fact unbounded below."""
+    if not program.is_normal_form:
+        raise InputError("reason requires a normal-form program")
+    if not program.is_ground:
+        raise InputError("reason requires a ground program (see ground())")
+    if not is_forward_propagating(program):
+        raise NotForwardPropagating(
+            "reason supports only Horn, boxminus, and diamondminus rules"
+        )
+    if program.axioms:
+        raise InputError("reason does not support facts over (-inf, inf)")
+    for atom, ivs in database.items():
+        for piece in ivs:
+            if piece.lo == NEG_INF:
+                raise InputError(
+                    f"database fact {atom}@{piece} is unbounded below"
+                )
+
+
+def backward_slice(program: Program, database: Model, atom: Atom) -> tuple[Program, Model]:
+    """The part of a ``reason`` input that the facts of ``atom`` depend on.
+
+    The whole input is checked first, as ``reason`` checks it, so an input
+    ``reason`` rejects is rejected here too, wherever the fault lies. Then
+    the ground program is walked back from ``atom``: each rule whose head
+    lies in the closure is kept and adds its body atoms to the closure.
+    The kept rules are a subsequence of ``program.rules``, in program
+    order and with their ids; the database keeps the closure's atoms.
+
+    This is exact. Every rule that can derive a closure atom is kept, and
+    it reads only closure atoms, so the least model of the slice equals
+    the least model of the whole input on the closure, and so on
+    ``atom``. ``reason`` may represent it differently (another first
+    point, period or horizon), but not the facts of ``atom``.
+    """
+    _check_input(program, database)
+    reads: dict[Atom, list[Atom]] = {}
+    for rule in program.rules:
+        reads.setdefault(rule.head, []).extend(body_atoms(rule))
+    closure = {atom}
+    stack = [atom]
+    while stack:
+        for body in reads.get(stack.pop(), ()):
+            if body not in closure:
+                closure.add(body)
+                stack.append(body)
+    rules = tuple(rule for rule in program.rules if rule.head in closure)
+    return Program(rules), Model({a: database.get(a) for a in closure})
+
+
 def reason(
     program: Program,
     database: Model,
@@ -794,22 +847,7 @@ def reason(
     The model's period is the lcm of the groups' periods, and its horizon
     the largest ``b``.
     """
-    if not program.is_normal_form:
-        raise InputError("reason requires a normal-form program")
-    if not program.is_ground:
-        raise InputError("reason requires a ground program (see ground())")
-    if not is_forward_propagating(program):
-        raise NotForwardPropagating(
-            "reason supports only Horn, boxminus, and diamondminus rules"
-        )
-    if program.axioms:
-        raise InputError("reason does not support facts over (-inf, inf)")
-    for atom, ivs in database.items():
-        for piece in ivs:
-            if piece.lo == NEG_INF:
-                raise InputError(
-                    f"database fact {atom}@{piece} is unbounded below"
-                )
+    _check_input(program, database)
     if database.is_empty:
         return PeriodicModel(Model(), (), 1, 0)
 

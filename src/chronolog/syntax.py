@@ -587,10 +587,10 @@ class _Parser:
         self._check_units()
         return Program(tuple(rules), tuple(axioms))
 
-    def parse_fact(self) -> Fact:
+    def parse_fact(self, subject: str = "database facts") -> Fact:
         atom = self.parse_atom()
         if not atom.is_ground:
-            raise self.error("database facts must be ground")
+            raise self.error(f"{subject} must be ground")
         self.expect("PUNCT", "@")
         interval = self.parse_interval()
         self.expect("PUNCT", ".")
@@ -620,11 +620,16 @@ def parse_database(text: str):
 
 
 def parse_fact(text: str) -> Fact:
-    """Parse a single ``atom@interval`` fact (with or without trailing dot)."""
+    """Parse a query: a single ground ``atom@interval`` fact (with or
+    without trailing dot) and nothing after it."""
     stripped = text.strip()
     if not stripped.endswith("."):
         stripped += "."
-    return _Parser(stripped).parse_fact()
+    parser = _Parser(stripped)
+    fact = parser.parse_fact("a query")
+    if parser.peek().kind != "EOF":
+        raise parser.error(f"unexpected {parser.peek().text!r} after the query")
+    return fact
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,16 @@ import pytest
 
 import chronolog
 from chronolog.cli import EXIT_CAP, EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
-from chronolog.intervals import parse_interval
-from chronolog.reasoner import Model, Pattern, PeriodicModel
-from chronolog.syntax import Atom
+from chronolog.intervals import Interval, parse_interval
+from chronolog.reasoner import Model, Pattern, PeriodicModel, reason
+from chronolog.syntax import (
+    Atom,
+    Fact,
+    ground,
+    parse_database,
+    parse_program,
+    to_normal_form,
+)
 
 from test_acceptance import UNCOMPACTED_WORKED_EXAMPLE
 
@@ -146,6 +153,86 @@ class TestQueryCommand:
         (atom,) = [line.split("@")[0].strip() for line in out.splitlines() if "B(" in line]
         code, _ = run(capsys, "query", *files, "--query", f"{atom}@[0,1]")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ("Monday@[7,8] . Tuesday@[1,1]", "1:16: unexpected 'Tuesday' after the query"),
+            ("Monday(X)@[7,8]", "1:10: a query must be ground"),
+        ],
+    )
+    def test_malformed_query_exits_2(self, query, message, capsys):
+        code = main([
+            "query", "--program", str(FIXTURES / "weekly.dmtl"),
+            "--database", str(FIXTURES / "weekly.db"), "--query", query,
+        ])
+        assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "program_text, database_text, message",
+        [
+            ("Z until[1,2] Y -> W .\nB -> C .\n", "Z@[0,0].\nB@[3,4].\n",
+             "reason supports only Horn, boxminus, and diamondminus rules"),
+            ("-> Z .\nB -> C .\n", "B@[3,4].\n",
+             "reason does not support facts over (-inf, inf)"),
+            ("B -> C .\n", "Z@(-inf,0].\nB@[3,4].\n",
+             "database fact Z@(-inf,0] is unbounded below"),
+        ],
+    )
+    def test_input_error_outside_the_slice_exits_2(
+        self, tmp_path, capsys, program_text, database_text, message
+    ):
+        """The whole input is checked before the query's slice is cut."""
+        program = tmp_path / "p.dmtl"
+        program.write_text(program_text)
+        database = tmp_path / "d.db"
+        database.write_text(database_text)
+        code = main([
+            "query", "--program", str(program), "--database", str(database),
+            "--query", "C@[3,4]",
+        ])
+        assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")
+
+    def test_window_cap_counts_only_the_groups_the_query_reads(self, tmp_path, capsys):
+        program = tmp_path / "p.dmtl"
+        program.write_text("diamondminus[5,5] Z -> Z .\ndiamondminus[7,7] Z -> Z .\nB -> C .\n")
+        database = tmp_path / "d.db"
+        database.write_text("Z@[0,0].\nB@[3,4].\n")
+        files = ["--program", str(program), "--database", str(database), "--window-cap", "2"]
+        code, out = run(capsys, "query", *files, "--query", "C@[3,4]")
+        assert (code, out) == (EXIT_OK, "true\n")
+        # the group of Z still exceeds the cap where it is read
+        assert main(["query", *files, "--query", "Z@[0,0]"]) == EXIT_CAP
+        assert main(["reason", *files]) == EXIT_CAP
+
+    def test_query_derives_only_the_groups_it_reads(self, tmp_path, capsys, monkeypatch):
+        """Count guard: on a chain of 81 groups, a query on ``Pk`` derives
+        the k + 1 groups ``P0`` to ``Pk`` and no other."""
+        from chronolog import reasoner
+
+        derive = reasoner._derive_group
+        derived: set[frozenset[str]] = set()
+
+        def recording(group, facts, patterns, window):
+            derived.add(group.predicates)
+            derive(group, facts, patterns, window)
+
+        monkeypatch.setattr(reasoner, "_derive_group", recording)
+        k = 81
+        rules = [f"diamondminus[5,5] P{i} -> P{i} ." for i in range(k)]
+        rules += [f"diamondminus[1,1] P{i} -> P{i + 1} ." for i in range(k - 1)]
+        program = tmp_path / "chain.dmtl"
+        program.write_text("\n".join(rules) + "\n")
+        database = tmp_path / "chain.db"
+        database.write_text("P0@[0,0].\nP0@[3,3].\n")
+        files = ("--program", str(program), "--database", str(database))
+        code, _ = run(capsys, "query", *files, "--query", "P0@[10,10]")
+        assert code == EXIT_OK
+        assert derived == {frozenset({"P0"})}
+        derived.clear()
+        code, _ = run(capsys, "query", *files, "--query", "P40@[48,48]")
+        assert code == EXIT_OK
+        assert derived == {frozenset({f"P{i}"}) for i in range(41)}
 
 
 class TestClassifyCommand:
@@ -283,6 +370,26 @@ class TestShippedFixtures:
         )
         assert code == EXIT_OK
         assert "no differences" in out
+
+    @pytest.mark.parametrize("program,database", FIXTURE_PAIRS)
+    def test_query_answers_as_the_whole_model(self, program, database, capsys):
+        """``query`` reasons over a slice and answers as ``reason`` over the
+        whole input does, on every atom, bounded and unbounded."""
+        files = ["--program", str(FIXTURES / program), "--database", str(FIXTURES / database)]
+        db = parse_database((FIXTURES / database).read_text())
+        whole = reason(
+            ground(to_normal_form(parse_program((FIXTURES / program).read_text())), db), db
+        )
+        far = whole.horizon + whole.period
+        windows = [
+            Interval.point(0), Interval(1, 3), Interval(far, far + 1, True),
+            Interval.up_to(far), Interval.ray_from(far), Interval.ray_from(0),
+        ]
+        for atom in whole.atoms():
+            for window in windows:
+                fact = Fact(atom, window)
+                code, _ = run(capsys, "query", *files, "--query", str(fact))
+                assert code == (EXIT_OK if whole.entails(fact) else EXIT_FALSE), str(fact)
 
 
 class TestExitCodes:

@@ -17,6 +17,7 @@ from chronolog.reasoner import (
     Model,
     Pattern,
     PeriodicModel,
+    backward_slice,
     check_horizon,
     freeze,
     group_and_sort,
@@ -635,6 +636,52 @@ class TestEntailsDifferential:
         assert not pm.entails(parse_fact("A@[0,inf)"))
         assert pm.entails(parse_fact("Z@[10000,10000]"))
         assert not pm.entails(parse_fact("Z@[10000,inf)"))
+
+
+class TestBackwardSlice:
+    """``backward_slice`` keeps every rule and fact the queried atom
+    depends on, so reasoning over the slice entails what reasoning over
+    the whole input does."""
+
+    @pytest.mark.parametrize("generator", ["forward", "nested", "ray"])
+    def test_sliced_verdict_equals_whole(self, generator):
+        import random
+
+        from test_acceptance import _random_fp_program
+
+        make = {
+            "forward": _random_fp_program,
+            "nested": _random_nested_program,
+            "ray": _random_ray_program,
+        }[generator]
+        rng = random.Random(7)
+        queries = entailed = slices = smaller = 0
+        for _ in range(100):
+            text, db_text = make(rng)
+            program = to_normal_form(parse_program(text))
+            db = parse_database(db_text)
+            whole = reason(program, db)
+            for pred in program.predicates():
+                atom = Atom(pred)
+                part, part_db = backward_slice(program, db, atom)
+                rules = iter(program.rules)  # a subsequence, in program order
+                assert all(rule in rules for rule in part.rules), (text, pred)
+                slices += 1
+                smaller += len(part.rules) < len(program.rules)
+                sliced = reason(part, part_db)
+                for _ in range(16):
+                    lo = to_time(F(rng.randint(-4, 240), rng.choice((1, 2))))
+                    hi = rng.choice((lo, lo + rng.randint(1, 9), POS_INF))
+                    windows = [Interval(lo, hi), Interval(NEG_INF, hi)]
+                    windows += [Interval(lo, hi, True)] if lo < hi else []
+                    for window in windows:
+                        fact = Fact(atom, window)
+                        verdict = sliced.entails(fact)
+                        assert verdict == whole.entails(fact), (text, db_text, str(fact))
+                        queries += 1
+                        entailed += verdict
+        assert queries >= 7000 and entailed >= queries // 20
+        assert smaller >= slices // 5
 
 
 class TestPeriodFromRepeatedState:

@@ -1,5 +1,6 @@
 """Parsing, printing, normal form, and grounding."""
 
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -144,8 +145,10 @@ class TestParseDatabase:
         assert db.get(Atom("A")).pieces == (rho("[0,10]"),)
 
     def test_non_ground_fact_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^1:5: database facts must be ground$"):
             parse_database("A(X)@[1,2].")
+        with pytest.raises(ParseError, match="^1:5: a query must be ground$"):
+            parse_fact("A(X)@[1,2]")
 
     def test_ray_fact(self):
         db = parse_database("A@[3,inf).")
@@ -154,6 +157,14 @@ class TestParseDatabase:
     def test_parse_single_fact(self):
         fact = parse_fact("A(c)@[100,101]")
         assert fact == Fact(Atom("A", (Constant("c"),)), rho("[100,101]"))
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [("A@[1,2] . B@[3,4]", "1:11: unexpected 'B'"), ("A@[1,2].\n.", "2:1: unexpected '.'")],
+    )
+    def test_query_rejects_what_follows_its_fact(self, text, where):
+        with pytest.raises(ParseError, match=f"^{re.escape(where)} after the query$"):
+            parse_fact(text)
 
 
 class TestRoundTrip:
