@@ -93,9 +93,9 @@ class DepGraph:
 
 def _sccs(succ: dict) -> list[list]:
     """The strongly connected components of the graph with successor
-    lists ``succ`` (every node a key), by Tarjan's algorithm, each after
-    every component it has an edge into. Iterative: a dependency chain
-    may be far deeper than the recursion limit."""
+    lists ``succ`` (a node that is no key has none), by Tarjan's
+    algorithm, each after every component it has an edge into. Iterative:
+    a dependency chain may be far deeper than the recursion limit."""
     index: dict = {}
     low: dict = {}
     stack: list = []
@@ -115,7 +115,7 @@ def _sccs(succ: dict) -> list[list]:
                     index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(succ[w])))
+                    work.append((w, iter(succ.get(w, ()))))
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])

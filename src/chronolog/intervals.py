@@ -323,10 +323,6 @@ class IntervalSet:
     def __str__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.pieces) + "}"
 
-    def insert(self, iv: Interval) -> IntervalSet:
-        new, _ = self.insert_with_piece(iv)
-        return new
-
     def _touch_range(self, iv: Interval) -> tuple[int, int]:
         """Index range of pieces that might overlap or touch ``iv``.
 

@@ -309,10 +309,10 @@ def naive_fixpoint_bounded(
 
 @dataclass(frozen=True)
 class RuleGroup:
-    """One SCC group's rules (in program order) and the dependency graph's
-    edges inside the group, and what ``reason`` and ``_derive_group`` read
-    off them, built once: each rule's form, the rules indexed by each atom
-    their bodies read (in group order), and how far back the rules look.
+    """One SCC of ground atoms, its rules (in program order), the edges
+    inside its predicates' SCC, and what ``reason`` and ``_derive_group``
+    read off them, built once: each rule's form, the rules indexed by each
+    atom their bodies read (in group order), and how far back they look.
 
     ``lookback`` is how far before a window ``_derive_group`` reads body
     facts, and the L of ``reason``'s state: the largest upper end of the
@@ -321,7 +321,7 @@ class RuleGroup:
     already made its head a ray, stored whole) and a ``boxminus[a,inf)``
     counts nothing (it never fires on facts bounded below)."""
 
-    predicates: frozenset[str]
+    atoms: frozenset[Atom]
     rules: tuple[Rule, ...]
     edges: tuple[Edge, ...]
     forms: tuple[type[Literal] | None, ...] = field(init=False, repr=False, compare=False)
@@ -347,24 +347,37 @@ class RuleGroup:
         object.__setattr__(self, "lookback", lookback)
 
 
-def group_and_sort(program: Program) -> list[RuleGroup]:
-    """Rules grouped by the SCC of their head predicate, in the dependency
-    order of ``DepGraph.components``.
-
-    Groups whose SCC has no rules (database-only predicates) are omitted.
-    """
-    graph = dependency_graph(program)
-    scc_of = graph.scc_of
-    rules: list[list[Rule]] = [[] for _ in graph.components]
-    edges: list[list[Edge]] = [[] for _ in graph.components]
+def _reads(program: Program) -> dict[Atom, list[Atom]]:
+    """The ground atom graph: each rule head and its rules' body atoms."""
+    reads: dict[Atom, list[Atom]] = {}
     for rule in program.rules:
-        rules[scc_of[rule.head.predicate]].append(rule)
+        reads.setdefault(rule.head, []).extend(body_atoms(rule))
+    return reads
+
+
+def group_and_sort(program: Program) -> list[RuleGroup]:
+    """Rules grouped by the SCC of their head in the ground atom graph
+    (``_reads``), in dependency order: on head -> body edges ``_sccs``
+    gives each SCC after every SCC it reads. SCCs without rules are
+    omitted; the groups of one predicate SCC share its ``edges`` tuple."""
+    graph = dependency_graph(program)
+    succ: dict[str, list[str]] = {node: [] for node in graph.nodes}
+    for e in graph.edges:
+        succ[e.source].append(e.target)
+    scc_of = {p: i for i, members in enumerate(_sccs(succ)) for p in members}
+    inner: dict[int, list[Edge]] = {}
     for e in graph.edges:
         if scc_of[e.source] == scc_of[e.target]:
-            edges[scc_of[e.target]].append(e)
+            inner.setdefault(scc_of[e.target], []).append(e)
+    edges = {i: tuple(group_edges) for i, group_edges in inner.items()}
+    components = _sccs(_reads(program))
+    group_of = {atom: i for i, members in enumerate(components) for atom in members}
+    rules: list[list[Rule]] = [[] for _ in components]
+    for rule in program.rules:
+        rules[group_of[rule.head]].append(rule)
     return [
-        RuleGroup(members, tuple(group_rules), tuple(group_edges))
-        for members, group_rules, group_edges in zip(graph.components, rules, edges)
+        RuleGroup(frozenset(atoms), tuple(group_rules), edges.get(scc_of[atoms[0].predicate], ()))
+        for atoms, group_rules in zip(components, rules)
         if group_rules
     ]
 
@@ -723,8 +736,8 @@ def backward_slice(program: Program, database: Model, atom: Atom) -> tuple[Progr
 
     The whole input is checked first, as ``reason`` checks it, so an input
     ``reason`` rejects is rejected here too, wherever the fault lies. Then
-    the ground program is walked back from ``atom``: each rule whose head
-    lies in the closure is kept and adds its body atoms to the closure.
+    the ground atom graph (``_reads``) is walked back from ``atom``: each
+    rule whose head lies in the closure is kept and adds its body atoms.
     The kept rules are a subsequence of ``program.rules``, in program
     order and with their ids; the database keeps the closure's atoms.
 
@@ -735,11 +748,8 @@ def backward_slice(program: Program, database: Model, atom: Atom) -> tuple[Progr
     point, period or horizon), but not the facts of ``atom``.
     """
     _check_input(program, database)
-    reads: dict[Atom, list[Atom]] = {}
-    for rule in program.rules:
-        reads.setdefault(rule.head, []).extend(body_atoms(rule))
-    closure = {atom}
-    stack = [atom]
+    reads = _reads(program)
+    closure, stack = {atom}, [atom]
     while stack:
         for body in reads.get(stack.pop(), ()):
             if body not in closure:
@@ -764,13 +774,13 @@ def reason(
     are fine). ``cycle_cap`` is accepted for compatibility and not used:
     no cycle is enumerated here. ``window_cap`` bounds the number of
     chunks a group derives before its state repeats; ``on_iteration`` is
-    called with the group, the chunk's number and a copy of the facts
-    after every derived chunk.
+    called with the group's atoms (joined by commas), the chunk's number
+    and a copy of the facts after every derived chunk.
 
-    SCC groups are handled in dependency order. Each group derives forward
-    in chunks and finds its period from a repeated state. The state, the
-    compaction test and the frozen period all read the group's facts on a
-    half-open window shifted to the origin, through one helper
+    The groups, SCCs of ground atoms, go in dependency order. Each derives
+    forward in chunks and finds its period from a repeated state. The
+    state, the compaction test and the frozen period all read the group's
+    facts on a half-open window shifted to the origin, through one helper
     (``_slab``); earlier groups are read through ``_coverage``, over each
     chunk and its lookback (see ``_derive_group``):
 
@@ -797,12 +807,12 @@ def reason(
       pattern occurrences, so once ``t - L`` lies strictly past the
       settle point, the inputs on ``[t - L, inf)`` look the same from
       any two positions a multiple of ``r`` apart, where ``r`` is the lcm
-      of the periods of the groups read. Slabs are compared at positions
-      a ``step`` apart: the lcm of ``r`` and ``c``, the gcd of the
-      group's cycle shift sums (``_shift_gcd``), or 1 when neither
-      exists. ``c`` keeps a group's period a multiple of its own cycles'
-      rhythm: ``diamondminus[5,5] P -> P`` keeps period 5 even when its
-      facts fill every residue and the points alone repeat every 1.
+      of the periods of the atoms read. Slabs are compared at positions
+      a ``step`` apart: the lcm of ``r`` and ``c``, or 1 when neither
+      exists. ``c`` is the gcd of the cycle shift sums of the predicate
+      SCC of the group's atoms (``_shift_gcd``, once per such SCC). It
+      keeps a period a multiple of that rhythm: ``diamondminus[5,5] P ->
+      P`` keeps period 5 even when its facts fill every residue.
     * **Period.** At the first position ``t + q`` whose normalized state
       equals that of an earlier position ``t``, the future repeats: the
       model on ``[t - L, inf)`` equals itself shifted by ``q``, so it
@@ -819,13 +829,14 @@ def reason(
       multiple of ``q`` later, far enough on for ``q*`` to apply. So the
       slabs at ``t`` and ``t + q*`` agree, and so do the flags, which can
       only turn on and agree at ``t`` and ``t + q``. As no position
-      before ``t + q`` repeats an earlier one, ``q = q*``. For a
-      propositional program the paper's pattern length ``P`` is a period
-      of the model, and ``step`` divides ``P`` (``r`` by induction over
-      the groups, ``c`` because it divides every cycle's shift sum), so
-      ``q`` divides ``P``. With constants ``P`` is computed on
-      predicates and need not be a period of the model (see
-      ``analysis.pattern_length``), and ``q`` need not divide it.
+      before ``t + q`` repeats an earlier one, ``q = q*``, and ``q``
+      divides every period that ``step`` divides. One is the pattern
+      length ``P`` of the program read over its ground atoms (the lcm of
+      its atom cycles' shift sums, a period of the model; ``r`` divides
+      it by induction, ``c`` as atom cycles map onto predicate cycles),
+      not ``analysis.pattern_length``, taken on predicates (``reach_join``:
+      3 and 6). Another is the period of the group's predicate SCC taken
+      as one group, which is a multiple of that group's step.
     * **Compaction.** ``h`` then moves back to the least multiple ``b``
       of ``q`` from which the group's facts repeat: those on ``[b, h)``
       and those on ``[b + q, h + q)`` make the same slab. If they do,
@@ -852,27 +863,21 @@ def reason(
         return PeriodicModel(Model(), (), 1, 0)
 
     start = min_time_point(database)
-    db_atoms: dict[str, list[Atom]] = {}  # per predicate
-    for atom in database.atoms():
-        db_atoms.setdefault(atom.predicate, []).append(atom)
     facts = database.copy()
     patterns: dict[Atom, list[Pattern]] = {}
-    periods: dict[str, int | Fraction] = {}
+    periods: dict[Atom, int | Fraction] = {}
+    cycle_steps: dict[int, int | Fraction] = {}  # by id of a predicate SCC's edges
     horizons: list[int | Fraction] = []
 
     for group in group_and_sort(program):
-        name = ",".join(sorted(group.predicates))
+        atoms = sorted(group.atoms, key=_atom_key)
         lookback = group.lookback
-        cycle_step = _shift_gcd(group)
+        if (cycle_step := cycle_steps.get(id(group.edges))) is None:
+            cycle_step = cycle_steps[id(group.edges)] = _shift_gcd(group)
         step = lcm_rationals(
-            [periods[a.predicate] for a in group.by_body if a.predicate in periods]
+            [periods[a] for a in group.by_body if a in periods]
             + ([cycle_step] if cycle_step else [])
             or [1]
-        )
-        atoms = sorted(
-            {r.head for r in group.rules}
-            | {a for p in group.predicates for a in db_atoms.get(p, ())},
-            key=_atom_key,
         )
         settle = max(
             [start]
@@ -893,7 +898,7 @@ def reason(
             window = Interval(lo, hi, False, True)
             _derive_group(group, facts, patterns, window)
             if on_iteration is not None:
-                on_iteration(name, chunks, facts.copy())
+                on_iteration(",".join(map(str, atoms)), chunks, facts.copy())
 
         seen: dict[tuple, int | Fraction] = {}
         repeat: int | Fraction | None = None
@@ -901,8 +906,7 @@ def reason(
         while repeat is None:
             if chunks >= window_cap:
                 raise WindowCapExceeded(
-                    f"no repetition within {window_cap} chunks (group "
-                    f"{sorted(group.predicates)})"
+                    f"no repetition within {window_cap} chunks (group {list(map(str, atoms))})"
                 )
             derive(derived, end)
             derived = end
@@ -944,8 +948,7 @@ def reason(
             facts.add(ray.atom, ray.interval)
         for pat in group_patterns:
             patterns.setdefault(pat.atom, []).append(pat)
-        for pred in group.predicates:
-            periods[pred] = period
+        periods.update(dict.fromkeys(atoms, period))
         horizons.append(begin)
 
     every_pattern = (pat for pats in patterns.values() for pat in pats)

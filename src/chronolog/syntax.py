@@ -603,9 +603,9 @@ class _Parser:
         self._check_units()
         return facts
 
-    def _check_units(self) -> None:
+    def _check_units(self, subject: str = "file") -> None:
         if self.seen_unit and self.seen_bare:
-            raise _error_at(self.text, 0, "file mixes unit-suffixed and bare durations")
+            raise _error_at(self.text, 0, f"{subject} mixes unit-suffixed and bare durations")
 
 
 def parse_program(text: str) -> Program:
@@ -629,6 +629,7 @@ def parse_fact(text: str) -> Fact:
     fact = parser.parse_fact("a query")
     if parser.peek().kind != "EOF":
         raise parser.error(f"unexpected {parser.peek().text!r} after the query")
+    parser._check_units("query")
     return fact
 
 

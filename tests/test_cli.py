@@ -159,6 +159,7 @@ class TestQueryCommand:
         [
             ("Monday@[7,8] . Tuesday@[1,1]", "1:16: unexpected 'Tuesday' after the query"),
             ("Monday(X)@[7,8]", "1:10: a query must be ground"),
+            ("Monday@[1d,2]", "1:1: query mixes unit-suffixed and bare durations"),
         ],
     )
     def test_malformed_query_exits_2(self, query, message, capsys):
@@ -214,7 +215,7 @@ class TestQueryCommand:
         derived: set[frozenset[str]] = set()
 
         def recording(group, facts, patterns, window):
-            derived.add(group.predicates)
+            derived.add(frozenset(map(str, group.atoms)))
             derive(group, facts, patterns, window)
 
         monkeypatch.setattr(reasoner, "_derive_group", recording)
@@ -314,6 +315,23 @@ class TestOracleAndCheck:
         code, out = run(capsys, "check", "--program", program, "--database", database)
         assert code == EXIT_OK
         assert "no differences" in out
+
+    def test_check_is_clean_on_six_prime_cycles(self, tmp_path, capsys):
+        """Six ground cycles of one predicate, each with its own period."""
+        primes = (2, 3, 5, 7, 11, 13)
+        program = tmp_path / "primes.dmtl"
+        program.write_text(
+            "".join(f"diamondminus[{p},{p}] P(c{p}) -> P(c{p}) .\n" for p in primes)
+        )
+        database = tmp_path / "primes.db"
+        database.write_text("".join(f"P(c{p})@[0,0].\n" for p in primes))
+        files = ("--program", str(program), "--database", str(database))
+        code, out = run(capsys, "check", *files, "--horizon", "600")
+        assert code == EXIT_OK
+        assert "no differences" in out
+        code, out = run(capsys, "reason", *files, "--format", "json")
+        assert code == EXIT_OK
+        assert sorted(p["period"] for p in json.loads(out)["patterns"]) == sorted(map(str, primes))
 
     def test_default_horizon_reaches_past_the_representation_horizon(
         self, tmp_path, capsys

@@ -181,30 +181,34 @@ class TestOracle:
         assert calls < 3 * 301
 
 
+def _names(group) -> list[str]:
+    return sorted(map(str, group.atoms))
+
+
 class TestGroupAndSort:
     def test_single_group(self):
         p = parse_program(WORKED_EXAMPLE)
         groups = group_and_sort(p)
         assert len(groups) == 1
-        assert groups[0].predicates == frozenset({"A", "B"})
+        assert groups[0].atoms == frozenset({Atom("A"), Atom("B")})
         assert len(groups[0].rules) == 2
 
     def test_chain_in_dependency_order(self):
         p = parse_program("A -> B .\nB -> C .")
         groups = group_and_sort(p)
-        assert [sorted(g.predicates) for g in groups] == [["B"], ["C"]]
+        assert [_names(g) for g in groups] == [["B"], ["C"]]
 
     def test_mutually_reachable_triple(self):
         groups = group_and_sort(parse_program(NONLINEAR_DIAMOND))
         assert len(groups) == 1
-        assert groups[0].predicates == frozenset({"A", "B", "C"})
+        assert groups[0].atoms == frozenset({Atom("A"), Atom("B"), Atom("C")})
 
     def test_dependencies_before_dependents(self):
         p = parse_program(
             "diamondminus[1,1] S -> S .\nS -> T .\ndiamondminus[2,2] T -> T ."
         )
         groups = group_and_sort(p)
-        order = [sorted(g.predicates) for g in groups]
+        order = [_names(g) for g in groups]
         assert order.index(["S"]) < order.index(["T"])
 
     def test_rules_in_program_order_and_exactly_the_inner_edges(self):
@@ -216,7 +220,7 @@ class TestGroupAndSort:
             "boxminus[2,2] B -> A .\n"
         )
         groups = group_and_sort(p)
-        assert [sorted(g.predicates) for g in groups] == [["A", "B"], ["D"]]
+        assert [_names(g) for g in groups] == [["A", "B"], ["D"]]
         cycle, tail = groups
         assert [r.id for r in cycle.rules] == ["r1", "r2", "r3", "r5"]
         assert [r.id for r in tail.rules] == ["r4"]
@@ -224,12 +228,26 @@ class TestGroupAndSort:
         for group in groups:
             assert group.edges == tuple(
                 e for e in edges
-                if e.source in group.predicates and e.target in group.predicates
+                if {e.source, e.target} <= {a.predicate for a in group.atoms}
             )
         assert [(e.source, e.target, e.rule_id) for e in cycle.edges] == [
             ("B", "A", "r1"), ("A", "B", "r2"), ("B", "A", "r5"),
         ]
         assert tail.edges == ()
+
+    def test_ground_cycles_of_one_predicate_are_separate_groups(self):
+        """Groups are SCCs of ground atoms; the groups of one predicate SCC
+        share one tuple of its inner edges."""
+        p = parse_program(
+            "diamondminus[2,2] P(a) -> P(a) .\n"
+            "diamondminus[3,3] P(b) -> P(b) .\n"
+            "P(a), P(b) -> Q(a) ."
+        )
+        groups = group_and_sort(p)
+        assert [_names(g) for g in groups] == [["P(a)"], ["P(b)"], ["Q(a)"]]
+        assert groups[0].edges is groups[1].edges
+        assert [e.rule_id for e in groups[0].edges] == ["r1", "r2"]
+        assert groups[2].edges == ()
 
 
 class TestFreeze:
@@ -475,10 +493,13 @@ class TestShiftGcd:
                     body = f"{op}[{a},{b}{close} {rng.choice(preds)}"
                 lines.append(f"{body} -> {rng.choice(preds)} .")
             program = parse_program("\n".join(lines))
-            cycles = simple_cycles(dependency_graph(program))
+            graph = dependency_graph(program)
+            cycles = simple_cycles(graph)
             for group in group_and_sort(program):
+                (atom, *_) = group.atoms
+                component = graph.components[graph.scc_of[atom.predicate]]
                 sums = [
-                    s for c in cycles[group.predicates] if 0 < (s := c.shift_sum) < POS_INF
+                    s for c in cycles[component] if 0 < (s := c.shift_sum) < POS_INF
                 ]
                 assert _shift_gcd(group) == _gcd(sums), lines
                 groups += 1
@@ -1003,7 +1024,7 @@ class TestMinimalHorizon:
         widths: dict[str, F] = {}
 
         def counting(group, facts, patterns, window):
-            name = ",".join(sorted(group.predicates))
+            name = ",".join(_names(group))
             widths[name] = widths.get(name, 0) + window.hi - window.lo
             derive(group, facts, patterns, window)
 
@@ -1045,6 +1066,87 @@ class TestMinimalHorizon:
         pm = reason(program, database)
         assert pm.horizon == k + 1
         assert calls < 3 * n
+
+
+def _primes_program(n: int, residues: bool = False):
+    """``diamondminus[p,p] P(c_p) -> P(c_p)`` for the first ``n`` primes,
+    with ``P(c_p)`` at 0 or, with ``residues``, at every ``k < p``."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23][:n]
+    program = parse_program(
+        "\n".join(f"diamondminus[{p},{p}] P(c{p}) -> P(c{p}) ." for p in primes)
+    )
+    db = model_of("".join(
+        f"P(c{p})@[{k},{k}].\n" for p in primes for k in (range(p) if residues else [0])
+    ))
+    return primes, program, db
+
+
+class TestAtomGroups:
+    """Each SCC of ground atoms is its own group, with its own state and
+    period; the rhythm term ``c`` still comes from the predicate SCC."""
+
+    @pytest.mark.parametrize("n", [6, 9])
+    def test_each_prime_cycle_gets_its_own_period(self, n):
+        primes, program, db = _primes_program(n)
+        chunks = []
+        pm = reason(program, db, on_iteration=lambda group, k, facts: chunks.append(group))
+        assert len(group_and_sort(program)) == n
+        assert sorted(set(chunks)) == sorted(f"P(c{p})" for p in primes)
+        assert len(chunks) <= 3 * n  # count guard: a few chunks per group
+        assert sorted((str(p.atom), p.offset, p.period) for p in pm.patterns) == sorted(
+            (f"P(c{p})", iv("[0,0]"), p) for p in primes
+        )
+        assert pm.facts.is_empty and pm.horizon == 0
+        assert pm.period == math.prod(primes)
+
+    def test_filled_residues_keep_period_one(self):
+        """Facts at every residue mod p fill each cycle's rhythm: the
+        predicate SCC's ``c`` is gcd(2, 3, 5, 7, 11) = 1, so each atom
+        repeats every 1, and ``check_horizon`` stays small."""
+        primes, program, db = _primes_program(5, residues=True)
+        pm = reason(program, db)
+        assert pm.period == 1 and {p.period for p in pm.patterns} == {1}
+        assert check_horizon(pm, db) == 13
+        assert pm.unroll(13) == naive_fixpoint_bounded(program, db, 13)
+
+    def test_database_only_atom_of_a_derived_predicate_stays_a_fact(self):
+        """``P(b)`` has no rule, so it is in no group: its fact is not
+        frozen with ``P(a)``'s group and does not delay it."""
+        program = parse_program("diamondminus[2,2] P(a) -> P(a) .")
+        db = model_of("P(a)@[0,0].\nP(b)@[5,5].")
+        assert [_names(g) for g in group_and_sort(program)] == [["P(a)"]]
+        pm = reason(program, db)
+        assert str(pm.facts) == "P(b)@{[5,5]}"
+        assert [str(p) for p in pm.patterns] == ["P(a)@[0,0]+2x for x>=0"]
+        assert (pm.period, pm.horizon) == (2, 0)
+
+    def test_window_cap_names_the_group_atoms(self):
+        _, program, db = _primes_program(2)
+        with pytest.raises(WindowCapExceeded, match=r"\(group \['P\(c2\)'\]\)"):
+            reason(program, db, window_cap=1)
+
+    def test_unrolled_reason_equals_oracle_on_nonground_programs(self):
+        import random
+
+        from test_syntax import _random_nonground_program
+
+        rng = random.Random(31)
+        split = infinite = 0
+        for _ in range(300):
+            text, db_text = _random_nonground_program(rng)
+            db = parse_database(db_text)
+            program = ground(parse_program(text), db)
+            pm = reason(program, db)
+            horizon = check_horizon(pm, db)
+            assert pm.unroll(horizon) == naive_fixpoint_bounded(program, db, horizon), (
+                text,
+                db_text,
+            )
+            groups = group_and_sort(program)
+            split += len(groups) > len({a.predicate for g in groups for a in g.atoms})
+            infinite += pm.representation_type() != "finite"
+        # a predicate's atoms fall into several groups on about one program in five
+        assert split > 40 and infinite > 20
 
 
 class TestFullPipeline:

@@ -71,6 +71,11 @@ class TestParseProgram:
         with pytest.raises(ParseError):
             parse_program("diamondminus[1,2] A -> B .\ndiamondminus[7d,7d] B -> C .")
 
+    def test_query_checks_units_as_a_database_does(self):
+        assert parse_fact("Monday@[1d,2d]").interval == Interval.closed(1, 2)
+        with pytest.raises(ParseError, match="query mixes unit-suffixed and bare durations"):
+            parse_fact("Monday@[1d,2]")
+
     def test_comments_and_whitespace(self):
         p = parse_program("% intro\nA -> B . % trailing\n\n% done\n")
         assert len(p.rules) == 1
