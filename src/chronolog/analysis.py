@@ -25,9 +25,7 @@ from .syntax import (
     Program,
     Rule,
     Since,
-    body_atoms,
     is_forward_propagating,
-    rule_form,
 )
 
 DEFAULT_CYCLE_CAP = 100_000
@@ -186,7 +184,7 @@ def _circuits(succ: dict[int, list[int]]):
 
 def _edge_labels(rule: Rule) -> tuple[bool, Interval, Time]:
     """(special, interval label, shift label) shared by a rule's edges."""
-    form = rule_form(rule)
+    form = rule.form
     if form is None:
         raise InputError(f"rule {rule.id} is not in temporal normal form")
     if form is Atom:
@@ -209,7 +207,7 @@ def dependency_graph(program: Program) -> DepGraph:
         special, label, shift = _edge_labels(rule)
         head = rule.head.predicate
         seen: set[str] = set()
-        for atom in body_atoms(rule):
+        for atom in rule.body_atoms:
             if atom.predicate in seen:
                 continue
             seen.add(atom.predicate)
@@ -363,7 +361,7 @@ def fragment_checks(program: Program, graph: DepGraph | None = None) -> Fragment
     # a normal-form rule has no `top` and no operator but its body's one
     # temporal literal
     bounded = not program.axioms and all(
-        rule_form(r) is Atom or r.body[0].rho.is_bounded for r in program.rules
+        r.form is Atom or r.body[0].rho.is_bounded for r in program.rules
     )
 
     ground = program.is_ground
@@ -384,7 +382,7 @@ def fragment_checks(program: Program, graph: DepGraph | None = None) -> Fragment
         head = rule.head.predicate
         recursive = {
             a.predicate
-            for a in body_atoms(rule)
+            for a in rule.body_atoms
             if scc_of[a.predicate] == scc_of[head] and scc_of[head] in scc_special
         }
         if len(recursive) > 1:
@@ -444,7 +442,7 @@ def _finite_marking(
     cycles that are not temporal-acyclic.
     """
     body_preds = {
-        r.id: {a.predicate for a in body_atoms(r)} for r in program.rules
+        r.id: {a.predicate for a in r.body_atoms} for r in program.rules
     }
     incoming: dict[str, list[Edge]] = {n: [] for n in graph.nodes}
     for e in graph.edges:
@@ -538,9 +536,9 @@ def classify_rules(
 
     classes: dict[str, RuleClass] = {}
     for rule in program.rules:
-        if any(a.predicate in finite for a in body_atoms(rule)):
+        if any(a.predicate in finite for a in rule.body_atoms):
             classes[rule.id] = RuleClass.HARMLESS
-        elif rule_form(rule) is Atom:
+        elif rule.form is Atom:
             classes[rule.id] = RuleClass.HARMFUL
         else:
             classes[rule.id] = RuleClass.DANGEROUS

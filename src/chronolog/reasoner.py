@@ -38,9 +38,7 @@ from .syntax import (
     Rule,
     Top,
     _Unary,
-    body_atoms,
     is_forward_propagating,
-    rule_form,
 )
 
 DEFAULT_WINDOW_CAP = 10_000
@@ -261,7 +259,7 @@ def naive_fixpoint_bounded(
     for rule in program.rules:
         read = [_linear_atom(lit) for lit in rule.body]
         if None in read:
-            for atom in body_atoms(rule):
+            for atom in rule.body_atoms:
                 whole.setdefault(atom, []).append(rule)
         else:
             for position, atom in enumerate(read):
@@ -311,8 +309,8 @@ def naive_fixpoint_bounded(
 class RuleGroup:
     """One SCC of ground atoms, its rules (in program order), the edges
     inside its predicates' SCC, and what ``reason`` and ``_derive_group``
-    read off them, built once: each rule's form, the rules indexed by each
-    atom their bodies read (in group order), and how far back they look.
+    read off them, built once: the rules indexed by each atom their bodies
+    read (in group order), and how far back they look.
 
     ``lookback`` is how far before a window ``_derive_group`` reads body
     facts, and the L of ``reason``'s state: the largest upper end of the
@@ -324,25 +322,22 @@ class RuleGroup:
     atoms: frozenset[Atom]
     rules: tuple[Rule, ...]
     edges: tuple[Edge, ...]
-    forms: tuple[type[Literal] | None, ...] = field(init=False, repr=False, compare=False)
     by_body: dict[Atom, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     lookback: int | Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        forms = tuple(rule_form(rule) for rule in self.rules)
         by_body: dict[Atom, list[int]] = {}
         lookback = 0
-        for i, (rule, form) in enumerate(zip(self.rules, forms)):
-            for atom in dict.fromkeys(body_atoms(rule)):
+        for i, rule in enumerate(self.rules):
+            for atom in dict.fromkeys(rule.body_atoms):
                 by_body.setdefault(atom, []).append(i)
-            if form not in (BoxMinus, DiamondMinus):
+            if rule.form not in (BoxMinus, DiamondMinus):
                 continue
             rho = rule.body[0].rho
             if rho.hi != POS_INF:
                 lookback = max(lookback, rho.hi)
-            elif form is DiamondMinus:
+            elif rule.form is DiamondMinus:
                 lookback = max(lookback, rho.lo)
-        object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "by_body", {a: tuple(ids) for a, ids in by_body.items()})
         object.__setattr__(self, "lookback", lookback)
 
@@ -351,7 +346,7 @@ def _reads(program: Program) -> dict[Atom, list[Atom]]:
     """The ground atom graph: each rule head and its rules' body atoms."""
     reads: dict[Atom, list[Atom]] = {}
     for rule in program.rules:
-        reads.setdefault(rule.head, []).extend(body_atoms(rule))
+        reads.setdefault(rule.head, []).extend(rule.body_atoms)
     return reads
 
 
@@ -592,7 +587,8 @@ def _derive_group(
         fresh: dict[Atom, list[Interval]] = {}
         touched = sorted({i for atom in frontier for i in group.by_body.get(atom, ())})
         for i in touched:
-            rule, form = group.rules[i], group.forms[i]
+            rule = group.rules[i]
+            form = rule.form
             derived = IntervalSet.empty()
             if form is Atom:
                 for k, atom in enumerate(rule.body):
@@ -795,7 +791,7 @@ def reason(
       therefore still gain only from body points in ``[t - L, inf)``, and
       an atom with it gains nothing more. Every other head point
       ``t' >= t`` reads body points in ``[t' - L, t']``. A flag can only
-      turn on as ``t`` grows.
+      turn on as ``t`` grows, and as the chunks derived reach further.
     * **Positions.** The group settles at the database's first point or,
       if later, where an atom it owns or reads settles (``_settled``):
       the atom's last finite fact endpoint, or the end of one of its
@@ -813,6 +809,22 @@ def reason(
       SCC of the group's atoms (``_shift_gcd``, once per such SCC). It
       keeps a period a multiple of that rhythm: ``diamondminus[5,5] P ->
       P`` keeps period 5 even when its facts fill every residue.
+    * **Chunks.** The first hashed position ``p`` is the first multiple
+      of ``step`` with ``p - L`` past the settle point; ``p + step`` is
+      the first position whose state can equal an earlier one's. The
+      first chunk runs from ``start`` through ``p + step``, so a group
+      whose state repeats at once derives one chunk. The next chunk is
+      ``max(L, step)`` wide and each later one twice as wide as the one
+      before; after each chunk the state is read at every position up to
+      its end. So the flags at ``t`` are read after deriving past ``t``,
+      and the State argument still holds. The facts derived so far hold
+      in the model and are final before the chunks' end, so a flag that
+      is on says the atom holds on all of ``[t, inf)``; and a body point
+      before ``t - L`` that makes it hold there makes a ray that starts
+      before ``t``, in a chunk already derived, so the flag is on. The
+      model from ``t`` on is the least one given the slab, the inputs and
+      the flagged atoms holding on ``[t, inf)``, and flagging an atom
+      that holds there anyway changes nothing.
     * **Period.** At the first position ``t + q`` whose normalized state
       equals that of an earlier position ``t``, the future repeats: the
       model on ``[t - L, inf)`` equals itself shifted by ``q``, so it
@@ -828,9 +840,10 @@ def reason(
       on all of ``[t - L, inf)``: a point there holds what it holds a
       multiple of ``q`` later, far enough on for ``q*`` to apply. So the
       slabs at ``t`` and ``t + q*`` agree, and so do the flags, which can
-      only turn on and agree at ``t`` and ``t + q``. As no position
-      before ``t + q`` repeats an earlier one, ``q = q*``, and ``q``
-      divides every period that ``step`` divides. One is the pattern
+      only turn on (positions are read in order, none with fewer chunks
+      derived than the one before) and agree at ``t`` and ``t + q``. As no
+      position before ``t + q`` repeats an earlier one, ``q = q*``, and
+      ``q`` divides every period that ``step`` divides. One is the pattern
       length ``P`` of the program read over its ground atoms (the lcm of
       its atom cycles' shift sums, a period of the model; ``r`` divides
       it by induction, ``c`` as atom cycles map onto predicate cycles),
@@ -902,7 +915,7 @@ def reason(
 
         seen: dict[tuple, int | Fraction] = {}
         repeat: int | Fraction | None = None
-        derived, end, width = start, position, max(lookback, step)
+        derived, end, width = start, position + step, max(lookback, step)
         while repeat is None:
             if chunks >= window_cap:
                 raise WindowCapExceeded(

@@ -92,8 +92,20 @@ class Bottom(Literal):
 
 @dataclass(frozen=True, slots=True)
 class Atom(Literal):
+    """A predicate over terms. It hashes once, at construction, to the
+    value the dataclass would compute, ``hash((predicate, terms))``: the
+    reasoner looks atoms up on every step, and sets and dicts of atoms
+    keep the order they had with the computed hash."""
+
     predicate: str
     terms: tuple[Term, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.predicate, self.terms)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         if not self.terms:
@@ -222,9 +234,22 @@ class Fact:
 
 @dataclass(frozen=True, slots=True)
 class Rule:
+    """``body -> head``. Its normal-form shape (``rule_form``) and the atoms
+    its body reads, in order and with repeats, are worked out once, at
+    construction, for the checks, the dependency graph and the reasoner,
+    which read them on every pass."""
+
     body: tuple[Literal, ...]
     head: Literal
     id: str = ""
+    form: type[Literal] | None = field(init=False, repr=False, compare=False)
+    body_atoms: tuple[Atom, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "form", rule_form(self))
+        object.__setattr__(
+            self, "body_atoms", tuple(a for lit in self.body for a in literal_atoms(lit))
+        )
 
     def __str__(self) -> str:
         body = ", ".join(str(b) for b in self.body)
@@ -238,28 +263,28 @@ class Program:
 
     @property
     def is_normal_form(self) -> bool:
-        return all(rule_form(r) is not None for r in self.rules)
+        return all(r.form is not None for r in self.rules)
 
     @property
     def is_ground(self) -> bool:
         return not any(
             isinstance(t, Variable)
             for r in self.rules
-            for a in body_atoms(r) + head_atoms(r)
+            for a in (*r.body_atoms, *head_atoms(r))
             for t in a.terms
         )
 
     def predicates(self) -> list[str]:
         preds: set[str] = {f.atom.predicate for f in self.axioms}
         for r in self.rules:
-            preds.update(a.predicate for a in body_atoms(r))
+            preds.update(a.predicate for a in r.body_atoms)
             preds.update(a.predicate for a in head_atoms(r))
         return sorted(preds)
 
     def constants(self) -> set[str]:
         out: set[str] = {c.name for f in self.axioms for c in f.atom.terms}
         for r in self.rules:
-            for a in body_atoms(r) + head_atoms(r):
+            for a in (*r.body_atoms, *head_atoms(r)):
                 out.update(t.name for t in a.terms if isinstance(t, Constant))
         return out
 
@@ -281,10 +306,6 @@ def literal_atoms(lit: Literal) -> Iterator[Atom]:
     elif isinstance(lit, _Operator):
         for operand in lit.operands:
             yield from literal_atoms(operand)
-
-
-def body_atoms(rule: Rule) -> list[Atom]:
-    return [a for lit in rule.body for a in literal_atoms(lit)]
 
 
 def head_atoms(rule: Rule) -> list[Atom]:
@@ -320,7 +341,7 @@ FP_FORMS = {Atom, BoxMinus, DiamondMinus}
 
 
 def is_forward_propagating(program: Program) -> bool:
-    return all(rule_form(r) in FP_FORMS for r in program.rules)
+    return all(r.form in FP_FORMS for r in program.rules)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from chronolog.reasoner import check_horizon, naive_fixpoint_bounded, reason
 from chronolog.syntax import (
     Atom,
     Program,
-    body_atoms,
     ground,
     is_forward_propagating,
     parse_database,
@@ -321,7 +320,7 @@ def _per_node_marking(program, graph, all_cycles, seedable, unbounded):
     its own, rebuilding the reduced graph and enumerating its SCC's
     cycles afresh for case (iii). A node with an unbounded database fact
     is never marked."""
-    body_preds = {r.id: {a.predicate for a in body_atoms(r)} for r in program.rules}
+    body_preds = {r.id: {a.predicate for a in r.body_atoms} for r in program.rules}
     head_rules = {n: [r for r in program.rules if r.head.predicate == n] for n in graph.nodes}
     finite: dict[str, str] = {}
 

@@ -441,11 +441,11 @@ class TestExitCodes:
             ["reason", "--program", str(program), "--database", str(database)]
         ) == EXIT_INPUT
 
-    def test_window_cap_exits_3(self, paths):
-        program, database = paths
+    def test_window_cap_exits_3(self):
+        # reach_join needs two chunks; the worked example needs one
         assert main(
-            ["reason", "--program", program, "--database", database,
-             "--window-cap", "1"]
+            ["reason", "--program", str(FIXTURES / "reach_join.dmtl"),
+             "--database", str(FIXTURES / "reach_join.db"), "--window-cap", "1"]
         ) == EXIT_CAP
 
     def test_cycle_cap_exits_3(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,8 @@ from chronolog.syntax import (
 )
 
 from test_acceptance import UNCOMPACTED_WORKED_EXAMPLE, oracle_span
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 WORKED_EXAMPLE = "diamondminus[3,4] A -> B .\nboxminus[3,4] B -> A ."
 BOX_SELF_LOOP = "boxminus[3,7] A -> A ."
@@ -355,9 +358,11 @@ class TestReason:
         assert pm.unroll(horizon) == naive_fixpoint_bounded(program, database, horizon)
 
     def test_window_cap_is_a_diagnostic_error(self):
+        # the diamond_join fixture needs two chunks (the worked example
+        # repeats at its first comparison, within one)
         with pytest.raises(WindowCapExceeded):
             reason(
-                parse_program(WORKED_EXAMPLE), model_of("A@[0,1]."), window_cap=1
+                parse_program(NONLINEAR_DIAMOND), model_of("A@[0,3].\nB@[2,4]."), window_cap=1
             )
 
     def test_database_ray_passes_through(self):
@@ -367,8 +372,8 @@ class TestReason:
     def test_monotone_growth_across_iterations(self):
         snapshots = []
         reason(
-            parse_program(WORKED_EXAMPLE),
-            model_of("A@[0,1]."),
+            parse_program(NONLINEAR_DIAMOND),
+            model_of("A@[0,3].\nB@[2,4]."),
             on_iteration=lambda group, n, facts: snapshots.append(facts),
         )
         assert len(snapshots) >= 2
@@ -1066,6 +1071,55 @@ class TestMinimalHorizon:
         pm = reason(program, database)
         assert pm.horizon == k + 1
         assert calls < 3 * n
+
+
+DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+WEEKLY_CALENDAR = (
+    "diamondminus[7,7] Mon -> Mon .\n"
+    + "".join(f"diamondminus[1,1] {a} -> {b} .\n" for a, b in zip(DAYS, DAYS[1:]))
+    + "".join(f"{d} -> Workday .\n" for d in DAYS[:5])
+    + "".join(f"{d} -> Weekend .\n" for d in DAYS[5:])
+)
+
+
+class TestFirstChunk:
+    """Count-only: the first chunk runs through the first position whose
+    state can repeat, so a group that repeats at its first comparison
+    derives one chunk."""
+
+    @staticmethod
+    def chunks(program, database) -> dict[str, int]:
+        counts: dict[str, int] = {}
+
+        def count(group, n, facts):
+            counts[group] = counts.get(group, 0) + 1
+
+        reason(program, database, on_iteration=count)
+        assert len(counts) == len(group_and_sort(program))
+        return counts
+
+    def test_weekly_fixture(self):
+        program = parse_program((FIXTURES / "weekly.dmtl").read_text())
+        database = model_of((FIXTURES / "weekly.db").read_text())
+        assert set(self.chunks(program, database).values()) == {1}
+
+    def test_chain_of_21_groups(self):
+        k = 21
+        rules = [f"diamondminus[5,5] P{i} -> P{i} ." for i in range(k)]
+        rules += [f"diamondminus[1,1] P{i} -> P{i + 1} ." for i in range(k - 1)]
+        points = [0, 3, 4, 7, 50, 121, 199]
+        counts = self.chunks(
+            parse_program("\n".join(rules)),
+            model_of("".join(f"P0@[{t},{t}].\n" for t in points)),
+        )
+        assert len(counts) == k and set(counts.values()) == {1}
+
+    @pytest.mark.parametrize("queried", ["Workday", "Weekend"])
+    def test_calendar_slice(self, queried):
+        program, database = backward_slice(
+            parse_program(WEEKLY_CALENDAR), model_of("Mon@[0,1)."), Atom(queried)
+        )
+        assert set(self.chunks(program, database).values()) == {1}
 
 
 def _primes_program(n: int, residues: bool = False):

@@ -26,10 +26,10 @@ from chronolog.syntax import (
     _error_at,
     _substitute,
     _tokenize,
-    body_atoms,
     ground,
     head_atoms,
     is_forward_propagating,
+    literal_atoms,
     literal_variables,
     parse_database,
     parse_fact,
@@ -451,7 +451,7 @@ class TestGround:
             assert all(rule in rules for rule in relevant.rules), text
             dropped += len(exhaustive.rules) - len(relevant.rules)
             assert _grid_model(relevant, db) == _grid_model(exhaustive, db), (text, db_text)
-            read = {atom for rule in relevant.rules for atom in body_atoms(rule)}
+            read = {atom for rule in relevant.rules for atom in rule.body_atoms}
             for rule in program.rules:
                 lit = rule.body[0]
                 if isinstance(lit, (Since, Until)):
@@ -479,7 +479,7 @@ def _exhaustive_ground(program, database):
         variables = sorted(
             {
                 t.name
-                for a in body_atoms(rule) + head_atoms(rule)
+                for a in (*rule.body_atoms, *head_atoms(rule))
                 for t in a.terms
                 if isinstance(t, Variable)
             }
@@ -628,3 +628,42 @@ def test_grid_model_evaluates_since_and_until():
 def test_forward_propagating_flag():
     assert is_forward_propagating(parse_program("diamondminus[1,2] A -> B ."))
     assert not is_forward_propagating(parse_program("diamondplus[1,2] A -> B ."))
+
+
+class TestStoredAnalysis:
+    """An atom's hash, and a rule's normal-form shape and body atoms, are
+    computed once, at construction, and equal a computation from scratch."""
+
+    def test_atom_hash_is_the_hash_of_its_fields(self):
+        for atom in (
+            Atom("A"),
+            Atom("P", (Constant("c"),)),
+            Atom("Q", (Variable("X"), Constant("b"))),
+        ):
+            assert hash(atom) == hash((atom.predicate, atom.terms))
+
+    def test_rules_store_their_shape_and_body_atoms(self):
+        import random
+
+        from test_acceptance import _random_fp_program
+        from test_reasoner import _random_nested_program, _random_ray_program
+
+        generators = (
+            _random_fp_program,
+            _random_nested_program,
+            _random_ray_program,
+            _random_nonground_program,
+        )
+        for generate in generators:
+            rng = random.Random(7)
+            for _ in range(300):
+                text, db_text = generate(rng)
+                program = parse_program(text)
+                normal = to_normal_form(program)
+                grounded = ground(normal, parse_database(db_text))
+                for rule in (*program.rules, *normal.rules, *grounded.rules):
+                    assert rule.form is rule_form(rule)
+                    atoms = tuple(a for lit in rule.body for a in literal_atoms(lit))
+                    assert rule.body_atoms == atoms
+                    for atom in (*atoms, *head_atoms(rule)):
+                        assert hash(atom) == hash((atom.predicate, atom.terms))
