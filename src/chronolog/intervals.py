@@ -24,6 +24,15 @@ Interval sets are kept canonical (sorted, pairwise disjoint,
 non-adjacent), which makes structural equality coincide with point-set
 equality.
 
+``Interval`` and ``IntervalSet`` are values, immutable by contract: no
+code assigns to one after construction, and nothing guards against it at
+run time. Every layer builds them by the thousand, so they are plain
+``__slots__`` classes with a hand-written ``__init__``, not frozen
+dataclasses: a frozen dataclass sets each field through
+``object.__setattr__`` (and ``Interval`` then ran a ``__post_init__``),
+which made an ``Interval`` about three times as slow to build, and a
+``__setattr__`` guard would cost about half of what was saved.
+
 The two temporal operator applications live here as well:
 
 * ``diamond_minus_apply(i, rho)`` -- the set ``{t : exists s in i with
@@ -39,7 +48,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -85,7 +93,6 @@ def plus(a: Time, b: Time) -> Time:
         return a if type(a) is float else b
 
 
-@dataclass(frozen=True, slots=True)
 class Interval:
     """A non-empty interval over the extended rational line.
 
@@ -95,26 +102,48 @@ class Interval:
     with an undefined endpoint (``nan``, say from ``inf - inf``), raises
     ``ValueError``; operations that may produce the empty set return
     ``None`` instead.
+
+    An interval is a value: equal to another ``Interval`` with the same
+    four fields (never to a plain tuple), hashed as
+    ``hash((lo, hi, lo_open, hi_open))``, and immutable by contract, as
+    no code assigns to it after construction. It is a plain slotted class,
+    not a frozen dataclass, because every operation builds intervals and
+    the dataclass made each construction about three times as slow (see
+    the module docstring).
     """
 
-    lo: Time
-    hi: Time
-    lo_open: bool = False
-    hi_open: bool = False
+    __slots__ = ("lo", "hi", "lo_open", "hi_open")
 
-    def __post_init__(self):
-        lo, hi = self.lo, self.hi
+    def __init__(
+        self, lo: Time, hi: Time, lo_open: bool = False, hi_open: bool = False
+    ) -> None:
         if lo < hi:
             if lo == NEG_INF:
-                object.__setattr__(self, "lo_open", True)
+                lo_open = True
             if hi == POS_INF:
-                object.__setattr__(self, "hi_open", True)
-        elif not (
-            lo == hi and not (self.lo_open or self.hi_open) and NEG_INF < lo < POS_INF
-        ):
+                hi_open = True
+        elif not (lo == hi and not (lo_open or hi_open) and NEG_INF < lo < POS_INF):
+            text = _render(lo, hi, lo_open, hi_open)
             if lo != lo or hi != hi:  # only nan differs from itself
-                raise ValueError(f"undefined endpoint in {self._render()}")
-            raise ValueError(f"empty interval {self._render()}")
+                raise ValueError(f"undefined endpoint in {text}")
+            raise ValueError(f"empty interval {text}")
+        self.lo = lo
+        self.hi = hi
+        self.lo_open = lo_open
+        self.hi_open = hi_open
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (
+            self.lo == other.lo
+            and self.hi == other.hi
+            and self.lo_open == other.lo_open
+            and self.hi_open == other.hi_open
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.lo_open, self.hi_open))
 
     @classmethod
     def closed(cls, lo: RationalLike, hi: RationalLike) -> Interval:
@@ -210,22 +239,18 @@ class Interval:
             hi, hi_open = self.hi, self.hi_open and other.hi_open
         return Interval(lo, hi, lo_open, hi_open)
 
-    def _render(self) -> str:
-        lb = "(" if self.lo_open else "["
-        rb = ")" if self.hi_open else "]"
-        return f"{lb}{self.lo},{self.hi}{rb}"
-
     def __str__(self) -> str:
-        return self._render()
+        return _render(self.lo, self.hi, self.lo_open, self.hi_open)
 
     def __repr__(self) -> str:
-        return f"Interval({self._render()})"
+        return f"Interval({self})"
 
     def sort_key(self):
         return (self.lo, self.lo_open, self.hi, self.hi_open)
 
-    def _lo_key(self):
-        return (self.lo, self.lo_open)
+
+def _render(lo: Time, hi: Time, lo_open: bool, hi_open: bool) -> str:
+    return f"{'(' if lo_open else '['}{lo},{hi}{')' if hi_open else ']'}"
 
 
 def _lo_of(piece: Interval) -> Time:
@@ -263,6 +288,10 @@ def box_minus_apply(i: Interval, rho: Interval) -> Interval | None:
     which keeps the openness flags correct for every flag combination.
     """
     check_operator_range(rho)
+    return _box_minus(i, rho)
+
+
+def _box_minus(i: Interval, rho: Interval) -> Interval | None:
     if rho.hi == POS_INF:
         if NEG_INF < i.lo:
             return None
@@ -281,15 +310,52 @@ def box_minus_apply(i: Interval, rho: Interval) -> Interval | None:
     return Interval(lo, hi, lo_open, hi_open)
 
 
-@dataclass(frozen=True, slots=True)
+def _merge(items: Iterable[Interval]) -> tuple[Interval, ...]:
+    """Canonical pieces of ``items``, which must come in ``sort_key``
+    order: each interval joins the last piece when the two overlap or
+    touch (the ``overlaps_or_touches`` and ``hull`` of that order,
+    written out), and starts a new piece otherwise."""
+    merged: list[Interval] = []
+    last = None
+    for iv in items:
+        if last is None or iv.lo > last.hi or (
+            iv.lo == last.hi and last.hi_open and iv.lo_open
+        ):
+            merged.append(iv)
+            last = iv
+        elif iv.hi > last.hi:
+            last = merged[-1] = Interval(last.lo, iv.hi, last.lo_open, iv.hi_open)
+        elif iv.hi == last.hi and last.hi_open and not iv.hi_open:
+            last = merged[-1] = Interval(last.lo, last.hi, last.lo_open, False)
+    return tuple(merged)
+
+
 class IntervalSet:
     """A canonical union of intervals: sorted, disjoint, non-adjacent.
 
     Two IntervalSets denote the same point set iff they are equal. The
     empty set is ``IntervalSet.empty()``.
+
+    Like ``Interval``, a set is a value, hashed as ``hash((pieces,))``
+    and immutable by contract, and a plain slotted class rather than a
+    frozen dataclass for the cost of construction.
     """
 
-    pieces: tuple[Interval, ...] = ()
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: tuple[Interval, ...] = ()) -> None:
+        self.pieces = pieces
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not IntervalSet:
+            return NotImplemented
+        return self.pieces == other.pieces
+
+    def __hash__(self) -> int:
+        return hash((self.pieces,))
+
+    def __repr__(self) -> str:
+        return f"IntervalSet(pieces={self.pieces!r})"
 
     @classmethod
     def empty(cls) -> IntervalSet:
@@ -301,14 +367,7 @@ class IntervalSet:
 
     @classmethod
     def from_iterable(cls, intervals: Iterable[Interval]) -> IntervalSet:
-        items = sorted(intervals, key=Interval.sort_key)
-        merged: list[Interval] = []
-        for iv in items:
-            if merged and merged[-1].overlaps_or_touches(iv):
-                merged[-1] = merged[-1].hull(iv)
-            else:
-                merged.append(iv)
-        return cls(tuple(merged))
+        return cls(_merge(sorted(intervals, key=Interval.sort_key)))
 
     @property
     def is_empty(self) -> bool:
@@ -390,7 +449,9 @@ class IntervalSet:
     def covers_interval(self, iv: Interval) -> bool:
         # canonical pieces are separated, so a connected set fits one piece;
         # the only candidate is the rightmost piece starting at or before iv
-        idx = bisect_right(self.pieces, (iv.lo, iv.lo_open), key=Interval._lo_key) - 1
+        # (a piece starting at iv.lo open cannot cover a closed iv.lo, and
+        # the piece before it ends short of iv.lo)
+        idx = bisect_right(self.pieces, iv.lo, key=_lo_of) - 1
         return idx >= 0 and self.pieces[idx].contains_interval(iv)
 
     def clip(self, window: Interval) -> IntervalSet:
@@ -409,12 +470,22 @@ class IntervalSet:
     def shift(self, d: Time) -> IntervalSet:
         return IntervalSet(tuple(p.shift(d) for p in self.pieces))
 
+    # Canonical pieces have strictly increasing lower ends, and both
+    # operators add the same amount to every finite lower end, so their
+    # images come in order and need one merge pass, no sort.
+
     def diamond_minus(self, rho: Interval) -> IntervalSet:
-        return IntervalSet.from_iterable(diamond_minus_apply(p, rho) for p in self.pieces)
+        if not self.pieces:
+            return _EMPTY
+        check_operator_range(rho)
+        return IntervalSet(_merge([p.minkowski(rho) for p in self.pieces]))
 
     def box_minus(self, rho: Interval) -> IntervalSet:
-        hits = (box_minus_apply(p, rho) for p in self.pieces)
-        return IntervalSet.from_iterable(h for h in hits if h is not None)
+        if not self.pieces:
+            return _EMPTY
+        check_operator_range(rho)
+        hits = [_box_minus(p, rho) for p in self.pieces]
+        return IntervalSet(_merge([h for h in hits if h is not None]))
 
 
 _EMPTY = IntervalSet(())

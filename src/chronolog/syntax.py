@@ -107,6 +107,17 @@ class Atom(Literal):
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        # written out: the dataclass's would build two tuples, and equal
+        # atoms parsed apart are distinct dict keys that meet here
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.predicate == other.predicate
+            and self.terms == other.terms
+        )
+
     def __str__(self) -> str:
         if not self.terms:
             return self.predicate
@@ -380,15 +391,20 @@ def _error_at(text: str, offset: int, message: str) -> ParseError:
 def _tokenize(text: str) -> list[_Token]:
     """The tokens of ``text`` in one pass of ``_TOKEN_RE``, which matches at
     every position: a character no token starts with is ``BAD``."""
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, which
+    # every token would otherwise pay
+    new = tuple.__new__
     tokens: list[_Token] = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "UNIT":  # a number with a unit suffix
-            tokens.append(_Token("NUMBER", m.group("NUMBER"), m.start(), m.group("UNIT")))
+            tokens.append(
+                new(_Token, ("NUMBER", m.group("NUMBER"), m.start(), m.group("UNIT")))
+            )
         elif kind == "BAD":
             raise _error_at(text, m.start(), f"unexpected character {m.group()!r}")
         elif kind != "WS" and kind != "COMMENT":
-            tokens.append(_Token(kind, m.group(), m.start()))
+            tokens.append(new(_Token, (kind, m.group(), m.start(), None)))
     tokens.append(_Token("EOF", "", len(text)))
     return tokens
 

@@ -376,6 +376,149 @@ class TestPointwiseConformance:
             assert actual == box_holds_at(t, i, rho)
 
 
+def reference_merge(intervals) -> IntervalSet:
+    """Canonical set by the per-piece reference: sort, then join each
+    interval to the last piece with ``overlaps_or_touches`` and ``hull``."""
+    merged = []
+    for i in sorted(intervals, key=Interval.sort_key):
+        if merged and merged[-1].overlaps_or_touches(i):
+            merged[-1] = merged[-1].hull(i)
+        else:
+            merged.append(i)
+    return IntervalSet(tuple(merged))
+
+
+def _set_piece_strategy():
+    """Intervals with mixed flags and fractional ends; some are rays."""
+
+    def build(lo, w, lo_open, hi_open, shape):
+        lo, hi = to_time(F(lo, 3)), to_time(F(lo + w, 3))
+        if shape == "up":
+            hi = POS_INF
+        elif shape == "down":
+            lo = NEG_INF
+        try:
+            return Interval(lo, hi, lo_open, hi_open)
+        except ValueError:
+            return None
+
+    return st.builds(
+        build,
+        st.integers(-36, 36),  # ends in thirds
+        st.integers(0, 12),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from(["bounded"] * 6 + ["up", "down"]),
+    ).filter(lambda x: x is not None)
+
+
+def _set_range_strategy():
+    """Operator ranges ``rho`` with ``rho.lo >= 0``, rays ``[a,inf)`` included."""
+
+    def build(lo, w, lo_open, hi_open, ray):
+        hi = POS_INF if ray else to_time(F(lo + w, 3))
+        try:
+            return Interval(to_time(F(lo, 3)), hi, lo_open, hi_open)
+        except ValueError:
+            return None
+
+    return st.builds(
+        build,
+        st.integers(0, 18),  # ends in thirds
+        st.integers(0, 18),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([False, False, False, True]),
+    ).filter(lambda x: x is not None)
+
+
+class TestSetOperatorsAgainstReference:
+    """The sort-free set operators and ``from_iterable`` equal a per-piece
+    reference: apply the operator to each piece, then sort and merge."""
+
+    @settings(max_examples=300)
+    @given(raw=st.lists(_set_piece_strategy(), max_size=8))
+    def test_from_iterable(self, raw):
+        assert IntervalSet.from_iterable(raw) == reference_merge(raw)
+
+    @settings(max_examples=300)
+    @given(raw=st.lists(_set_piece_strategy(), max_size=8), rho=_set_range_strategy())
+    def test_diamond_minus(self, raw, rho):
+        s = reference_merge(raw)
+        expected = reference_merge(diamond_minus_apply(p, rho) for p in s)
+        assert s.diamond_minus(rho) == expected
+
+    @settings(max_examples=300)
+    @given(raw=st.lists(_set_piece_strategy(), max_size=8), rho=_set_range_strategy())
+    def test_box_minus(self, raw, rho):
+        s = reference_merge(raw)
+        hits = (box_minus_apply(p, rho) for p in s)
+        expected = reference_merge(h for h in hits if h is not None)
+        assert s.box_minus(rho) == expected
+
+    def test_merging_images(self):
+        # the images of separate pieces overlap, touch, or stay apart
+        s = ivs("[0,1]", "(2,3)", "[5,6]", "[9,inf)")
+        assert s.diamond_minus(iv("[0,1]")) == ivs("[0,4)", "[5,7]", "[9,inf)")
+        assert s.diamond_minus(iv("[0,2)")) == ivs("[0,8)", "[9,inf)")
+        assert ivs("(-inf,1)", "(1,2]").diamond_minus(iv("[0,inf)")) == ivs("(-inf,inf)")
+        assert s.box_minus(iv("[1,1]")) == s.shift(1)
+        assert ivs("(-inf,1]", "[3,4]").box_minus(iv("[0,inf)")) == ivs("(-inf,1]")
+
+    def test_range_is_checked_on_a_set(self):
+        s = ivs("[0,1]", "[3,4]")
+        with pytest.raises(ValueError, match="negative left endpoint"):
+            s.diamond_minus(iv("[-1,2]"))
+        with pytest.raises(ValueError, match="negative left endpoint"):
+            s.box_minus(iv("[-1,2]"))
+
+    def test_covers_interval_at_a_shared_lower_end(self):
+        # a piece that starts at iv.lo open is the one candidate for iv
+        s = ivs("[0,1)", "(1,3]")
+        assert s.covers_interval(iv("(1,2]"))
+        assert not s.covers_interval(iv("[1,2]"))
+        assert s.covers_interval(iv("[0,1)")) and not s.covers_interval(iv("[0,1]"))
+
+
+class TestValueSemantics:
+    """Intervals and interval sets are values: equal by their fields,
+    hashed as the tuple of their fields, never equal to that tuple."""
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        for i in (iv("[0,1]"), iv("(1/2,inf)"), iv("(-inf,3]"), Interval.point(10**400)):
+            assert hash(i) == hash((i.lo, i.hi, i.lo_open, i.hi_open))
+        pieces = (iv("[0,1]"), iv("(2,3)"))
+        assert hash(IntervalSet(pieces)) == hash((pieces,))
+        assert hash(IntervalSet.empty()) == hash(((),))
+
+    def test_equal_by_fields_and_never_to_a_tuple(self):
+        a = Interval(lo=0, hi=1, hi_open=True)
+        assert a == iv("[0,1)") and hash(a) == hash(iv("[0,1)"))
+        assert a != iv("[0,1]") and a != iv("(0,1)")
+        assert a != (0, 1, False, True) and (0, 1, False, True) != a
+        assert {a: 1}.get((0, 1, False, True)) is None
+        assert IntervalSet((a,)) == ivs("[0,1)") and IntervalSet((a,)) != (a,)
+        assert Interval(F(1, 2), 1) == Interval(F(2, 4), F(1))
+
+    def test_repr_and_keywords(self):
+        assert repr(iv("[0,1)")) == "Interval([0,1))"
+        assert repr(ivs("[0,1)", "(2,inf)")) == (
+            "IntervalSet(pieces=(Interval([0,1)), Interval((2,inf))))"
+        )
+        ray = Interval(lo=NEG_INF, hi=POS_INF)
+        assert (ray.lo_open, ray.hi_open) == (True, True) and str(ray) == "(-inf,inf)"
+
+    def test_error_texts(self):
+        with pytest.raises(ValueError, match=r"^empty interval \(2,1\]$"):
+            Interval(2, 1, lo_open=True)
+        with pytest.raises(ValueError, match=r"^empty interval \[1,1\)$"):
+            Interval(1, 1, hi_open=True)
+        with pytest.raises(ValueError, match=r"^empty interval \[inf,inf\]$"):
+            Interval(POS_INF, POS_INF)
+        with pytest.raises(ValueError, match=r"^undefined endpoint in \[nan,0\]$"):
+            Interval(POS_INF - POS_INF, 0)
+
+
 # ---------------------------------------------------------------------------
 # shift / clip / lcm
 # ---------------------------------------------------------------------------

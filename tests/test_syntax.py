@@ -93,6 +93,8 @@ class TestParseProgram:
         assert (number.kind, number.text, number.unit) == ("NUMBER", "12", "h")
         assert position(number) == (2, 16)
         assert (plain.kind, plain.text, plain.unit) == ("NUMBER", "2", None)
+        assert tuple(first) == ("IDENT", "diamondminus", 9, None)
+        assert tuple(number) == ("NUMBER", "12", 22, "h")
         assert [t.kind for t in tokens[5:]] == ["PUNCT", "IDENT", "ARROW", "IDENT", "PUNCT", "EOF"]
 
     def test_parse_error_position_after_a_comment(self):
@@ -641,6 +643,14 @@ class TestStoredAnalysis:
             Atom("Q", (Variable("X"), Constant("b"))),
         ):
             assert hash(atom) == hash((atom.predicate, atom.terms))
+
+    def test_atoms_are_equal_by_predicate_and_terms_only(self):
+        a = Atom("P", (Constant("c"), Constant("d")))
+        b = parse_program("P(c,d) -> Q .").rules[0].body_atoms[0]
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a != Atom("P", (Constant("d"), Constant("c")))
+        assert a != Atom("Q", a.terms) and a != Atom("P", (Constant("c"), Variable("d")))
+        assert a != ("P", a.terms) and ("P", a.terms) != a
 
     def test_rules_store_their_shape_and_body_atoms(self):
         import random
