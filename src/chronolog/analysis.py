@@ -11,7 +11,6 @@ moves an interval's left endpoint into the future).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
 from fractions import Fraction
@@ -25,6 +24,7 @@ from .syntax import (
     Program,
     Rule,
     Since,
+    _value_repr,
     is_forward_propagating,
 )
 
@@ -33,24 +33,63 @@ DEFAULT_CYCLE_CAP = 100_000
 _ZERO_INTERVAL = Interval.closed(0, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Edge:
-    source: str
-    target: str
-    rule_id: str
-    special: bool
-    interval_label: Interval
-    shift_label: Time
+    __slots__ = ("source", "target", "rule_id", "special", "interval_label", "shift_label")
+
+    def __init__(
+        self,
+        source: str,
+        target: str,
+        rule_id: str,
+        special: bool,
+        interval_label: Interval,
+        shift_label: Time,
+    ) -> None:
+        self.source = source
+        self.target = target
+        self.rule_id = rule_id
+        self.special = special
+        self.interval_label = interval_label
+        self.shift_label = shift_label
+
+    def _fields(self) -> tuple:
+        return (
+            self.source, self.target, self.rule_id,
+            self.special, self.interval_label, self.shift_label,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Edge:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    __repr__ = _value_repr
 
     def __str__(self) -> str:
         tag = "*" if self.special else ""
         return f"{self.source} -{self.interval_label}{tag}-> {self.target}"
 
 
-@dataclass(frozen=True)
 class DepGraph:
-    nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    """Predicate nodes and labelled edges; what is derived from them is
+    cached on the instance."""
+
+    def __init__(self, nodes: tuple[str, ...], edges: tuple[Edge, ...]) -> None:
+        self.nodes = nodes
+        self.edges = edges
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DepGraph:
+            return NotImplemented
+        return self.nodes == other.nodes and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.edges))
+
+    __repr__ = _value_repr
 
     @cached_property
     def components(self) -> tuple[frozenset[str], ...]:
@@ -215,11 +254,23 @@ def dependency_graph(program: Program) -> DepGraph:
     return DepGraph(tuple(program.predicates()), tuple(edges))
 
 
-@dataclass(frozen=True)
 class Cycle:
     """An elementary cycle, identified by the edges it traverses."""
 
-    edges: tuple[Edge, ...]
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: tuple[Edge, ...]) -> None:
+        self.edges = edges
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Cycle:
+            return NotImplemented
+        return self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.edges,))
+
+    __repr__ = _value_repr
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -343,12 +394,32 @@ class RuleClass(Enum):
     DANGEROUS = "dangerous"
 
 
-@dataclass(frozen=True)
 class FragmentFlags:
-    bounded: bool
-    union_free: bool
-    temporal_linear: bool
-    forward_propagating: bool
+    """Syntactic fragment membership. ``NAMES`` lists the flags in order.
+
+    Flags, and the report that extends them, are equal to their own class
+    with equal fields, and hash as the tuple of their fields."""
+
+    NAMES = ("bounded", "union_free", "temporal_linear", "forward_propagating")
+
+    def __init__(
+        self, bounded: bool, union_free: bool, temporal_linear: bool, forward_propagating: bool
+    ) -> None:
+        self.bounded = bounded
+        self.union_free = union_free
+        self.temporal_linear = temporal_linear
+        self.forward_propagating = forward_propagating
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        # the fields in the order __init__ sets them
+        return hash(tuple(vars(self).values()))
+
+    __repr__ = _value_repr
 
 
 def fragment_checks(program: Program, graph: DepGraph | None = None) -> FragmentFlags:
@@ -393,15 +464,29 @@ def fragment_checks(program: Program, graph: DepGraph | None = None) -> Fragment
     )
 
 
-@dataclass(frozen=True)
 class FragmentReport(FragmentFlags):
-    rule_classes: dict[str, RuleClass]
-    finite_nodes: dict[str, str]  # node -> marking case "i".."iv"
-    harmless_program: bool
-    pattern_len: int | Fraction | None
-    cycles: list[Cycle]
-    nodes: tuple[str, ...]  # the dependency graph's nodes
-    warning: str | None = None
+    def __init__(
+        self,
+        bounded: bool,
+        union_free: bool,
+        temporal_linear: bool,
+        forward_propagating: bool,
+        rule_classes: dict[str, RuleClass],
+        finite_nodes: dict[str, str],  # node -> marking case "i".."iv"
+        harmless_program: bool,
+        pattern_len: int | Fraction | None,
+        cycles: list[Cycle],
+        nodes: tuple[str, ...],  # the dependency graph's nodes
+        warning: str | None = None,
+    ) -> None:
+        super().__init__(bounded, union_free, temporal_linear, forward_propagating)
+        self.rule_classes = rule_classes
+        self.finite_nodes = finite_nodes
+        self.harmless_program = harmless_program
+        self.pattern_len = pattern_len
+        self.cycles = cycles
+        self.nodes = nodes
+        self.warning = warning
 
 
 def _finite_marking(

@@ -8,7 +8,6 @@ differences), 2 input error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -69,9 +68,7 @@ def cmd_classify(args) -> int:
     database = _load_database(args) if args.database else None
     report = analysis.classify_rules(program, database, cycle_cap=args.cycle_cap)
 
-    fragments = {
-        f.name: getattr(report, f.name) for f in dataclasses.fields(analysis.FragmentFlags)
-    }
+    fragments = {name: getattr(report, name) for name in analysis.FragmentFlags.NAMES}
     lines = ["fragments:"] + [f"  {name}: {value}" for name, value in fragments.items()]
     lines.append(f"  harmless_program: {report.harmless_program}")
     if report.pattern_len is not None:

@@ -24,14 +24,20 @@ Interval sets are kept canonical (sorted, pairwise disjoint,
 non-adjacent), which makes structural equality coincide with point-set
 equality.
 
-``Interval`` and ``IntervalSet`` are values, immutable by contract: no
-code assigns to one after construction, and nothing guards against it at
-run time. Every layer builds them by the thousand, so they are plain
-``__slots__`` classes with a hand-written ``__init__``, not frozen
-dataclasses: a frozen dataclass sets each field through
-``object.__setattr__`` (and ``Interval`` then ran a ``__post_init__``),
-which made an ``Interval`` about three times as slow to build, and a
-``__setattr__`` guard would cost about half of what was saved.
+``Interval`` and ``IntervalSet``, like every value type of chronolog
+(the terms, literals, facts and rules of ``syntax``, the edges and
+cycles of ``analysis``, the patterns of ``reasoner``), are values,
+immutable by contract: no code assigns to one after construction, and
+nothing guards against it at run time. Each is a plain ``__slots__``
+class with a hand-written ``__init__``, ``__eq__`` (true only for a value
+of the same class) and ``__hash__`` (the hash of the tuple of the
+compared fields, with an operator's keyword first), not a frozen
+dataclass. A frozen dataclass sets each
+field through ``object.__setattr__``, which made an ``Interval`` about
+three times as slow to build (a ``__setattr__`` guard would cost about
+half of what was saved), and decorating the classes, with the modules
+``dataclasses`` imports, made up much of the start-up every command
+pays (``import chronolog.cli``).
 
 The two temporal operator applications live here as well:
 
@@ -107,9 +113,7 @@ class Interval:
     four fields (never to a plain tuple), hashed as
     ``hash((lo, hi, lo_open, hi_open))``, and immutable by contract, as
     no code assigns to it after construction. It is a plain slotted class,
-    not a frozen dataclass, because every operation builds intervals and
-    the dataclass made each construction about three times as slow (see
-    the module docstring).
+    as every operation builds intervals (see the module docstring).
     """
 
     __slots__ = ("lo", "hi", "lo_open", "hi_open")
@@ -337,8 +341,7 @@ class IntervalSet:
     empty set is ``IntervalSet.empty()``.
 
     Like ``Interval``, a set is a value, hashed as ``hash((pieces,))``
-    and immutable by contract, and a plain slotted class rather than a
-    frozen dataclass for the cost of construction.
+    and immutable by contract, and a plain slotted class.
     """
 
     __slots__ = ("pieces",)

@@ -18,7 +18,6 @@ Two independent evaluation routes are kept apart on purpose:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -38,6 +37,7 @@ from .syntax import (
     Rule,
     Top,
     _Unary,
+    _value_repr,
     is_forward_propagating,
 )
 
@@ -305,7 +305,6 @@ def naive_fixpoint_bounded(
 # Rule groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RuleGroup:
     """One SCC of ground atoms, its rules (in program order), the edges
     inside its predicates' SCC, and what ``reason`` and ``_derive_group``
@@ -317,18 +316,20 @@ class RuleGroup:
     ``boxminus``/``diamondminus`` ranges, except that a
     ``diamondminus[a,inf)`` counts ``a`` (a body point further back has
     already made its head a ray, stored whole) and a ``boxminus[a,inf)``
-    counts nothing (it never fires on facts bounded below)."""
+    counts nothing (it never fires on facts bounded below). Groups are
+    equal, and hash, by atoms, rules and edges."""
 
-    atoms: frozenset[Atom]
-    rules: tuple[Rule, ...]
-    edges: tuple[Edge, ...]
-    by_body: dict[Atom, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    lookback: int | Fraction = field(init=False, repr=False, compare=False)
+    __slots__ = ("atoms", "rules", "edges", "by_body", "lookback")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, atoms: frozenset[Atom], rules: tuple[Rule, ...], edges: tuple[Edge, ...]
+    ) -> None:
+        self.atoms = atoms
+        self.rules = rules
+        self.edges = edges
         by_body: dict[Atom, list[int]] = {}
         lookback = 0
-        for i, rule in enumerate(self.rules):
+        for i, rule in enumerate(rules):
             for atom in dict.fromkeys(rule.body_atoms):
                 by_body.setdefault(atom, []).append(i)
             if rule.form not in (BoxMinus, DiamondMinus):
@@ -338,8 +339,18 @@ class RuleGroup:
                 lookback = max(lookback, rho.hi)
             elif rule.form is DiamondMinus:
                 lookback = max(lookback, rho.lo)
-        object.__setattr__(self, "by_body", {a: tuple(ids) for a, ids in by_body.items()})
-        object.__setattr__(self, "lookback", lookback)
+        self.by_body = {a: tuple(ids) for a, ids in by_body.items()}
+        self.lookback = lookback
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RuleGroup:
+            return NotImplemented
+        return (self.atoms, self.rules, self.edges) == (other.atoms, other.rules, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.atoms, self.rules, self.edges))
+
+    __repr__ = _value_repr
 
 
 def _reads(program: Program) -> dict[Atom, list[Atom]]:
@@ -381,14 +392,31 @@ def group_and_sort(program: Program) -> list[RuleGroup]:
 # Periodic representation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Pattern:
     """The fact ``atom @ (offset + x * period)`` for every x >= start_index."""
 
-    atom: Atom
-    offset: Interval
-    start_index: int
-    period: int | Fraction
+    __slots__ = ("atom", "offset", "start_index", "period")
+
+    def __init__(
+        self, atom: Atom, offset: Interval, start_index: int, period: int | Fraction
+    ) -> None:
+        self.atom = atom
+        self.offset = offset
+        self.start_index = start_index
+        self.period = period
+
+    def _fields(self) -> tuple:
+        return (self.atom, self.offset, self.start_index, self.period)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Pattern:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    __repr__ = _value_repr
 
     def occurrence(self, x: int) -> Interval:
         return self.offset.shift(self.period * x)
@@ -457,28 +485,45 @@ def _settled(ivs: IntervalSet, patterns: Iterable[Pattern]) -> int | Fraction:
     return max(ends, default=NEG_INF)
 
 
-@dataclass(frozen=True)
 class PeriodicModel:
     """Finite representation of a possibly infinite model.
 
     ``facts`` holds the aperiodic prefix plus rays; ``patterns`` repeat
     forever with ``period``. Behavior is patterned from ``horizon`` on.
-    The patterns are indexed by atom once, for ``_coverage``.
+    The patterns are indexed by atom once, for ``_coverage``; the index
+    takes no part in equality.
     """
 
-    facts: Model
-    patterns: tuple[Pattern, ...]
-    period: int | Fraction
-    horizon: int | Fraction
-    _by_atom: dict[Atom, tuple[Pattern, ...]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("facts", "patterns", "period", "horizon", "_by_atom")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        facts: Model,
+        patterns: tuple[Pattern, ...],
+        period: int | Fraction,
+        horizon: int | Fraction,
+    ) -> None:
+        self.facts = facts
+        self.patterns = patterns
+        self.period = period
+        self.horizon = horizon
         by_atom: dict[Atom, list[Pattern]] = {}
-        for pat in self.patterns:
+        for pat in patterns:
             by_atom.setdefault(pat.atom, []).append(pat)
-        object.__setattr__(
-            self, "_by_atom", {atom: tuple(pats) for atom, pats in by_atom.items()}
-        )
+        self._by_atom = {atom: tuple(pats) for atom, pats in by_atom.items()}
+
+    def _fields(self) -> tuple:
+        return (self.facts, self.patterns, self.period, self.horizon)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PeriodicModel:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    __repr__ = _value_repr
 
     def representation_type(self) -> str:
         if not self.patterns:

@@ -29,7 +29,6 @@ Database files contain facts: ``atom "@" interval "."``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
 from typing import ClassVar, Iterable, Iterator, NamedTuple
@@ -51,9 +50,36 @@ UNIT_SCALE = {
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Constant:
-    name: str
+def _value_repr(self) -> str:
+    """``Class(field=value, ...)`` over the arguments the class's
+    ``__init__`` takes, as a dataclass prints it."""
+    code = type(self).__init__.__code__
+    names = code.co_varnames[1 : code.co_argcount]
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+    return f"{type(self).__name__}({fields})"
+
+
+class _Term:
+    """A named term, equal to a term of its own class with the same name."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    __repr__ = _value_repr
+
+
+class Constant(_Term):
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.name not in KEYWORDS and re.fullmatch(r"[a-z][A-Za-z0-9_]*", self.name):
@@ -61,9 +87,8 @@ class Constant:
         return "'" + self.name.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    name: str
+class Variable(_Term):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.name
@@ -78,38 +103,53 @@ class Literal:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Top(Literal):
+class _Nullary(Literal):
+    """A literal without fields, equal to every literal of its own class."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
+
+
+class Top(_Nullary):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "top"
 
 
-@dataclass(frozen=True, slots=True)
-class Bottom(Literal):
+class Bottom(_Nullary):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "bottom"
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Literal):
-    """A predicate over terms. It hashes once, at construction, to the
-    value the dataclass would compute, ``hash((predicate, terms))``: the
-    reasoner looks atoms up on every step, and sets and dicts of atoms
-    keep the order they had with the computed hash."""
+    """A predicate over terms. It hashes once, at construction, to
+    ``hash((predicate, terms))``: the reasoner looks atoms up on every
+    step, and that value keeps sets and dicts of atoms in a fixed order."""
 
-    predicate: str
-    terms: tuple[Term, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("predicate", "terms", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.predicate, self.terms)))
+    def __init__(self, predicate: str, terms: tuple[Term, ...] = ()) -> None:
+        self.predicate = predicate
+        self.terms = terms
+        self._hash = hash((predicate, terms))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        # written out: the dataclass's would build two tuples, and equal
-        # atoms parsed apart are distinct dict keys that meet here
+        # the stored hashes first: equal atoms parsed apart are distinct
+        # dict keys that meet here, and most unequal ones differ in hash
         if other.__class__ is not Atom:
             return NotImplemented
         return (
@@ -117,6 +157,8 @@ class Atom(Literal):
             and self.predicate == other.predicate
             and self.terms == other.terms
         )
+
+    __repr__ = _value_repr
 
     def __str__(self) -> str:
         if not self.terms:
@@ -135,22 +177,41 @@ class _Operator(Literal):
     ``operands`` are its literal arguments in order, and ``rebuild`` makes
     the same operator with the same range over new operands.
 
-    An operator hashes once, at construction, from its operands' stored
-    hashes, so hashing a nested literal costs the same at any depth (the
-    normal form looks every nested sub-literal up by hash)."""
+    An operator hashes once, at construction, to ``hash((keyword, rho,
+    *operands))``, from its operands' stored hashes, so hashing a nested
+    literal costs the same at any depth (the normal form looks every
+    nested sub-literal up by hash). It equals only an operator of its own
+    class with equal range and operands."""
 
     __slots__ = ()
     keyword: ClassVar[str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.keyword, self.rho, *self.operands)))
+    __repr__ = _value_repr
 
 
-@dataclass(frozen=True, slots=True)
 class _Unary(_Operator):
-    rho: Interval
-    inner: Literal
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("rho", "inner", "_hash")
+
+    def __init__(self, rho: Interval, inner: Literal) -> None:
+        self.rho = rho
+        self.inner = inner
+        self._hash = hash((self.keyword, rho, inner))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a chain of unary operators compares in a loop, not one frame per level
+        lit: Literal = self
+        while True:
+            if lit._hash != other._hash or lit.rho != other.rho:
+                return False
+            lit, other = lit.inner, other.inner
+            if lit is other:
+                return True
+            if not isinstance(lit, _Unary):
+                return lit == other
+            if other.__class__ is not lit.__class__:
+                return False
 
     def __hash__(self) -> int:
         return self._hash
@@ -172,12 +233,21 @@ class _Unary(_Operator):
         return type(self)(self.rho, inner)
 
 
-@dataclass(frozen=True, slots=True)
 class _Binary(_Operator):
-    left: Literal
-    rho: Interval
-    right: Literal
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("left", "rho", "right", "_hash")
+
+    def __init__(self, left: Literal, rho: Interval, right: Literal) -> None:
+        self.left = left
+        self.rho = rho
+        self.right = right
+        self._hash = hash((self.keyword, rho, left, right))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and (self.left, self.rho, self.right) == (
+            other.left, other.rho, other.right
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -197,33 +267,33 @@ def _operand_text(lit: Literal) -> str:
     return f"({lit})" if isinstance(lit, _Binary) else str(lit)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class BoxMinus(_Unary):
+    __slots__ = ()
     keyword = "boxminus"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class BoxPlus(_Unary):
+    __slots__ = ()
     keyword = "boxplus"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class DiamondMinus(_Unary):
+    __slots__ = ()
     keyword = "diamondminus"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class DiamondPlus(_Unary):
+    __slots__ = ()
     keyword = "diamondplus"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Since(_Binary):
+    __slots__ = ()
     keyword = "since"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Until(_Binary):
+    __slots__ = ()
     keyword = "until"
 
 
@@ -234,43 +304,74 @@ OPERATORS: dict[str, type[_Operator]] = {
 KEYWORDS = {"top", "bottom", "inf", *OPERATORS}
 
 
-@dataclass(frozen=True, slots=True)
 class Fact:
-    atom: Atom
-    interval: Interval
+    __slots__ = ("atom", "interval")
+
+    def __init__(self, atom: Atom, interval: Interval) -> None:
+        self.atom = atom
+        self.interval = interval
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Fact:
+            return NotImplemented
+        return self.atom == other.atom and self.interval == other.interval
+
+    def __hash__(self) -> int:
+        return hash((self.atom, self.interval))
+
+    __repr__ = _value_repr
 
     def __str__(self) -> str:
         return f"{self.atom}@{self.interval}"
 
 
-@dataclass(frozen=True, slots=True)
 class Rule:
     """``body -> head``. Its normal-form shape (``rule_form``) and the atoms
     its body reads, in order and with repeats, are worked out once, at
     construction, for the checks, the dependency graph and the reasoner,
-    which read them on every pass."""
+    which read them on every pass. Rules are equal, and hash, by body,
+    head and id."""
 
-    body: tuple[Literal, ...]
-    head: Literal
-    id: str = ""
-    form: type[Literal] | None = field(init=False, repr=False, compare=False)
-    body_atoms: tuple[Atom, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("body", "head", "id", "form", "body_atoms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "form", rule_form(self))
-        object.__setattr__(
-            self, "body_atoms", tuple(a for lit in self.body for a in literal_atoms(lit))
-        )
+    def __init__(self, body: tuple[Literal, ...], head: Literal, id: str = "") -> None:
+        self.body = body
+        self.head = head
+        self.id = id
+        self.form = rule_form(self)
+        self.body_atoms = tuple(a for lit in body for a in literal_atoms(lit))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Rule:
+            return NotImplemented
+        return (self.body, self.head, self.id) == (other.body, other.head, other.id)
+
+    def __hash__(self) -> int:
+        return hash((self.body, self.head, self.id))
+
+    __repr__ = _value_repr
 
     def __str__(self) -> str:
         body = ", ".join(str(b) for b in self.body)
         return f"{body} -> {self.head} ." if body else f"-> {self.head} ."
 
 
-@dataclass(frozen=True)
 class Program:
-    rules: tuple[Rule, ...]
-    axioms: tuple[Fact, ...] = ()
+    __slots__ = ("rules", "axioms")
+
+    def __init__(self, rules: tuple[Rule, ...], axioms: tuple[Fact, ...] = ()) -> None:
+        self.rules = rules
+        self.axioms = axioms
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Program:
+            return NotImplemented
+        return self.rules == other.rules and self.axioms == other.axioms
+
+    def __hash__(self) -> int:
+        return hash((self.rules, self.axioms))
+
+    __repr__ = _value_repr
 
     @property
     def is_normal_form(self) -> bool:

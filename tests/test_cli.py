@@ -576,6 +576,23 @@ class TestProcess:
         )
         assert done.returncode == 0, done.stderr
 
+    def test_cli_imports_without_dataclasses(self):
+        """Every command pays for importing the CLI first; the value types
+        are plain classes, so neither ``dataclasses`` nor the ``inspect`` it
+        pulls in is loaded."""
+        code = (
+            "import sys\n"
+            "import chronolog.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        src = Path(chronolog.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
     def test_commands_do_not_import_networkx(self):
         program, database = FIXTURES / "weekly.dmtl", FIXTURES / "weekly.db"
         code = (

@@ -6,16 +6,27 @@ from itertools import product
 
 import pytest
 
+from chronolog.analysis import Cycle, DepGraph, Edge, FragmentFlags
 from chronolog.errors import ParseError
 from chronolog.intervals import NEG_INF, POS_INF, Interval, parse_interval
-from chronolog.reasoner import Model, check_horizon, naive_fixpoint_bounded, reason
+from chronolog.reasoner import (
+    Model,
+    Pattern,
+    PeriodicModel,
+    RuleGroup,
+    check_horizon,
+    naive_fixpoint_bounded,
+    reason,
+)
 from chronolog.syntax import (
     KEYWORDS,
     Atom,
+    Bottom,
     BoxMinus,
     BoxPlus,
     Constant,
     DiamondMinus,
+    DiamondPlus,
     Fact,
     Program,
     Rule,
@@ -204,8 +215,27 @@ class TestRoundTrip:
         once = parse_program(f"A('{keyword}') -> B .")
         assert parse_program(program_text(once)) == once
 
-    # deep chains compare as text, not as literals: ``==`` on a deep
-    # literal itself recurses
+    def test_deep_unary_chains_compare_without_recursion(self):
+        # built in Python: the parser stops near depth 490
+        def chain(depth, inner, innermost=DiamondMinus, last="[1,1]"):
+            lit = innermost(rho(last), inner)
+            for _ in range(depth - 1):
+                lit = DiamondMinus(rho("[1,1]"), lit)
+            return lit
+
+        c = Atom("P", (Constant("c"),))
+        a, b = chain(2000, c), chain(2000, Atom("P", (Constant("c"),)))
+        assert a is not b and a == b and not a != b
+        # a variable hashes as the constant of its name, so the stored
+        # hashes agree at every level and only the innermost atoms differ
+        v = chain(2000, Atom("P", (Variable("c"),)))
+        assert hash(v) == hash(a)
+        assert a != v and not a == v and v != a
+        boxed = chain(2000, c, innermost=BoxMinus)
+        assert a != boxed and not a == boxed
+        # hash(-1) == hash(-2), so here only the innermost ranges differ
+        low, lower = chain(2000, c, last="[-1,-1]"), chain(2000, c, last="[-2,-2]")
+        assert hash(low) == hash(lower) and low != lower and not low == lower
 
     def test_deep_unary_chain_prints_without_recursion(self):
         lit = Atom("C")
@@ -677,3 +707,99 @@ class TestStoredAnalysis:
                     assert rule.body_atoms == atoms
                     for atom in (*atoms, *head_atoms(rule)):
                         assert hash(atom) == hash((atom.predicate, atom.terms))
+
+
+class TestValueTypes:
+    """Every value type hashes as the tuple of its compared fields, which
+    keeps set and dict orders fixed, and equals only a value of its own
+    class with equal fields."""
+
+    C, X = Constant("c"), Variable("X")
+    A, B = Atom("A"), Atom("B", (Constant("c"),))
+    EDGE = Edge("A", "B", "r1", True, Interval.closed(-4, -3), 3)
+    RULE = Rule((DiamondMinus(Interval.closed(3, 4), A),), B, "r1")
+
+    @pytest.mark.parametrize(
+        "value, fields",
+        [
+            (C, ("c",)),
+            (X, ("X",)),
+            (Top(), ()),
+            (Bottom(), ()),
+            (Fact(A, Interval.closed(0, 1)), (A, Interval.closed(0, 1))),
+            (RULE, (RULE.body, B, "r1")),
+            (Program((RULE,), (Fact(A, Interval.point(0)),)),
+             ((RULE,), (Fact(A, Interval.point(0)),))),
+            (Pattern(A, Interval.closed(0, 1), 2, F(7)), (A, Interval.closed(0, 1), 2, F(7))),
+            (EDGE, ("A", "B", "r1", True, Interval.closed(-4, -3), 3)),
+            (Cycle((EDGE,)), ((EDGE,),)),
+            (DepGraph(("A", "B"), (EDGE,)), (("A", "B"), (EDGE,))),
+            (RuleGroup(frozenset({B}), (RULE,), (EDGE,)), (frozenset({B}), (RULE,), (EDGE,))),
+            (FragmentFlags(True, False, True, True), (True, False, True, True)),
+        ],
+        ids=lambda v: None if isinstance(v, tuple) else type(v).__name__,
+    )
+    def test_hash_is_the_hash_of_the_fields(self, value, fields):
+        assert hash(value) == hash(fields)
+
+    @pytest.mark.parametrize(
+        "op", [BoxMinus, BoxPlus, DiamondMinus, DiamondPlus, Since, Until]
+    )
+    def test_operator_hash_is_the_hash_of_keyword_range_and_operands(self, op):
+        r = Interval.closed(1, 2)
+        lit = op(r, self.A) if op.keyword not in ("since", "until") else op(self.A, r, self.B)
+        assert hash(lit) == hash((op.keyword, r, *lit.operands))
+        assert lit == lit.rebuild(*lit.operands) and hash(lit) == hash(lit.rebuild(*lit.operands))
+
+    def test_no_value_equals_one_of_another_class(self):
+        r = Interval.closed(1, 2)
+        pairs = [
+            (Since(self.A, r, self.B), Until(self.A, r, self.B)),
+            (BoxMinus(r, self.A), DiamondMinus(r, self.A)),
+            (self.C, Variable("c")),
+            (Top(), Bottom()),
+            (self.C, ("c",)),
+            (Top(), ()),
+            (Fact(self.A, r), (self.A, r)),
+            (self.RULE, (self.RULE.body, self.B, "r1")),
+            (self.EDGE, ("A", "B", "r1", True, Interval.closed(-4, -3), 3)),
+            (Cycle((self.EDGE,)), ((self.EDGE,),)),
+            (Pattern(self.A, r, 0, 7), (self.A, r, 0, 7)),
+            (FragmentFlags(True, True, True, True), (True, True, True, True)),
+        ]
+        for a, b in pairs:
+            assert a != b and b != a and not a == b, (a, b)
+        # equal hashes do not make equal values
+        assert hash(self.C) == hash(Variable("c")) and self.C != Variable("c")
+
+    def test_values_built_apart_are_equal(self):
+        r = Interval.closed(1, 2)
+        assert Since(Atom("A"), r, Atom("B")) == Since(self.A, Interval.closed(1, 2), Atom("B"))
+        assert Since(self.A, r, self.B) != Since(self.B, r, self.A)
+        assert BoxMinus(r, self.A) != BoxMinus(Interval.closed(1, 3), self.A)
+        assert Top() == Top() and Bottom() == Bottom()
+        assert Rule(self.RULE.body, self.B) == Rule(self.RULE.body, self.B, "")
+        assert Rule(self.RULE.body, self.B) != self.RULE  # the id counts
+        assert Program((self.RULE,)) == Program((self.RULE,), ())
+        assert Pattern(self.A, r, 0, 7) == Pattern(Atom("A"), r, 0, F(7))
+        assert Pattern(self.A, r, 0, 7) != Pattern(self.A, r, 1, 7)
+
+    def test_periodic_model_equality_ignores_the_pattern_index(self):
+        monday = Pattern(Atom("Mon"), Interval.closed(0, 1), 0, 7)
+        pm = PeriodicModel(Model(), (monday,), 7, 0)
+        other = PeriodicModel(Model(), (monday,), 7, 0)
+        other._by_atom = {}
+        assert pm == other and pm._by_atom != other._by_atom
+        assert pm != PeriodicModel(Model(), (monday,), 7, 1)
+        assert pm != PeriodicModel(Model(), (), 7, 0)
+
+    def test_repr_shows_the_constructor_arguments(self):
+        assert repr(self.B) == "Atom(predicate='B', terms=(Constant(name='c'),))"
+        assert repr(Top()) == "Top()"
+        assert repr(DiamondMinus(Interval.closed(3, 4), self.A)) == (
+            "DiamondMinus(rho=Interval([3,4]), inner=Atom(predicate='A', terms=()))"
+        )
+        assert repr(Pattern(self.A, Interval.point(0), 1, 7)) == (
+            "Pattern(atom=Atom(predicate='A', terms=()), offset=Interval([0,0]),"
+            " start_index=1, period=7)"
+        )
