@@ -22,7 +22,11 @@ keeps arithmetic exact by construction:
 
 Interval sets are kept canonical (sorted, pairwise disjoint,
 non-adjacent), which makes structural equality coincide with point-set
-equality.
+equality. An ``IntervalSet`` is built whole (``from_iterable`` and the set
+operators), never grown in place: the sets that grow one piece at a time,
+the facts of a reasoning session, live in ``reasoner.Model``, which
+splices each piece into sorted blocks and builds an ``IntervalSet`` from
+them when one is asked for.
 
 ``Interval`` and ``IntervalSet``, like every value type of chronolog
 (the terms, literals, facts and rules of ``syntax``, the edges and
@@ -54,11 +58,11 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
 
-RationalLike = Union[int, Fraction, float, str]
-Time = Union[int, Fraction, float]  # a float only for -inf and inf
+RationalLike = int | Fraction | float | str
+Time = int | Fraction | float  # a float only for -inf and inf
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -385,41 +389,6 @@ class IntervalSet:
     def __str__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.pieces) + "}"
 
-    def _touch_range(self, iv: Interval) -> tuple[int, int]:
-        """Index range of pieces that might overlap or touch ``iv``.
-
-        Pieces are disjoint and sorted, so both their los and his are
-        increasing; everything with hi < iv.lo or lo > iv.hi is out.
-        """
-        start = bisect_left(self.pieces, iv.lo, key=_hi_of)
-        stop = bisect_right(self.pieces, iv.hi, key=_lo_of)
-        return start, stop
-
-    def insert_with_piece(self, iv: Interval) -> tuple[IntervalSet, Interval | None]:
-        """Insert ``iv``; also report the merged piece now covering it.
-
-        Returns ``(set, None)`` when ``iv`` was already fully covered.
-        Used by the semi-naive fixpoint to propagate only changed pieces.
-        """
-        if self.covers_interval(iv):
-            return self, None
-        start, stop = self._touch_range(iv)
-        merged = iv
-        lo_idx, hi_idx = start, start
-        for idx in range(start, stop):
-            piece = self.pieces[idx]
-            if piece.overlaps_or_touches(merged):
-                merged = merged.hull(piece)
-                hi_idx = idx + 1
-            elif piece.sort_key() < merged.sort_key():
-                lo_idx = hi_idx = idx + 1
-            else:
-                break
-        return (
-            IntervalSet(self.pieces[:lo_idx] + (merged,) + self.pieces[hi_idx:]),
-            merged,
-        )
-
     def union(self, other: IntervalSet) -> IntervalSet:
         if self.is_empty:
             return other
@@ -458,17 +427,7 @@ class IntervalSet:
         return idx >= 0 and self.pieces[idx].contains_interval(iv)
 
     def clip(self, window: Interval) -> IntervalSet:
-        start, stop = self._touch_range(window)
-        if start >= stop:
-            return _EMPTY
-        # the window is convex, so only the two outer candidates can stick out
-        first = self.pieces[start].intersect(window)
-        last = self.pieces[stop - 1].intersect(window) if stop - start > 1 else None
-        return IntervalSet(
-            ((first,) if first is not None else ())
-            + self.pieces[start + 1:stop - 1]
-            + ((last,) if last is not None else ())
-        )
+        return IntervalSet(_clip(self.pieces, window))
 
     def shift(self, d: Time) -> IntervalSet:
         return IntervalSet(tuple(p.shift(d) for p in self.pieces))
@@ -492,6 +451,25 @@ class IntervalSet:
 
 
 _EMPTY = IntervalSet(())
+
+
+def _clip(pieces: Sequence[Interval], window: Interval) -> tuple[Interval, ...]:
+    """Canonical ``pieces`` (a tuple, or one list block of
+    ``reasoner.Model``) clipped to ``window``. Pieces are disjoint and
+    sorted, so both their los and his increase: bisection finds those that
+    end at or after ``window.lo`` and start at or before ``window.hi``."""
+    start = bisect_left(pieces, window.lo, key=_hi_of)
+    stop = bisect_right(pieces, window.hi, key=_lo_of)
+    if start >= stop:
+        return ()
+    # the window is convex, so only the two outer candidates can stick out
+    first = pieces[start].intersect(window)
+    last = pieces[stop - 1].intersect(window) if stop - start > 1 else None
+    return (
+        ((first,) if first is not None else ())
+        + tuple(pieces[start + 1:stop - 1])
+        + ((last,) if last is not None else ())
+    )
 
 
 def lcm_rationals(values: Iterable[RationalLike]) -> int | Fraction:

@@ -18,12 +18,24 @@ Two independent evaluation routes are kept apart on purpose:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
 
 from .analysis import DEFAULT_CYCLE_CAP, Edge, _sccs, dependency_graph
 from .errors import InputError, NotForwardPropagating, StepCapExceeded, WindowCapExceeded
-from .intervals import Interval, IntervalSet, NEG_INF, POS_INF, lcm_rationals
+from .intervals import (
+    Interval,
+    IntervalSet,
+    NEG_INF,
+    POS_INF,
+    Time,
+    _clip,
+    _hi_of,
+    _lo_of,
+    lcm_rationals,
+)
 from .syntax import (
     Atom,
     Bottom,
@@ -45,27 +57,53 @@ DEFAULT_WINDOW_CAP = 10_000
 DEFAULT_STEP_CAP = 1_000_000
 
 _FULL_LINE = Interval(NEG_INF, POS_INF, True, True)
+_NOTHING = IntervalSet.empty()
+
+# The most pieces one block of an atom's facts holds in ``Model``.
+_BLOCK = 256
 
 
 def _atom_key(atom: Atom):
     return (atom.predicate, tuple(t.name for t in atom.terms))
 
 
-class Model:
-    """Map from ground atom to canonical IntervalSet.
+def _first_lo(block: list[Interval]) -> Time:
+    return block[0].lo
 
-    Atoms whose set would be empty are absent. Mutable within a
-    reasoning session; all exposed IntervalSets are immutable.
+
+def _last_hi(block: list[Interval]) -> Time:
+    return block[-1].hi
+
+
+class Model:
+    """Map from ground atom to canonical IntervalSet, grown one piece at a
+    time by a reasoning session.
+
+    Each atom's pieces are kept in sorted blocks (lists) of at most
+    ``_BLOCK`` pieces, the layout of ``sortedcontainers.SortedList`` (G.
+    Jenks, *SortedContainers*). So ``add`` bisects to one block and splices
+    there: past the last piece, as a forward derivation adds, it appends in
+    O(1), and anywhere else, as the oracle adds running toward ``-inf``, it
+    moves at most one block's pieces; a block that outgrows ``_BLOCK``
+    splits in two. Building a model piece by piece is therefore linear in
+    its pieces, not quadratic.
+
+    ``get`` builds the atom's immutable ``IntervalSet`` and keeps it until
+    the atom next changes. The readers on the reasoning path (``clip``,
+    ``covers``, ``finite_endpoints``, ``copy``) read the blocks instead.
+    Blocks are never shared between two models. Atoms whose set would be
+    empty are absent, and two models are equal when they hold the same
+    sets, however their blocks split them.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_blocks", "_sets")
 
-    def __init__(self, data: dict[Atom, IntervalSet] | None = None):
-        self._data: dict[Atom, IntervalSet] = {}
+    def __init__(self, data: Mapping[Atom, IntervalSet] | None = None):
+        self._blocks: dict[Atom, list[list[Interval]]] = {}
+        self._sets: dict[Atom, IntervalSet] = {}
         if data:
             for atom, ivs in data.items():
-                if not ivs.is_empty:
-                    self._data[atom] = ivs
+                self.put(atom, ivs)
 
     @classmethod
     def from_facts(cls, facts: Iterable[Fact]) -> Model:
@@ -75,32 +113,128 @@ class Model:
         return model
 
     def copy(self) -> Model:
-        return Model(dict(self._data))
+        out = Model()
+        out._blocks = {
+            atom: [block[:] for block in blocks] for atom, blocks in self._blocks.items()
+        }
+        out._sets = dict(self._sets)
+        return out
 
     def get(self, atom: Atom) -> IntervalSet:
-        return self._data.get(atom, IntervalSet.empty())
+        ivs = self._sets.get(atom)
+        if ivs is None:
+            blocks = self._blocks.get(atom)
+            if blocks is None:
+                return _NOTHING
+            ivs = self._sets[atom] = IntervalSet(tuple(chain.from_iterable(blocks)))
+        return ivs
 
     def add(self, atom: Atom, interval: Interval) -> Interval | None:
-        """Insert a fact; returns the merged covering piece, or None if
-        the fact was already subsumed."""
-        current = self._data.get(atom, IntervalSet.empty())
-        updated, piece = current.insert_with_piece(interval)
-        if piece is not None:
-            self._data[atom] = updated
-        return piece
+        """Insert a fact; returns the piece of the atom's set that now
+        covers it (the fact merged with every piece it overlaps or
+        touches), or None if the fact was already covered."""
+        blocks = self._blocks.get(atom)
+        if blocks is None:
+            self._blocks[atom] = [[interval]]
+            return interval
+        lo = interval.lo
+        block = blocks[-1]
+        last = block[-1]
+        if lo > last.hi or (lo == last.hi and last.hi_open and interval.lo_open):
+            # past the last piece and apart from it
+            if len(block) < _BLOCK:
+                block.append(interval)
+            else:
+                blocks.append([interval])
+            self._sets.pop(atom, None)
+            return interval
+        # the first piece that can meet the fact: the first ending at or
+        # after its lower end, unless it ends there open and the fact starts
+        # open (the next one then; it exists, or the fact would lie apart
+        # past the last piece)
+        b = bisect_left(blocks, lo, key=_last_hi) if len(blocks) > 1 else 0
+        block = blocks[b]
+        k = bisect_left(block, lo, key=_hi_of)
+        piece = block[k]
+        if piece.hi == lo and piece.hi_open and interval.lo_open:
+            k += 1
+            if k == len(block):
+                b, k = b + 1, 0
+                block = blocks[b]
+            piece = block[k]
+        if piece.contains_interval(interval):
+            return None
+        # merge every piece from there on that overlaps or touches the fact;
+        # block ``c`` index ``j`` is the first piece left as it is
+        merged, c, j, run = interval, b, k, block
+        while True:
+            piece = run[j]
+            if piece.lo > merged.hi or (
+                piece.lo == merged.hi and merged.hi_open and piece.lo_open
+            ):
+                break
+            merged = merged.hull(piece)
+            j += 1
+            if j == len(run):
+                if c + 1 == len(blocks):
+                    break
+                c, j, run = c + 1, 0, blocks[c + 1]
+        if c == b:
+            block[k:j] = [merged]
+            if len(block) > _BLOCK:
+                blocks.insert(b + 1, block[_BLOCK // 2:])
+                del block[_BLOCK // 2:]
+        else:
+            block[k:] = [merged]
+            del run[:j]
+            del blocks[b + 1:c if run else c + 1]
+        self._sets.pop(atom, None)
+        return merged
 
     def put(self, atom: Atom, ivs: IntervalSet) -> None:
         """Replace the atom's set (dropping the atom when it is empty)."""
-        if ivs.is_empty:
-            self._data.pop(atom, None)
+        pieces = ivs.pieces
+        if pieces:
+            self._blocks[atom] = [
+                list(pieces[i:i + _BLOCK]) for i in range(0, len(pieces), _BLOCK)
+            ]
+            self._sets[atom] = ivs
         else:
-            self._data[atom] = ivs
+            self._blocks.pop(atom, None)
+            self._sets.pop(atom, None)
+
+    def clip(self, atom: Atom, window: Interval) -> IntervalSet:
+        """``get(atom).clip(window)``, read off the blocks that meet the
+        window: those with a piece that ends at or after ``window.lo`` and
+        one that starts at or before ``window.hi``."""
+        blocks = self._blocks.get(atom)
+        if blocks is None:
+            return _NOTHING
+        if len(blocks) > 1:
+            blocks = blocks[
+                bisect_left(blocks, window.lo, key=_last_hi):
+                bisect_right(blocks, window.hi, key=_first_lo)
+            ]
+        pieces = blocks[0] if len(blocks) == 1 else list(chain.from_iterable(blocks))
+        return IntervalSet(_clip(pieces, window))
+
+    def covers(self, atom: Atom, interval: Interval) -> bool:
+        """``get(atom).covers_interval(interval)``, read off one block: only
+        the last piece that starts at or before ``interval.lo`` can cover
+        it."""
+        blocks = self._blocks.get(atom)
+        if blocks is None:
+            return False
+        b = bisect_right(blocks, interval.lo, key=_first_lo) - 1 if len(blocks) > 1 else 0
+        block = blocks[b] if b >= 0 else ()
+        k = bisect_right(block, interval.lo, key=_lo_of) - 1
+        return k >= 0 and block[k].contains_interval(interval)
 
     def atoms(self) -> list[Atom]:
-        return sorted(self._data, key=_atom_key)
+        return sorted(self._blocks, key=_atom_key)
 
     def items(self) -> list[tuple[Atom, IntervalSet]]:
-        return [(a, self._data[a]) for a in self.atoms()]
+        return [(a, self.get(a)) for a in self.atoms()]
 
     def rows(self) -> list[dict]:
         """Deterministic structured form: one row per atom, in atom order,
@@ -112,33 +246,34 @@ class Model:
 
     @property
     def is_empty(self) -> bool:
-        return not self._data
+        return not self._blocks
 
     def restrict(self, window: Interval) -> Model:
         out = Model()
-        for atom, ivs in self._data.items():
-            clipped = ivs.clip(window)
-            if not clipped.is_empty:
-                out._data[atom] = clipped
+        for atom in self._blocks:
+            out.put(atom, self.clip(atom, window))
         return out
 
     def finite_endpoints(self) -> list[int | Fraction]:
         out = []
-        for ivs in self._data.values():
-            for piece in ivs:
-                if piece.lo != NEG_INF:
-                    out.append(piece.lo)
-                if piece.hi != POS_INF:
-                    out.append(piece.hi)
+        for blocks in self._blocks.values():
+            for block in blocks:
+                for piece in block:
+                    if piece.lo != NEG_INF:
+                        out.append(piece.lo)
+                    if piece.hi != POS_INF:
+                        out.append(piece.hi)
         return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Model):
             return NotImplemented
-        return self._data == other._data
+        return self._blocks.keys() == other._blocks.keys() and all(
+            self.get(atom) == other.get(atom) for atom in self._blocks
+        )
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._blocks)
 
     def __str__(self) -> str:
         return "; ".join(f"{a}@{ivs}" for a, ivs in self.items()) or "(empty)"
@@ -463,7 +598,7 @@ def _coverage(
     """Exact point set of ``atom`` within a window bounded above: its facts
     and the occurrences of its patterns (``by_atom`` indexes them by
     atom), clipped to the window."""
-    clipped = facts.get(atom).clip(window)
+    clipped = facts.clip(atom, window)
     hits = [hit for pat in by_atom.get(atom, ()) for hit in occurrences(pat, window)]
     if not hits:
         return clipped
@@ -520,8 +655,8 @@ class PeriodicModel:
             return NotImplemented
         return self._fields() == other._fields()
 
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    # unhashable: its facts are a mutable Model
+    __hash__ = None
 
     __repr__ = _value_repr
 
@@ -721,7 +856,7 @@ def _slab(
     return tuple([
         (atom, tuple([(p.lo - lo, p.hi - lo, p.lo_open, p.hi_open) for p in pieces]))
         for atom in atoms
-        if (pieces := facts.get(atom).clip(window).pieces)
+        if (pieces := facts.clip(atom, window).pieces)
     ])
 
 
@@ -945,7 +1080,7 @@ def reason(
 
         def state(t: int | Fraction) -> tuple:
             ray = Interval(t, POS_INF, False, True)
-            rays = tuple([facts.get(atom).covers_interval(ray) for atom in atoms])
+            rays = tuple([facts.covers(atom, ray) for atom in atoms])
             return rays + _slab(facts, atoms, t - lookback, t) if lookback else rays
 
         chunks = 0
@@ -1001,7 +1136,7 @@ def reason(
         group_rays, group_patterns = freeze(facts, atoms, begin, period)
         cutoff = Interval(NEG_INF, begin, True, True)
         for atom in atoms:
-            facts.put(atom, facts.get(atom).clip(cutoff))
+            facts.put(atom, facts.clip(atom, cutoff))
         for ray in group_rays:
             facts.add(ray.atom, ray.interval)
         for pat in group_patterns:

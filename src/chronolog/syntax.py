@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import product, repeat
-from typing import ClassVar, Iterable, Iterator, NamedTuple
+from collections.abc import Iterable, Iterator
+from itertools import islice, product, repeat
 
 from .errors import InputError, ParseError
 from .intervals import Interval, NEG_INF, POS_INF, Time, to_time
@@ -184,7 +184,6 @@ class _Operator(Literal):
     class with equal range and operands."""
 
     __slots__ = ()
-    keyword: ClassVar[str]
 
     __repr__ = _value_repr
 
@@ -462,24 +461,22 @@ def is_forward_propagating(program: Program) -> bool:
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>\s+)
-    | (?P<COMMENT>%[^\n]*)
-    | (?P<ARROW>->)
-    | (?P<NUMBER>(?:\d+\.\d+|\d+(?:/\d+)?))(?P<UNIT>[smhd]\b)?
-    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<QUOTED>'(?:[^'\\\n]|\\.)*')
-    | (?P<PUNCT>[()\[\],.@\-])
-    | (?P<BAD>.)
+    \s*(?:%[^\n]*\s*)*                  # whitespace and comments, skipped
+    (?:
+        (                               # 1: the token
+            ->
+          | \d+(?:\.\d+|/\d+)?          # a number; its unit is group 2
+          | [A-Za-z_][A-Za-z0-9_]*
+          | '(?:[^'\\\n]|\\.)*'
+          | [()\[\],.@\-]
+          | \Z                          # the end of the input, as ""
+        )
+        ((?<=\d)[smhd]\b)?
+      | (.)                             # 3: a character no token starts with
+    )
     """,
     re.VERBOSE,
 )
-
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    offset: int
-    unit: str | None = None
 
 
 def _error_at(text: str, offset: int, message: str) -> ParseError:
@@ -489,142 +486,142 @@ def _error_at(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of ``text`` in one pass of ``_TOKEN_RE``, which matches at
-    every position: a character no token starts with is ``BAD``."""
-    # tuple.__new__ skips the NamedTuple's Python-level __new__, which
-    # every token would otherwise pay
-    new = tuple.__new__
-    tokens: list[_Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "UNIT":  # a number with a unit suffix
-            tokens.append(
-                new(_Token, ("NUMBER", m.group("NUMBER"), m.start(), m.group("UNIT")))
-            )
-        elif kind == "BAD":
-            raise _error_at(text, m.start(), f"unexpected character {m.group()!r}")
-        elif kind != "WS" and kind != "COMMENT":
-            tokens.append(new(_Token, (kind, m.group(), m.start(), None)))
-    tokens.append(_Token("EOF", "", len(text)))
-    return tokens
+def _offset(text: str, index: int) -> int:
+    """Where the token ``index`` of ``text`` starts: ``_TOKEN_RE`` runs
+    again up to it, as only an error needs a token's place."""
+    m = next(islice(_TOKEN_RE.finditer(text), index, None))
+    return max(m.start(1), m.start(3))
+
+
+def _tokenize(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The texts of the tokens of ``text`` and their units, in one
+    ``findall`` pass of ``_TOKEN_RE``, or the first stray character as a
+    ``ParseError``.
+
+    Each match skips whitespace and comments, then takes one token. The
+    skip stops only where neither can go on, and the last alternative
+    takes any character the others do not, so no match fails and none
+    gives back what the skip took, however long: the only backtracking is
+    within a token (``-`` against ``->``, or a quote left open, which is
+    an error). The texts end with "" (the end of the input; twice after
+    trailing whitespace). A token's kind is read off its text: ``->`` the
+    arrow, a decimal digit first a number (whose unit, one of ``smhd``, is
+    the matching entry of the units, "" for none), a letter or ``_`` first
+    an identifier or keyword, a quote first a quoted constant, and any
+    other character punctuation.
+    """
+    texts, units, stray = zip(*_TOKEN_RE.findall(text))
+    if any(stray):
+        for index, char in enumerate(stray):
+            if char:
+                raise _error_at(text, _offset(text, index), f"unexpected character {char!r}")
+    return texts, units
 
 
 class _Parser:
+    """Recursive descent over the tokens of ``text``, read by index:
+    ``tokens[pos]`` is the next token's text ("" at the end of the input)
+    and ``units[pos]`` its unit (see ``_tokenize``). Each rule tests the
+    text itself, so a quoted ``'inf'`` never reads as the keyword ``inf``;
+    an error names its token by index, and only then is its line and
+    column worked out."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens, self.units = _tokenize(text)
         self.pos = 0
         self.seen_unit = False
         self.seen_bare = False
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        """A parse error at token ``pos``, by default the next one."""
+        return _error_at(self.text, _offset(self.text, self.pos if pos is None else pos), message)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: _Token | None = None) -> ParseError:
-        return _error_at(self.text, (tok or self.peek()).offset, message)
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind.lower()
-            raise self.error(f"expected {want!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == ch
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == word
+    def expected(self, want: str) -> ParseError:
+        found = self.tokens[self.pos]
+        return self.error(f"expected {want!r}, found {found or 'end of input'!r}")
 
     # -- numbers and intervals ------------------------------------------
 
     def parse_number(self) -> int | Fraction:
-        negative = self.at_punct("-")
+        pos = self.pos
+        negative = self.tokens[pos] == "-"
         if negative:
-            self.next()
-        tok = self.expect("NUMBER")
-        if tok.text.isdecimal():
-            value = int(tok.text)
+            pos = self.pos = pos + 1
+        text = self.tokens[pos]
+        if not text[:1].isdecimal():
+            raise self.expected("number")
+        self.pos = pos + 1
+        if text.isdecimal():
+            value = int(text)
         else:
             try:
-                value = Fraction(tok.text)
+                value = Fraction(text)
             except ZeroDivisionError:
-                raise self.error(f"zero denominator in {tok.text!r}", tok) from None
-        if tok.unit:
+                raise self.error(f"zero denominator in {text!r}", pos) from None
+        unit = self.units[pos]
+        if unit:
             self.seen_unit = True
-            value *= UNIT_SCALE[tok.unit]
+            value *= UNIT_SCALE[unit]
         else:
             self.seen_bare = True
         return to_time(-value if negative else value)
 
     def parse_endpoint(self) -> Time:
-        if self.at_punct("-"):
-            save = self.pos
-            self.next()
-            if self.at_keyword("inf"):
-                self.next()
-                return NEG_INF
-            self.pos = save
-        if self.at_keyword("inf"):
-            self.next()
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos] == "inf":
+            self.pos = pos + 1
             return POS_INF
+        if tokens[pos] == "-" and tokens[pos + 1] == "inf":
+            self.pos = pos + 2
+            return NEG_INF
         return self.parse_number()
 
     def parse_interval(self) -> Interval:
-        tok = self.peek()
-        if self.at_punct("["):
-            lo_open = False
-        elif self.at_punct("("):
-            lo_open = True
-        else:
+        tokens, start = self.tokens, self.pos
+        opening = tokens[start]
+        if opening != "[" and opening != "(":
             raise self.error("expected interval")
-        self.next()
+        self.pos += 1
         lo = self.parse_endpoint()
-        self.expect("PUNCT", ",")
+        if tokens[self.pos] != ",":
+            raise self.expected(",")
+        self.pos += 1
         hi = self.parse_endpoint()
-        if self.at_punct("]"):
-            hi_open = False
-        elif self.at_punct(")"):
-            hi_open = True
-        else:
+        closing = tokens[self.pos]
+        if closing != "]" and closing != ")":
             raise self.error("expected ']' or ')'")
-        self.next()
+        self.pos += 1
         try:
-            return Interval(lo, hi, lo_open, hi_open)
+            return Interval(lo, hi, opening == "(", closing == ")")
         except ValueError as exc:
-            raise self.error(str(exc), tok) from exc
+            raise self.error(str(exc), start) from exc
 
     def parse_operator_interval(self) -> Interval:
-        tok = self.peek()
+        start = self.pos
         rho = self.parse_interval()
         if rho.lo < 0:
-            raise self.error(f"negative operator range {rho}", tok)
+            raise self.error(f"negative operator range {rho}", start)
         return rho
 
     # -- atoms and literals ---------------------------------------------
 
     def parse_ident(self) -> str:
-        tok = self.expect("IDENT")
-        if tok.text in KEYWORDS:
-            raise self.error(f"{tok.text!r} is a reserved word", tok)
-        if tok.text.startswith(AUX_PREFIX):
-            raise self.error(f"identifiers may not start with {AUX_PREFIX!r}", tok)
-        return tok.text
+        text = self.tokens[self.pos]
+        if not text.isidentifier():
+            raise self.expected("ident")
+        if text in KEYWORDS:
+            raise self.error(f"{text!r} is a reserved word")
+        if text.startswith(AUX_PREFIX):
+            raise self.error(f"identifiers may not start with {AUX_PREFIX!r}")
+        self.pos += 1
+        return text
 
     def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "QUOTED":
-            self.next()
-            raw = tok.text[1:-1]
-            return Constant(raw.replace("\\'", "'").replace("\\\\", "\\"))
+        text = self.tokens[self.pos]
+        if text[:1] == "'":
+            self.pos += 1
+            return Constant(text[1:-1].replace("\\'", "'").replace("\\\\", "\\"))
         name = self.parse_ident()
         if name[0].isupper():
             return Variable(name)
@@ -632,88 +629,98 @@ class _Parser:
 
     def parse_atom(self) -> Atom:
         name = self.parse_ident()
-        terms: list[Term] = []
-        if self.at_punct("("):
-            self.next()
+        tokens = self.tokens
+        if tokens[self.pos] != "(":
+            return Atom(name)
+        self.pos += 1
+        terms = [self.parse_term()]
+        while tokens[self.pos] == ",":
+            self.pos += 1
             terms.append(self.parse_term())
-            while self.at_punct(","):
-                self.next()
-                terms.append(self.parse_term())
-            self.expect("PUNCT", ")")
+        if tokens[self.pos] != ")":
+            raise self.expected(")")
+        self.pos += 1
         return Atom(name, tuple(terms))
 
     def parse_unary(self, *, nested: bool = False) -> Literal:
-        op = OPERATORS.get(self.peek().text)
+        text = self.tokens[self.pos]
+        op = OPERATORS.get(text)
         if op is not None and issubclass(op, _Unary):
-            self.next()
+            self.pos += 1
             rho = self.parse_operator_interval()
             return op(rho, self.parse_unary(nested=True))
-        if self.at_keyword("top"):
-            self.next()
+        if text == "top":
+            self.pos += 1
             return Top()
-        if self.at_keyword("bottom"):
+        if text == "bottom":
             if nested:
                 raise self.error("'bottom' may only appear as a whole body literal")
-            self.next()
+            self.pos += 1
             return Bottom()
-        if self.at_punct("("):
-            self.next()
+        if text == "(":
+            self.pos += 1
             lit = self.parse_literal(nested=True)
-            self.expect("PUNCT", ")")
+            if self.tokens[self.pos] != ")":
+                raise self.expected(")")
+            self.pos += 1
             return lit
         return self.parse_atom()
 
     def parse_literal(self, *, nested: bool = False) -> Literal:
         left = self.parse_unary(nested=nested)
-        op = OPERATORS.get(self.peek().text)
+        op = OPERATORS.get(self.tokens[self.pos])
         if op is not None and issubclass(op, _Binary):
             if isinstance(left, Bottom):
                 raise self.error("'bottom' may only appear as a whole body literal")
-            self.next()
+            self.pos += 1
             rho = self.parse_operator_interval()
             return op(left, rho, self.parse_unary(nested=True))
         return left
 
     def parse_head(self) -> Literal:
-        tok = self.peek()
-        op = OPERATORS.get(tok.text)
-        if op in (BoxMinus, BoxPlus):
-            self.next()
+        text = self.tokens[self.pos]
+        op = OPERATORS.get(text)
+        if op is BoxMinus or op is BoxPlus:
+            self.pos += 1
             rho = self.parse_operator_interval()
             return op(rho, self.parse_head())
-        if op is not None or self.at_keyword("bottom"):
-            raise self.error(f"{tok.text!r} is not allowed in a rule head")
-        if self.at_keyword("top"):
-            self.next()
+        if op is not None or text == "bottom":
+            raise self.error(f"{text!r} is not allowed in a rule head")
+        if text == "top":
+            self.pos += 1
             return Top()
         return self.parse_atom()
 
     # -- statements ------------------------------------------------------
 
     def parse_rule(self, index: int) -> Rule:
-        tok = self.peek()
+        tokens, start = self.tokens, self.pos
         body: list[Literal] = []
-        if not tok.kind == "ARROW":
+        if tokens[start] != "->":
             body.append(self.parse_literal())
-            while self.at_punct(","):
-                self.next()
+            while tokens[self.pos] == ",":
+                self.pos += 1
                 body.append(self.parse_literal())
-        self.expect("ARROW")
+        if tokens[self.pos] != "->":
+            raise self.expected("arrow")
+        self.pos += 1
         head = self.parse_head()
-        self.expect("PUNCT", ".")
+        if tokens[self.pos] != ".":
+            raise self.expected(".")
+        self.pos += 1
         rule = Rule(tuple(body), head, f"r{index}")
         head_vars = literal_variables(rule.head)
         bound = set().union(*(literal_variables(b) for b in rule.body)) if body else set()
         loose = head_vars - bound
         if loose:
-            raise self.error(f"head variables {sorted(loose)} do not occur in the body", tok)
+            raise self.error(f"head variables {sorted(loose)} do not occur in the body", start)
         return rule
 
     def parse_program(self) -> Program:
         rules: list[Rule] = []
         axioms: list[Fact] = []
         index = 1
-        while self.peek().kind != "EOF":
+        while self.tokens[self.pos]:
             rule = self.parse_rule(index)
             if not rule.body:
                 if not isinstance(rule.head, Atom) or not rule.head.is_ground:
@@ -729,14 +736,18 @@ class _Parser:
         atom = self.parse_atom()
         if not atom.is_ground:
             raise self.error(f"{subject} must be ground")
-        self.expect("PUNCT", "@")
+        if self.tokens[self.pos] != "@":
+            raise self.expected("@")
+        self.pos += 1
         interval = self.parse_interval()
-        self.expect("PUNCT", ".")
+        if self.tokens[self.pos] != ".":
+            raise self.expected(".")
+        self.pos += 1
         return Fact(atom, interval)
 
     def parse_database_facts(self) -> list[Fact]:
         facts = []
-        while self.peek().kind != "EOF":
+        while self.tokens[self.pos]:
             facts.append(self.parse_fact())
         self._check_units()
         return facts
@@ -765,8 +776,9 @@ def parse_fact(text: str) -> Fact:
         stripped += "."
     parser = _Parser(stripped)
     fact = parser.parse_fact("a query")
-    if parser.peek().kind != "EOF":
-        raise parser.error(f"unexpected {parser.peek().text!r} after the query")
+    rest = parser.tokens[parser.pos]
+    if rest:
+        raise parser.error(f"unexpected {rest!r} after the query")
     parser._check_units("query")
     return fact
 

@@ -215,7 +215,7 @@ def test_criterion_4_self_loop_application_bound():
         for step in range(1, bound + 2):
             nxt = diamond_minus_apply(current, rho)
             pieces_before = len(reached)
-            reached = reached.insert_with_piece(nxt)[0]
+            reached = reached.union(IntervalSet.of(nxt))
             if len(reached) <= pieces_before:
                 chain_start = step - 1
                 break

@@ -642,7 +642,7 @@ class TestMaxApplications:
         for step in range(1, bound + 2):
             nxt = diamond_minus_apply(current, rho)
             before = len(reached)
-            reached = reached.insert_with_piece(nxt)[0]
+            reached = reached.union(IntervalSet.of(nxt))
             if len(reached) <= before and merged_round is None:
                 merged_round = step
                 break

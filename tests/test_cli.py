@@ -593,6 +593,28 @@ class TestProcess:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
+    def test_cli_imports_without_typing(self):
+        """The CLI's aliases are written with ``|`` and its annotations are
+        strings, so importing it adds no ``typing`` to what the standard
+        modules it uses load (``-S`` keeps ``site``, which may import
+        ``typing`` itself, out; what those modules load varies by version)."""
+        code = (
+            "import sys\n"
+            "import argparse, bisect, collections.abc, enum, fractions, functools\n"
+            "import heapq, itertools, json, math, re\n"
+            "before = 'typing' in sys.modules\n"
+            "import chronolog.cli\n"
+            "print(before, 'typing' in sys.modules)\n"
+        )
+        src = Path(chronolog.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        before, after = done.stdout.split()
+        assert after == before
+
     def test_commands_do_not_import_networkx(self):
         program, database = FIXTURES / "weekly.dmtl", FIXTURES / "weekly.db"
         code = (

@@ -208,23 +208,23 @@ class TestIntersect:
 
 class TestCoalescing:
     def test_merge_on_shared_endpoint(self):
-        assert ivs("[0,7]").insert_with_piece(iv("[7,10]"))[0] == ivs("[0,10]")
+        assert ivs("[0,7]").union(IntervalSet.of(iv("[7,10]"))) == ivs("[0,10]")
 
     def test_insert_into_empty(self):
-        assert IntervalSet.empty().insert_with_piece(iv("[1,2]"))[0] == ivs("[1,2]")
+        assert IntervalSet.empty().union(IntervalSet.of(iv("[1,2]"))) == ivs("[1,2]")
 
     def test_both_open_at_shared_point_stays_split(self):
-        out = ivs("[0,1)").insert_with_piece(iv("(1,2]"))[0]
+        out = ivs("[0,1)").union(IntervalSet.of(iv("(1,2]")))
         assert out == ivs("[0,1)", "(1,2]")
         assert len(out) == 2
 
     def test_adjacent_with_one_closed_merges(self):
-        assert ivs("[0,1]").insert_with_piece(iv("(1,2]"))[0] == ivs("[0,2]")
-        assert ivs("[0,1)").insert_with_piece(iv("[1,2]"))[0] == ivs("[0,2]")
+        assert ivs("[0,1]").union(IntervalSet.of(iv("(1,2]"))) == ivs("[0,2]")
+        assert ivs("[0,1)").union(IntervalSet.of(iv("[1,2]"))) == ivs("[0,2]")
 
     def test_covered_insert_is_identity(self):
         s = ivs("[0,10]")
-        assert s.insert_with_piece(iv("[2,3]"))[0] == s
+        assert s.union(IntervalSet.of(iv("[2,3]"))) == s
 
     @given(
         st.lists(
@@ -247,7 +247,7 @@ class TestCoalescing:
         rng.shuffle(shuffled)
         one_by_one = IntervalSet.empty()
         for interval in shuffled:
-            one_by_one = one_by_one.insert_with_piece(interval)[0]
+            one_by_one = one_by_one.union(IntervalSet.of(interval))
         assert one_by_one == canonical
 
     @given(

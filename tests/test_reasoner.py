@@ -1,6 +1,8 @@
 """Rule application, the bounded oracle, and the windowed procedure."""
 
 import math
+import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,7 +16,9 @@ from chronolog.errors import (
     WindowCapExceeded,
 )
 from chronolog.intervals import NEG_INF, POS_INF, Interval, IntervalSet, to_time, parse_interval
+from chronolog import reasoner
 from chronolog.reasoner import (
+    _BLOCK,
     Model,
     Pattern,
     PeriodicModel,
@@ -73,6 +77,230 @@ class TestModel:
         assert max_time_point(m) == 5
         assert min_time_point(m) == -3
         assert max_time_point(Model()) == 0
+
+
+def _insert_with_piece(ivs, iv):
+    """Insertion into a set as ``IntervalSet.insert_with_piece`` did it
+    before insertion moved into ``Model``: the reference ``Model.add`` is
+    held against. Returns the new set and the piece covering ``iv``, or
+    ``None`` for the piece when ``iv`` was covered already."""
+    if ivs.covers_interval(iv):
+        return ivs, None
+    pieces = ivs.pieces
+    start = bisect_left(pieces, iv.lo, key=lambda p: p.hi)
+    stop = bisect_right(pieces, iv.hi, key=lambda p: p.lo)
+    merged = iv
+    lo_idx = hi_idx = start
+    for idx in range(start, stop):
+        piece = pieces[idx]
+        if piece.overlaps_or_touches(merged):
+            merged = merged.hull(piece)
+            hi_idx = idx + 1
+        elif piece.sort_key() < merged.sort_key():
+            lo_idx = hi_idx = idx + 1
+        else:
+            break
+    return IntervalSet(pieces[:lo_idx] + (merged,) + pieces[hi_idx:]), merged
+
+
+def _store_pieces(n: int, rng: random.Random) -> list[Interval]:
+    """``n`` pieces 3 apart, of random width and open or closed ends, some
+    overlapping or touching their neighbours, one that spans a quarter of
+    them, a ray at either end and one over the last eighth."""
+    out = [
+        Interval.up_to(-10, hi_open=True),
+        Interval.ray_from(3 * n + 7),
+        Interval(3 * (n // 2) + 1, 3 * (3 * n // 4), True, False),
+        Interval.ray_from(3 * (7 * n // 8), lo_open=True),
+    ]
+    for i in range(n):
+        lo = 3 * i
+        kind = rng.random()
+        if kind < 0.1:  # overlaps both neighbours
+            out.append(Interval(lo - 2, lo + 4, rng.random() < 0.5, rng.random() < 0.5))
+        elif kind < 0.2:  # touches the next one
+            out.append(Interval(lo + 1, lo + 3, False, rng.random() < 0.5))
+        else:
+            width = rng.choice((0, 0, 1, 2))
+            lo_open = width > 0 and rng.random() < 0.5
+            hi_open = width > 0 and rng.random() < 0.5
+            out.append(Interval(lo, lo + width, lo_open, hi_open))
+    return out
+
+
+_WHOLE = Interval(NEG_INF, POS_INF, True, True)
+
+
+def _read_off_blocks(model: Model) -> tuple:
+    """What a model holds, read through the readers that use its blocks
+    (not the sets ``get`` keeps), so a block changed behind the model's
+    back shows."""
+    return (
+        [(str(a), str(model.clip(a, _WHOLE))) for a in model.atoms()],
+        sorted(model.finite_endpoints()),
+    )
+
+
+class TestBlockStore:
+    """``Model`` keeps each atom's pieces in sorted blocks of at most
+    ``_BLOCK`` pieces; these tests hold it against whole-set operations."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("block, n", [(4, 160), (_BLOCK, 6 * _BLOCK)])
+    def test_add_matches_whole_set_insertion(self, monkeypatch, order, block, n):
+        monkeypatch.setattr(reasoner, "_BLOCK", block)
+        rng = random.Random(f"{order}-{block}")
+        pieces = _store_pieces(n, rng)
+        pieces.sort(key=Interval.sort_key, reverse=order == "descending")
+        if order == "shuffled":
+            rng.shuffle(pieces)
+        atom = Atom("A")
+        model, reference, most = Model(), IntervalSet.empty(), 0
+        for count, piece in enumerate(pieces, 1):
+            reference, expected = _insert_with_piece(reference, piece)
+            assert model.add(atom, piece) == expected
+            assert model.get(atom) == reference == IntervalSet.from_iterable(pieces[:count])
+            assert all(0 < len(b) <= block for b in model._blocks[atom])
+            most = max(most, len(model._blocks[atom]))
+        assert most >= 3
+        assert _read_off_blocks(model)[0] == [("A", str(reference))]
+
+    @pytest.mark.parametrize("block", [4, 16])
+    def test_block_readers_match_the_set(self, monkeypatch, block):
+        monkeypatch.setattr(reasoner, "_BLOCK", block)
+        rng = random.Random(block)
+        pieces = _store_pieces(12 * block, rng)
+        rng.shuffle(pieces)
+        model = Model.from_facts(Fact(Atom("A"), p) for p in pieces)
+        whole = model.get(Atom("A"))
+        assert len(model._blocks[Atom("A")]) > 3
+        for lo in range(-12, 36 * block + 10, 5):
+            for width in (0, 1, 4, 30, 3 * block):
+                for lo_open, hi_open in ((False, False), (True, True), (False, True)):
+                    if width == 0 and (lo_open or hi_open):
+                        continue
+                    window = Interval(lo, lo + width, lo_open, hi_open)
+                    assert model.clip(Atom("A"), window) == whole.clip(window)
+                    assert model.covers(Atom("A"), window) == whole.covers_interval(window)
+        assert model.clip(Atom("B"), _WHOLE).is_empty
+        assert not model.covers(Atom("B"), Interval.point(0))
+        assert sorted(model.finite_endpoints()) == sorted(
+            e for p in whole for e in (p.lo, p.hi) if NEG_INF < e < POS_INF
+        )
+
+    def test_same_pieces_split_differently_are_equal(self, monkeypatch):
+        monkeypatch.setattr(reasoner, "_BLOCK", 4)
+        points = [Interval.point(2 * k) for k in range(40)]
+        shuffled = points[:]
+        random.Random(3).shuffle(shuffled)
+        models = []
+        for order in (points, points[::-1], shuffled):
+            model = Model()
+            for p in order:
+                model.add(Atom("A"), p)
+            models.append(model)
+        up, down, mixed = models
+        splits = {tuple(map(len, m._blocks[Atom("A")])) for m in models}
+        assert len(splits) == 3
+        assert up == down == mixed == Model({Atom("A"): IntervalSet.from_iterable(points)})
+        assert up.rows() == down.rows() == mixed.rows()
+        down.add(Atom("A"), Interval.point(1))
+        assert up != down
+
+    def test_copy_is_independent(self):
+        model = model_of("A@[0,0].\nA@[4,4].\nB@[1,2].")
+        copy = model.copy()
+        assert copy == model
+        copy.add(Atom("A"), Interval.point(2))
+        copy.add(Atom("C"), Interval.point(2))
+        assert _read_off_blocks(model) == _read_off_blocks(model_of("A@[0,0].\nA@[4,4].\nB@[1,2]."))
+        assert str(copy.get(Atom("A"))) == "{[0,0], [2,2], [4,4]}"
+
+
+class TestInputsLeftAsTheyWere:
+    """``reason``, the oracle, ``backward_slice`` and ``unroll`` copy what
+    they grow: the database they are given holds what it held before."""
+
+    def test_database_unchanged(self):
+        program = parse_program("diamondminus[2,2] A -> B .\ndiamondminus[3,3] B -> A .")
+        database = parse_database("A@[0,0].\nA@[40,40].\nB@[41,41].")
+        before = _read_off_blocks(database)
+        pm = reason(program, database)
+        assert _read_off_blocks(database) == before
+        naive_fixpoint_bounded(program, database, 90)
+        assert _read_off_blocks(database) == before
+        backward_slice(program, database, Atom("A"))
+        assert _read_off_blocks(database) == before
+        facts = _read_off_blocks(pm.facts)
+        pm.unroll(200)
+        assert _read_off_blocks(pm.facts) == facts
+        assert _read_off_blocks(database) == before
+
+    def test_periodic_model_is_unhashable(self):
+        pm = reason(parse_program("diamondminus[2,2] A -> A ."), parse_database("A@[0,0]."))
+        with pytest.raises(TypeError, match="PeriodicModel"):
+            hash(pm)
+
+
+class _AddCost:
+    """A test-local wrapper of ``Model.add``: per call, an upper bound on
+    the pieces it moves or copies, namely the length of the block it wrote
+    (``moved``), plus the number of blocks when it added or dropped one."""
+
+    def __init__(self, monkeypatch):
+        self.total = 0
+        self.moved = 0
+        add = Model.add
+
+        def counted(model, atom, interval):
+            before = len(model._blocks.get(atom, ()))
+            piece = add(model, atom, interval)
+            if piece is not None:
+                blocks = model._blocks[atom]
+                block = blocks[bisect_left(blocks, piece.hi, key=lambda b: b[-1].hi)]
+                self.moved = max(self.moved, len(block))
+                self.total += len(block) + (len(blocks) if len(blocks) != before else 0)
+            return piece
+
+        monkeypatch.setattr(Model, "add", counted)
+
+
+class TestLinearGrowth:
+    """Building a model piece by piece costs in proportion to its pieces:
+    doubling the input at most about doubles the pieces ``add`` moves
+    (counted, not timed)."""
+
+    GAP = "diamondminus[2,2] A -> B .\ndiamondminus[3,3] B -> A ."
+
+    def test_reason_on_a_gap(self, monkeypatch):
+        cost = _AddCost(monkeypatch)
+        totals = []
+        for d in (8000, 16000):
+            cost.total = 0
+            pm = reason(parse_program(self.GAP), parse_database(f"A@[0,0].\nA@[{d},{d}]."))
+            assert pm.period == 5
+            totals.append(cost.total)
+        assert totals[1] <= 2.5 * totals[0], totals
+
+    def test_loading_many_facts_of_one_atom(self, monkeypatch):
+        cost = _AddCost(monkeypatch)
+        totals = []
+        for n in (10000, 20000):
+            cost.total = 0
+            db = parse_database("".join(f"A@[{2 * k},{2 * k}].\n" for k in range(n)))
+            assert len(db.get(Atom("A"))) == n
+            totals.append(cost.total)
+        assert totals[1] <= 2.5 * totals[0], totals
+
+    def test_oracle_toward_minus_infinity_hits_its_step_cap(self, monkeypatch):
+        cost = _AddCost(monkeypatch)
+        with pytest.raises(StepCapExceeded):
+            naive_fixpoint_bounded(
+                parse_program("diamondplus[1,1] A -> A ."), parse_database("A@[5,5]."),
+                30, step_cap=10**5,
+            )
+        assert cost.moved <= _BLOCK
+        assert cost.total <= 10**5 * (_BLOCK + 1)
 
 
 def derive(text, db_text, head):

@@ -35,6 +35,7 @@ from chronolog.syntax import (
     Until,
     Variable,
     _error_at,
+    _offset,
     _substitute,
     _tokenize,
     ground,
@@ -93,20 +94,45 @@ class TestParseProgram:
 
     def test_tokens_carry_kind_unit_and_position(self):
         text = "% note\n  diamondminus[12h,2] A -> B ."
-        tokens = _tokenize(text)
-        first, _, number, _, plain = tokens[:5]
+        texts, units = _tokenize(text)
 
-        def position(tok):
-            at = _error_at(text, tok.offset, "")
+        def kind(token):  # read off the text, as _tokenize documents
+            if not token:
+                return "EOF"
+            if token == "->":
+                return "ARROW"
+            if token[0].isdecimal():
+                return "NUMBER"
+            if token.isidentifier():
+                return "IDENT"
+            return "QUOTED" if token[0] == "'" else "PUNCT"
+
+        def position(index):
+            at = _error_at(text, _offset(text, index), "")
             return at.line, at.column
 
-        assert (first.kind, first.text, position(first)) == ("IDENT", "diamondminus", (2, 3))
-        assert (number.kind, number.text, number.unit) == ("NUMBER", "12", "h")
-        assert position(number) == (2, 16)
-        assert (plain.kind, plain.text, plain.unit) == ("NUMBER", "2", None)
-        assert tuple(first) == ("IDENT", "diamondminus", 9, None)
-        assert tuple(number) == ("NUMBER", "12", 22, "h")
-        assert [t.kind for t in tokens[5:]] == ["PUNCT", "IDENT", "ARROW", "IDENT", "PUNCT", "EOF"]
+        assert (kind(texts[0]), texts[0], units[0], position(0)) == (
+            "IDENT", "diamondminus", "", (2, 3)
+        )
+        assert (kind(texts[2]), texts[2], units[2]) == ("NUMBER", "12", "h")
+        assert position(2) == (2, 16)
+        assert (kind(texts[4]), texts[4], units[4]) == ("NUMBER", "2", "")
+        assert (_offset(text, 0), _offset(text, 2)) == (9, 22)
+        assert [kind(t) for t in texts[5:]] == ["PUNCT", "IDENT", "ARROW", "IDENT", "PUNCT", "EOF"]
+        assert _offset(text, len(texts) - 1) == len(text)
+
+    def test_end_of_input_is_placed_past_trailing_whitespace_and_comments(self):
+        for text in ("A -> B", "A -> B \n  ", "A -> B % no dot\n% still none"):
+            with pytest.raises(ParseError) as err:
+                parse_program(text)
+            assert str(err.value).endswith("expected '.', found 'end of input'")
+            at = _error_at(text, len(text), "")
+            assert (err.value.line, err.value.column) == (at.line, at.column)
+
+    def test_quoted_keyword_is_a_constant(self):
+        assert parse_program("P('inf') -> Q .").rules[0].body[0].terms == (Constant("inf"),)
+        with pytest.raises(ParseError, match="^1:3: 'inf' is a reserved word$"):
+            parse_program("P(inf) -> Q .")
 
     def test_parse_error_position_after_a_comment(self):
         with pytest.raises(ParseError, match="^2:6:"):
