@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import analysis, reasoner, syntax
@@ -56,69 +57,80 @@ def _horizon(text: str) -> int | Fraction:
         raise InputError(f"invalid horizon {text!r}") from exc
 
 
-def _emit(args, human: str, structured: dict) -> None:
+def _emit(args, human: Callable[[], str], structured: Callable[[], dict]) -> None:
+    """Print the answer in the format asked for, building only that form."""
     if args.format == "json":
-        print(json.dumps(structured, indent=2, sort_keys=True))
+        print(json.dumps(structured(), indent=2, sort_keys=True))
     else:
-        print(human)
+        print(human())
 
 
 def cmd_classify(args) -> int:
     program = syntax.to_normal_form(_load_program(args))
     database = _load_database(args) if args.database else None
     report = analysis.classify_rules(program, database, cycle_cap=args.cycle_cap)
-
     fragments = {name: getattr(report, name) for name in analysis.FragmentFlags.NAMES}
-    lines = ["fragments:"] + [f"  {name}: {value}" for name, value in fragments.items()]
-    lines.append(f"  harmless_program: {report.harmless_program}")
-    if report.pattern_len is not None:
-        lines.append(f"  pattern_length: {report.pattern_len}")
-    if report.warning:
-        lines.append(f"warning: {report.warning}")
-    if database is None:
-        lines.append(
-            "note: without --database, case (iv) marks assume every cycle is unseeded"
-        )
-    lines.append("nodes:")
-    for node in report.nodes:
-        case = report.finite_nodes.get(node)
-        status = f"finite ({case})" if case else "not finite"
-        lines.append(f"  {node}: {status}")
-    lines.append("rules:")
-    for rule in program.rules:
-        lines.append(f"  {rule.id}: {report.rule_classes[rule.id].value}  {rule}")
 
-    structured = {
-        "fragments": fragments,
-        "harmless_program": report.harmless_program,
-        "pattern_length": str(report.pattern_len) if report.pattern_len is not None else None,
-        "warning": report.warning,
-        "finite_nodes": {n: report.finite_nodes.get(n) for n in report.nodes},
-        "rule_classes": {r.id: report.rule_classes[r.id].value for r in program.rules},
-        "cycles": [
-            {"nodes": list(c.nodes), "shift_sum": str(c.shift_sum), "weight": str(c.weight)}
-            for c in report.cycles
-        ],
-    }
-    _emit(args, "\n".join(lines), structured)
+    def human() -> str:
+        lines = ["fragments:"] + [f"  {name}: {value}" for name, value in fragments.items()]
+        lines.append(f"  harmless_program: {report.harmless_program}")
+        if report.pattern_len is not None:
+            lines.append(f"  pattern_length: {report.pattern_len}")
+        if report.warning:
+            lines.append(f"warning: {report.warning}")
+        if database is None:
+            lines.append(
+                "note: without --database, case (iv) marks assume every cycle is unseeded"
+            )
+        lines.append("nodes:")
+        for node in report.nodes:
+            case = report.finite_nodes.get(node)
+            status = f"finite ({case})" if case else "not finite"
+            lines.append(f"  {node}: {status}")
+        lines.append("rules:")
+        for rule in program.rules:
+            lines.append(f"  {rule.id}: {report.rule_classes[rule.id].value}  {rule}")
+        return "\n".join(lines)
+
+    def structured() -> dict:
+        return {
+            "fragments": fragments,
+            "harmless_program": report.harmless_program,
+            "pattern_length": (
+                str(report.pattern_len) if report.pattern_len is not None else None
+            ),
+            "warning": report.warning,
+            "finite_nodes": {n: report.finite_nodes.get(n) for n in report.nodes},
+            "rule_classes": {r.id: report.rule_classes[r.id].value for r in program.rules},
+            "cycles": [
+                {"nodes": list(c.nodes), "shift_sum": str(c.shift_sum), "weight": str(c.weight)}
+                for c in report.cycles
+            ],
+        }
+
+    _emit(args, human, structured)
     return EXIT_OK
 
 
 def cmd_reason(args) -> int:
     program, database = _prepare(args)
     pm = reasoner.reason(program, database, window_cap=args.window_cap)
-    lines = [
-        f"type: {pm.representation_type()}",
-        f"period: {pm.period}",
-        f"horizon: {pm.horizon}",
-        "facts:",
-    ]
-    for atom, ivs in pm.facts.items():
-        lines.append(f"  {atom}@{ivs}")
-    lines.append("patterns:")
-    for pat in pm.patterns:
-        lines.append(f"  {pat}")
-    _emit(args, "\n".join(lines), pm.to_dict())
+
+    def human() -> str:
+        lines = [
+            f"type: {pm.representation_type()}",
+            f"period: {pm.period}",
+            f"horizon: {pm.horizon}",
+            "facts:",
+        ]
+        for atom, ivs in pm.facts.items():
+            lines.append(f"  {atom}@{ivs}")
+        lines.append("patterns:")
+        for pat in pm.patterns:
+            lines.append(f"  {pat}")
+        return "\n".join(lines)
+
+    _emit(args, human, pm.to_dict)
     return EXIT_OK
 
 
@@ -137,7 +149,11 @@ def cmd_query(args) -> int:
     program, database = reasoner.backward_slice(program, database, fact.atom)
     pm = reasoner.reason(program, database, window_cap=args.window_cap)
     verdict = pm.entails(fact)
-    _emit(args, "true" if verdict else "false", {"query": str(fact), "entailed": verdict})
+    _emit(
+        args,
+        lambda: "true" if verdict else "false",
+        lambda: {"query": str(fact), "entailed": verdict},
+    )
     return EXIT_OK if verdict else EXIT_FALSE
 
 
@@ -145,8 +161,11 @@ def cmd_oracle(args) -> int:
     horizon = _horizon(args.horizon)
     program, database = _prepare(args)
     model = reasoner.naive_fixpoint_bounded(program, database, horizon)
-    lines = [f"{atom}@{ivs}" for atom, ivs in model.items()]
-    _emit(args, "\n".join(lines) or "(empty)", {"facts": model.rows()})
+    _emit(
+        args,
+        lambda: "\n".join(f"{atom}@{ivs}" for atom, ivs in model.items()) or "(empty)",
+        lambda: {"facts": model.rows()},
+    )
     return EXIT_OK
 
 
@@ -164,15 +183,14 @@ def cmd_check(args) -> int:
         left, right = unrolled.get(atom), oracle.get(atom)
         if left != right:
             differences.append(f"{atom}: reason={left} oracle={right}")
-    human = (
-        f"checked through {horizon}: no differences"
-        if not differences
-        else "\n".join(["differences:"] + [f"  {d}" for d in differences])
-    )
     _emit(
         args,
-        human,
-        {"horizon": str(horizon), "differences": differences},
+        lambda: (
+            f"checked through {horizon}: no differences"
+            if not differences
+            else "\n".join(["differences:"] + [f"  {d}" for d in differences])
+        ),
+        lambda: {"horizon": str(horizon), "differences": differences},
     )
     return EXIT_OK if not differences else EXIT_FALSE
 

@@ -478,7 +478,11 @@ def lcm_rationals(values: Iterable[RationalLike]) -> int | Fraction:
     For rationals in lowest terms, ``lcm(a/b, c/d) = lcm(a, c) / gcd(b, d)``
     (a prime dividing both ``b`` and ``d`` divides neither ``a`` nor ``c``,
     so the result is in lowest terms again). Raises on an empty input.
+    Positive ints, the common case, go straight to ``math.lcm``.
     """
+    values = list(values)
+    if values and all(v.__class__ is int and v > 0 for v in values):
+        return math.lcm(*values)
     values = [to_time(v) for v in values]
     if not values:
         raise ValueError("lcm of an empty set is undefined")

@@ -10,9 +10,10 @@ Two independent evaluation routes are kept apart on purpose:
 * ``reason`` derives per SCC group, forward in chunks, and stops once
   the group's state (its facts on a slab as wide as its rules look back,
   past every aperiodic input, and which of its atoms hold for good)
-  repeats; the repeat gives the group's period, and one period of its
-  facts becomes repetition patterns (or rays for facts that fill the
-  whole period).
+  repeats (a group without a cycle takes the period of its inputs and
+  stops after one chunk); the repeat gives the group's period, and one
+  period of its facts becomes repetition patterns (or rays for facts
+  that fill the whole period).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
 
-from .analysis import DEFAULT_CYCLE_CAP, Edge, _sccs, dependency_graph
+from .analysis import DEFAULT_CYCLE_CAP, Edge, _edge_labels, _sccs
 from .errors import InputError, NotForwardPropagating, StepCapExceeded, WindowCapExceeded
 from .intervals import (
     Interval,
@@ -500,17 +501,32 @@ def group_and_sort(program: Program) -> list[RuleGroup]:
     """Rules grouped by the SCC of their head in the ground atom graph
     (``_reads``), in dependency order: on head -> body edges ``_sccs``
     gives each SCC after every SCC it reads. SCCs without rules are
-    omitted; the groups of one predicate SCC share its ``edges`` tuple."""
-    graph = dependency_graph(program)
-    succ: dict[str, list[str]] = {node: [] for node in graph.nodes}
-    for e in graph.edges:
-        succ[e.source].append(e.target)
-    scc_of = {p: i for i, members in enumerate(_sccs(succ)) for p in members}
+    omitted.
+
+    The groups of one predicate SCC share one tuple of its inner edges:
+    the edges of ``analysis.dependency_graph`` whose ends both lie in it,
+    in the same order. The predicate SCCs are those of the predicate image
+    of ``_reads``, the same graph with its edges reversed, and an edge is
+    built (through ``analysis._edge_labels``) only for a rule whose head
+    and body predicate share one. A rule not in normal form is rejected,
+    as ``dependency_graph`` rejects it."""
+    image: dict[str, dict[str, None]] = {}
+    for rule in program.rules:
+        if rule.form is None:
+            raise InputError(f"rule {rule.id} is not in temporal normal form")
+        image.setdefault(rule.head.predicate, {}).update(
+            dict.fromkeys(a.predicate for a in rule.body_atoms)
+        )
+    scc_of = {p: i for i, members in enumerate(_sccs(image)) for p in members}
     inner: dict[int, list[Edge]] = {}
-    for e in graph.edges:
-        if scc_of[e.source] == scc_of[e.target]:
-            inner.setdefault(scc_of[e.target], []).append(e)
-    edges = {i: tuple(group_edges) for i, group_edges in inner.items()}
+    for rule in program.rules:
+        head = rule.head.predicate
+        scc = scc_of[head]
+        for source in dict.fromkeys(a.predicate for a in rule.body_atoms):
+            if scc_of[source] == scc:
+                edge = Edge(source, head, rule.id, *_edge_labels(rule))
+                inner.setdefault(scc, []).append(edge)
+    edges = {scc: tuple(group_edges) for scc, group_edges in inner.items()}
     components = _sccs(_reads(program))
     group_of = {atom: i for i, members in enumerate(components) for atom in members}
     rules: list[list[Rule]] = [[] for _ in components]
@@ -686,22 +702,24 @@ class PeriodicModel:
     def entails(self, fact: Fact) -> bool:
         """Does every model of the program and database satisfy ``fact``?
 
-        Only the query's own span is unrolled, so the cost does not depend
-        on how far out the query lies. An unbounded query reads only its
-        atom: from ``w``, the later of the query's lower end, 0 and the
-        point where the atom settles (``_settled``), the atom's content
-        repeats with ``q``, the lcm of its own patterns' periods (1 if it
-        has none). So it holds on the whole query iff it holds on the
-        query up to ``w + q``.
+        Only the query's own atom is read, and at most one period of it
+        past where it settles, so the cost depends neither on how far out
+        the query lies nor on how long it is. From ``w``, the later of the
+        query's lower end, 0 and the point where the atom settles
+        (``_settled``), the atom's content repeats with ``q``, the lcm of
+        its own patterns' periods (1 if it has none). So it holds on a
+        query that reaches past ``w + q`` (one unbounded above, say) iff
+        it holds on the query up to ``w + q``: a later point holds what a
+        point of ``(w, w + q]`` a multiple of ``q`` earlier holds. A
+        shorter query is read whole.
         """
         query = fact.interval
-        if query.hi != POS_INF:
-            return self.coverage(fact.atom, query).covers_interval(query)
         pats = self._by_atom.get(fact.atom, ())
         w = max(query.lo, _settled(self.facts.get(fact.atom), pats), 0)
         q = lcm_rationals([pat.period for pat in pats] or [1])
-        span = Interval(query.lo, w + q, query.lo_open, False)
-        return self.coverage(fact.atom, span).covers_interval(span)
+        if query.hi > w + q:
+            query = Interval(query.lo, w + q, query.lo_open, False)
+        return self.coverage(fact.atom, query).covers_interval(query)
 
     def to_dict(self) -> dict:
         """Deterministic structured form; rationals rendered as strings."""
@@ -739,7 +757,9 @@ def _derive_group(
     body atom among the pieces that changed in the previous round (the
     group's ``by_body`` index), and only those pieces compose with the
     rest, so the work per window is proportional to the facts it derives,
-    not to the square of the model size or to the group's rule count.
+    not to the square of the model size or to the group's rule count. A
+    round carries into the next only the pieces of atoms the rules read:
+    a group whose rules read none of its atoms derives in one round.
 
     Only the atoms the group's rule bodies read are looked at: their facts
     and the occurrences of their earlier groups' patterns (``_coverage``)
@@ -765,7 +785,7 @@ def _derive_group(
     frontier = {atom: seed for atom, seed in seeds.items() if not seed.is_empty}
     while frontier:
         fresh: dict[Atom, list[Interval]] = {}
-        touched = sorted({i for atom in frontier for i in group.by_body.get(atom, ())})
+        touched = sorted({i for atom in frontier for i in group.by_body[atom]})
         for i in touched:
             rule = group.rules[i]
             form = rule.form
@@ -802,7 +822,9 @@ def _derive_group(
                 if merged is not None:
                     fresh.setdefault(rule.head, []).append(merged)
         frontier = {
-            atom: IntervalSet.from_iterable(pieces) for atom, pieces in fresh.items()
+            atom: IntervalSet.from_iterable(pieces)
+            for atom, pieces in fresh.items()
+            if atom in group.by_body
         }
 
 
@@ -954,7 +976,8 @@ def reason(
     and a copy of the facts after every derived chunk.
 
     The groups, SCCs of ground atoms, go in dependency order. Each derives
-    forward in chunks and finds its period from a repeated state. The
+    forward in chunks and finds its period from a repeated state, except
+    a group without a cycle, whose period is its step. The
     state, the compaction test and the frozen period all read the group's
     facts on a half-open window shifted to the origin, through one helper
     (``_slab``); earlier groups are read through ``_coverage``, over each
@@ -1030,6 +1053,24 @@ def reason(
       not ``analysis.pattern_length``, taken on predicates (``reach_join``:
       3 and 6). Another is the period of the group's predicate SCC taken
       as one group, which is a multiple of that group's step.
+    * **Groups without a cycle.** A group of one atom that none of its
+      rules reads (``atom not in group.by_body``) skips the state search.
+      Its facts at a point ``s`` are its database facts, which end by the
+      settle point, and the heads of its rules, which read its inputs on
+      ``[s - L, s]`` or, through a ``diamondminus[a,inf)`` body, at any
+      point up to ``s - a``. Past ``position``, where ``s - L`` lies past
+      the settle point, the inputs repeat with ``step``. A
+      ``diamondminus[a,inf)`` input that ever holds already holds by the
+      settle point, because ``_settled`` ends at or after its first point,
+      so such a body holds on all of ``[settle + a, inf)``, and ``a <= L``.
+      So the group's facts repeat with ``step`` from ``position`` (not from
+      ``position - L``, as a repeated state would give): the period is
+      ``step``, the least multiple of ``step`` there is, and the state
+      search would find it too. The group derives the one chunk
+      ``[start, position + step)`` and compacts from ``h = position``; the
+      compaction finds the same least ``b`` from any ``h`` from which the
+      facts repeat. The derivation, the compaction and ``freeze`` are
+      those of every group; an acyclic group only hashes no state.
     * **Compaction.** ``h`` then moves back to the least multiple ``b``
       of ``q`` from which the group's facts repeat: those on ``[b, h)``
       and those on ``[b + q, h + q)`` make the same slab. If they do,
@@ -1059,12 +1100,14 @@ def reason(
     facts = database.copy()
     patterns: dict[Atom, list[Pattern]] = {}
     periods: dict[Atom, int | Fraction] = {}
+    settled: dict[Atom, int | Fraction] = {}  # each atom's settle point, once worked out
     cycle_steps: dict[int, int | Fraction] = {}  # by id of a predicate SCC's edges
     horizons: list[int | Fraction] = []
 
     for group in group_and_sort(program):
         atoms = sorted(group.atoms, key=_atom_key)
         lookback = group.lookback
+        acyclic = len(atoms) == 1 and atoms[0] not in group.by_body
         if (cycle_step := cycle_steps.get(id(group.edges))) is None:
             cycle_step = cycle_steps[id(group.edges)] = _shift_gcd(group)
         step = lcm_rationals(
@@ -1072,10 +1115,12 @@ def reason(
             + ([cycle_step] if cycle_step else [])
             or [1]
         )
-        settle = max(
-            [start]
-            + [_settled(facts.get(a), patterns.get(a, ())) for a in {*atoms, *group.by_body}]
-        )
+        settle = start
+        for a in chain(atoms, group.by_body):
+            if (s := settled.get(a)) is None:
+                # no group has frozen the atom yet: it holds database facts only
+                s = settled[a] = _settled(facts.get(a), ())
+            settle = max(settle, s)
         position = ((settle + lookback) // step + 1) * step
 
         def state(t: int | Fraction) -> tuple:
@@ -1094,26 +1139,28 @@ def reason(
                 on_iteration(",".join(map(str, atoms)), chunks, facts.copy())
 
         seen: dict[tuple, int | Fraction] = {}
-        repeat: int | Fraction | None = None
+        period: int | Fraction | None = None
         derived, end, width = start, position + step, max(lookback, step)
-        while repeat is None:
+        while period is None:
             if chunks >= window_cap:
                 raise WindowCapExceeded(
                     f"no repetition within {window_cap} chunks (group {list(map(str, atoms))})"
                 )
             derive(derived, end)
             derived = end
-            while position <= derived:
+            if acyclic:
+                period, begin = step, position
+            while period is None and position <= derived:
                 key = state(position)
                 if key in seen:
                     repeat = seen[key]
-                    break
-                seen[key] = position
-                position += step
+                    period = position - repeat
+                    begin = -((lookback - repeat) // period) * period
+                else:
+                    seen[key] = position
+                    position += step
             end, width = derived + width, 2 * width
 
-        period = position - repeat
-        begin = -((lookback - repeat) // period) * period
         if derived < begin + period:
             derive(derived, begin + period)
 
@@ -1142,6 +1189,8 @@ def reason(
         for pat in group_patterns:
             patterns.setdefault(pat.atom, []).append(pat)
         periods.update(dict.fromkeys(atoms, period))
+        for atom in atoms:
+            settled[atom] = _settled(facts.get(atom), patterns.get(atom, ()))
         horizons.append(begin)
 
     every_pattern = (pat for pats in patterns.values() for pat in pats)

@@ -709,9 +709,9 @@ class _Parser:
             raise self.expected(".")
         self.pos += 1
         rule = Rule(tuple(body), head, f"r{index}")
-        head_vars = literal_variables(rule.head)
-        bound = set().union(*(literal_variables(b) for b in rule.body)) if body else set()
-        loose = head_vars - bound
+        loose = literal_variables(rule.head).difference(
+            t.name for a in rule.body_atoms for t in a.terms if isinstance(t, Variable)
+        )
         if loose:
             raise self.error(f"head variables {sorted(loose)} do not occur in the body", start)
         return rule

@@ -466,6 +466,48 @@ class TestGroupAndSort:
         ]
         assert tail.edges == ()
 
+    @pytest.mark.parametrize("generator", ["forward", "nested", "ray", "linear"])
+    def test_inner_edges_of_random_programs(self, monkeypatch, generator):
+        """Each group's edges are the edges of ``dependency_graph`` inside
+        its predicates' SCC, in order, and ``reason`` builds no
+        dependency graph."""
+        from chronolog import analysis
+        from test_acceptance import _random_fp_program, _random_linear_diamond
+
+        make = {
+            "forward": _random_fp_program,
+            "nested": _random_nested_program,
+            "ray": _random_ray_program,
+            "linear": _random_linear_diamond,
+        }[generator]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reason must not build the dependency graph")
+
+        reference = analysis.dependency_graph
+        monkeypatch.setattr(analysis, "dependency_graph", refuse)
+        if hasattr(reasoner, "dependency_graph"):
+            monkeypatch.setattr(reasoner, "dependency_graph", refuse)
+        rng = random.Random(19)
+        for _ in range(300):
+            text, db_text = make(rng)
+            program = to_normal_form(parse_program(text))
+            graph = reference(program)
+            scc_of = graph.scc_of
+            for group in group_and_sort(program):
+                scc = scc_of[next(iter(group.atoms)).predicate]
+                assert group.edges == tuple(
+                    e for e in graph.edges if scc_of[e.source] == scc_of[e.target] == scc
+                ), text
+            reason(program, parse_database(db_text))
+
+    @pytest.mark.parametrize(
+        "text", ["A -> boxminus[1,2] B .", "A, diamondminus[1,2] B -> C ."]
+    )
+    def test_rejects_a_rule_not_in_normal_form(self, text):
+        with pytest.raises(InputError, match="rule r1 is not in temporal normal form"):
+            group_and_sort(parse_program(text))
+
     def test_ground_cycles_of_one_predicate_are_separate_groups(self):
         """Groups are SCCs of ground atoms; the groups of one predicate SCC
         share one tuple of its inner edges."""
@@ -877,6 +919,56 @@ class TestEntailsDifferential:
                         text, db_text, str(fact)
                     )
 
+    def test_long_bounded_queries(self):
+        """Bounded queries 0 to 50 periods long, over the fixtures and
+        programs with fractional periods: the verdict is the one read off
+        the whole query."""
+        from test_cli import FIXTURE_PAIRS
+
+        rng = random.Random(41)
+        inputs = [
+            ((FIXTURES / program).read_text(), (FIXTURES / database).read_text())
+            for program, database in FIXTURE_PAIRS
+        ]
+        inputs += [_random_ray_program(rng) for _ in range(60)]
+        long_queries = 0
+        for text, db_text in inputs:
+            database = parse_database(db_text)
+            pm = reason(ground(to_normal_form(parse_program(text)), database), database)
+            q = pm.period
+            for _ in range(12):
+                atom = rng.choice(pm.atoms() or [Atom("A")])
+                lo = to_time(F(rng.randint(-8, 8 * (int(pm.horizon) + 4 * int(q) + 4)), 4))
+                hi = lo + to_time(q * F(rng.randint(0, 200), 4))
+                lo_open, hi_open = (False, False) if lo == hi else (
+                    rng.random() < 0.3, rng.random() < 0.3
+                )
+                query = Interval(lo, hi, lo_open, hi_open)
+                reference = pm.coverage(atom, query).covers_interval(query)
+                assert pm.entails(Fact(atom, query)) == reference, (text, db_text, str(query))
+                long_queries += hi - lo > 10 * q
+        assert long_queries >= 300
+
+    def test_long_bounded_query_reads_one_period(self, monkeypatch):
+        """Count guard: a query 10^12 long builds the occurrences of about
+        one period, not of every period it spans."""
+        built = 0
+        occurrences = reasoner.occurrences
+
+        def counting(pattern, window):
+            nonlocal built
+            for hit in occurrences(pattern, window):
+                built += 1
+                yield hit
+
+        monkeypatch.setattr(reasoner, "occurrences", counting)
+        pm = reason(
+            parse_program((FIXTURES / "alternating.dmtl").read_text()),
+            parse_database((FIXTURES / "alternating.db").read_text()),
+        )
+        assert not pm.entails(parse_fact("A@[3,1000000000000]"))
+        assert 0 < built <= 4 * len(pm.patterns)
+
     def test_unbounded_query_reads_only_its_atom(self, monkeypatch):
         """Count guard: an unbounded query reads the queried atom's facts
         and patterns, not every endpoint of the model."""
@@ -1148,6 +1240,47 @@ def _random_ray_program(rng):
     return "\n".join(lines), "\n".join(facts)
 
 
+def _random_acyclic_program(rng):
+    """One to three cycles ``C*`` (shift sums whole or fractional) and one
+    to four atoms ``A*`` that no cycle passes through, each read off the
+    cycles and the ``A*`` before it through ``diamondminus[a,inf)``,
+    ``boxminus[a,inf)``, bounded diamonds and boxes, or a Horn join; the
+    database holds points and intervals of the cycles, and facts and rays
+    of the ``A*``."""
+    lines, facts = [], []
+    readable = [f"C{i}" for i in range(rng.randint(1, 3))]
+    for cycle in readable:
+        for _ in range(rng.choice((1, 1, 2))):
+            k = rng.choice(("1", "2", "3", "5", "1/2", "3/2"))
+            lines.append(f"diamondminus[{k},{k}] {cycle} -> {cycle} .")
+        for _ in range(rng.randint(1, 2)):
+            lo = rng.randint(0, 14)
+            facts.append(f"{cycle}@[{lo},{lo + rng.choice((0, 0, 1))}].")
+    for j in range(rng.randint(1, 4)):
+        head = f"A{j}"
+        for _ in range(rng.choice((1, 1, 2))):
+            source = rng.choice(readable)
+            a = rng.randint(0, 6)
+            kind = rng.choice(("dinf", "binf", "diamond", "box", "join"))
+            if kind == "dinf":
+                body = f"diamondminus[{a},inf) {source}"
+            elif kind == "binf":
+                body = f"boxminus[{a},inf) {source}"
+            elif kind == "join":
+                body = f"{source}, {rng.choice(readable)}"
+            else:
+                op = "diamondminus" if kind == "diamond" else "boxminus"
+                body = f"{op}[{a},{rng.randint(a, a + 6)}] {source}"
+            lines.append(f"{body} -> {head} .")
+        if rng.random() < 0.4:
+            lo = rng.randint(0, 20)
+            hi = "inf)" if rng.random() < 0.4 else f"{rng.randint(lo, 24)}]"
+            facts.append(f"{head}@[{lo},{hi}.")
+        readable.append(head)
+    rng.shuffle(lines)
+    return "\n".join(lines), "\n".join(facts)
+
+
 # one group: Tick -> Armed -> Fire -> Tick, with a ray rule inside
 RAY_GATE = (
     "diamondminus[3,3] Tick -> Tick .\ndiamondminus[10,inf) Tick -> Armed .\n"
@@ -1348,6 +1481,93 @@ class TestFirstChunk:
             parse_program(WEEKLY_CALENDAR), model_of("Mon@[0,1)."), Atom(queried)
         )
         assert set(self.chunks(program, database).values()) == {1}
+
+
+class TestGroupsWithoutACycle:
+    """A group of one atom that none of its rules reads skips the state
+    search: its period is the lcm of its inputs' periods and it derives
+    one chunk."""
+
+    @staticmethod
+    def periods(monkeypatch) -> dict[str, object]:
+        """Each group's period, read off its call of ``freeze``."""
+        frozen = reasoner.freeze
+        found: dict[str, object] = {}
+
+        def recording(facts, atoms, start, period):
+            found[",".join(map(str, atoms))] = period
+            return frozen(facts, atoms, start, period)
+
+        monkeypatch.setattr(reasoner, "freeze", recording)
+        return found
+
+    @pytest.mark.parametrize(
+        "rules, facts, period",
+        [
+            # the input's first point lies late in its period
+            ("diamondminus[5,5] C -> C .\ndiamondminus[2,inf) C -> A .", "C@[4,4].", 5),
+            ("diamondminus[5,5] C -> C .\nboxminus[1,inf) C -> A .", "C@[0,2].", 5),
+            ("diamondminus[3,3] C -> C .\nboxminus[1,2] C -> A .", "C@[0,1].\nC@[2,2].", 3),
+            ("diamondminus[5,5] C -> C .\nboxminus[2,9] C -> A .", "C@[0,4].", 5),
+            # C fills up into a ray, and A's facts repeat only from where
+            # its lookback lies past C's ray start
+            ("diamondminus[11,12] C -> C .\nboxminus[5,12] C -> A .", "C@[2,6].", 11),
+            ("diamondminus[4,4] C -> C .\ndiamondminus[1,6] C -> A .", "C@[3,3].", 4),
+            (
+                "diamondminus[2,2] C -> C .\ndiamondminus[3,3] D -> D .\nC, D -> A .",
+                "C@[0,0].\nD@[0,1].",
+                6,
+            ),
+            # a database fact and a database ray on the acyclic atom
+            ("diamondminus[3,3] C -> C .\nC -> A .", "C@[1,1].\nA@[20,21].", 3),
+            ("diamondminus[3/2,3/2] C -> C .\nC -> A .", "C@[1,1].\nA@[7,inf).", F(3, 2)),
+        ],
+    )
+    def test_period_is_the_lcm_of_the_inputs(self, monkeypatch, rules, facts, period):
+        program, database = parse_program(rules), model_of(facts)
+        periods = self.periods(monkeypatch)
+        chunks: dict[str, int] = {}
+
+        def count(group, n, facts):
+            chunks[group] = n
+
+        pm = reason(program, database, on_iteration=count)
+        assert periods["A"] == period and chunks["A"] == 1
+        horizon = check_horizon(pm, database)
+        assert pm.unroll(horizon) == naive_fixpoint_bounded(program, database, horizon)
+
+    @pytest.mark.parametrize("queried", ["Workday", "Weekend"])
+    def test_weekly_slices(self, monkeypatch, queried):
+        """Count guard: only the state search reads the ray flags, and only
+        the Monday cycle searches; every other group derives one chunk."""
+        covers = Model.covers
+        calls = 0
+
+        def counting(self, atom, interval):
+            nonlocal calls
+            calls += 1
+            return covers(self, atom, interval)
+
+        monkeypatch.setattr(Model, "covers", counting)
+        program, database = backward_slice(
+            parse_program(WEEKLY_CALENDAR), model_of("Mon@[0,1)."), Atom(queried)
+        )
+        chunks = TestFirstChunk.chunks(program, database)
+        assert calls == 2
+        assert len(chunks) == (6 if queried == "Workday" else 8)
+        assert set(chunks.values()) == {1}
+
+    def test_random_programs_match_the_oracle(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            text, db_text = _random_acyclic_program(rng)
+            program, database = parse_program(text), parse_database(db_text)
+            pm = reason(program, database)
+            horizon = check_horizon(pm, database)
+            assert pm.unroll(horizon) == naive_fixpoint_bounded(program, database, horizon), (
+                text,
+                db_text,
+            )
 
 
 def _primes_program(n: int, residues: bool = False):
