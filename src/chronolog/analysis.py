@@ -24,7 +24,7 @@ from .syntax import (
     Program,
     Rule,
     Since,
-    _value_repr,
+    _Value,
     is_forward_propagating,
 )
 
@@ -33,7 +33,7 @@ DEFAULT_CYCLE_CAP = 100_000
 _ZERO_INTERVAL = Interval.closed(0, 0)
 
 
-class Edge:
+class Edge(_Value):
     __slots__ = ("source", "target", "rule_id", "special", "interval_label", "shift_label")
 
     def __init__(
@@ -52,44 +52,18 @@ class Edge:
         self.interval_label = interval_label
         self.shift_label = shift_label
 
-    def _fields(self) -> tuple:
-        return (
-            self.source, self.target, self.rule_id,
-            self.special, self.interval_label, self.shift_label,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Edge:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    __repr__ = _value_repr
-
     def __str__(self) -> str:
         tag = "*" if self.special else ""
         return f"{self.source} -{self.interval_label}{tag}-> {self.target}"
 
 
-class DepGraph:
+class DepGraph(_Value):
     """Predicate nodes and labelled edges; what is derived from them is
     cached on the instance."""
 
     def __init__(self, nodes: tuple[str, ...], edges: tuple[Edge, ...]) -> None:
         self.nodes = nodes
         self.edges = edges
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DepGraph:
-            return NotImplemented
-        return self.nodes == other.nodes and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.nodes, self.edges))
-
-    __repr__ = _value_repr
 
     @cached_property
     def components(self) -> tuple[frozenset[str], ...]:
@@ -254,23 +228,13 @@ def dependency_graph(program: Program) -> DepGraph:
     return DepGraph(tuple(program.predicates()), tuple(edges))
 
 
-class Cycle:
+class Cycle(_Value):
     """An elementary cycle, identified by the edges it traverses."""
 
     __slots__ = ("edges",)
 
     def __init__(self, edges: tuple[Edge, ...]) -> None:
         self.edges = edges
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Cycle:
-            return NotImplemented
-        return self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.edges,))
-
-    __repr__ = _value_repr
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -394,13 +358,8 @@ class RuleClass(Enum):
     DANGEROUS = "dangerous"
 
 
-class FragmentFlags:
-    """Syntactic fragment membership. ``NAMES`` lists the flags in order.
-
-    Flags, and the report that extends them, are equal to their own class
-    with equal fields, and hash as the tuple of their fields."""
-
-    NAMES = ("bounded", "union_free", "temporal_linear", "forward_propagating")
+class FragmentFlags(_Value):
+    """Syntactic fragment membership; ``_fields`` lists the flags in order."""
 
     def __init__(
         self, bounded: bool, union_free: bool, temporal_linear: bool, forward_propagating: bool
@@ -409,17 +368,6 @@ class FragmentFlags:
         self.union_free = union_free
         self.temporal_linear = temporal_linear
         self.forward_propagating = forward_propagating
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self) -> int:
-        # the fields in the order __init__ sets them
-        return hash(tuple(vars(self).values()))
-
-    __repr__ = _value_repr
 
 
 def fragment_checks(program: Program, graph: DepGraph | None = None) -> FragmentFlags:

@@ -69,7 +69,7 @@ def cmd_classify(args) -> int:
     program = syntax.to_normal_form(_load_program(args))
     database = _load_database(args) if args.database else None
     report = analysis.classify_rules(program, database, cycle_cap=args.cycle_cap)
-    fragments = {name: getattr(report, name) for name in analysis.FragmentFlags.NAMES}
+    fragments = {name: getattr(report, name) for name in analysis.FragmentFlags._fields}
 
     def human() -> str:
         lines = ["fragments:"] + [f"  {name}: {value}" for name, value in fragments.items()]

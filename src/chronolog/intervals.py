@@ -33,15 +33,18 @@ them when one is asked for.
 cycles of ``analysis``, the patterns of ``reasoner``), are values,
 immutable by contract: no code assigns to one after construction, and
 nothing guards against it at run time. Each is a plain ``__slots__``
-class with a hand-written ``__init__``, ``__eq__`` (true only for a value
-of the same class) and ``__hash__`` (the hash of the tuple of the
-compared fields, with an operator's keyword first), not a frozen
-dataclass. A frozen dataclass sets each
-field through ``object.__setattr__``, which made an ``Interval`` about
-three times as slow to build (a ``__setattr__`` guard would cost about
-half of what was saved), and decorating the classes, with the modules
-``dataclasses`` imports, made up much of the start-up every command
-pays (``import chronolog.cli``).
+class with a hand-written ``__init__``, not a frozen dataclass. It
+equals only a value of its own class with equal fields and hashes as the
+tuple of its fields (an operator's keyword first). ``Interval``,
+``IntervalSet``, the terms, ``Atom`` and the operators, on the hot
+paths, write these methods out (some store the hash); the rest take them
+from ``syntax._Value``, which reads the fields off the arguments of the
+class's ``__init__``. A frozen dataclass sets each field through
+``object.__setattr__``, which made an ``Interval`` about three times as
+slow to build (a ``__setattr__`` guard would cost about half of what was
+saved), and decorating the classes, with the modules ``dataclasses``
+imports, made up much of the start-up every command pays (``import
+chronolog.cli``).
 
 The two temporal operator applications live here as well:
 

@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
 
-from .analysis import DEFAULT_CYCLE_CAP, Edge, _edge_labels, _sccs
+from .analysis import DEFAULT_CYCLE_CAP, _edge_labels, _sccs
 from .errors import InputError, NotForwardPropagating, StepCapExceeded, WindowCapExceeded
 from .intervals import (
     Interval,
@@ -50,7 +50,7 @@ from .syntax import (
     Rule,
     Top,
     _Unary,
-    _value_repr,
+    _Value,
     is_forward_propagating,
 )
 
@@ -441,28 +441,29 @@ def naive_fixpoint_bounded(
 # Rule groups
 # ---------------------------------------------------------------------------
 
-class RuleGroup:
-    """One SCC of ground atoms, its rules (in program order), the edges
-    inside its predicates' SCC, and what ``reason`` and ``_derive_group``
-    read off them, built once: the rules indexed by each atom their bodies
-    read (in group order), and how far back they look.
+class RuleGroup(_Value):
+    """One SCC of ground atoms, its rules (in program order), the cycle
+    step of its predicates' SCC (the ``c`` of ``reason``'s Positions,
+    worked out by ``group_and_sort``), and what ``reason`` and
+    ``_derive_group`` read off the rules, built once: the rules indexed by
+    each atom their bodies read (in group order), and how far back they
+    look.
 
     ``lookback`` is how far before a window ``_derive_group`` reads body
     facts, and the L of ``reason``'s state: the largest upper end of the
     ``boxminus``/``diamondminus`` ranges, except that a
     ``diamondminus[a,inf)`` counts ``a`` (a body point further back has
     already made its head a ray, stored whole) and a ``boxminus[a,inf)``
-    counts nothing (it never fires on facts bounded below). Groups are
-    equal, and hash, by atoms, rules and edges."""
+    counts nothing (it never fires on facts bounded below)."""
 
-    __slots__ = ("atoms", "rules", "edges", "by_body", "lookback")
+    __slots__ = ("atoms", "rules", "cycle_step", "by_body", "lookback")
 
     def __init__(
-        self, atoms: frozenset[Atom], rules: tuple[Rule, ...], edges: tuple[Edge, ...]
+        self, atoms: frozenset[Atom], rules: tuple[Rule, ...], cycle_step: int | Fraction
     ) -> None:
         self.atoms = atoms
         self.rules = rules
-        self.edges = edges
+        self.cycle_step = cycle_step
         by_body: dict[Atom, list[int]] = {}
         lookback = 0
         for i, rule in enumerate(rules):
@@ -477,16 +478,6 @@ class RuleGroup:
                 lookback = max(lookback, rho.lo)
         self.by_body = {a: tuple(ids) for a, ids in by_body.items()}
         self.lookback = lookback
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not RuleGroup:
-            return NotImplemented
-        return (self.atoms, self.rules, self.edges) == (other.atoms, other.rules, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.atoms, self.rules, self.edges))
-
-    __repr__ = _value_repr
 
 
 def _reads(program: Program) -> dict[Atom, list[Atom]]:
@@ -503,13 +494,13 @@ def group_and_sort(program: Program) -> list[RuleGroup]:
     gives each SCC after every SCC it reads. SCCs without rules are
     omitted.
 
-    The groups of one predicate SCC share one tuple of its inner edges:
-    the edges of ``analysis.dependency_graph`` whose ends both lie in it,
-    in the same order. The predicate SCCs are those of the predicate image
-    of ``_reads``, the same graph with its edges reversed, and an edge is
-    built (through ``analysis._edge_labels``) only for a rule whose head
-    and body predicate share one. A rule not in normal form is rejected,
-    as ``dependency_graph`` rejects it."""
+    Each group's cycle step is worked out here, once per predicate SCC,
+    and the groups of one predicate SCC share it: ``_shift_gcd`` over the
+    ``(body predicate, head predicate, shift)`` of the rules inside that
+    SCC, the shift from ``analysis._edge_labels``. The predicate SCCs are
+    those of the predicate image of ``_reads``, the same graph with its
+    edges reversed. A rule not in normal form is rejected, as
+    ``analysis.dependency_graph`` rejects it."""
     image: dict[str, dict[str, None]] = {}
     for rule in program.rules:
         if rule.form is None:
@@ -518,32 +509,70 @@ def group_and_sort(program: Program) -> list[RuleGroup]:
             dict.fromkeys(a.predicate for a in rule.body_atoms)
         )
     scc_of = {p: i for i, members in enumerate(_sccs(image)) for p in members}
-    inner: dict[int, list[Edge]] = {}
+    inner: dict[int, list[tuple[str, str, Time]]] = {}
     for rule in program.rules:
         head = rule.head.predicate
-        scc = scc_of[head]
-        for source in dict.fromkeys(a.predicate for a in rule.body_atoms):
-            if scc_of[source] == scc:
-                edge = Edge(source, head, rule.id, *_edge_labels(rule))
-                inner.setdefault(scc, []).append(edge)
-    edges = {scc: tuple(group_edges) for scc, group_edges in inner.items()}
+        for atom in rule.body_atoms:
+            if scc_of[atom.predicate] == scc_of[head]:
+                edge = (atom.predicate, head, _edge_labels(rule)[2])
+                inner.setdefault(scc_of[head], []).append(edge)
+    steps = {scc: _shift_gcd(edges) for scc, edges in inner.items()}
     components = _sccs(_reads(program))
     group_of = {atom: i for i, members in enumerate(components) for atom in members}
     rules: list[list[Rule]] = [[] for _ in components]
     for rule in program.rules:
         rules[group_of[rule.head]].append(rule)
     return [
-        RuleGroup(frozenset(atoms), tuple(group_rules), edges.get(scc_of[atoms[0].predicate], ()))
+        RuleGroup(frozenset(atoms), tuple(group_rules), steps.get(scc_of[atoms[0].predicate], 0))
         for atoms, group_rules in zip(components, rules)
         if group_rules
     ]
+
+
+def _shift_gcd(edges: Iterable[tuple[str, str, Time]]) -> int | Fraction:
+    """gcd of the shift sums of the cycles of the graph with the edges
+    ``(source, target, shift)``; 0 if none is positive.
+
+    No cycle is enumerated. In each strongly connected part, a search
+    from one predicate gives every predicate a potential ``pot`` (the
+    shift sum of its search path); each edge ``u -> v`` with shift ``w``
+    has the slack ``pot[u] + w - pot[v]``. A cycle's shift sum is the sum
+    of its edges' slacks, and a slack is the difference of two closed
+    walks' shift sums, so the gcd of the slacks is the gcd of the cycles'
+    shift sums. ``boxminus[a,inf)`` never fires, so its edges (shift
+    ``inf``) are dropped and the graph may fall apart into several parts.
+    """
+    succ: dict[str, list[tuple[str, int | Fraction]]] = {}
+    for source, target, shift in edges:
+        if shift != POS_INF:
+            succ.setdefault(source, []).append((target, shift))
+            succ.setdefault(target, [])
+    # gcd(a/b, c/d) = gcd(a, c) / lcm(b, d) in lowest terms
+    num, den = 0, 1
+    for part in _sccs({u: [v for v, _ in out] for u, out in succ.items()}):
+        members = set(part)
+        pot = {part[0]: 0}
+        stack = [part[0]]
+        while stack:
+            u = stack.pop()
+            for v, w in succ[u]:
+                if v in members and v not in pot:
+                    pot[v] = pot[u] + w
+                    stack.append(v)
+        for u in part:
+            for v, w in succ[u]:
+                if v in members:
+                    slack = abs(pot[u] + w - pot[v])
+                    num = math.gcd(num, slack.numerator)
+                    den = math.lcm(den, slack.denominator)
+    return num if den == 1 else Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
 # Periodic representation
 # ---------------------------------------------------------------------------
 
-class Pattern:
+class Pattern(_Value):
     """The fact ``atom @ (offset + x * period)`` for every x >= start_index."""
 
     __slots__ = ("atom", "offset", "start_index", "period")
@@ -555,19 +584,6 @@ class Pattern:
         self.offset = offset
         self.start_index = start_index
         self.period = period
-
-    def _fields(self) -> tuple:
-        return (self.atom, self.offset, self.start_index, self.period)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Pattern:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    __repr__ = _value_repr
 
     def occurrence(self, x: int) -> Interval:
         return self.offset.shift(self.period * x)
@@ -636,7 +652,7 @@ def _settled(ivs: IntervalSet, patterns: Iterable[Pattern]) -> int | Fraction:
     return max(ends, default=NEG_INF)
 
 
-class PeriodicModel:
+class PeriodicModel(_Value):
     """Finite representation of a possibly infinite model.
 
     ``facts`` holds the aperiodic prefix plus rays; ``patterns`` repeat
@@ -663,18 +679,8 @@ class PeriodicModel:
             by_atom.setdefault(pat.atom, []).append(pat)
         self._by_atom = {atom: tuple(pats) for atom, pats in by_atom.items()}
 
-    def _fields(self) -> tuple:
-        return (self.facts, self.patterns, self.period, self.horizon)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not PeriodicModel:
-            return NotImplemented
-        return self._fields() == other._fields()
-
     # unhashable: its facts are a mutable Model
     __hash__ = None
-
-    __repr__ = _value_repr
 
     def representation_type(self) -> str:
         if not self.patterns:
@@ -711,14 +717,16 @@ class PeriodicModel:
         query that reaches past ``w + q`` (one unbounded above, say) iff
         it holds on the query up to ``w + q``: a later point holds what a
         point of ``(w, w + q]`` a multiple of ``q`` earlier holds. A
-        shorter query is read whole.
+        shorter query is read whole, and one that ends by ``max(lo, 0) +
+        q``, a point query say, without working out ``w``.
         """
         query = fact.interval
         pats = self._by_atom.get(fact.atom, ())
-        w = max(query.lo, _settled(self.facts.get(fact.atom), pats), 0)
         q = lcm_rationals([pat.period for pat in pats] or [1])
-        if query.hi > w + q:
-            query = Interval(query.lo, w + q, query.lo_open, False)
+        if query.hi > max(query.lo, 0) + q:
+            w = max(query.lo, _settled(self.facts.get(fact.atom), pats), 0)
+            if query.hi > w + q:
+                query = Interval(query.lo, w + q, query.lo_open, False)
         return self.coverage(fact.atom, query).covers_interval(query)
 
     def to_dict(self) -> dict:
@@ -826,45 +834,6 @@ def _derive_group(
             for atom, pieces in fresh.items()
             if atom in group.by_body
         }
-
-
-def _shift_gcd(group: RuleGroup) -> int | Fraction:
-    """gcd of the shift sums of the group's dependency cycles; 0 if none is
-    positive.
-
-    No cycle is enumerated. In each strongly connected part, a search
-    from one predicate gives every predicate a potential ``pot`` (the
-    shift sum of its search path); each edge ``u -> v`` with shift ``w``
-    has the slack ``pot[u] + w - pot[v]``. A cycle's shift sum is the sum
-    of its edges' slacks, and a slack is the difference of two closed
-    walks' shift sums, so the gcd of the slacks is the gcd of the cycles'
-    shift sums. ``boxminus[a,inf)`` never fires, so its edges (shift
-    ``inf``) are dropped and the group may fall apart into several parts.
-    """
-    succ: dict[str, list[tuple[str, int | Fraction]]] = {}
-    for e in group.edges:
-        if e.shift_label != POS_INF:
-            succ.setdefault(e.source, []).append((e.target, e.shift_label))
-            succ.setdefault(e.target, [])
-    # gcd(a/b, c/d) = gcd(a, c) / lcm(b, d) in lowest terms
-    num, den = 0, 1
-    for part in _sccs({u: [v for v, _ in out] for u, out in succ.items()}):
-        members = set(part)
-        pot = {part[0]: 0}
-        stack = [part[0]]
-        while stack:
-            u = stack.pop()
-            for v, w in succ[u]:
-                if v in members and v not in pot:
-                    pot[v] = pot[u] + w
-                    stack.append(v)
-        for u in part:
-            for v, w in succ[u]:
-                if v in members:
-                    slack = abs(pot[u] + w - pot[v])
-                    num = math.gcd(num, slack.numerator)
-                    den = math.lcm(den, slack.denominator)
-    return num if den == 1 else Fraction(num, den)
 
 
 def _slab(
@@ -1008,10 +977,12 @@ def reason(
       any two positions a multiple of ``r`` apart, where ``r`` is the lcm
       of the periods of the atoms read. Slabs are compared at positions
       a ``step`` apart: the lcm of ``r`` and ``c``, or 1 when neither
-      exists. ``c`` is the gcd of the cycle shift sums of the predicate
-      SCC of the group's atoms (``_shift_gcd``, once per such SCC). It
-      keeps a period a multiple of that rhythm: ``diamondminus[5,5] P ->
-      P`` keeps period 5 even when its facts fill every residue.
+      exists. ``c`` is the group's ``cycle_step``: the gcd of the cycle
+      shift sums of the predicate SCC of its atoms, which
+      ``group_and_sort`` works out once per such SCC (``_shift_gcd``) and
+      gives every group of it. It keeps a period a multiple of that
+      rhythm: ``diamondminus[5,5] P -> P`` keeps period 5 even when its
+      facts fill every residue.
     * **Chunks.** The first hashed position ``p`` is the first multiple
       of ``step`` with ``p - L`` past the settle point; ``p + step`` is
       the first position whose state can equal an earlier one's. The
@@ -1101,18 +1072,15 @@ def reason(
     patterns: dict[Atom, list[Pattern]] = {}
     periods: dict[Atom, int | Fraction] = {}
     settled: dict[Atom, int | Fraction] = {}  # each atom's settle point, once worked out
-    cycle_steps: dict[int, int | Fraction] = {}  # by id of a predicate SCC's edges
     horizons: list[int | Fraction] = []
 
     for group in group_and_sort(program):
         atoms = sorted(group.atoms, key=_atom_key)
         lookback = group.lookback
         acyclic = len(atoms) == 1 and atoms[0] not in group.by_body
-        if (cycle_step := cycle_steps.get(id(group.edges))) is None:
-            cycle_step = cycle_steps[id(group.edges)] = _shift_gcd(group)
         step = lcm_rationals(
             [periods[a] for a in group.by_body if a in periods]
-            + ([cycle_step] if cycle_step else [])
+            + ([group.cycle_step] if group.cycle_step else [])
             or [1]
         )
         settle = start

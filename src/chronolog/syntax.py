@@ -50,13 +50,43 @@ UNIT_SCALE = {
 # AST
 # ---------------------------------------------------------------------------
 
+def _init_args(cls: type) -> tuple[str, ...]:
+    """The names of the arguments the class's ``__init__`` takes."""
+    code = cls.__init__.__code__
+    return code.co_varnames[1 : code.co_argcount]
+
+
 def _value_repr(self) -> str:
     """``Class(field=value, ...)`` over the arguments the class's
     ``__init__`` takes, as a dataclass prints it."""
-    code = type(self).__init__.__code__
-    names = code.co_varnames[1 : code.co_argcount]
-    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _init_args(type(self)))
     return f"{type(self).__name__}({fields})"
+
+
+class _Value:
+    """A value whose fields are the arguments its class's ``__init__``
+    takes, read once per class. It equals only a value of its own class
+    with equal fields, hashes as the tuple of its fields, and prints as
+    ``_value_repr`` does."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = _init_args(cls)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    __repr__ = _value_repr
 
 
 class _Term:
@@ -303,28 +333,18 @@ OPERATORS: dict[str, type[_Operator]] = {
 KEYWORDS = {"top", "bottom", "inf", *OPERATORS}
 
 
-class Fact:
+class Fact(_Value):
     __slots__ = ("atom", "interval")
 
     def __init__(self, atom: Atom, interval: Interval) -> None:
         self.atom = atom
         self.interval = interval
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Fact:
-            return NotImplemented
-        return self.atom == other.atom and self.interval == other.interval
-
-    def __hash__(self) -> int:
-        return hash((self.atom, self.interval))
-
-    __repr__ = _value_repr
-
     def __str__(self) -> str:
         return f"{self.atom}@{self.interval}"
 
 
-class Rule:
+class Rule(_Value):
     """``body -> head``. Its normal-form shape (``rule_form``) and the atoms
     its body reads, in order and with repeats, are worked out once, at
     construction, for the checks, the dependency graph and the reasoner,
@@ -340,37 +360,17 @@ class Rule:
         self.form = rule_form(self)
         self.body_atoms = tuple(a for lit in body for a in literal_atoms(lit))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Rule:
-            return NotImplemented
-        return (self.body, self.head, self.id) == (other.body, other.head, other.id)
-
-    def __hash__(self) -> int:
-        return hash((self.body, self.head, self.id))
-
-    __repr__ = _value_repr
-
     def __str__(self) -> str:
         body = ", ".join(str(b) for b in self.body)
         return f"{body} -> {self.head} ." if body else f"-> {self.head} ."
 
 
-class Program:
+class Program(_Value):
     __slots__ = ("rules", "axioms")
 
     def __init__(self, rules: tuple[Rule, ...], axioms: tuple[Fact, ...] = ()) -> None:
         self.rules = rules
         self.axioms = axioms
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Program:
-            return NotImplemented
-        return self.rules == other.rules and self.axioms == other.axioms
-
-    def __hash__(self) -> int:
-        return hash((self.rules, self.axioms))
-
-    __repr__ = _value_repr
 
     @property
     def is_normal_form(self) -> bool:

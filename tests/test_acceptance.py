@@ -36,6 +36,7 @@ from chronolog.reasoner import (
 )
 from chronolog.syntax import Atom, parse_database, parse_program, to_normal_form
 
+from generators import _random_fp_program, _random_linear_diamond
 from test_intervals import box_holds_at, diamond_holds_at, probe_grid
 
 
@@ -319,28 +320,6 @@ def test_criterion_5_classification():
 # 6. oracle equivalence on randomized forward programs
 # ---------------------------------------------------------------------------
 
-def _random_fp_program(rng: random.Random) -> tuple[str, str]:
-    preds = [f"P{i}" for i in range(rng.randint(1, 5))]
-    lines = []
-    for _ in range(rng.randint(1, 6)):
-        head = rng.choice(preds)
-        kind = rng.choice(["horn", "horn", "diamond", "diamond", "box"])
-        if kind == "horn":
-            body = rng.sample(preds, k=min(len(preds), rng.randint(1, 2)))
-            lines.append(f"{', '.join(body)} -> {head} .")
-        else:
-            a = rng.randint(0, 12)
-            b = rng.randint(a, 12)
-            op = "diamondminus" if kind == "diamond" else "boxminus"
-            lines.append(f"{op}[{a},{b}] {rng.choice(preds)} -> {head} .")
-    facts = []
-    for _ in range(rng.randint(1, 4)):
-        lo = rng.randint(0, 12)
-        hi = rng.randint(lo, 12)
-        facts.append(f"{rng.choice(preds)}@[{lo},{hi}].")
-    return "\n".join(lines), "\n".join(facts)
-
-
 def test_criterion_6_oracle_equivalence():
     rng = random.Random(20260809)
     started = time.monotonic()
@@ -363,35 +342,6 @@ def test_criterion_6_oracle_equivalence():
 # ---------------------------------------------------------------------------
 # 7. diamond-only temporal-linear programs never need proper patterns
 # ---------------------------------------------------------------------------
-
-def _random_linear_diamond(rng: random.Random) -> tuple[str, str]:
-    n = rng.randint(2, 4)
-    preds = [f"Q{i}" for i in range(n)]
-    lines = []
-    cycle = rng.sample(preds, k=rng.randint(1, n))
-    for i, pred in enumerate(cycle):
-        nxt = cycle[(i + 1) % len(cycle)]
-        a = rng.randint(0, 6)
-        b = rng.randint(a + 1, 8)  # t1 < t2 keeps every cycle weight positive
-        lines.append(f"diamondminus[{a},{b}] {pred} -> {nxt} .")
-    edbs = [f"E{i}" for i in range(rng.randint(1, 2))]
-    for e in edbs:
-        target = rng.choice(preds)
-        if rng.random() < 0.5:
-            a = rng.randint(0, 6)
-            b = rng.randint(a + 1, 8)
-            lines.append(f"diamondminus[{a},{b}] {e} -> {target} .")
-        else:
-            lines.append(f"{e} -> {target} .")
-    if rng.random() < 0.5:
-        lines.append(f"{rng.choice(cycle)}, {rng.choice(edbs)} -> Out .")
-    facts = []
-    for pred in edbs + rng.sample(cycle, k=rng.randint(0, len(cycle))):
-        lo = rng.randint(0, 10)
-        hi = rng.randint(lo, 12)
-        facts.append(f"{pred}@[{lo},{hi}].")
-    return "\n".join(lines), "\n".join(facts) or f"{edbs[0]}@[0,1]."
-
 
 def test_criterion_7_linear_diamond_programs_become_constant():
     from chronolog.analysis import fragment_checks

@@ -33,9 +33,12 @@ from chronolog.syntax import (
     parse_program,
     to_normal_form,
 )
-from test_acceptance import _random_fp_program, _random_linear_diamond
-from test_reasoner import _random_nested_program
-from test_syntax import _random_nonground_program
+from generators import (
+    _random_fp_program,
+    _random_linear_diamond,
+    _random_nested_program,
+    _random_nonground_program,
+)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

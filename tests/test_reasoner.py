@@ -42,6 +42,14 @@ from chronolog.syntax import (
     to_normal_form,
 )
 
+from generators import (
+    _random_acyclic_program,
+    _random_fp_program,
+    _random_linear_diamond,
+    _random_nested_program,
+    _random_nonground_program,
+    _random_ray_program,
+)
 from test_acceptance import UNCOMPACTED_WORKED_EXAMPLE, oracle_span
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -442,10 +450,10 @@ class TestGroupAndSort:
         order = [_names(g) for g in groups]
         assert order.index(["S"]) < order.index(["T"])
 
-    def test_rules_in_program_order_and_exactly_the_inner_edges(self):
+    def test_rules_in_program_order_and_the_cycle_step(self):
         p = parse_program(
             "B -> A .\n"
-            "diamondminus[1,1] A -> B .\n"
+            "diamondminus[2,2] A -> B .\n"
             "C -> A .\n"
             "A -> D .\n"
             "boxminus[2,2] B -> A .\n"
@@ -455,24 +463,16 @@ class TestGroupAndSort:
         cycle, tail = groups
         assert [r.id for r in cycle.rules] == ["r1", "r2", "r3", "r5"]
         assert [r.id for r in tail.rules] == ["r4"]
-        edges = dependency_graph(p).edges
-        for group in groups:
-            assert group.edges == tuple(
-                e for e in edges
-                if {e.source, e.target} <= {a.predicate for a in group.atoms}
-            )
-        assert [(e.source, e.target, e.rule_id) for e in cycle.edges] == [
-            ("B", "A", "r1"), ("A", "B", "r2"), ("B", "A", "r5"),
-        ]
-        assert tail.edges == ()
+        # A -> B -> A shifts by 2 + 0 and by 2 + 2; C and D lie on no cycle
+        assert cycle.cycle_step == 2
+        assert tail.cycle_step == 0
 
     @pytest.mark.parametrize("generator", ["forward", "nested", "ray", "linear"])
-    def test_inner_edges_of_random_programs(self, monkeypatch, generator):
-        """Each group's edges are the edges of ``dependency_graph`` inside
-        its predicates' SCC, in order, and ``reason`` builds no
-        dependency graph."""
+    def test_cycle_step_of_random_programs(self, monkeypatch, generator):
+        """Each group's cycle step is the gcd of the positive finite shift
+        sums of the simple cycles of its predicates' SCC in
+        ``dependency_graph``, and ``reason`` builds no dependency graph."""
         from chronolog import analysis
-        from test_acceptance import _random_fp_program, _random_linear_diamond
 
         make = {
             "forward": _random_fp_program,
@@ -493,12 +493,12 @@ class TestGroupAndSort:
             text, db_text = make(rng)
             program = to_normal_form(parse_program(text))
             graph = reference(program)
-            scc_of = graph.scc_of
+            cycles = simple_cycles(graph)
             for group in group_and_sort(program):
-                scc = scc_of[next(iter(group.atoms)).predicate]
-                assert group.edges == tuple(
-                    e for e in graph.edges if scc_of[e.source] == scc_of[e.target] == scc
-                ), text
+                (atom, *_) = group.atoms
+                component = graph.components[graph.scc_of[atom.predicate]]
+                sums = [s for c in cycles[component] if 0 < (s := c.shift_sum) < POS_INF]
+                assert group.cycle_step == _gcd(sums), text
             reason(program, parse_database(db_text))
 
     @pytest.mark.parametrize(
@@ -510,17 +510,15 @@ class TestGroupAndSort:
 
     def test_ground_cycles_of_one_predicate_are_separate_groups(self):
         """Groups are SCCs of ground atoms; the groups of one predicate SCC
-        share one tuple of its inner edges."""
+        share its cycle step, worked out over the rules of every group."""
         p = parse_program(
-            "diamondminus[2,2] P(a) -> P(a) .\n"
-            "diamondminus[3,3] P(b) -> P(b) .\n"
+            "diamondminus[4,4] P(a) -> P(a) .\n"
+            "diamondminus[6,6] P(b) -> P(b) .\n"
             "P(a), P(b) -> Q(a) ."
         )
         groups = group_and_sort(p)
         assert [_names(g) for g in groups] == [["P(a)"], ["P(b)"], ["Q(a)"]]
-        assert groups[0].edges is groups[1].edges
-        assert [e.rule_id for e in groups[0].edges] == ["r1", "r2"]
-        assert groups[2].edges == ()
+        assert [g.cycle_step for g in groups] == [2, 2, 0]
 
 
 class TestFreeze:
@@ -744,14 +742,10 @@ def _gcd(values) -> F:
 
 class TestShiftGcd:
     def test_agrees_with_the_shift_sums_of_the_cycles(self):
-        """``_shift_gcd`` enumerates no cycle, yet gives the gcd of the
-        positive finite shift sums of the group's simple cycles (0 when
-        there is none), with fractional ranges and with ``inf`` edges
-        that split a group into several parts."""
-        import random
-
-        from chronolog.reasoner import _shift_gcd
-
+        """A group's cycle step enumerates no cycle, yet is the gcd of the
+        positive finite shift sums of the simple cycles of its predicates'
+        SCC (0 when there is none), with fractional ranges and with ``inf``
+        edges that split an SCC into several parts."""
         rng = random.Random(5692)
         groups = positive = 0
         for _ in range(400):
@@ -776,7 +770,7 @@ class TestShiftGcd:
                 sums = [
                     s for c in cycles[component] if 0 < (s := c.shift_sum) < POS_INF
                 ]
-                assert _shift_gcd(group) == _gcd(sums), lines
+                assert group.cycle_step == _gcd(sums), lines
                 groups += 1
                 positive += bool(sums)
         assert groups > 400 and positive > 100
@@ -872,6 +866,26 @@ class TestEntails:
         assert pm.entails(Fact(Atom("Mon"), query))
         assert not pm.entails(Fact(Atom("Mon"), Interval.point(t + 1)))
 
+    def test_a_point_query_works_out_no_settle_point(self, monkeypatch):
+        """A query no longer than ``q`` past ``max(lo, 0)`` is never cut at
+        ``w + q``, so ``entails`` does not work out ``w`` (``_settled``)."""
+        pm = reason(
+            parse_program((FIXTURES / "weekly.dmtl").read_text()),
+            parse_database((FIXTURES / "weekly.db").read_text()),
+        )
+        calls = []
+        settled = reasoner._settled
+        monkeypatch.setattr(
+            reasoner, "_settled", lambda *args: calls.append(args) or settled(*args)
+        )
+        assert pm.entails(parse_fact("Monday@[700,700]"))
+        assert not pm.entails(parse_fact("Monday@[702,702]"))
+        assert pm.entails(parse_fact("Monday@[1000000000000000000,1000000000000000000]"))
+        assert pm.entails(parse_fact("Monday@[0,1]")) and not pm.entails(parse_fact("Monday@[0,7]"))
+        assert calls == []
+        assert not pm.entails(parse_fact("Monday@[0,inf)"))
+        assert len(calls) == 1
+
 
 def _brute_entails(pm, fact):
     """Entailment read off the unrolled model, occurrence by occurrence."""
@@ -892,8 +906,6 @@ class TestEntailsDifferential:
     @pytest.mark.parametrize("generator", ["forward", "nested", "ray"])
     def test_entails_equals_unrolled_model(self, generator):
         import random
-
-        from test_acceptance import _random_fp_program
 
         make = {
             "forward": _random_fp_program,
@@ -993,8 +1005,6 @@ class TestBackwardSlice:
     def test_sliced_verdict_equals_whole(self, generator):
         import random
 
-        from test_acceptance import _random_fp_program
-
         make = {
             "forward": _random_fp_program,
             "nested": _random_nested_program,
@@ -1041,7 +1051,6 @@ class TestPeriodFromRepeatedState:
         import random
 
         from chronolog import analysis
-        from test_acceptance import _random_fp_program
 
         def refuse(*args, **kwargs):
             raise AssertionError("reason must not enumerate cycles")
@@ -1105,8 +1114,6 @@ class TestExactNumbers:
     def test_outputs_hold_only_exact_numbers(self, generator):
         import random
 
-        from test_acceptance import _random_fp_program
-
         make = {"forward": _random_fp_program, "nested": _random_nested_program}[generator]
         rng = random.Random(12)
         for _ in range(60):
@@ -1123,8 +1130,6 @@ class TestExactNumbers:
     def test_far_endpoints_and_thirds_match_oracle(self, generator):
         import random
         import re
-
-        from test_acceptance import _random_fp_program
 
         make = {"forward": _random_fp_program, "nested": _random_nested_program}[generator]
         rng = random.Random(60)
@@ -1177,108 +1182,6 @@ class TestExactNumbers:
         assert pm.entails(parse_fact("Monday@[999999999999999999,1000000000000000000]"))
         assert pm.entails(parse_fact("Monday@[1000000000000000006,1000000000000000006]"))
         assert not pm.entails(parse_fact("Monday@[1000000000000000000,1000000000000000001]"))
-
-
-def _random_nested_program(rng):
-    preds = ["N0", "N1", "N2"]
-
-    def literal(depth):
-        if depth == 0 or rng.random() < 0.35:
-            return rng.choice(preds)
-        a = rng.randint(0, 6)
-        b = rng.randint(a, 8)
-        op = rng.choice(["diamondminus", "diamondminus", "boxminus"])
-        return f"{op}[{a},{b}] {literal(depth - 1)}"
-
-    lines = []
-    for _ in range(rng.randint(1, 4)):
-        head = rng.choice(preds)
-        body = ", ".join(literal(rng.randint(1, 2)) for _ in range(rng.randint(1, 2)))
-        lines.append(f"{body} -> {head} .")
-    facts = []
-    for _ in range(rng.randint(1, 3)):
-        lo = rng.randint(0, 10)
-        hi = rng.randint(lo, 12)
-        facts.append(f"{rng.choice(preds)}@[{lo},{hi}].")
-    return "\n".join(lines), "\n".join(facts)
-
-
-def _random_ray_program(rng):
-    """A program whose ranges may be unbounded above (``[a,inf)``) or
-    fractional, with nested body literals, cycles of fixed shift, and a
-    database that may hold rays ``@[c,inf)``."""
-    preds = [f"R{i}" for i in range(rng.randint(1, 5))]
-    ray_share = rng.choice((0.1, 0.2, 0.35))
-
-    def rho():
-        den = rng.choice((1, 1, 1, 2, 3))
-        a = rng.randint(0, 10)
-        if rng.random() < ray_share:
-            return f"[{a}/{den},inf)"
-        b = a if rng.random() < 0.5 else rng.randint(a, 12)
-        return f"[{a}/{den},{b}/{den}]"
-
-    def literal(depth):
-        if depth == 0 or rng.random() < 0.25:
-            return rng.choice(preds)
-        op = rng.choice(["diamondminus", "diamondminus", "boxminus"])
-        return f"{op}{rho()} {literal(depth - 1)}"
-
-    lines = []
-    for _ in range(rng.randint(1, 6)):
-        body = ", ".join(literal(rng.randint(0, 2)) for _ in range(rng.randint(1, 2)))
-        lines.append(f"{body} -> {rng.choice(preds)} .")
-    for _ in range(rng.choice((0, 1, 2, 2))):
-        k = rng.randint(2, 7)
-        lines.append(f"diamondminus[{k},{k}] {rng.choice(preds)} -> {rng.choice(preds)} .")
-    rng.shuffle(lines)
-    facts = []
-    for _ in range(rng.randint(1, 4)):
-        lo = rng.randint(0, 14)
-        hi = "inf)" if rng.random() < 0.25 else f"{rng.randint(lo, 16)}]"
-        facts.append(f"{rng.choice(preds)}@[{lo},{hi}.")
-    return "\n".join(lines), "\n".join(facts)
-
-
-def _random_acyclic_program(rng):
-    """One to three cycles ``C*`` (shift sums whole or fractional) and one
-    to four atoms ``A*`` that no cycle passes through, each read off the
-    cycles and the ``A*`` before it through ``diamondminus[a,inf)``,
-    ``boxminus[a,inf)``, bounded diamonds and boxes, or a Horn join; the
-    database holds points and intervals of the cycles, and facts and rays
-    of the ``A*``."""
-    lines, facts = [], []
-    readable = [f"C{i}" for i in range(rng.randint(1, 3))]
-    for cycle in readable:
-        for _ in range(rng.choice((1, 1, 2))):
-            k = rng.choice(("1", "2", "3", "5", "1/2", "3/2"))
-            lines.append(f"diamondminus[{k},{k}] {cycle} -> {cycle} .")
-        for _ in range(rng.randint(1, 2)):
-            lo = rng.randint(0, 14)
-            facts.append(f"{cycle}@[{lo},{lo + rng.choice((0, 0, 1))}].")
-    for j in range(rng.randint(1, 4)):
-        head = f"A{j}"
-        for _ in range(rng.choice((1, 1, 2))):
-            source = rng.choice(readable)
-            a = rng.randint(0, 6)
-            kind = rng.choice(("dinf", "binf", "diamond", "box", "join"))
-            if kind == "dinf":
-                body = f"diamondminus[{a},inf) {source}"
-            elif kind == "binf":
-                body = f"boxminus[{a},inf) {source}"
-            elif kind == "join":
-                body = f"{source}, {rng.choice(readable)}"
-            else:
-                op = "diamondminus" if kind == "diamond" else "boxminus"
-                body = f"{op}[{a},{rng.randint(a, a + 6)}] {source}"
-            lines.append(f"{body} -> {head} .")
-        if rng.random() < 0.4:
-            lo = rng.randint(0, 20)
-            hi = "inf)" if rng.random() < 0.4 else f"{rng.randint(lo, 24)}]"
-            facts.append(f"{head}@[{lo},{hi}.")
-        readable.append(head)
-    rng.shuffle(lines)
-    return "\n".join(lines), "\n".join(facts)
 
 
 # one group: Tick -> Armed -> Fire -> Tick, with a ray rule inside
@@ -1629,8 +1532,6 @@ class TestAtomGroups:
 
     def test_unrolled_reason_equals_oracle_on_nonground_programs(self):
         import random
-
-        from test_syntax import _random_nonground_program
 
         rng = random.Random(31)
         split = infinite = 0

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from chronolog.analysis import Cycle, DepGraph, Edge, FragmentFlags
+from chronolog.analysis import Cycle, DepGraph, Edge, FragmentFlags, FragmentReport
 from chronolog.errors import ParseError
 from chronolog.intervals import NEG_INF, POS_INF, Interval, parse_interval
 from chronolog.reasoner import (
@@ -34,6 +34,7 @@ from chronolog.syntax import (
     Top,
     Until,
     Variable,
+    _Value,
     _error_at,
     _offset,
     _substitute,
@@ -49,6 +50,13 @@ from chronolog.syntax import (
     program_text,
     rule_form,
     to_normal_form,
+)
+
+from generators import (
+    _random_fp_program,
+    _random_nested_program,
+    _random_nonground_program,
+    _random_ray_program,
 )
 
 
@@ -557,60 +565,6 @@ def _exhaustive_ground(program, database):
     return Program(tuple(out), program.axioms)
 
 
-def _random_nonground_program(rng, rich=False):
-    """Horn joins and diamondminus/boxminus rules over unary and binary
-    predicates, with a database over 2-4 constants that seeds only some
-    predicates. ``rich`` also draws ``since``/``until`` rules, whose right
-    operand may be ``top``, and ``top -> P(c)`` rules. Every operator
-    range is closed with integer ends."""
-    arity = {f"P{i}": rng.randint(1, 2) for i in range(rng.randint(2, 5))}
-    preds = sorted(arity)
-    consts = [f"c{i}" for i in range(rng.randint(2, 4))]
-
-    def atom(pred, pool):
-        terms = [rng.choice(pool) for _ in range(arity[pred])]
-        return f"{pred}({','.join(terms)})", {t for t in terms if t[0].isupper()}
-
-    lines = []
-    for _ in range(rng.randint(1, 5)):
-        head = rng.choice(preds)
-        kind = rng.random() if rich else 1.0
-        if kind < 0.15:
-            text, _ = atom(head, consts)
-            lines.append(f"top -> {text} .")
-            continue
-        if kind < 0.5:
-            lo = rng.randint(0, 3)
-            op = rng.choice(["since", "until"])
-            left, bound = atom(rng.choice(preds), ["X", "Y", rng.choice(consts)])
-            right, names = ("top", set()) if rng.random() < 0.25 else atom(
-                rng.choice(preds), ["Y", "Z", rng.choice(consts)]
-            )
-            bound |= names
-            body = f"{left} {op}[{lo},{rng.randint(lo, 4)}] {right}"
-        elif rng.random() < 0.5:
-            body, bound = [], set()
-            for pred in rng.sample(preds, k=rng.randint(1, min(3, len(preds)))):
-                text, names = atom(pred, ["X", "Y", "Z", rng.choice(consts)])
-                body.append(text)
-                bound |= names
-            body = ", ".join(body)
-        else:
-            lo = rng.randint(0, 6)
-            op = rng.choice(["diamondminus", "boxminus"])
-            inner, bound = atom(rng.choice(preds), ["X", "Y", rng.choice(consts)])
-            body = f"{op}[{lo},{rng.randint(lo, 6)}] {inner}"
-        text, _ = atom(head, sorted(bound) + [rng.choice(consts)])
-        lines.append(f"{body} -> {text} .")
-    facts = []
-    seeded = rng.sample(preds, k=rng.randint(1, len(preds) - 1))
-    for _ in range(rng.randint(1, 5)):
-        text, _ = atom(rng.choice(seeded), consts)
-        lo = rng.randint(0, 8)
-        facts.append(f"{text}@[{lo},{rng.randint(lo, 8)}].")
-    return "\n".join(lines), "\n".join(facts)
-
-
 def _grid_model(program, database, last=24):
     """The least model of a ground program at the points k/2 for
     0 <= k <= 2 * last, every literal being false outside them: a map
@@ -711,9 +665,6 @@ class TestStoredAnalysis:
     def test_rules_store_their_shape_and_body_atoms(self):
         import random
 
-        from test_acceptance import _random_fp_program
-        from test_reasoner import _random_nested_program, _random_ray_program
-
         generators = (
             _random_fp_program,
             _random_nested_program,
@@ -760,8 +711,10 @@ class TestValueTypes:
             (EDGE, ("A", "B", "r1", True, Interval.closed(-4, -3), 3)),
             (Cycle((EDGE,)), ((EDGE,),)),
             (DepGraph(("A", "B"), (EDGE,)), (("A", "B"), (EDGE,))),
-            (RuleGroup(frozenset({B}), (RULE,), (EDGE,)), (frozenset({B}), (RULE,), (EDGE,))),
+            (RuleGroup(frozenset({B}), (RULE,), F(3, 2)), (frozenset({B}), (RULE,), F(3, 2))),
             (FragmentFlags(True, False, True, True), (True, False, True, True)),
+            (FragmentReport(True, False, True, True, (), (), False, None, (), ()),
+             (True, False, True, True, (), (), False, None, (), (), None)),
         ],
         ids=lambda v: None if isinstance(v, tuple) else type(v).__name__,
     )
@@ -810,6 +763,27 @@ class TestValueTypes:
         assert Pattern(self.A, r, 0, 7) == Pattern(Atom("A"), r, 0, F(7))
         assert Pattern(self.A, r, 0, 7) != Pattern(self.A, r, 1, 7)
 
+    def test_value_types_take_equality_hash_and_repr_from_one_base(self):
+        """Every ``_Value`` class reads its fields off its ``__init__`` and
+        writes no ``__eq__``, ``__hash__`` or ``__repr__`` of its own; only
+        ``PeriodicModel``, whose facts are a mutable ``Model``, is
+        unhashable."""
+        classes, stack = [], [_Value]
+        while stack:
+            for cls in stack.pop().__subclasses__():
+                classes.append(cls)
+                stack.append(cls)
+        assert {cls.__name__ for cls in classes} == {
+            "Fact", "Rule", "Program", "Edge", "Cycle", "DepGraph", "FragmentFlags",
+            "FragmentReport", "RuleGroup", "Pattern", "PeriodicModel",
+        }
+        for cls in classes:
+            own = {"__eq__", "__hash__", "__repr__"} & vars(cls).keys()
+            assert own == ({"__hash__"} if cls is PeriodicModel else set()), cls
+        assert PeriodicModel.__hash__ is None
+        assert Pattern._fields == ("atom", "offset", "start_index", "period")
+        assert FragmentReport._fields[:4] == FragmentFlags._fields
+
     def test_periodic_model_equality_ignores_the_pattern_index(self):
         monday = Pattern(Atom("Mon"), Interval.closed(0, 1), 0, 7)
         pm = PeriodicModel(Model(), (monday,), 7, 0)
@@ -828,4 +802,11 @@ class TestValueTypes:
         assert repr(Pattern(self.A, Interval.point(0), 1, 7)) == (
             "Pattern(atom=Atom(predicate='A', terms=()), offset=Interval([0,0]),"
             " start_index=1, period=7)"
+        )
+        assert repr(Fact(self.A, Interval.point(0))) == (
+            "Fact(atom=Atom(predicate='A', terms=()), interval=Interval([0,0]))"
+        )
+        assert repr(FragmentFlags(True, False, True, True)) == (
+            "FragmentFlags(bounded=True, union_free=False, temporal_linear=True,"
+            " forward_propagating=True)"
         )
