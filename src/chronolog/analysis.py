@@ -147,54 +147,6 @@ def _sccs(succ: dict) -> list[list]:
     return found
 
 
-def _circuits(succ: dict[int, list[int]]):
-    """Yield every elementary circuit of the graph with successor lists
-    ``succ`` (no self-loops) as its list of nodes, by Johnson's algorithm:
-    in each strongly connected component, the circuits through one node,
-    found by a search whose dead ends stay blocked until a circuit frees
-    them; then the same for the components left once that node is gone.
-    Iterative, like ``_sccs``."""
-    pending = [c for c in _sccs(succ) if len(c) > 1]
-    while pending:
-        component = pending.pop()
-        inside = set(component)
-        sub = {v: [w for w in succ[v] if w in inside] for v in component}
-        start = component[0]
-        path, closed = [start], [False]
-        blocked = {start}
-        blocked_by: dict[int, set[int]] = {v: set() for v in component}
-        stack = [iter(sub[start])]
-        while stack:
-            for w in stack[-1]:
-                if w == start:
-                    yield path[:]
-                    closed[-1] = True
-                elif w not in blocked:
-                    path.append(w)
-                    closed.append(False)
-                    blocked.add(w)
-                    stack.append(iter(sub[w]))
-                    break
-            else:
-                stack.pop()
-                v = path.pop()
-                if closed.pop():
-                    if closed:
-                        closed[-1] = True
-                    release = [v]
-                    while release:
-                        u = release.pop()
-                        if u in blocked:
-                            blocked.remove(u)
-                            release.extend(blocked_by[u])
-                            blocked_by[u].clear()
-                else:
-                    for w in sub[v]:
-                        blocked_by[w].add(v)
-        rest = {v: [w for w in sub[v] if w != start] for v in component if v != start}
-        pending.extend(c for c in _sccs(rest) if len(c) > 1)
-
-
 def _edge_labels(rule: Rule) -> tuple[bool, Interval, Time]:
     """(special, interval label, shift label) shared by a rule's edges."""
     form = rule.form
@@ -261,28 +213,64 @@ class Cycle(_Value):
 
 
 def _edge_cycles(graph: DepGraph, cap: int) -> list[Cycle]:
-    """Enumerate elementary cycles at the edge level.
+    """Enumerate elementary cycles at the edge level, by Johnson's
+    algorithm over each node's out-edges: in each strongly connected
+    component, the cycles through one node, found by a search whose dead
+    ends stay blocked until a cycle frees them; then the same for the
+    components left once that node is gone (the first components are
+    ``graph.components``). Iterative, like ``_sccs``.
 
     Parallel edges matter here (two self-loops with different shifts are
-    two cycles), so every edge is subdivided through a unique midpoint
-    node before running the node-level circuit enumeration: predicate
-    ``k`` of ``graph.nodes`` is node ``k`` and edge ``idx`` is node
-    ``len(graph.nodes) + idx``.
+    two cycles), so a cycle is the list of the edges on its path, and a
+    self-loop is a one-edge cycle. Each cycle starts at its smallest edge
+    index, and the cycles are sorted by their rule ids.
     """
-    n = len(graph.nodes)
-    position = {node: k for k, node in enumerate(graph.nodes)}
-    succ: dict[int, list[int]] = {k: [] for k in range(n)}
+    out: dict[str, list[tuple[int, str]]] = {node: [] for node in graph.nodes}
     for idx, e in enumerate(graph.edges):
-        succ[position[e.source]].append(n + idx)
-        succ[n + idx] = [position[e.target]]
+        out[e.source].append((idx, e.target))
     cycles: list[Cycle] = []
-    for cyc in _circuits(succ):
-        idxs = [v - n for v in cyc if v >= n]
-        first = idxs.index(min(idxs))
-        idxs = idxs[first:] + idxs[:first]
-        cycles.append(Cycle(tuple(graph.edges[i] for i in idxs)))
-        if len(cycles) > cap:
-            raise CycleCapExceeded(f"more than {cap} simple cycles")
+    pending = [sorted(c) for c in graph.components]
+    while pending:
+        component = pending.pop()
+        start, inside = component[0], set(component)
+        sub = {v: [(i, w) for i, w in out[v] if w in inside] for v in component}
+        path: list[int] = []  # the edges from start to the node searched
+        closed, blocked = [False], {start}
+        blocked_by: dict[str, set[str]] = {v: set() for v in component}
+        stack = [(start, iter(sub[start]))]
+        while stack:
+            v, children = stack[-1]
+            for i, w in children:
+                if w == start:
+                    idxs = path + [i]
+                    k = idxs.index(min(idxs))
+                    cycles.append(Cycle(tuple(graph.edges[j] for j in idxs[k:] + idxs[:k])))
+                    if len(cycles) > cap:
+                        raise CycleCapExceeded(f"more than {cap} simple cycles")
+                    closed[-1] = True
+                elif w not in blocked:
+                    path.append(i)
+                    closed.append(False)
+                    blocked.add(w)
+                    stack.append((w, iter(sub[w])))
+                    break
+            else:
+                stack.pop()
+                del path[-1:]  # the start's frame has no edge on the path
+                if closed.pop():
+                    if closed:
+                        closed[-1] = True
+                    release = [v]
+                    while release:
+                        u = release.pop()
+                        if u in blocked:
+                            blocked.remove(u)
+                            release.extend(blocked_by[u])
+                            blocked_by[u].clear()
+                else:
+                    for _, w in sub[v]:
+                        blocked_by[w].add(v)
+        pending.extend(_sccs({v: [w for _, w in sub[v] if w != start] for v in component[1:]}))
     cycles.sort(key=lambda c: tuple(e.rule_id for e in c.edges))
     return cycles
 

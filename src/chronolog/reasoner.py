@@ -8,12 +8,12 @@ Two independent evaluation routes are kept apart on purpose:
   a window, in one semi-naive loop: each round re-evaluates only the
   rules that read an atom whose pieces changed in the round before.
 * ``reason`` derives per SCC group, forward in chunks, and stops once
-  the group's state (its facts on a slab as wide as its rules look back,
-  past every aperiodic input, and which of its atoms hold for good)
-  repeats (a group without a cycle takes the period of its inputs and
-  stops after one chunk); the repeat gives the group's period, and one
-  period of its facts becomes repetition patterns (or rays for facts
-  that fill the whole period).
+  the group's state repeats, past every aperiodic input: the facts of
+  the group atoms its rules read, on a slab as wide as those rules look
+  back at them, and which of those atoms hold for good. The repeat gives
+  the group's period (at once for a group whose rules read none of its
+  atoms: its state is empty), and one period of its facts becomes
+  repetition patterns (or rays for facts that fill the whole period).
 """
 
 from __future__ import annotations
@@ -449,14 +449,16 @@ class RuleGroup(_Value):
     each atom their bodies read (in group order), and how far back they
     look.
 
-    ``lookback`` is how far before a window ``_derive_group`` reads body
-    facts, and the L of ``reason``'s state: the largest upper end of the
-    ``boxminus``/``diamondminus`` ranges, except that a
-    ``diamondminus[a,inf)`` counts ``a`` (a body point further back has
-    already made its head a ray, stored whole) and a ``boxminus[a,inf)``
-    counts nothing (it never fires on facts bounded below)."""
+    A rule's reach is the upper end of its ``boxminus``/``diamondminus``
+    range, except that a ``diamondminus[a,inf)`` reaches ``a`` (a body
+    point further back has already made its head a ray, stored whole) and
+    a ``boxminus[a,inf)`` nothing (it never fires on facts bounded below).
+    ``lookback``, the largest reach of the group's rules, is how far
+    before a window ``_derive_group`` reads body facts and the L of
+    ``reason``'s Positions; ``span``, the largest reach of those whose
+    body reads a group atom, is the S of ``reason``'s State."""
 
-    __slots__ = ("atoms", "rules", "cycle_step", "by_body", "lookback")
+    __slots__ = ("atoms", "rules", "cycle_step", "by_body", "lookback", "span")
 
     def __init__(
         self, atoms: frozenset[Atom], rules: tuple[Rule, ...], cycle_step: int | Fraction
@@ -465,7 +467,7 @@ class RuleGroup(_Value):
         self.rules = rules
         self.cycle_step = cycle_step
         by_body: dict[Atom, list[int]] = {}
-        lookback = 0
+        lookback = span = 0
         for i, rule in enumerate(rules):
             for atom in dict.fromkeys(rule.body_atoms):
                 by_body.setdefault(atom, []).append(i)
@@ -473,11 +475,17 @@ class RuleGroup(_Value):
                 continue
             rho = rule.body[0].rho
             if rho.hi != POS_INF:
-                lookback = max(lookback, rho.hi)
+                reach = rho.hi
             elif rule.form is DiamondMinus:
-                lookback = max(lookback, rho.lo)
+                reach = rho.lo
+            else:
+                continue
+            lookback = max(lookback, reach)
+            if rule.body[0].inner in atoms:
+                span = max(span, reach)
         self.by_body = {a: tuple(ids) for a, ids in by_body.items()}
         self.lookback = lookback
+        self.span = span
 
 
 def _reads(program: Program) -> dict[Atom, list[Atom]]:
@@ -945,25 +953,36 @@ def reason(
     and a copy of the facts after every derived chunk.
 
     The groups, SCCs of ground atoms, go in dependency order. Each derives
-    forward in chunks and finds its period from a repeated state, except
-    a group without a cycle, whose period is its step. The
+    forward in chunks and finds its period from a repeated state. The
     state, the compaction test and the frozen period all read the group's
     facts on a half-open window shifted to the origin, through one helper
     (``_slab``); earlier groups are read through ``_coverage``, over each
     chunk and its lookback (see ``_derive_group``):
 
-    * **State.** Let L be the group's lookback (``RuleGroup.lookback``). For a
-      forward-propagating group, the model on ``[t, inf)`` is fixed by
-      the group's own facts on the slab ``[t - L, t)``, by its inputs
+    * **State.** Let L be the group's lookback (``RuleGroup.lookback``)
+      and ``S <= L`` its span (``RuleGroup.span``), the largest reach of
+      its rules that read a group atom; a group atom they read is *read*. For
+      a forward-propagating group, the model on ``[t, inf)`` is fixed by
+      the read atoms' facts on the slab ``[t - S, t)``, by its inputs
       (database facts and earlier groups) on ``[t - L, inf)``, and by one
-      flag per group atom: do its facts already cover ``[t, inf)``?
+      flag per read atom: do its facts already cover ``[t, inf)``?
       ``_derive_group`` stores a derived ray whole, so once a
       ``diamondminus[a,inf)`` rule's body has held before ``t - a``, its
       head's facts cover ``[t, inf)``. An atom without the flag can
-      therefore still gain only from body points in ``[t - L, inf)``, and
-      an atom with it gains nothing more. Every other head point
-      ``t' >= t`` reads body points in ``[t' - L, t']``. A flag can only
-      turn on as ``t`` grows, and as the chunks derived reach further.
+      therefore still gain only from body points in ``[t - S, inf)`` (a
+      read atom) or ``[t - L, inf)`` (an input), and an atom with it gains
+      nothing more; every other head point ``t' >= t`` reads no further
+      back than ``t' - S`` or ``t' - L`` either. A flag can only turn on as
+      ``t`` grows, and as the chunks derived reach further. An unread
+      atom is a group of its own (in a larger SCC a group rule reads every
+      atom), with S = 0, and needs no flag: its rules read only inputs,
+      its database facts end or its rays start by the settle point, and a
+      ``diamondminus[a,inf)`` input that ever holds already holds by the
+      settle point, because ``_settled`` ends at or after its first
+      point. So at every position ``t`` hashed (``t - L`` past the settle
+      point) such a body holds on all of ``[t - L + a, inf)``, which holds
+      ``[t, inf)``, and the atom's facts from ``t`` on are fixed by the
+      inputs on ``[t - L, inf)`` alone: its state is empty.
     * **Positions.** The group settles at the database's first point or,
       if later, where an atom it owns or reads settles (``_settled``):
       the atom's last finite fact endpoint, or the end of one of its
@@ -975,10 +994,11 @@ def reason(
       pattern occurrences, so once ``t - L`` lies strictly past the
       settle point, the inputs on ``[t - L, inf)`` look the same from
       any two positions a multiple of ``r`` apart, where ``r`` is the lcm
-      of the periods of the atoms read. Slabs are compared at positions
-      a ``step`` apart: the lcm of ``r`` and ``c``, or 1 when neither
-      exists. ``c`` is the group's ``cycle_step``: the gcd of the cycle
-      shift sums of the predicate SCC of its atoms, which
+      of the periods of the atoms read. Positions are placed by L, not
+      S, because the inputs are read back L. Slabs are compared at
+      positions a ``step`` apart: the lcm of ``r`` and ``c``, or 1 when
+      neither exists. ``c`` is the group's ``cycle_step``: the gcd of the
+      cycle shift sums of the predicate SCC of its atoms, which
       ``group_and_sort`` works out once per such SCC (``_shift_gcd``) and
       gives every group of it. It keeps a period a multiple of that
       rhythm: ``diamondminus[5,5] P -> P`` keeps period 5 even when its
@@ -987,61 +1007,48 @@ def reason(
       of ``step`` with ``p - L`` past the settle point; ``p + step`` is
       the first position whose state can equal an earlier one's. The
       first chunk runs from ``start`` through ``p + step``, so a group
-      whose state repeats at once derives one chunk. The next chunk is
-      ``max(L, step)`` wide and each later one twice as wide as the one
-      before; after each chunk the state is read at every position up to
-      its end. So the flags at ``t`` are read after deriving past ``t``,
-      and the State argument still holds. The facts derived so far hold
-      in the model and are final before the chunks' end, so a flag that
-      is on says the atom holds on all of ``[t, inf)``; and a body point
-      before ``t - L`` that makes it hold there makes a ray that starts
-      before ``t``, in a chunk already derived, so the flag is on. The
-      model from ``t`` on is the least one given the slab, the inputs and
-      the flagged atoms holding on ``[t, inf)``, and flagging an atom
-      that holds there anyway changes nothing.
+      whose state repeats at once, as an empty state does, derives one
+      chunk. The next chunk is ``max(L, step)`` wide and each later one
+      twice as wide as the one before; after each chunk the state is read
+      at every position up to its end. So the flags at ``t`` are read
+      after deriving past ``t``, and the State argument still holds. The
+      facts derived so far hold in the model and are final before the
+      chunks' end, so a flag that is on says the atom holds on all of
+      ``[t, inf)``; and a ``diamondminus[a,inf)`` body point before
+      ``t - a`` that makes it hold there makes a ray that starts before
+      ``t``, in a chunk already derived, so the flag is on. The model
+      from ``t`` on is the least one given the slab, the inputs and the
+      flagged atoms holding on ``[t, inf)``, and flagging an atom that
+      holds there anyway changes nothing.
     * **Period.** At the first position ``t + q`` whose normalized state
       equals that of an earlier position ``t``, the future repeats: the
-      model on ``[t - L, inf)`` equals itself shifted by ``q``, so it
-      repeats from the first multiple ``h`` of ``q`` at or after
-      ``t - L``.
+      model on ``[t, inf)`` equals itself shifted by ``q``, and so do the
+      read atoms' slabs on ``[t - S, t)`` (an unread atom's group has S
+      = 0). So the model on ``[t - S, inf)`` repeats with ``q``, from the
+      first multiple ``h`` of ``q`` at or after ``t - S``. For a group
+      with the empty state this is ``q = step`` and ``h = t``, the first
+      position hashed.
     * **Minimality.** The inputs look the same from every position, so
-      the state's key holds only the slab (shifted by ``L - t``) and the
-      ray flags. Let ``q*`` be the least multiple of ``step`` with which
-      the group's model repeats from some point on; every such period is
-      a multiple of ``q*`` (the gcd of two is one as well: step up by
-      one, down by the other). The first repeat, of ``t`` at ``t + q``,
-      makes ``q`` such a period, and then the model repeats with ``q*``
-      on all of ``[t - L, inf)``: a point there holds what it holds a
-      multiple of ``q`` later, far enough on for ``q*`` to apply. So the
-      slabs at ``t`` and ``t + q*`` agree, and so do the flags, which can
-      only turn on (positions are read in order, none with fewer chunks
-      derived than the one before) and agree at ``t`` and ``t + q``. As no
-      position before ``t + q`` repeats an earlier one, ``q = q*``, and
-      ``q`` divides every period that ``step`` divides. One is the pattern
-      length ``P`` of the program read over its ground atoms (the lcm of
-      its atom cycles' shift sums, a period of the model; ``r`` divides
-      it by induction, ``c`` as atom cycles map onto predicate cycles),
-      not ``analysis.pattern_length``, taken on predicates (``reach_join``:
-      3 and 6). Another is the period of the group's predicate SCC taken
-      as one group, which is a multiple of that group's step.
-    * **Groups without a cycle.** A group of one atom that none of its
-      rules reads (``atom not in group.by_body``) skips the state search.
-      Its facts at a point ``s`` are its database facts, which end by the
-      settle point, and the heads of its rules, which read its inputs on
-      ``[s - L, s]`` or, through a ``diamondminus[a,inf)`` body, at any
-      point up to ``s - a``. Past ``position``, where ``s - L`` lies past
-      the settle point, the inputs repeat with ``step``. A
-      ``diamondminus[a,inf)`` input that ever holds already holds by the
-      settle point, because ``_settled`` ends at or after its first point,
-      so such a body holds on all of ``[settle + a, inf)``, and ``a <= L``.
-      So the group's facts repeat with ``step`` from ``position`` (not from
-      ``position - L``, as a repeated state would give): the period is
-      ``step``, the least multiple of ``step`` there is, and the state
-      search would find it too. The group derives the one chunk
-      ``[start, position + step)`` and compacts from ``h = position``; the
-      compaction finds the same least ``b`` from any ``h`` from which the
-      facts repeat. The derivation, the compaction and ``freeze`` are
-      those of every group; an acyclic group only hashes no state.
+      the state's key holds only the read atoms' slab (shifted by
+      ``S - t``) and their ray flags. Let ``q*`` be the least multiple of
+      ``step`` with which the group's model repeats from some point on;
+      every such period is a multiple of ``q*`` (the gcd of two is one as
+      well: step up by one, down by the other). The first repeat, of
+      ``t`` at ``t + q``, makes ``q`` such a period, and then the model
+      repeats with ``q*`` on all of ``[t - S, inf)``: a point there holds
+      what it holds a multiple of ``q`` later, far enough on for ``q*``
+      to apply. So the slabs at ``t`` and ``t + q*`` agree, and so do the
+      flags, which can only turn on (positions are read in order, none
+      with fewer chunks derived than the one before) and agree at ``t``
+      and ``t + q``. As no position before ``t + q`` repeats an earlier
+      one, ``q = q*``, and ``q`` divides every period that ``step``
+      divides. One is the pattern length ``P`` of the program read over
+      its ground atoms (the lcm of its atom cycles' shift sums, a period
+      of the model; ``r`` divides it by induction, ``c`` as atom cycles
+      map onto predicate cycles), not ``analysis.pattern_length``, taken
+      on predicates (``reach_join``: 3 and 6). Another is the period of
+      the group's predicate SCC taken as one group, which is a multiple
+      of that group's step.
     * **Compaction.** ``h`` then moves back to the least multiple ``b``
       of ``q`` from which the group's facts repeat: those on ``[b, h)``
       and those on ``[b + q, h + q)`` make the same slab. If they do,
@@ -1058,7 +1065,9 @@ def reason(
       ``b`` is the group's horizon: its rays start and its other facts
       end by ``b``, and its patterns' first occurrences end by ``b + q``,
       so a later group reading it settles early. Only the representation
-      changes, not the model.
+      changes, not the model, and the compaction finds the same least
+      ``b`` from any ``h`` from which the facts repeat, so a state that
+      reads S rather than L gives the same horizon.
 
     The model's period is the lcm of the groups' periods, and its horizon
     the largest ``b``.
@@ -1076,8 +1085,8 @@ def reason(
 
     for group in group_and_sort(program):
         atoms = sorted(group.atoms, key=_atom_key)
-        lookback = group.lookback
-        acyclic = len(atoms) == 1 and atoms[0] not in group.by_body
+        read = [atom for atom in atoms if atom in group.by_body]
+        lookback, span = group.lookback, group.span
         step = lcm_rationals(
             [periods[a] for a in group.by_body if a in periods]
             + ([group.cycle_step] if group.cycle_step else [])
@@ -1093,8 +1102,8 @@ def reason(
 
         def state(t: int | Fraction) -> tuple:
             ray = Interval(t, POS_INF, False, True)
-            rays = tuple([facts.covers(atom, ray) for atom in atoms])
-            return rays + _slab(facts, atoms, t - lookback, t) if lookback else rays
+            rays = tuple([facts.covers(atom, ray) for atom in read])
+            return rays + _slab(facts, read, t - span, t) if span else rays
 
         chunks = 0
 
@@ -1116,14 +1125,12 @@ def reason(
                 )
             derive(derived, end)
             derived = end
-            if acyclic:
-                period, begin = step, position
             while period is None and position <= derived:
                 key = state(position)
                 if key in seen:
                     repeat = seen[key]
                     period = position - repeat
-                    begin = -((lookback - repeat) // period) * period
+                    begin = -((span - repeat) // period) * period
                 else:
                     seen[key] = position
                     position += step

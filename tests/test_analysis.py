@@ -124,7 +124,8 @@ class TestComponents:
         sccs = analysis._sccs
 
         def counted(succ):
-            # _edge_cycles takes SCCs of subdivided graphs, not of g
+            # _edge_cycles starts from g.components and runs _sccs only on
+            # what is left of a component once its start node is removed
             nonlocal calls
             calls += set(succ) == set(g.nodes)
             return sccs(succ)

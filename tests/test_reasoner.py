@@ -1385,6 +1385,19 @@ class TestFirstChunk:
         )
         assert set(self.chunks(program, database).values()) == {1}
 
+    def test_state_spans_only_the_rules_that_read_the_group(self):
+        """N2 reads itself only through a Horn rule, so its state is its ray
+        flag alone: the lookback of 6 from its input N0 does not widen the
+        slab, and the state repeats at the first comparison."""
+        program = parse_program("N0, N2 -> N2 .\ndiamondminus[1,6] N0 -> N2 .")
+        database = model_of("N0@[7,10].")
+        (group,) = group_and_sort(program)
+        assert (group.lookback, group.span) == (6, 0)
+        assert self.chunks(program, database) == {"N2": 1}
+        pm = reason(program, database)
+        horizon = check_horizon(pm, database)
+        assert pm.unroll(horizon) == naive_fixpoint_bounded(program, database, horizon)
+
 
 class TestGroupsWithoutACycle:
     """A group of one atom that none of its rules reads skips the state
