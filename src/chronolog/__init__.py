@@ -36,8 +36,6 @@ from .intervals import (
     NEG_INF,
     POS_INF,
     Time,
-    box_minus_apply,
-    diamond_minus_apply,
     lcm_rationals,
     parse_interval,
     parse_rational,
@@ -52,7 +50,6 @@ from .reasoner import (
     check_horizon,
     group_and_sort,
     max_time_point,
-    min_time_point,
     naive_fixpoint_bounded,
     reason,
 )

@@ -2,7 +2,8 @@
 
 Subcommands: ``classify``, ``reason``, ``query``, ``oracle``, ``check``.
 Exit codes: 0 success, 1 negative verdict (query false / check found
-differences), 2 input error, 3 resource cap exceeded.
+differences), 2 input error, 3 resource cap exceeded or out of memory,
+4 internal error (a bug: the traceback is printed).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -277,6 +279,14 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input is nested too deeply to process", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
+        return EXIT_CAP
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -45,15 +45,6 @@ slow to build (a ``__setattr__`` guard would cost about half of what was
 saved), and decorating the classes, with the modules ``dataclasses``
 imports, made up much of the start-up every command pays (``import
 chronolog.cli``).
-
-The two temporal operator applications live here as well:
-
-* ``diamond_minus_apply(i, rho)`` -- the set ``{t : exists s in i with
-  t - s in rho}``, i.e. the Minkowski sum ``i + rho``.
-* ``box_minus_apply(i, rho)`` -- the set ``{t : forall s with t - s in
-  rho, s in i}``.  Endpoint openness is decided by evaluating the
-  pointwise condition at the candidate endpoints rather than by a
-  hand-written flag table.
 """
 
 from __future__ import annotations
@@ -278,12 +269,6 @@ def check_operator_range(rho: Interval) -> None:
         raise ValueError(f"operator range {rho} has a negative left endpoint")
 
 
-def diamond_minus_apply(i: Interval, rho: Interval) -> Interval:
-    """All points that see some point of ``i`` at distance within ``rho``."""
-    check_operator_range(rho)
-    return i.minkowski(rho)
-
-
 def _box_holds_at(t: Time, i: Interval, rho: Interval) -> bool:
     # The probe window t - rho must lie entirely inside i (t is finite).
     lo = NEG_INF if rho.hi == POS_INF else t - rho.hi
@@ -291,18 +276,14 @@ def _box_holds_at(t: Time, i: Interval, rho: Interval) -> bool:
     return i.contains_interval(window)
 
 
-def box_minus_apply(i: Interval, rho: Interval) -> Interval | None:
-    """All points whose entire lookback window ``t - rho`` lies inside ``i``.
+def _box_minus(i: Interval, rho: Interval) -> Interval | None:
+    """All points whose entire lookback window ``t - rho`` lies inside
+    ``i``, or None when there is none.
 
     The candidate endpoints are ``i.lo + rho.hi`` and ``i.hi + rho.lo``;
     whether each is attained is decided by the pointwise condition itself,
     which keeps the openness flags correct for every flag combination.
     """
-    check_operator_range(rho)
-    return _box_minus(i, rho)
-
-
-def _box_minus(i: Interval, rho: Interval) -> Interval | None:
     if rho.hi == POS_INF:
         if NEG_INF < i.lo:
             return None
@@ -440,12 +421,16 @@ class IntervalSet:
     # images come in order and need one merge pass, no sort.
 
     def diamond_minus(self, rho: Interval) -> IntervalSet:
+        """``{t : exists s in self with t - s in rho}``: each piece's
+        Minkowski sum with ``rho``."""
         if not self.pieces:
             return _EMPTY
         check_operator_range(rho)
         return IntervalSet(_merge([p.minkowski(rho) for p in self.pieces]))
 
     def box_minus(self, rho: Interval) -> IntervalSet:
+        """``{t : every s with t - s in rho lies in self}``; a window
+        ``t - rho`` lies in the set only if it lies in one piece."""
         if not self.pieces:
             return _EMPTY
         check_operator_range(rho)

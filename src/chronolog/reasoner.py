@@ -285,10 +285,6 @@ def max_time_point(db: Model) -> int | Fraction:
     return max(db.finite_endpoints(), default=0)
 
 
-def min_time_point(db: Model) -> int | Fraction:
-    return min(db.finite_endpoints(), default=0)
-
-
 def check_horizon(pm: PeriodicModel, database: Model) -> int | Fraction:
     """Where ``check`` compares ``reason`` with the oracle by default: three
     periods past both the database's last endpoint and the horizon, so the
@@ -859,6 +855,20 @@ def _slab(
     ])
 
 
+def _last_difference(a: Interval | None, b: Interval | None) -> tuple[Time, bool]:
+    """The last point where two canonical sets differ, given the highest
+    pieces ``a`` and ``b`` where they differ (``None`` for a set with no
+    piece left), and whether they differ at that point itself. Above the
+    pair the sets agree, and canonical pieces are separated, so no other
+    piece reaches the pair's ends: the greater hi end decides (a closed end
+    beats an open one), and with equal hi ends the greater lo end."""
+    if a is None or b is None or (a.hi, a.hi_open) != (b.hi, b.hi_open):
+        top = max((p for p in (a, b) if p is not None), key=lambda p: (p.hi, not p.hi_open))
+        return top.hi, not top.hi_open
+    low = max(a, b, key=lambda p: (p.lo, p.lo_open))
+    return low.lo, low.lo_open
+
+
 def freeze(
     facts: Model, atoms: Iterable[Atom], start: int | Fraction, period: int | Fraction
 ) -> tuple[list[Fact], list[Pattern]]:
@@ -954,10 +964,11 @@ def reason(
 
     The groups, SCCs of ground atoms, go in dependency order. Each derives
     forward in chunks and finds its period from a repeated state. The
-    state, the compaction test and the frozen period all read the group's
-    facts on a half-open window shifted to the origin, through one helper
-    (``_slab``); earlier groups are read through ``_coverage``, over each
-    chunk and its lookback (see ``_derive_group``):
+    state and the frozen period both read the group's facts on a
+    half-open window shifted to the origin, through one helper
+    (``_slab``); the compaction reads each atom's pieces (``Model.clip``);
+    earlier groups are read through ``_coverage``, over each chunk and its
+    lookback (see ``_derive_group``):
 
     * **State.** Let L be the group's lookback (``RuleGroup.lookback``)
       and ``S <= L`` its span (``RuleGroup.span``), the largest reach of
@@ -1050,18 +1061,24 @@ def reason(
       the group's predicate SCC taken as one group, which is a multiple
       of that group's step.
     * **Compaction.** ``h`` then moves back to the least multiple ``b``
-      of ``q`` from which the group's facts repeat: those on ``[b, h)``
-      and those on ``[b + q, h + q)`` make the same slab. If they do,
-      every point ``s >= b`` holds what ``s + q`` holds, by this test
-      below ``h`` and by the repeat from ``h`` on. The test is monotone
-      in ``b`` (a later ``b`` compares a part of the same range), so
-      ``b`` is found by galloping back ``q, 2q, 4q, ...`` and then
-      bisecting, each test comparing only the range not yet compared;
-      when nothing compacts this is one comparison. The search stops at
-      ``floor(start / q) * q``, where ``start`` is the database's first
-      point: no fact lies before it, so a group that holds nothing would
-      otherwise walk back forever. The group's facts are clipped before
-      ``b`` and ``[b, b + q)`` becomes rays and patterns (``freeze``);
+      of ``q`` from which the group's facts repeat: every point ``s >=
+      b`` holds what ``s + q`` holds. From ``h`` on the repeat says so,
+      so ``b`` is read off the facts below ``h``, down to ``lowest =
+      floor(start / q) * q``, where ``start`` is the database's first
+      point: no fact lies before it, and ``h`` lies past it. For each
+      group atom, its pieces on ``[lowest, h)`` and, shifted back by
+      ``q``, those on ``[lowest + q, h + q)`` are walked from the top
+      while they agree. The first pair that differs, or the one piece
+      left when a list runs out, holds the last point where the atom
+      differs from itself ``q`` later (``_last_difference``): canonical
+      pieces are separated, so no piece below the pair reaches above
+      its ends. The atom then repeats from the least multiple of ``q``
+      past that point, or at it when the two sides agree there; ``b`` is
+      the largest over the group's atoms, and ``lowest`` when none
+      differs. The walk stops at the first pair that differs, so when
+      nothing compacts it compares one pair per atom. The group's facts
+      are clipped before ``b`` and ``[b, b + q)`` becomes rays and
+      patterns (``freeze``);
       ``b`` is the group's horizon: its rays start and its other facts
       end by ``b``, and its patterns' first occurrences end by ``b + q``,
       so a later group reading it settles early. Only the representation
@@ -1076,7 +1093,7 @@ def reason(
     if database.is_empty:
         return PeriodicModel(Model(), (), 1, 0)
 
-    start = min_time_point(database)
+    start = min(database.finite_endpoints(), default=0)
     facts = database.copy()
     patterns: dict[Atom, list[Pattern]] = {}
     periods: dict[Atom, int | Fraction] = {}
@@ -1139,22 +1156,21 @@ def reason(
         if derived < begin + period:
             derive(derived, begin + period)
 
-        def repeats(lo: int | Fraction, hi: int | Fraction) -> bool:
-            return _slab(facts, atoms, lo, hi) == _slab(facts, atoms, lo + period, hi + period)
-
-        lowest, bad, jump = start // period * period, None, period
-        while begin > lowest:
-            b = max(begin - jump, lowest)
-            if not repeats(b, begin):
-                bad = b
-                break
-            begin, jump = b, 2 * jump
-        while bad is not None and begin - bad > period:
-            mid = begin - (begin - bad) // period // 2 * period
-            if repeats(mid, begin):
-                begin = mid
-            else:
-                bad = mid
+        lowest = start // period * period
+        below = Interval(lowest, begin, False, True)
+        above = Interval(lowest + period, begin + period, False, True)
+        begin = lowest
+        for atom in atoms:
+            a, b = facts.clip(atom, below).pieces, facts.clip(atom, above).pieces
+            i, j = len(a), len(b)
+            while i and j and a[i - 1].shift(period) == b[j - 1]:
+                i, j = i - 1, j - 1
+            if i or j:
+                point, differs = _last_difference(
+                    a[i - 1] if i else None, b[j - 1].shift(-period) if j else None
+                )
+                past = (point // period + 1) * period if differs else -(-point // period) * period
+                begin = max(begin, past)
         group_rays, group_patterns = freeze(facts, atoms, begin, period)
         cutoff = Interval(NEG_INF, begin, True, True)
         for atom in atoms:

@@ -399,14 +399,6 @@ class Program(_Value):
                 out.update(t.name for t in a.terms if isinstance(t, Constant))
         return out
 
-    def same_rules(self, other: Program) -> bool:
-        """Structural equality ignoring rule identifiers."""
-        return (
-            [(r.body, r.head) for r in self.rules]
-            == [(r.body, r.head) for r in other.rules]
-            and self.axioms == other.axioms
-        )
-
     def __str__(self) -> str:
         return program_text(self)
 

@@ -638,15 +638,15 @@ class TestMaxApplications:
         predicted number of applications."""
         bound = max_applications(t1, t2)
         rho = parse_interval(f"[{t1},{t2}]")
-        current = parse_interval("[0,1]")
-        from chronolog.intervals import IntervalSet, diamond_minus_apply
+        from chronolog.intervals import IntervalSet
 
-        reached = IntervalSet.of(current)
+        current = IntervalSet.of(parse_interval("[0,1]"))
+        reached = current
         merged_round = None
         for step in range(1, bound + 2):
-            nxt = diamond_minus_apply(current, rho)
+            nxt = current.diamond_minus(rho)
             before = len(reached)
-            reached = reached.union(IntervalSet.of(nxt))
+            reached = reached.union(nxt)
             if len(reached) <= before and merged_round is None:
                 merged_round = step
                 break

@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 import chronolog
-from chronolog.cli import EXIT_CAP, EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
+from chronolog.cli import (
+    EXIT_CAP,
+    EXIT_FALSE,
+    EXIT_INPUT,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    build_parser,
+    main,
+)
 from chronolog.intervals import Interval, parse_interval
 from chronolog.reasoner import Model, Pattern, PeriodicModel, reason
 from chronolog.syntax import (
@@ -519,7 +527,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: invalid horizon '1/0'\n"
 
-    def test_internal_value_error_is_not_an_input_error(self, paths, monkeypatch):
+    def test_internal_value_error_is_not_an_input_error(self, paths, monkeypatch, capsys):
+        """A bug is neither an input error (2) nor a verdict (1): it exits
+        4 and prints its traceback."""
         from chronolog import reasoner
 
         def broken(*args, **kwargs):
@@ -527,8 +537,10 @@ class TestExitCodes:
 
         monkeypatch.setattr(reasoner, "reason", broken)
         program, database = paths
-        with pytest.raises(ValueError, match="internal"):
-            main(["reason", "--program", program, "--database", database])
+        assert main(["reason", "--program", program, "--database", database]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback")
+        assert err.endswith("ValueError: internal\n")
 
 
 class TestProcess:
@@ -575,6 +587,38 @@ class TestProcess:
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("argv", [["reason"], ["query", "--query", "A@[0,0]"]])
+    def test_out_of_memory_is_a_cap_not_a_verdict(self, tmp_path, argv):
+        """Past the Frobenius number 998 999 the facts reach every integer,
+        so the state search outgrows a 400 MB address space: the child
+        exits 3 with one error line, not 1 (``query``'s "false") with a
+        traceback. The limit is set in the child only."""
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("RLIMIT_AS is not supported here")
+        program = tmp_path / "frobenius.dmtl"
+        program.write_text(
+            "diamondminus[1000,1000] A -> A .\ndiamondminus[1001,1001] A -> A .\n"
+        )
+        database = tmp_path / "frobenius.db"
+        database.write_text("A@[0,0].\n")
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+            "from chronolog.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = Path(chronolog.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv,
+             "--program", str(program), "--database", str(database)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_CAP, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr == f"error: {argv[0]}: out of memory\n"
 
     def test_cli_imports_without_dataclasses(self):
         """Every command pays for importing the CLI first; the value types
@@ -631,3 +675,69 @@ class TestProcess:
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+
+_FUZZ_PIECES = (
+    "diamondminus", "boxminus", "diamondplus", "boxplus", "since", "until",
+    "top", "bottom", "inf", "-inf", "->", "@", "[", "]", "(", ")", ",", ".",
+    "%", "'", "/", "-", "0", "1", "7", "d", "X", "c", " ", "\n",
+)
+
+
+def _mutate(rng, text: str) -> str:
+    """``text`` with one to three characters or keywords inserted,
+    replaced or deleted at random places."""
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(text) + 1)
+        piece = rng.choice(_FUZZ_PIECES)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:k] + piece + text[k:]
+        elif edit == 1:
+            text = text[:k] + piece + text[k + len(piece):]
+        else:
+            text = text[:k] + text[k + rng.randint(1, 3):]
+    return text
+
+
+class TestFuzz:
+    def test_mutated_fixtures_get_an_answer(self, tmp_path, capsys):
+        """Every input gets an answer: mutated fixture programs, databases
+        and queries exit 0, 1, 2 or 3, never with a traceback."""
+        import random
+
+        rng = random.Random(21)
+        pairs = []
+        for database in sorted(FIXTURES.glob("*.db")):
+            program = FIXTURES / f"{database.stem}.dmtl"
+            if not program.exists():  # box_loop_long.db and box_loop_short.db
+                program = FIXTURES / f"{database.stem.rsplit('_', 1)[0]}.dmtl"
+            pairs.append((program.read_text(), database.read_text()))
+        program, database = tmp_path / "fuzz.dmtl", tmp_path / "fuzz.db"
+        files = ("--program", str(program), "--database", str(database))
+        commands = [
+            ["classify", *files, "--cycle-cap", "50"],
+            ["reason", *files, "--window-cap", "8"],
+            ["check", *files, "--window-cap", "8", "--horizon", "40"],
+        ]
+        codes = []
+        for i in range(300):
+            program_text, database_text = rng.choice(pairs)
+            query = database_text.split(".\n")[0].splitlines()[-1]
+            mutated = rng.randrange(3)  # 0: the program, 1: the database, 2: both
+            if mutated != 1:
+                program_text = _mutate(rng, program_text)
+            if mutated != 0:
+                database_text = _mutate(rng, database_text)
+            program.write_text(program_text)
+            database.write_text(database_text)
+            argv = commands[i % 4] if i % 4 < 3 else [
+                "query", *files, "--window-cap", "8", f"--query={_mutate(rng, query)}"
+            ]
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_CAP), (argv, err)
+            assert "Traceback" not in err, (program_text, database_text, argv, err)
+            codes.append(code)
+        # the mutations leave some inputs valid and break others
+        assert codes.count(EXIT_OK) > 30 and codes.count(EXIT_INPUT) > 30

@@ -16,8 +16,6 @@ from chronolog.intervals import (
     IntervalSet,
     NEG_INF,
     POS_INF,
-    box_minus_apply,
-    diamond_minus_apply,
     lcm_rationals,
     parse_interval,
     parse_rational,
@@ -276,51 +274,54 @@ class TestCoalescing:
 
 class TestDiamondMinus:
     def test_shift_and_stretch(self):
-        assert diamond_minus_apply(iv("[0,1]"), iv("[3,4]")) == iv("[3,5]")
+        assert IntervalSet.of(iv("[0,1]")).diamond_minus(iv("[3,4]")) == ivs("[3,5]")
 
     def test_identity_range(self):
-        assert diamond_minus_apply(iv("[0,1]"), iv("[0,0]")) == iv("[0,1]")
+        assert IntervalSet.of(iv("[0,1]")).diamond_minus(iv("[0,0]")) == ivs("[0,1]")
 
     def test_open_flags_combine(self):
         # derived with the pointwise oracle below
-        assert diamond_minus_apply(iv("(0,1]"), iv("[3,4)")) == iv("(3,5)")
+        assert IntervalSet.of(iv("(0,1]")).diamond_minus(iv("[3,4)")) == ivs("(3,5)")
 
     def test_unbounded_range_gives_ray(self):
-        assert diamond_minus_apply(iv("[2,3]"), iv("[1,inf)")) == iv("[3,inf)")
+        assert IntervalSet.of(iv("[2,3]")).diamond_minus(iv("[1,inf)")) == ivs("[3,inf)")
 
     def test_rejects_negative_range(self):
         with pytest.raises(ValueError):
-            diamond_minus_apply(iv("[0,1]"), iv("[-1,2]"))
+            IntervalSet.of(iv("[0,1]")).diamond_minus(iv("[-1,2]"))
 
     def test_never_shrinks(self):
         cases = [(iv("[0,1]"), iv("[3,4]")), (iv("(2,7)"), iv("[0,2]"))]
         for i, rho in cases:
-            out = diamond_minus_apply(i, rho)
+            (out,) = IntervalSet.of(i).diamond_minus(rho)
             assert out.length() >= i.length()
 
 
 class TestBoxMinus:
     def test_shrinks_to_inner_window(self):
-        assert box_minus_apply(iv("[3,5]"), iv("[3,4]")) == iv("[7,8]")
+        assert IntervalSet.of(iv("[3,5]")).box_minus(iv("[3,4]")) == ivs("[7,8]")
 
     def test_short_fact_yields_nothing(self):
-        assert box_minus_apply(iv("[0,1]"), iv("[3,7]")) is None
+        assert IntervalSet.of(iv("[0,1]")).box_minus(iv("[3,7]")).is_empty
 
     def test_long_fact_steps_forward(self):
-        assert box_minus_apply(iv("[0,7]"), iv("[3,7]")) == iv("[7,10]")
+        assert IntervalSet.of(iv("[0,7]")).box_minus(iv("[3,7]")) == ivs("[7,10]")
 
     def test_open_input_flags_follow_pointwise_contract(self):
-        assert box_minus_apply(iv("[0,5)"), iv("[1,2]")) == iv("[2,6)")
-        assert box_minus_apply(iv("(0,5]"), iv("[1,2]")) == iv("(2,6]")
+        assert IntervalSet.of(iv("[0,5)")).box_minus(iv("[1,2]")) == ivs("[2,6)")
+        assert IntervalSet.of(iv("(0,5]")).box_minus(iv("[1,2]")) == ivs("(2,6]")
 
     def test_unbounded_range_needs_unbounded_past(self):
-        assert box_minus_apply(iv("[0,5]"), iv("[0,inf)")) is None
-        assert box_minus_apply(iv("(-inf,5]"), iv("[0,inf)")) == iv("(-inf,5]")
+        assert IntervalSet.of(iv("[0,5]")).box_minus(iv("[0,inf)")).is_empty
+        assert IntervalSet.of(iv("(-inf,5]")).box_minus(iv("[0,inf)")) == ivs("(-inf,5]")
+
+    def test_rejects_negative_range(self):
+        with pytest.raises(ValueError):
+            IntervalSet.of(iv("[0,9]")).box_minus(iv("[-1,2]"))
 
     def test_never_grows(self):
         for i, rho in [(iv("[0,9]"), iv("[1,3]")), (iv("[2,4]"), iv("[0,1]"))]:
-            out = box_minus_apply(i, rho)
-            if out is not None:
+            for out in IntervalSet.of(i).box_minus(rho):
                 assert out.length() <= i.length()
 
 
@@ -363,17 +364,16 @@ class TestPointwiseConformance:
     @settings(max_examples=200)
     @given(i=_interval_strategy(), rho=_range_strategy())
     def test_diamond(self, i, rho):
-        out = diamond_minus_apply(i, rho)
+        out = IntervalSet.of(i).diamond_minus(rho)
         for t in probe_grid(i, rho):
             assert out.contains(t) == diamond_holds_at(t, i, rho)
 
     @settings(max_examples=200)
     @given(i=_interval_strategy(), rho=_range_strategy())
     def test_box(self, i, rho):
-        out = box_minus_apply(i, rho)
+        out = IntervalSet.of(i).box_minus(rho)
         for t in probe_grid(i, rho):
-            actual = out is not None and out.contains(t)
-            assert actual == box_holds_at(t, i, rho)
+            assert out.contains(t) == box_holds_at(t, i, rho)
 
 
 def reference_merge(intervals) -> IntervalSet:
@@ -445,15 +445,14 @@ class TestSetOperatorsAgainstReference:
     @given(raw=st.lists(_set_piece_strategy(), max_size=8), rho=_set_range_strategy())
     def test_diamond_minus(self, raw, rho):
         s = reference_merge(raw)
-        expected = reference_merge(diamond_minus_apply(p, rho) for p in s)
+        expected = reference_merge(p.minkowski(rho) for p in s)
         assert s.diamond_minus(rho) == expected
 
     @settings(max_examples=300)
     @given(raw=st.lists(_set_piece_strategy(), max_size=8), rho=_set_range_strategy())
     def test_box_minus(self, raw, rho):
         s = reference_merge(raw)
-        hits = (box_minus_apply(p, rho) for p in s)
-        expected = reference_merge(h for h in hits if h is not None)
+        expected = reference_merge(q for p in s for q in IntervalSet.of(p).box_minus(rho))
         assert s.box_minus(rho) == expected
 
     def test_merging_images(self):

@@ -27,7 +27,6 @@ from chronolog.reasoner import (
     freeze,
     group_and_sort,
     max_time_point,
-    min_time_point,
     naive_fixpoint_bounded,
     occurrences,
     reason,
@@ -83,7 +82,6 @@ class TestModel:
     def test_time_extremes_ignore_infinities(self):
         m = model_of("A@[0,inf).\nB@[-3,5].")
         assert max_time_point(m) == 5
-        assert min_time_point(m) == -3
         assert max_time_point(Model()) == 0
 
 
@@ -1077,7 +1075,7 @@ class TestPeriodFromRepeatedState:
             # one period before the horizon the model no longer repeats,
             # unless the search for the horizon stopped at its floor
             h, q = pm.horizon, pm.period
-            if h - q < min_time_point(db) // q * q:
+            if h - q < min(db.finite_endpoints(), default=0) // q * q:
                 continue
             compacted += 1
             unrolled = pm.unroll(h + q)
@@ -1335,6 +1333,124 @@ class TestMinimalHorizon:
         pm = reason(program, database)
         assert pm.horizon == k + 1
         assert calls < 3 * n
+
+
+def _compaction_pieces() -> list:
+    """Every piece with ends in 0..3 and each open/closed combination,
+    and ``None`` for a set with no piece left."""
+    pieces = [None]
+    for lo in range(4):
+        for hi in range(lo, 4):
+            for lo_open in (False, True):
+                for hi_open in (False, True):
+                    if lo < hi or not (lo_open or hi_open):
+                        pieces.append(Interval(lo, hi, lo_open, hi_open))
+    return pieces
+
+
+class TestCompaction:
+    """A group's horizon is read off its pieces: the last point where an
+    atom differs from itself one period later (``_last_difference``)."""
+
+    def test_last_difference_against_points(self):
+        """Two sets that differ in their top pieces ``a`` and ``b`` and
+        agree above them, on a half-integer grid: no point above the
+        helper's answer differs, the answer itself differs exactly when
+        the helper says so, and when it does not, the points just below
+        it differ."""
+        grid = [F(k, 2) for k in range(-2, 13)]
+        pieces = _compaction_pieces()
+        checked = 0
+        for above in (None, iv("[4,5]"), iv("(3,5]")):
+            for a in pieces:
+                for b in pieces:
+                    if a == b:
+                        continue
+                    sides = [[p for p in (x, above) if p is not None] for x in (a, b)]
+                    left, right = map(IntervalSet.from_iterable, sides)
+                    if (len(left), len(right)) != tuple(map(len, sides)):
+                        continue  # a piece touches the common one above it
+                    point, differs = reasoner._last_difference(a, b)
+
+                    def differ(t):
+                        return left.contains(t) != right.contains(t)
+
+                    assert not any(differ(t) for t in grid if t > point), (a, b, above)
+                    assert differ(point) == differs, (a, b, above)
+                    assert differs or differ(point - F(1, 2)), (a, b, above)
+                    checked += 1
+        assert checked > 2000
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _random_fp_program,
+            _random_linear_diamond,
+            _random_nested_program,
+            _random_ray_program,
+            _random_acyclic_program,
+            _random_nonground_program,
+        ],
+    )
+    def test_horizon_is_the_least_multiple_that_repeats(self, monkeypatch, make):
+        """Each group's horizon, as ``freeze`` receives it, against a walk
+        down one period at a time from the end of what the group derived,
+        comparing the slabs ``[m, m + q)`` and ``[m + q, m + 2q)``."""
+        derive, frozen = reasoner._derive_group, reasoner.freeze
+        ends, found = [], {"above": 0, "floor": 0}
+
+        def recording(group, facts, patterns, window):
+            ends.append(window.hi)
+            derive(group, facts, patterns, window)
+
+        def checking(facts, atoms, start, period):
+            lowest = first // period * period
+            m = ends[-1] // period * period - 2 * period
+            while m >= lowest and reasoner._slab(facts, atoms, m, m + period) == reasoner._slab(
+                facts, atoms, m + period, m + 2 * period
+            ):
+                m -= period
+            assert start == max(m + period, lowest), (text, db_text, list(map(str, atoms)))
+            found["floor" if start == lowest else "above"] += 1
+            return frozen(facts, atoms, start, period)
+
+        monkeypatch.setattr(reasoner, "_derive_group", recording)
+        monkeypatch.setattr(reasoner, "freeze", checking)
+        rng = random.Random(26)
+        for _ in range(60):
+            text, db_text = make(rng)
+            db = parse_database(db_text)
+            first = min(db.finite_endpoints(), default=0)
+            reason(ground(to_normal_form(parse_program(text)), db), db)
+        # horizons both at the floor and above it
+        assert found["above"] > 10 and found["floor"] > 10
+
+    def test_cost_does_not_grow_with_a_late_fact(self, monkeypatch):
+        """Count guard: B repeats with period 1 from 0 on, whatever the
+        point fact of D, so ``reason`` makes as many ``_slab`` and
+        ``Model.clip`` calls at N = 10^3 as at N = 10^6; a search that
+        walks back from the repeat toward 0 makes more as N grows."""
+        slab, clip = reasoner._slab, Model.clip
+        calls = {"slab": 0, "clip": 0}
+
+        def counting_slab(*args):
+            calls["slab"] += 1
+            return slab(*args)
+
+        def counting_clip(self, *args):
+            calls["clip"] += 1
+            return clip(self, *args)
+
+        monkeypatch.setattr(reasoner, "_slab", counting_slab)
+        monkeypatch.setattr(Model, "clip", counting_clip)
+        program = parse_program("A -> B .\nD -> B .")
+        seen = []
+        for n in (10**3, 10**6):
+            calls.update(slab=0, clip=0)
+            pm = reason(program, model_of(f"A@[0,inf).\nD@[{n},{n}]."))
+            assert (pm.horizon, pm.period) == (0, 1)
+            seen.append(dict(calls))
+        assert seen[0] == seen[1]
 
 
 DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
