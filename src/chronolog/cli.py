@@ -40,8 +40,6 @@ def _load_program(args) -> syntax.Program:
 
 
 def _load_database(args) -> Model:
-    if args.database is None:
-        return Model()
     return syntax.parse_database(_read(args.database))
 
 
@@ -177,8 +175,10 @@ def cmd_check(args) -> int:
     pm = reasoner.reason(program, database, window_cap=args.window_cap)
     if horizon is None:
         horizon = reasoner.check_horizon(pm, database)
-    unrolled = pm.unroll(horizon)
+    # the oracle first: its step cap bounds the work, and the unroll has
+    # no cap of its own
     oracle = reasoner.naive_fixpoint_bounded(program, database, horizon)
+    unrolled = pm.unroll(horizon)
 
     differences: list[str] = []
     for atom in sorted(set(unrolled.atoms()) | set(oracle.atoms()), key=str):

@@ -89,19 +89,20 @@ class Model:
     splits in two. Building a model piece by piece is therefore linear in
     its pieces, not quadratic.
 
-    ``get`` builds the atom's immutable ``IntervalSet`` and keeps it until
-    the atom next changes. The readers on the reasoning path (``clip``,
-    ``covers``, ``finite_endpoints``, ``copy``) read the blocks instead.
-    Blocks are never shared between two models. Atoms whose set would be
-    empty are absent, and two models are equal when they hold the same
-    sets, however their blocks split them.
+    The blocks are the only copy of the facts: ``get`` builds the atom's
+    immutable ``IntervalSet`` from them on each call, and keeps nothing.
+    The readers on the reasoning path read the blocks instead, at a cost
+    that follows what they ask for, not the atom's whole set: ``clip`` and
+    ``meet`` read the blocks that meet a window or a set's pieces,
+    ``covers`` and ``last`` one block. Blocks are never shared between two
+    models. Atoms whose set would be empty are absent, and two models are
+    equal when they hold the same sets, however their blocks split them.
     """
 
-    __slots__ = ("_blocks", "_sets")
+    __slots__ = ("_blocks",)
 
     def __init__(self, data: Mapping[Atom, IntervalSet] | None = None):
         self._blocks: dict[Atom, list[list[Interval]]] = {}
-        self._sets: dict[Atom, IntervalSet] = {}
         if data:
             for atom, ivs in data.items():
                 self.put(atom, ivs)
@@ -118,17 +119,11 @@ class Model:
         out._blocks = {
             atom: [block[:] for block in blocks] for atom, blocks in self._blocks.items()
         }
-        out._sets = dict(self._sets)
         return out
 
     def get(self, atom: Atom) -> IntervalSet:
-        ivs = self._sets.get(atom)
-        if ivs is None:
-            blocks = self._blocks.get(atom)
-            if blocks is None:
-                return _NOTHING
-            ivs = self._sets[atom] = IntervalSet(tuple(chain.from_iterable(blocks)))
-        return ivs
+        blocks = self._blocks.get(atom)
+        return IntervalSet(tuple(chain.from_iterable(blocks))) if blocks else _NOTHING
 
     def add(self, atom: Atom, interval: Interval) -> Interval | None:
         """Insert a fact; returns the piece of the atom's set that now
@@ -147,7 +142,6 @@ class Model:
                 block.append(interval)
             else:
                 blocks.append([interval])
-            self._sets.pop(atom, None)
             return interval
         # the first piece that can meet the fact: the first ending at or
         # after its lower end, unless it ends there open and the fact starts
@@ -189,7 +183,6 @@ class Model:
             block[k:] = [merged]
             del run[:j]
             del blocks[b + 1:c if run else c + 1]
-        self._sets.pop(atom, None)
         return merged
 
     def put(self, atom: Atom, ivs: IntervalSet) -> None:
@@ -199,10 +192,8 @@ class Model:
             self._blocks[atom] = [
                 list(pieces[i:i + _BLOCK]) for i in range(0, len(pieces), _BLOCK)
             ]
-            self._sets[atom] = ivs
         else:
             self._blocks.pop(atom, None)
-            self._sets.pop(atom, None)
 
     def clip(self, atom: Atom, window: Interval) -> IntervalSet:
         """``get(atom).clip(window)``, read off the blocks that meet the
@@ -218,6 +209,17 @@ class Model:
             ]
         pieces = blocks[0] if len(blocks) == 1 else list(chain.from_iterable(blocks))
         return IntervalSet(_clip(pieces, window))
+
+    def meet(self, atom: Atom, ivs: IntervalSet) -> IntervalSet:
+        """``ivs.intersect(get(atom))``: the atom clipped to each piece of
+        ``ivs`` in turn. The pieces are separated, so their clips are too,
+        and the result is canonical without a merge."""
+        return IntervalSet(tuple(chain.from_iterable(self.clip(atom, p).pieces for p in ivs)))
+
+    def last(self, atom: Atom) -> Interval | None:
+        """The atom's last piece, or None for an absent atom."""
+        blocks = self._blocks.get(atom)
+        return blocks[-1][-1] if blocks else None
 
     def covers(self, atom: Atom, interval: Interval) -> bool:
         """``get(atom).covers_interval(interval)``, read off one block: only
@@ -413,7 +415,11 @@ def naive_fixpoint_bounded(
                 if truth.is_empty:
                     break
                 if other != position:
-                    truth = truth.intersect(_eval_literal(lit, model.get))
+                    truth = (
+                        model.meet(lit, truth)
+                        if isinstance(lit, Atom)
+                        else truth.intersect(_eval_literal(lit, model.get))
+                    )
             for atom, piece in _head_facts(rule.head, truth):
                 if window is not None:
                     piece = piece.intersect(window)
@@ -641,17 +647,17 @@ def _coverage(
     return IntervalSet.from_iterable([*clipped, *hits])
 
 
-def _settled(ivs: IntervalSet, patterns: Iterable[Pattern]) -> int | Fraction:
+def _settled(last: Interval | None, patterns: Iterable[Pattern]) -> int | Fraction:
     """Where an atom turns periodic: the largest of its last finite fact
-    endpoint (a ray's lower end) and the end of each of its patterns'
-    first occurrences; ``-inf`` for an atom that holds nothing.
+    endpoint (read off ``last``, its last piece from ``Model.last``: a
+    ray's lower end) and the end of each of its patterns' first
+    occurrences; ``-inf`` for an atom that holds nothing.
 
     From there on the atom holds only rays and pattern occurrences, so
     its content repeats with every common multiple of its patterns'
     periods."""
     ends = [pat.first_occurrence().hi for pat in patterns]
-    if ivs.pieces:
-        last = ivs.pieces[-1]
+    if last is not None:
         ends.append(last.hi if last.hi != POS_INF else last.lo)
     return max(ends, default=NEG_INF)
 
@@ -728,7 +734,7 @@ class PeriodicModel(_Value):
         pats = self._by_atom.get(fact.atom, ())
         q = lcm_rationals([pat.period for pat in pats] or [1])
         if query.hi > max(query.lo, 0) + q:
-            w = max(query.lo, _settled(self.facts.get(fact.atom), pats), 0)
+            w = max(query.lo, _settled(self.facts.last(fact.atom), pats), 0)
             if query.hi > w + q:
                 query = Interval(query.lo, w + q, query.lo_open, False)
         return self.coverage(fact.atom, query).covers_interval(query)
@@ -784,9 +790,14 @@ def _derive_group(
     piece still reaches every such ``t``. A ``diamondminus[a,inf)`` body
     point before ``window.lo`` lies in an earlier window (no fact precedes
     the first), where it made its head a ray, and a ``boxminus[a,inf)``
-    never fires on facts bounded below. An atom with patterns belongs to an earlier group and
-    holds still for the whole call, so joins read its seed; they read
-    every other atom's facts as they grow.
+    never fires on facts bounded below.
+
+    A Horn join reads each other body atom only where the delta meets it.
+    An atom with patterns belongs to an earlier group and holds still for
+    the whole call, so joins intersect its seed. Every other atom's facts
+    are read as they grow, through ``Model.meet``: only the blocks that
+    meet the delta's pieces, so a join costs what its delta and its answer
+    hold, not the atom's whole set.
     """
     seeded = Interval(
         window.lo - group.lookback, window.hi, window.lo_open, window.hi_open
@@ -812,8 +823,10 @@ def _derive_group(
                         if part.is_empty:
                             break
                         if j != k:
-                            part = part.intersect(
-                                frozen[other] if other in frozen else facts.get(other)
+                            part = (
+                                part.intersect(frozen[other])
+                                if other in frozen
+                                else facts.meet(other, part)
                             )
                     derived = derived.union(part)
             else:
@@ -1033,11 +1046,8 @@ def reason(
       holds there anyway changes nothing.
     * **Period.** At the first position ``t + q`` whose normalized state
       equals that of an earlier position ``t``, the future repeats: the
-      model on ``[t, inf)`` equals itself shifted by ``q``, and so do the
-      read atoms' slabs on ``[t - S, t)`` (an unread atom's group has S
-      = 0). So the model on ``[t - S, inf)`` repeats with ``q``, from the
-      first multiple ``h`` of ``q`` at or after ``t - S``. For a group
-      with the empty state this is ``q = step`` and ``h = t``, the first
+      model on ``[t, inf)`` equals itself shifted by ``q``. For a group
+      with the empty state this is ``q = step`` and ``t`` the first
       position hashed.
     * **Minimality.** The inputs look the same from every position, so
       the state's key holds only the read atoms' slab (shifted by
@@ -1048,7 +1058,9 @@ def reason(
       ``t`` at ``t + q``, makes ``q`` such a period, and then the model
       repeats with ``q*`` on all of ``[t - S, inf)``: a point there holds
       what it holds a multiple of ``q`` later, far enough on for ``q*``
-      to apply. So the slabs at ``t`` and ``t + q*`` agree, and so do the
+      to apply (the slabs on ``[t - S, t)`` and ``[t + q - S, t + q)``
+      are in the key, so the model on ``[t - S, inf)`` repeats with
+      ``q``). So the slabs at ``t`` and ``t + q*`` agree, and so do the
       flags, which can only turn on (positions are read in order, none
       with fewer chunks derived than the one before) and agree at ``t``
       and ``t + q``. As no position before ``t + q`` repeats an earlier
@@ -1060,31 +1072,31 @@ def reason(
       on predicates (``reach_join``: 3 and 6). Another is the period of
       the group's predicate SCC taken as one group, which is a multiple
       of that group's step.
-    * **Compaction.** ``h`` then moves back to the least multiple ``b``
-      of ``q`` from which the group's facts repeat: every point ``s >=
-      b`` holds what ``s + q`` holds. From ``h`` on the repeat says so,
-      so ``b`` is read off the facts below ``h``, down to ``lowest =
-      floor(start / q) * q``, where ``start`` is the database's first
-      point: no fact lies before it, and ``h`` lies past it. For each
-      group atom, its pieces on ``[lowest, h)`` and, shifted back by
-      ``q``, those on ``[lowest + q, h + q)`` are walked from the top
-      while they agree. The first pair that differs, or the one piece
-      left when a list runs out, holds the last point where the atom
-      differs from itself ``q`` later (``_last_difference``): canonical
-      pieces are separated, so no piece below the pair reaches above
-      its ends. The atom then repeats from the least multiple of ``q``
-      past that point, or at it when the two sides agree there; ``b`` is
-      the largest over the group's atoms, and ``lowest`` when none
-      differs. The walk stops at the first pair that differs, so when
-      nothing compacts it compares one pair per atom. The group's facts
-      are clipped before ``b`` and ``[b, b + q)`` becomes rays and
-      patterns (``freeze``);
-      ``b`` is the group's horizon: its rays start and its other facts
-      end by ``b``, and its patterns' first occurrences end by ``b + q``,
-      so a later group reading it settles early. Only the representation
-      changes, not the model, and the compaction finds the same least
-      ``b`` from any ``h`` from which the facts repeat, so a state that
-      reads S rather than L gives the same horizon.
+    * **Compaction.** The group's facts then repeat from the least
+      multiple ``b`` of ``q`` such that every point ``s >= b`` holds what
+      ``s + q`` holds. From ``t`` on the repeat says so, so ``b`` is read
+      off the facts below ``t``, down to ``lowest = floor(start / q) *
+      q``, where ``start`` is the database's first point: no fact lies
+      before it, and ``t`` lies past it. For each group atom, its pieces
+      on ``[lowest, t)`` and, shifted back by ``q``, those on ``[lowest +
+      q, t + q)`` are walked from the top while they agree; both lie in
+      the chunks derived, which reach ``t + q``. The first pair that
+      differs, or the one piece left when a list runs out, holds the last
+      point where the atom differs from itself ``q`` later
+      (``_last_difference``): canonical pieces are separated, so no piece
+      below the pair reaches above its ends. The atom then repeats from
+      the least multiple of ``q`` past that point, or at it when the two
+      sides agree there; ``b`` is the largest over the group's atoms, and
+      ``lowest`` when none differs. The walk stops at the first pair that
+      differs, so when nothing compacts it compares one pair per atom.
+      ``b`` lies before ``t + q``; the group derives on to ``b + q`` if
+      the chunks stop short, its facts are clipped before ``b``, and
+      ``[b, b + q)`` becomes rays and patterns (``freeze``). ``b`` is the
+      group's horizon: its rays start and its other facts end by ``b``,
+      and its patterns' first occurrences end by ``b + q``, so a later
+      group reading it settles early. Only the representation changes,
+      not the model, and the compaction finds the same least ``b`` from
+      any point from which the facts repeat with ``q``.
 
     The model's period is the lcm of the groups' periods, and its horizon
     the largest ``b``.
@@ -1113,7 +1125,7 @@ def reason(
         for a in chain(atoms, group.by_body):
             if (s := settled.get(a)) is None:
                 # no group has frozen the atom yet: it holds database facts only
-                s = settled[a] = _settled(facts.get(a), ())
+                s = settled[a] = _settled(facts.last(a), ())
             settle = max(settle, s)
         position = ((settle + lookback) // step + 1) * step
 
@@ -1147,18 +1159,14 @@ def reason(
                 if key in seen:
                     repeat = seen[key]
                     period = position - repeat
-                    begin = -((span - repeat) // period) * period
                 else:
                     seen[key] = position
                     position += step
             end, width = derived + width, 2 * width
 
-        if derived < begin + period:
-            derive(derived, begin + period)
-
         lowest = start // period * period
-        below = Interval(lowest, begin, False, True)
-        above = Interval(lowest + period, begin + period, False, True)
+        below = Interval(lowest, repeat, False, True)
+        above = Interval(lowest + period, position, False, True)
         begin = lowest
         for atom in atoms:
             a, b = facts.clip(atom, below).pieces, facts.clip(atom, above).pieces
@@ -1171,6 +1179,8 @@ def reason(
                 )
                 past = (point // period + 1) * period if differs else -(-point // period) * period
                 begin = max(begin, past)
+        if derived < begin + period:
+            derive(derived, begin + period)
         group_rays, group_patterns = freeze(facts, atoms, begin, period)
         cutoff = Interval(NEG_INF, begin, True, True)
         for atom in atoms:
@@ -1181,7 +1191,7 @@ def reason(
             patterns.setdefault(pat.atom, []).append(pat)
         periods.update(dict.fromkeys(atoms, period))
         for atom in atoms:
-            settled[atom] = _settled(facts.get(atom), patterns.get(atom, ()))
+            settled[atom] = _settled(facts.last(atom), patterns.get(atom, ()))
         horizons.append(begin)
 
     every_pattern = (pat for pats in patterns.values() for pat in pats)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import chronolog
+from chronolog import reasoner
 from chronolog.cli import (
     EXIT_CAP,
     EXIT_FALSE,
@@ -19,7 +20,7 @@ from chronolog.cli import (
     build_parser,
     main,
 )
-from chronolog.intervals import Interval, parse_interval
+from chronolog.intervals import Interval, IntervalSet, parse_interval
 from chronolog.reasoner import Model, Pattern, PeriodicModel, reason
 from chronolog.syntax import (
     Atom,
@@ -217,8 +218,6 @@ class TestQueryCommand:
     def test_query_derives_only_the_groups_it_reads(self, tmp_path, capsys, monkeypatch):
         """Count guard: on a chain of 81 groups, a query on ``Pk`` derives
         the k + 1 groups ``P0`` to ``Pk`` and no other."""
-        from chronolog import reasoner
-
         derive = reasoner._derive_group
         derived: set[frozenset[str]] = set()
 
@@ -362,6 +361,54 @@ class TestOracleAndCheck:
             doc["period"]
         )
         assert Fraction(checked["horizon"]) >= 10
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_check_reports_a_moved_fact(self, tmp_path, capsys, monkeypatch, fmt):
+        """Mutation: ``reason`` hands back its representation with B's
+        first fact moved one unit later, so ``check`` exits 1 and names
+        the difference."""
+        real = reasoner.reason
+
+        def moved(program, database, **caps):
+            pm = real(program, database, **caps)
+            facts = pm.facts.copy()
+            first, *rest = facts.get(Atom("B"))
+            facts.put(Atom("B"), IntervalSet.of(first.shift(1), *rest))
+            return PeriodicModel(facts, pm.patterns, pm.period, pm.horizon)
+
+        monkeypatch.setattr(reasoner, "reason", moved)
+        program = tmp_path / "copy.dmtl"
+        program.write_text("A -> B .\n")
+        database = tmp_path / "copy.db"
+        database.write_text("A@[0,1].\nA@[5,6].\n")
+        code, out = run(
+            capsys, "check", "--program", str(program), "--database", str(database),
+            "--format", fmt,
+        )
+        assert code == EXIT_FALSE
+        line = "B: reason={[1,2], [5,6]} oracle={[0,1], [5,6]}"
+        if fmt == "json":
+            assert json.loads(out) == {"horizon": "10", "differences": [line]}
+        else:
+            assert out == f"differences:\n  {line}\n"
+
+    def test_check_runs_the_oracle_before_the_unroll(self, capsys, monkeypatch):
+        """A far horizon: the oracle's step cap stops ``check`` (exit 3)
+        before the unroll, which has no cap of its own, is built."""
+        oracle = reasoner.naive_fixpoint_bounded
+        unrolls = []
+        monkeypatch.setattr(
+            reasoner, "naive_fixpoint_bounded",
+            lambda *args, **kwargs: oracle(*args, **kwargs, step_cap=1000),
+        )
+        monkeypatch.setattr(PeriodicModel, "unroll", lambda *args: unrolls.append(args))
+        code = main([
+            "check", "--program", str(FIXTURES / "weekly.dmtl"),
+            "--database", str(FIXTURES / "weekly.db"), "--horizon", "1000000000000",
+        ])
+        assert code == EXIT_CAP
+        assert capsys.readouterr().err == "error: oracle exceeded 1000 steps\n"
+        assert unrolls == []
 
     def test_check_json(self, paths, capsys):
         program, database = paths

@@ -50,6 +50,7 @@ from generators import (
     _random_ray_program,
 )
 from test_acceptance import UNCOMPACTED_WORKED_EXAMPLE, oracle_span
+from test_syntax import _grid_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -138,9 +139,8 @@ _WHOLE = Interval(NEG_INF, POS_INF, True, True)
 
 
 def _read_off_blocks(model: Model) -> tuple:
-    """What a model holds, read through the readers that use its blocks
-    (not the sets ``get`` keeps), so a block changed behind the model's
-    back shows."""
+    """What a model holds, read through ``clip`` and ``finite_endpoints``,
+    so a block changed behind the model's back shows."""
     return (
         [(str(a), str(model.clip(a, _WHOLE))) for a in model.atoms()],
         sorted(model.finite_endpoints()),
@@ -192,6 +192,52 @@ class TestBlockStore:
         assert not model.covers(Atom("B"), Interval.point(0))
         assert sorted(model.finite_endpoints()) == sorted(
             e for p in whole for e in (p.lo, p.hi) if NEG_INF < e < POS_INF
+        )
+
+    @pytest.mark.parametrize("block", [4, 16])
+    def test_meet_and_last_match_the_set(self, monkeypatch, block):
+        """``meet`` against ``IntervalSet.intersect`` and ``last`` against
+        the set's last piece, on stores of many blocks and on random sets
+        with rays, open and closed ends, and none at all."""
+        monkeypatch.setattr(reasoner, "_BLOCK", block)
+        rng = random.Random(f"meet-{block}")
+        pieces = _store_pieces(12 * block, rng)
+        rng.shuffle(pieces)
+        a, absent = Atom("A"), Atom("B")
+        model = Model.from_facts(Fact(a, p) for p in pieces)
+        whole = model.get(a)
+        assert len(model._blocks[a]) > 3
+        end = 36 * block + 20
+        kinds = {"ray": 0, "empty": 0}
+        for _ in range(400):
+            drawn = []
+            for _ in range(rng.randrange(6)):
+                lo = rng.randrange(-20, end)
+                kind = rng.random()
+                if kind < 0.1:
+                    drawn.append(Interval.up_to(lo, hi_open=rng.random() < 0.5))
+                elif kind < 0.2:
+                    drawn.append(Interval.ray_from(lo, lo_open=rng.random() < 0.5))
+                else:
+                    width = rng.choice((0, 1, 3, 10, 4 * block))
+                    closed = width == 0
+                    drawn.append(Interval(
+                        lo, lo + width,
+                        not closed and rng.random() < 0.5, not closed and rng.random() < 0.5,
+                    ))
+            ivs = IntervalSet.from_iterable(drawn)
+            kinds["ray"] += any(not p.is_bounded for p in ivs)
+            kinds["empty"] += ivs.is_empty
+            assert model.meet(a, ivs) == ivs.intersect(whole), ivs
+            assert model.meet(absent, ivs).is_empty
+        assert kinds["ray"] > 50 and kinds["empty"] > 20
+        assert model.last(a) == whole.pieces[-1]
+        assert model.last(absent) is None
+        points = Model.from_facts(Fact(a, Interval.point(2 * k)) for k in range(10 * block))
+        assert points.last(a) == Interval.point(20 * block - 2)
+        points.add(a, Interval(20 * block - 2, 20 * block, False, True))
+        assert points.last(a) == points.get(a).pieces[-1] == Interval(
+            20 * block - 2, 20 * block, False, True
         )
 
     def test_same_pieces_split_differently_are_equal(self, monkeypatch):
@@ -309,6 +355,63 @@ class TestLinearGrowth:
         assert cost.total <= 10**5 * (_BLOCK + 1)
 
 
+JOIN_FAMILY = (
+    "A, B -> C .\ndiamondminus[3,3] C -> A .\ndiamondminus[3,3] C -> B .\n"
+    "G -> A .\nH -> B ."
+)
+
+
+def _join_family_database(n: int) -> Model:
+    """``G`` and ``H`` at ``3k`` for every even ``k < n``, at 1, and ``G``
+    once more at ``3n + 1``: C's join of A and B recurs through both every
+    3 units, and the last fact keeps it from settling before ``3n``."""
+    points = "".join(f"G@[{3 * k},{3 * k}].\nH@[{3 * k},{3 * k}].\n" for k in range(0, n, 2))
+    return parse_database(points + f"G@[1,1].\nH@[1,1].\nG@[{3 * n + 1},{3 * n + 1}].\n")
+
+
+class TestJoinCost:
+    """A recursive Horn join reads only the pieces its delta meets
+    (``Model.meet``), not the atom's whole set after every round."""
+
+    def test_pieces_built_grow_linearly(self, monkeypatch):
+        """Count guard: the pieces that ``Model.get`` and ``Model.clip``
+        return (each call builds them) per ``reason`` and per oracle call
+        on the join family at n and 2n grow by at most 2.2 times. Reading
+        the whole set of A or B once per round made them grow four
+        times."""
+        get, clip = Model.get, Model.clip
+        built = 0
+
+        def counting_get(self, atom):
+            nonlocal built
+            ivs = get(self, atom)
+            built += len(ivs)
+            return ivs
+
+        def counting_clip(self, atom, window):
+            nonlocal built
+            ivs = clip(self, atom, window)
+            built += len(ivs)
+            return ivs
+
+        monkeypatch.setattr(Model, "get", counting_get)
+        monkeypatch.setattr(Model, "clip", counting_clip)
+        program = parse_program(JOIN_FAMILY)
+        counts = {"reason": [], "oracle": []}
+        for n in (400, 800):
+            db = _join_family_database(n)
+            built = 0
+            pm = reason(program, db)
+            counts["reason"].append(built)
+            built = 0
+            oracle = naive_fixpoint_bounded(program, db, 3 * n + 30)
+            counts["oracle"].append(built)
+            assert pm.unroll(3 * n + 30) == oracle
+            assert len(oracle.get(Atom("C"))) > n // 2
+        for name, (small, large) in counts.items():
+            assert large <= 2.2 * small, (name, counts)
+
+
 def derive(text, db_text, head):
     """What a non-recursive program derives for ``head``: the oracle's
     answer, which ``reason`` must give as well."""
@@ -396,6 +499,34 @@ class TestOracle:
     def test_rules_with_variables_are_rejected(self):
         with pytest.raises(InputError, match="requires a ground program"):
             naive_fixpoint_bounded(parse_program("A(X) -> B(X) ."), model_of("A(c)@[0,2]."), 10)
+
+    def test_boxplus_body_against_the_grid(self):
+        """A ``boxplus`` body literal, reflected through ``box_minus``,
+        against the least model on the points k/2 of [0, 24]; the oracle's
+        window ends there too, so neither reads a point past it."""
+        program = parse_program("boxplus[1,2] A -> B .")
+        for db_text in ("A@[2,6].", "A@[3,4].\nA@(4,9).\nA@[20,24].", "A@[5,5].\nA@[6,8]."):
+            db = model_of(db_text)
+            model = naive_fixpoint_bounded(program, db, 24)
+            grid = {
+                atom: {k for k in range(49) if ivs.contains(F(k, 2))}
+                for atom, ivs in model.items()
+            }
+            assert {a: ks for a, ks in grid.items() if ks} == _grid_model(program, db), db_text
+
+    def test_boxplus_head_against_its_normal_form(self):
+        """A ``boxplus`` head forces its atom on the body's points shifted
+        by the range, as the normal form's carrier and ``diamondminus``
+        rule derive it."""
+        program = parse_program("A -> boxplus[1,2] B .\nB, C -> D .")
+        normal = to_normal_form(program)
+        assert len(normal.rules) > len(program.rules)
+        db = model_of("A@[0,1].\nA@(5,6).\nC@[2,4].\nC@[7,20].")
+        whole = naive_fixpoint_bounded(program, db, 30)
+        assert whole.get(Atom("B")) == IntervalSet.of(iv("[1,3]"), iv("(6,8)"))
+        assert whole.get(Atom("D")) == IntervalSet.of(iv("[2,3]"), iv("[7,8)"))
+        normalized = naive_fixpoint_bounded(normal, db, 30)
+        assert all(normalized.get(atom) == ivs for atom, ivs in whole.items())
 
     def test_semi_naive_outside_the_forward_propagating_fragment(self, monkeypatch):
         """Count-only: each round joins the one new point of ``A`` with
@@ -1424,6 +1555,33 @@ class TestCompaction:
             reason(ground(to_normal_form(parse_program(text)), db), db)
         # horizons both at the floor and above it
         assert found["above"] > 10 and found["floor"] > 10
+
+    def test_derives_on_to_the_frozen_period(self, monkeypatch):
+        """The chunks of P0 and P1 end at 140, the period is 84 and the
+        horizon 84, so ``freeze`` needs the model up to 168: ``reason``
+        derives one more chunk before it, and the answer is the oracle's."""
+        derive, frozen = reasoner._derive_group, reasoner.freeze
+        ends, froze = [], []
+
+        def recording(group, facts, patterns, window):
+            ends.append(window.hi)
+            derive(group, facts, patterns, window)
+
+        def checking(facts, atoms, start, period):
+            froze.append((list(map(str, atoms)), start, period, ends[-2:]))
+            return frozen(facts, atoms, start, period)
+
+        monkeypatch.setattr(reasoner, "_derive_group", recording)
+        monkeypatch.setattr(reasoner, "freeze", checking)
+        program = parse_program(
+            "P3, P0 -> P1 .\nboxminus[3,10] P1 -> P0 .\nP3 -> P3 .\n"
+            "diamondminus[12,12] P0 -> P0 .\ndiamondminus[7,9] P3 -> P3 ."
+        )
+        db = model_of("P0@[7,10].\nP2@[9,11].\nP2@[11,11].\nP1@[10,11].")
+        pm = reason(ground(to_normal_form(program), db), db)
+        assert froze[-1] == (["P0", "P1"], 84, 84, [140, 168])
+        horizon = check_horizon(pm, db)
+        assert pm.unroll(horizon) == naive_fixpoint_bounded(program, db, horizon)
 
     def test_cost_does_not_grow_with_a_late_fact(self, monkeypatch):
         """Count guard: B repeats with period 1 from 0 on, whatever the

@@ -578,7 +578,8 @@ def _grid_model(program, database, last=24):
     intervals with integer ends, constant on each open unit interval, so
     the point k/2 with k odd stands for the whole of its unit interval
     and the grid gives each literal's truth exactly (cut at 0 and
-    ``last``). Unlike both reasoners it evaluates ``since`` and ``until``:
+    ``last``); a forward operator reads no point past ``last``. Unlike
+    both reasoners it evaluates ``since`` and ``until``:
     at t, A since[a,b] B holds when B holds at some s with t - s in
     [a,b] and A holds on the open interval (s, t)."""
     points = range(2 * last + 1)
@@ -608,6 +609,12 @@ def _grid_model(program, database, last=24):
         if isinstance(lit, BoxMinus):
             inner = holds(lit.inner)
             return {k for k in points if all(k - d in inner for d in steps)}
+        if isinstance(lit, DiamondPlus):
+            inner = holds(lit.inner)
+            return {k for k in points if any(k + d in inner for d in steps)}
+        if isinstance(lit, BoxPlus):
+            inner = holds(lit.inner)
+            return {k for k in points if all(k + d in inner for d in steps)}
         left, right = holds(lit.left), holds(lit.right)
         if isinstance(lit, Since):
             return {
