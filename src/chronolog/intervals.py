@@ -416,6 +416,11 @@ class IntervalSet:
     def shift(self, d: Time) -> IntervalSet:
         return IntervalSet(tuple(p.shift(d) for p in self.pieces))
 
+    def reflect(self) -> IntervalSet:
+        """``{-t : t in self}``: the negated pieces in reverse order, which
+        are canonical as they come."""
+        return IntervalSet(tuple([p.negate() for p in reversed(self.pieces)]))
+
     # Canonical pieces have strictly increasing lower ends, and both
     # operators add the same amount to every finite lower end, so their
     # images come in order and need one merge pass, no sort.

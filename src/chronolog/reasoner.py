@@ -6,7 +6,9 @@ Two independent evaluation routes are kept apart on purpose:
 * ``naive_fixpoint_bounded`` is the ground truth -- a straight fixpoint
   of the immediate consequence operator on a ground program, clipped to
   a window, in one semi-naive loop: each round re-evaluates only the
-  rules that read an atom whose pieces changed in the round before.
+  rules that read an atom whose pieces changed in the round before. It
+  reads every body literal through one reader, ``_read``, each literal
+  only where the rule's truth so far lies.
 * ``reason`` derives per SCC group, forward in chunks, and stops once
   the group's state repeats, past every aperiodic input: the facts of
   the group atoms its rules read, on a slab as wide as those rules look
@@ -14,6 +16,10 @@ Two independent evaluation routes are kept apart on purpose:
   the group's period (at once for a group whose rules read none of its
   atoms: its state is empty), and one period of its facts becomes
   repetition patterns (or rays for facts that fill the whole period).
+
+Neither route spells out what an operator means: each unary operator's
+class states its own truth (``truth``) and the operand points that truth
+on a region reads (``reads``), and both routes call them.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .syntax import (
     BoxMinus,
     BoxPlus,
     DiamondMinus,
-    DiamondPlus,
     Fact,
     Literal,
     Program,
@@ -57,7 +62,7 @@ from .syntax import (
 DEFAULT_WINDOW_CAP = 10_000
 DEFAULT_STEP_CAP = 1_000_000
 
-_FULL_LINE = Interval(NEG_INF, POS_INF, True, True)
+_ALWAYS = IntervalSet.of(Interval(NEG_INF, POS_INF, True, True))
 _NOTHING = IntervalSet.empty()
 
 # The most pieces one block of an atom's facts holds in ``Model``.
@@ -216,6 +221,11 @@ class Model:
         and the result is canonical without a merge."""
         return IntervalSet(tuple(chain.from_iterable(self.clip(atom, p).pieces for p in ivs)))
 
+    def first(self, atom: Atom) -> Interval | None:
+        """The atom's first piece, or None for an absent atom."""
+        blocks = self._blocks.get(atom)
+        return blocks[0][0] if blocks else None
+
     def last(self, atom: Atom) -> Interval | None:
         """The atom's last piece, or None for an absent atom."""
         blocks = self._blocks.get(atom)
@@ -283,8 +293,13 @@ class Model:
 
 
 def max_time_point(db: Model) -> int | Fraction:
-    """Largest finite endpoint in the database (0 when there is none)."""
-    return max(db.finite_endpoints(), default=0)
+    """Largest finite endpoint in the database (0 when there is none),
+    read off each atom's last piece: its upper end, or a ray's lower end
+    (none for ``(-inf, inf)``)."""
+    ends = (
+        last.hi if last.hi != POS_INF else last.lo for last in map(db.last, db.atoms())
+    )
+    return max((end for end in ends if end != NEG_INF), default=0)
 
 
 def check_horizon(pm: PeriodicModel, database: Model) -> int | Fraction:
@@ -298,49 +313,39 @@ def check_horizon(pm: PeriodicModel, database: Model) -> int | Fraction:
 # Bounded fixpoint oracle
 # ---------------------------------------------------------------------------
 
-def _reflect(ivs: IntervalSet) -> IntervalSet:
-    return IntervalSet.from_iterable(p.negate() for p in ivs)
+def _read(lit: Literal, model: Model, region: IntervalSet | None = None) -> IntervalSet:
+    """Truth set of a (possibly nested) unary temporal literal on
+    ``model``, or with a ``region`` that set clipped to it: the oracle's
+    one literal reader.
 
-
-def _eval_literal(lit: Literal, get: Callable[[Atom], IntervalSet]) -> IntervalSet:
-    """Truth set of a (possibly nested) unary temporal literal, reading
-    each atom's set through ``get``: the model's, or for a linear literal
-    the atom's changed pieces.
-
-    The forward operators are evaluated by reflecting the timeline, so
-    the oracle can validate rewrites that introduce them; since/until
-    remain out of scope.
+    An atom is read whole, or only where the region lies (``Model.meet``).
+    An operator maps its operand's truth through its own (``truth``), and
+    on a region reads the operand only on the points its truth there
+    depends on (``reads``), so a read costs what the region meets, not
+    the atom's whole set, and still equals the whole read clipped.
+    ``since``/``until`` remain out of scope.
     """
     if isinstance(lit, Atom):
-        return get(lit)
-    if isinstance(lit, Top):
-        return IntervalSet.of(_FULL_LINE)
-    if isinstance(lit, Bottom):
-        return IntervalSet.empty()
-    if isinstance(lit, DiamondMinus):
-        return _eval_literal(lit.inner, get).diamond_minus(lit.rho)
-    if isinstance(lit, BoxMinus):
-        return _eval_literal(lit.inner, get).box_minus(lit.rho)
-    if isinstance(lit, DiamondPlus):
-        return _reflect(_reflect(_eval_literal(lit.inner, get)).diamond_minus(lit.rho))
-    if isinstance(lit, BoxPlus):
-        return _reflect(_reflect(_eval_literal(lit.inner, get)).box_minus(lit.rho))
-    raise InputError(f"the oracle cannot evaluate literal {lit}")
+        return model.get(lit) if region is None else model.meet(lit, region)
+    if isinstance(lit, _Unary):
+        inner = _read(lit.inner, model, None if region is None else lit.reads(region))
+        truth = lit.truth(inner)
+    elif isinstance(lit, Top):
+        truth = _ALWAYS
+    elif isinstance(lit, Bottom):
+        return _NOTHING
+    else:
+        raise InputError(f"the oracle cannot evaluate literal {lit}")
+    return truth if region is None else truth.intersect(region)
 
 
 def _head_facts(head: Literal, truth: IntervalSet) -> list[tuple[Atom, Interval]]:
-    """Facts forced by satisfying ``head`` on every point of ``truth``."""
+    """Facts forced by satisfying ``head`` on every point of ``truth``: a
+    box head forces its operand on every point it reads."""
     if isinstance(head, Atom):
         return [(head, piece) for piece in truth]
-    if isinstance(head, BoxMinus):
-        # body true on J forces the inner literal on J - rho
-        shifted = IntervalSet.from_iterable(
-            p.minkowski(head.rho.negate()) for p in truth
-        )
-        return _head_facts(head.inner, shifted)
-    if isinstance(head, BoxPlus):
-        shifted = IntervalSet.from_iterable(p.minkowski(head.rho) for p in truth)
-        return _head_facts(head.inner, shifted)
+    if isinstance(head, (BoxMinus, BoxPlus)):
+        return _head_facts(head.inner, head.reads(truth))
     raise InputError(f"the oracle cannot apply head {head}")
 
 
@@ -361,15 +366,20 @@ def naive_fixpoint_bounded(
     """Least fixpoint of a ground program with every derived interval
     clipped to the window ``(-inf, horizon]``.
 
-    One semi-naive loop: the first round evaluates every rule on the whole
-    model; each later round evaluates only the rules that read an atom
-    whose pieces changed in the round before. A linear rule (each body
-    literal reads one atom through at most one unary operator) joins the
-    atom's changed pieces with the rest of the model. This is exact: a
-    changed piece is a whole piece of the model when it is added, so a box
-    sees it entire, a diamond distributes over pieces, and a piece that
-    grows later is changed again. Any other rule (a nested literal, top,
-    bottom) is evaluated whole.
+    One semi-naive loop of jobs. A job reads one body literal off its
+    source, and every other literal off the model only where the truth so
+    far lies (``_read`` with that truth as the region); the head then
+    forces its facts on what is left (``_head_facts``). The first round
+    runs every rule with the model as the source; each later round runs
+    only the rules that read an atom whose pieces changed in the round
+    before. A linear rule (each body literal reads one atom through at
+    most one unary operator) runs once per literal reading such an atom,
+    with that atom's changed pieces as the source, a one-atom ``Model``.
+    This is exact: a changed piece is a whole piece of the model when it
+    is added, so a box sees it entire, a diamond distributes over pieces,
+    and a piece that grows later is changed again. Any other rule (a
+    nested literal, top, bottom) still runs whole every round one of its
+    atoms changed: its first literal is read off the whole model.
 
     With no horizon the fixpoint must be naturally finite (harmless
     programs); the step cap, which counts the model's pieces at the start
@@ -399,27 +409,22 @@ def naive_fixpoint_bounded(
             for position, atom in enumerate(read):
                 linear.setdefault(atom, []).append((rule, position))
 
-    # a job evaluates its rule's literal at ``position`` through ``get``
-    # (the model, or one atom's changed pieces) and the rest on the model
+    # a job reads its rule's literal at ``position`` off its source (the
+    # model, or one atom's changed pieces) and every other literal off the
+    # model, where the truth so far lies
     steps = sum(len(ivs) for _, ivs in model.items())
-    jobs: list[tuple[Rule, int, Callable[[Atom], IntervalSet]]] = [
-        (rule, 0, model.get) for rule in program.rules
-    ]
+    jobs: list[tuple[Rule, int, Model]] = [(rule, 0, model) for rule in program.rules]
     while jobs:
         if steps > step_cap:
             raise StepCapExceeded(f"oracle exceeded {step_cap} steps")
         changed: dict[Atom, list[Interval]] = {}
-        for rule, position, get in jobs:
-            truth = _eval_literal(rule.body[position], get)
+        for rule, position, source in jobs:
+            truth = _read(rule.body[position], source)
             for other, lit in enumerate(rule.body):
                 if truth.is_empty:
                     break
                 if other != position:
-                    truth = (
-                        model.meet(lit, truth)
-                        if isinstance(lit, Atom)
-                        else truth.intersect(_eval_literal(lit, model.get))
-                    )
+                    truth = _read(lit, model, truth)
             for atom, piece in _head_facts(rule.head, truth):
                 if window is not None:
                     piece = piece.intersect(window)
@@ -432,10 +437,10 @@ def naive_fixpoint_bounded(
         again: dict[Rule, None] = {}
         for atom, pieces in changed.items():
             steps += len(pieces)
-            get = {atom: IntervalSet.from_iterable(pieces)}.__getitem__
-            jobs.extend((rule, position, get) for rule, position in linear.get(atom, ()))
+            source = Model({atom: IntervalSet.from_iterable(pieces)})
+            jobs.extend((rule, position, source) for rule, position in linear.get(atom, ()))
             again.update(dict.fromkeys(whole.get(atom, ())))
-        jobs.extend((rule, 0, model.get) for rule in again)
+        jobs.extend((rule, 0, model) for rule in again)
     return model
 
 
@@ -769,7 +774,9 @@ def _derive_group(
     window: Interval,
 ) -> None:
     """Exhaustively apply the group's rules with heads clipped to the window
-    (a ray only at the window's lower end).
+    (a ray only at the window's lower end). A Horn rule joins its delta
+    with the other body atoms; an operator rule derives its operator's
+    truth on its delta (``lit.truth(delta)``).
 
     Semi-naive: each round visits, in group order, only the rules with a
     body atom among the pieces that changed in the previous round (the
@@ -811,9 +818,8 @@ def _derive_group(
         touched = sorted({i for atom in frontier for i in group.by_body[atom]})
         for i in touched:
             rule = group.rules[i]
-            form = rule.form
             derived = IntervalSet.empty()
-            if form is Atom:
+            if rule.form is Atom:
                 for k, atom in enumerate(rule.body):
                     delta = frontier.get(atom)
                     if delta is None:
@@ -834,11 +840,7 @@ def _derive_group(
                 delta = frontier.get(lit.inner)
                 if delta is None:
                     continue
-                derived = (
-                    delta.diamond_minus(lit.rho)
-                    if form is DiamondMinus
-                    else delta.box_minus(lit.rho)
-                )
+                derived = lit.truth(delta)
             for piece in derived:
                 clipped = piece.intersect(ray if piece.hi == POS_INF else window)
                 if clipped is None:
@@ -921,12 +923,10 @@ def _check_input(program: Program, database: Model) -> None:
         )
     if program.axioms:
         raise InputError("reason does not support facts over (-inf, inf)")
-    for atom, ivs in database.items():
-        for piece in ivs:
-            if piece.lo == NEG_INF:
-                raise InputError(
-                    f"database fact {atom}@{piece} is unbounded below"
-                )
+    for atom in database.atoms():
+        # only an atom's first piece can be unbounded below
+        if (first := database.first(atom)).lo == NEG_INF:
+            raise InputError(f"database fact {atom}@{first} is unbounded below")
 
 
 def backward_slice(program: Program, database: Model, atom: Atom) -> tuple[Program, Model]:
@@ -1105,7 +1105,9 @@ def reason(
     if database.is_empty:
         return PeriodicModel(Model(), (), 1, 0)
 
-    start = min(database.finite_endpoints(), default=0)
+    # every atom's first piece is bounded below, so its lower end is the
+    # atom's least endpoint
+    start = min(database.first(atom).lo for atom in database.atoms())
     facts = database.copy()
     patterns: dict[Atom, list[Pattern]] = {}
     periods: dict[Atom, int | Fraction] = {}

@@ -13,7 +13,10 @@ Concrete grammar (one statement per ``.``; ``%`` starts a comment):
     interval  :=  ("[" | "(") endpoint "," endpoint ("]" | ")")
 
 Each temporal operator is defined once, by its class below, which states
-its keyword, and ``OPERATORS`` maps each keyword to its class. UNARY is
+its keyword, and ``OPERATORS`` maps each keyword to its class. A unary
+operator's class also states its meaning for both reasoners: ``truth``
+maps its operand's truth set to its own, and ``reads`` gives the operand
+points its truth on a region depends on. UNARY is
 `boxminus`, `boxplus`, `diamondminus` or `diamondplus`; BOX is `boxminus`
 or `boxplus`; BINARY is `since` or `until`.
 
@@ -34,7 +37,7 @@ from collections.abc import Iterable, Iterator
 from itertools import islice, product, repeat
 
 from .errors import InputError, ParseError
-from .intervals import Interval, NEG_INF, POS_INF, Time, to_time
+from .intervals import Interval, IntervalSet, NEG_INF, POS_INF, Time, to_time
 
 AUX_PREFIX = "_aux"
 
@@ -219,6 +222,13 @@ class _Operator(Literal):
 
 
 class _Unary(_Operator):
+    """A unary operator over ``inner``, which states its own meaning. A
+    past operator (``past``) holds at ``t`` by what its operand holds on
+    ``t - rho``, and ``_past_truth`` is the ``IntervalSet`` method that
+    gives its truth set; a future operator holds by what its operand holds
+    on ``t + rho``, and is the past operator of its kind on the reflected
+    timeline."""
+
     __slots__ = ("rho", "inner", "_hash")
 
     def __init__(self, rho: Interval, inner: Literal) -> None:
@@ -261,6 +271,23 @@ class _Unary(_Operator):
     def rebuild(self, inner: Literal) -> _Unary:
         return type(self)(self.rho, inner)
 
+    def truth(self, inner: IntervalSet) -> IntervalSet:
+        """The operator's truth set, given its operand's."""
+        if self.past:
+            return self._past_truth(inner, self.rho)
+        return self._past_truth(inner.reflect(), self.rho).reflect()
+
+    def reads(self, region: IntervalSet) -> IntervalSet:
+        """The operand points its truth on ``region`` depends on: each
+        piece's Minkowski sum with ``-rho`` for a past operator, with
+        ``rho`` for a future one. So ``truth(inner)`` and
+        ``truth(inner.intersect(reads(region)))`` agree on ``region``: the
+        window a box reads at a point of ``region`` is connected and lies
+        in ``reads``, so it fits in a piece of ``inner`` exactly when it
+        fits in a piece of the intersection."""
+        reach = self.rho.negate() if self.past else self.rho
+        return IntervalSet.from_iterable([p.minkowski(reach) for p in region])
+
 
 class _Binary(_Operator):
     __slots__ = ("left", "rho", "right", "_hash")
@@ -299,21 +326,29 @@ def _operand_text(lit: Literal) -> str:
 class BoxMinus(_Unary):
     __slots__ = ()
     keyword = "boxminus"
+    past = True
+    _past_truth = staticmethod(IntervalSet.box_minus)
 
 
 class BoxPlus(_Unary):
     __slots__ = ()
     keyword = "boxplus"
+    past = False
+    _past_truth = staticmethod(IntervalSet.box_minus)
 
 
 class DiamondMinus(_Unary):
     __slots__ = ()
     keyword = "diamondminus"
+    past = True
+    _past_truth = staticmethod(IntervalSet.diamond_minus)
 
 
 class DiamondPlus(_Unary):
     __slots__ = ()
     keyword = "diamondplus"
+    past = False
+    _past_truth = staticmethod(IntervalSet.diamond_minus)
 
 
 class Since(_Binary):

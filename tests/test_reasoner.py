@@ -33,6 +33,10 @@ from chronolog.reasoner import (
 )
 from chronolog.syntax import (
     Atom,
+    BoxMinus,
+    BoxPlus,
+    DiamondMinus,
+    DiamondPlus,
     Fact,
     ground,
     parse_database,
@@ -49,8 +53,8 @@ from generators import (
     _random_nonground_program,
     _random_ray_program,
 )
+from grid import _grid_model
 from test_acceptance import UNCOMPACTED_WORKED_EXAMPLE, oracle_span
-from test_syntax import _grid_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -84,6 +88,51 @@ class TestModel:
         m = model_of("A@[0,inf).\nB@[-3,5].")
         assert max_time_point(m) == 5
         assert max_time_point(Model()) == 0
+
+
+class TestFirstAndLastPiece:
+    """``reason``'s first point, its input check and ``max_time_point``
+    read each atom's first or last piece (``Model.first``,
+    ``Model.last``), not every endpoint."""
+
+    def test_first_matches_the_set(self):
+        rng = random.Random("first")
+        for _ in range(20):
+            pieces = _store_pieces(rng.randrange(1, 3 * _BLOCK), rng)
+            rng.shuffle(pieces)
+            model = Model.from_facts(Fact(Atom("A"), p) for p in pieces)
+            assert model.first(Atom("A")) == model.get(Atom("A")).pieces[0]
+        assert model.first(Atom("B")) is None
+
+    @pytest.mark.parametrize(
+        "db_text, expected",
+        [
+            ("A@(-inf,inf).", 0),
+            ("A@(-inf,inf).\nB@[3,inf).", 3),
+            ("A@(-inf,-4].", -4),
+            ("A@(-inf,-4].\nA@(-2,inf).\nB@[-9,-7).", -2),
+            ("A@[0,1].\nA@[5,8).\nB@[2,inf).", 8),
+        ],
+    )
+    def test_max_time_point_against_every_endpoint(self, db_text, expected):
+        db = model_of(db_text)
+        assert max_time_point(db) == max(db.finite_endpoints(), default=0) == expected
+
+    def test_reason_and_check_horizon_scan_no_endpoints(self, monkeypatch):
+        program = parse_program(WORKED_EXAMPLE)
+        db = model_of("B@[9,10).\nA@[0,1].\nA@[20,21].\nZ@[10000,10000].")
+        pm = reason(program, db)
+        horizon = check_horizon(pm, db)
+        assert horizon == 10000 + 3 * pm.period
+
+        def refuse(self):
+            raise AssertionError("reading one piece per atom must do")
+
+        monkeypatch.setattr(Model, "finite_endpoints", refuse)
+        assert reason(program, db) == pm
+        assert check_horizon(pm, db) == horizon
+        with pytest.raises(InputError, match=r"database fact A@\(-inf,3\] is unbounded below"):
+            reason(program, model_of("B@[0,1].\nA@(-inf,3].\nA@[5,6]."))
 
 
 def _insert_with_piece(ivs, iv):
@@ -369,16 +418,22 @@ def _join_family_database(n: int) -> Model:
     return parse_database(points + f"G@[1,1].\nH@[1,1].\nG@[{3 * n + 1},{3 * n + 1}].\n")
 
 
+# the join family with its join's second literal read through an operator
+OPERATOR_JOIN_FAMILY = JOIN_FAMILY.replace("A, B -> C", "A, diamondminus[0,0] B -> C")
+
+
 class TestJoinCost:
     """A recursive Horn join reads only the pieces its delta meets
-    (``Model.meet``), not the atom's whole set after every round."""
+    (``Model.meet``), not the atom's whole set after every round; the
+    oracle reads an operator literal only on what its truth there reads."""
 
     def test_pieces_built_grow_linearly(self, monkeypatch):
         """Count guard: the pieces that ``Model.get`` and ``Model.clip``
         return (each call builds them) per ``reason`` and per oracle call
-        on the join family at n and 2n grow by at most 2.2 times. Reading
-        the whole set of A or B once per round made them grow four
-        times."""
+        on the join family at n and 2n grow by at most 2.2 times, and per
+        oracle call on the family whose join reads ``diamondminus[0,0] B``
+        (not normal form, so the oracle's only). Reading the whole set of
+        A or B once per round made them grow four times."""
         get, clip = Model.get, Model.clip
         built = 0
 
@@ -397,7 +452,8 @@ class TestJoinCost:
         monkeypatch.setattr(Model, "get", counting_get)
         monkeypatch.setattr(Model, "clip", counting_clip)
         program = parse_program(JOIN_FAMILY)
-        counts = {"reason": [], "oracle": []}
+        operator_join = parse_program(OPERATOR_JOIN_FAMILY)
+        counts = {"reason": [], "oracle": [], "operator join": []}
         for n in (400, 800):
             db = _join_family_database(n)
             built = 0
@@ -406,7 +462,10 @@ class TestJoinCost:
             built = 0
             oracle = naive_fixpoint_bounded(program, db, 3 * n + 30)
             counts["oracle"].append(built)
-            assert pm.unroll(3 * n + 30) == oracle
+            built = 0
+            joined = naive_fixpoint_bounded(operator_join, db, 3 * n + 30)
+            counts["operator join"].append(built)
+            assert pm.unroll(3 * n + 30) == oracle == joined
             assert len(oracle.get(Atom("C"))) > n // 2
         for name, (small, large) in counts.items():
             assert large <= 2.2 * small, (name, counts)
@@ -514,6 +573,27 @@ class TestOracle:
             }
             assert {a: ks for a, ks in grid.items() if ks} == _grid_model(program, db), db_text
 
+    @pytest.mark.parametrize(
+        "generate", [_random_nested_program, _random_fp_program, _random_linear_diamond]
+    )
+    def test_original_programs_against_the_grid(self, generate):
+        """The oracle on programs as written, without the normal form, so
+        with nested literals and operator joins, against the least model
+        on the points k/2 of [0, 24] (``grid._grid_model``), which shares
+        no interval algebra with it; 400 programs, seed 7."""
+        rng = random.Random(7)
+        for _ in range(400):
+            text, db_text = generate(rng)
+            program, db = parse_program(text), model_of(db_text)
+            model = naive_fixpoint_bounded(program, db, 24)
+            grid = {
+                atom: {k for k in range(49) if ivs.contains(F(k, 2))}
+                for atom, ivs in model.items()
+            }
+            assert {a: ks for a, ks in grid.items() if ks} == _grid_model(program, db), (
+                text, db_text,
+            )
+
     def test_boxplus_head_against_its_normal_form(self):
         """A ``boxplus`` head forces its atom on the body's points shifted
         by the range, as the normal form's carrier and ``diamondminus``
@@ -547,6 +627,73 @@ class TestOracle:
             Interval.point(t) for t in range(301)
         )
         assert calls < 3 * 301
+
+
+def _random_unary(rng: random.Random, atoms: list[Atom], depth: int):
+    """A chain of ``depth`` unary operators, each of the four drawn, over
+    one of ``atoms``; ranges closed, open or ``[a,inf)``."""
+    lit = rng.choice(atoms)
+    for _ in range(depth):
+        a = rng.randrange(5)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rho = Interval(a, a + rng.randrange(5))
+        elif kind == 1:
+            rho = Interval(a, a + 1 + rng.randrange(4), True, True)
+        else:
+            rho = Interval.ray_from(a)
+        lit = rng.choice((BoxMinus, BoxPlus, DiamondMinus, DiamondPlus))(rho, lit)
+    return lit
+
+
+class TestRegionRead:
+    """``reasoner._read`` on a region reads each operand only on the points
+    the operator's truth there depends on (``_Unary.reads``), and gives
+    exactly the whole truth set clipped to the region."""
+
+    def test_region_read_is_the_whole_read_clipped(self, monkeypatch):
+        monkeypatch.setattr(reasoner, "_BLOCK", 8)
+        rng = random.Random("region-read")
+        atoms = [Atom("A"), Atom("B")]
+        end = 3 * 60
+        checked = {"empty": 0, "nonempty": 0}
+        for trial in range(300):
+            model = Model.from_facts(
+                Fact(atom, p) for atom in atoms if rng.random() < 0.85
+                for p in _store_pieces(60, rng)
+            )
+            assert all(len(model._blocks[atom]) > 2 for atom in model.atoms())
+            lit = _random_unary(rng, atoms, rng.randint(1, 3))
+            drawn = []
+            for _ in range(rng.randint(1, 4)):
+                lo = rng.randrange(-10, end)
+                kind = rng.random()
+                if kind < 0.1:
+                    drawn.append(Interval.up_to(lo, hi_open=rng.random() < 0.5))
+                elif kind < 0.2:
+                    drawn.append(Interval.ray_from(lo, lo_open=rng.random() < 0.5))
+                else:
+                    width = rng.choice((0, 1, 4, 20))
+                    closed = width == 0
+                    drawn.append(Interval(
+                        lo, lo + width,
+                        not closed and rng.random() < 0.5, not closed and rng.random() < 0.5,
+                    ))
+            region = IntervalSet.from_iterable(drawn)
+            whole = reasoner._read(lit, model)
+            read = reasoner._read(lit, model, region)
+            assert read == whole.intersect(region), (str(lit), str(region))
+            checked["empty" if read.is_empty else "nonempty"] += 1
+        assert checked["empty"] > 10 and checked["nonempty"] > 100, checked
+
+    def test_reflect_negates_every_point(self):
+        rng = random.Random("reflect")
+        for _ in range(50):
+            ivs = IntervalSet.from_iterable(_store_pieces(rng.randrange(8, 40), rng))
+            reflected = ivs.reflect()
+            assert reflected == IntervalSet.from_iterable(p.negate() for p in ivs)
+            assert reflected.reflect() == ivs
+        assert IntervalSet.empty().reflect() == IntervalSet.empty()
 
 
 def _names(group) -> list[str]:

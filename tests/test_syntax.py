@@ -58,6 +58,7 @@ from generators import (
     _random_nonground_program,
     _random_ray_program,
 )
+from grid import _grid_model
 
 
 def rho(text):
@@ -566,85 +567,6 @@ def _exhaustive_ground(program, database):
                 )
             )
     return Program(tuple(out), program.axioms)
-
-
-def _grid_model(program, database, last=24):
-    """The least model of a ground program at the points k/2 for
-    0 <= k <= 2 * last, every literal being false outside them: a map
-    from each atom that holds somewhere to the set of its k.
-
-    The program's operator ranges must be closed with integer ends and
-    the database's endpoints integers. Then every truth set is a union of
-    intervals with integer ends, constant on each open unit interval, so
-    the point k/2 with k odd stands for the whole of its unit interval
-    and the grid gives each literal's truth exactly (cut at 0 and
-    ``last``); a forward operator reads no point past ``last``. Unlike
-    both reasoners it evaluates ``since`` and ``until``:
-    at t, A since[a,b] B holds when B holds at some s with t - s in
-    [a,b] and A holds on the open interval (s, t)."""
-    points = range(2 * last + 1)
-    facts = [(f.atom, f.interval) for f in program.axioms]
-    facts += [(atom, piece) for atom, ivs in database.items() for piece in ivs]
-    truth = {}
-    for atom, piece in facts:
-        truth.setdefault(atom, set()).update(k for k in points if piece.contains(F(k, 2)))
-
-    def between(lhs, j, k):
-        # lhs holds on the open interval between the points j < k
-        return (
-            all(i in lhs for i in range(j + 1, k))
-            and (j % 2 == 0 or j in lhs)
-            and (k % 2 == 0 or k in lhs)
-        )
-
-    def holds(lit):
-        if isinstance(lit, Atom):
-            return truth.get(lit, set())
-        if isinstance(lit, Top):
-            return set(points)
-        steps = range(2 * lit.rho.lo, 2 * lit.rho.hi + 1)
-        if isinstance(lit, DiamondMinus):
-            inner = holds(lit.inner)
-            return {k for k in points if any(k - d in inner for d in steps)}
-        if isinstance(lit, BoxMinus):
-            inner = holds(lit.inner)
-            return {k for k in points if all(k - d in inner for d in steps)}
-        if isinstance(lit, DiamondPlus):
-            inner = holds(lit.inner)
-            return {k for k in points if any(k + d in inner for d in steps)}
-        if isinstance(lit, BoxPlus):
-            inner = holds(lit.inner)
-            return {k for k in points if all(k + d in inner for d in steps)}
-        left, right = holds(lit.left), holds(lit.right)
-        if isinstance(lit, Since):
-            return {
-                k for k in points
-                if any(k - d in right and (d == 0 or between(left, k - d, k)) for d in steps)
-            }
-        return {
-            k for k in points
-            if any(k + d in right and (d == 0 or between(left, k, k + d)) for d in steps)
-        }
-
-    changed = True
-    while changed:
-        changed = False
-        for rule in program.rules:
-            body = set(points)
-            for lit in rule.body:
-                body &= holds(lit)
-            known = truth.setdefault(rule.head, set())
-            if not body <= known:
-                known |= body
-                changed = True
-    return {atom: ks for atom, ks in truth.items() if ks}
-
-
-def test_grid_model_evaluates_since_and_until():
-    p = parse_program("A since[1,2] B -> C .\nA until[0,1] B -> D .")
-    m = _grid_model(p, parse_database("B@[3,3].\nA@[3,5].\nB@[8,8]."), last=10)
-    assert m[Atom("C")] == {8, 9, 10}  # [4,5]: B at 3, A on (3,t)
-    assert m[Atom("D")] == {6, 16}  # 3 and 8: only s = t, no A after
 
 
 def test_forward_propagating_flag():

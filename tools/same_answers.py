@@ -9,9 +9,11 @@ once, from the working tree:
 * ``N`` programs (default 1500) of each generator in
   ``tests/generators.py``, seed 7, each with a few drawn entailment
   queries. The rows of a program are ``PeriodicModel.to_dict()``,
-  ``check_horizon``, the oracle's rows through that horizon and the
-  verdict of each query, or, from the first step that raises, the
-  exception's type and text.
+  ``check_horizon``, the oracle's rows through that horizon, the verdict
+  of each query and the oracle's rows through the same horizon on the
+  program as written (grounded, without the normal form, so with its
+  nested literals and operator joins), or, from the first step that
+  raises, the exception's type and text.
 * ``cli.main`` on the fixture pairs in ``tests/fixtures``: ``classify``
   with and without the database, ``reason``, ``check``, ``oracle
   --horizon 40`` and drawn queries, in human and JSON format. The rows
@@ -166,6 +168,10 @@ def answer(item: Input) -> list[str]:
         oracle = reasoner.naive_fixpoint_bounded(program, database, horizon)
         rows += [json.dumps(row, sort_keys=True) for row in oracle.rows()]
         rows += [f"{q} {pm.entails(syntax.parse_fact(q))}" for q in queries]
+        # the program as written: nested literals and operator joins
+        original = syntax.ground(syntax.parse_program(text), database)
+        oracle = reasoner.naive_fixpoint_bounded(original, database, horizon)
+        rows += [json.dumps(row, sort_keys=True) for row in oracle.rows()]
     except Exception as exc:  # the exception is the answer, compared like any row
         rows.append(f"{type(exc).__name__}: {exc}")
     return rows
