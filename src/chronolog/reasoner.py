@@ -6,9 +6,10 @@ Two independent evaluation routes are kept apart on purpose:
 * ``naive_fixpoint_bounded`` is the ground truth -- a straight fixpoint
   of the immediate consequence operator on a ground program, clipped to
   a window, in one semi-naive loop: each round re-evaluates only the
-  rules that read an atom whose pieces changed in the round before. It
-  reads every body literal through one reader, ``_read``, each literal
-  only where the rule's truth so far lies.
+  literals that read an atom whose pieces changed in the round before,
+  each only where that change reaches (``_changed``), and reads every
+  other body literal through one reader, ``_read``, only where the
+  rule's truth so far lies.
 * ``reason`` derives per SCC group, forward in chunks, and stops once
   the group's state repeats, past every aperiodic input: the facts of
   the group atoms its rules read, on a slab as wide as those rules look
@@ -18,8 +19,9 @@ Two independent evaluation routes are kept apart on purpose:
   repetition patterns (or rays for facts that fill the whole period).
 
 Neither route spells out what an operator means: each unary operator's
-class states its own truth (``truth``) and the operand points that truth
-on a region reads (``reads``), and both routes call them.
+class states its own truth (``truth``), the operand points that truth on
+a region reads (``reads``) and the points an operand region can change
+(``affects``), and both routes call them.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .syntax import (
     _Unary,
     _Value,
     is_forward_propagating,
+    literal_atoms,
 )
 
 DEFAULT_WINDOW_CAP = 10_000
@@ -349,11 +352,26 @@ def _head_facts(head: Literal, truth: IntervalSet) -> list[tuple[Atom, Interval]
     raise InputError(f"the oracle cannot apply head {head}")
 
 
-def _linear_atom(lit: Literal) -> Atom | None:
-    """The atom a body literal reads through at most one unary operator."""
-    if isinstance(lit, _Unary):
-        lit = lit.inner
-    return lit if isinstance(lit, Atom) else None
+def _changed(lit: Literal, source: Model, model: Model) -> IntervalSet:
+    """Truth set of a job's literal wherever its source can have made it
+    new: all of it when the source is the model.
+
+    An atom, or an operator over an atom, is read off the source, one
+    atom's changed pieces: a changed piece is a whole piece of the model
+    when it is added, so a box sees it entire and a diamond distributes
+    over pieces. An operator over an operator is read off the model, once,
+    on the points the changed pieces reach through each operator of the
+    chain (``affects``); those Minkowski sums commute, so they are applied
+    walking down the chain, one step per operator.
+    """
+    if source is model or not isinstance(lit, _Unary) or not isinstance(lit.inner, _Unary):
+        return _read(lit, source)
+    ((_, region),) = source.items()
+    op: Literal = lit
+    while isinstance(op, _Unary):
+        region = op.affects(region)
+        op = op.inner
+    return _read(lit, model, region)
 
 
 def naive_fixpoint_bounded(
@@ -366,20 +384,17 @@ def naive_fixpoint_bounded(
     """Least fixpoint of a ground program with every derived interval
     clipped to the window ``(-inf, horizon]``.
 
-    One semi-naive loop of jobs. A job reads one body literal off its
-    source, and every other literal off the model only where the truth so
-    far lies (``_read`` with that truth as the region); the head then
-    forces its facts on what is left (``_head_facts``). The first round
-    runs every rule with the model as the source; each later round runs
-    only the rules that read an atom whose pieces changed in the round
-    before. A linear rule (each body literal reads one atom through at
-    most one unary operator) runs once per literal reading such an atom,
-    with that atom's changed pieces as the source, a one-atom ``Model``.
-    This is exact: a changed piece is a whole piece of the model when it
-    is added, so a box sees it entire, a diamond distributes over pieces,
-    and a piece that grows later is changed again. Any other rule (a
-    nested literal, top, bottom) still runs whole every round one of its
-    atoms changed: its first literal is read off the whole model.
+    One semi-naive loop of jobs of one kind: a rule, a body position and
+    a source. A job reads the literal at its position with ``_changed``,
+    where its source can have made it new, and every other literal off
+    the model only where the truth so far lies (``_read`` with that truth
+    as the region); the head then forces its facts on what is left
+    (``_head_facts``). The first round runs every rule with the model as
+    the source; each later round runs each literal that reads an atom
+    whose pieces changed in the round before, with that atom's changed
+    pieces as the source, a one-atom ``Model``. This is exact: the truth
+    of a literal can change only where ``_changed`` reads it, and a piece
+    that grows later is changed again.
 
     With no horizon the fixpoint must be naturally finite (harmless
     programs); the step cap, which counts the model's pieces at the start
@@ -396,22 +411,16 @@ def naive_fixpoint_bounded(
     if window is not None:
         model = model.restrict(window)
 
-    # for each atom, the linear rules reading it (with the literal's
-    # position) and the rules evaluated whole that read it
-    linear: dict[Atom, list[tuple[Rule, int]]] = {}
-    whole: dict[Atom, list[Rule]] = {}
+    # for each atom, the rules that read it, with the literal's position
+    readers: dict[Atom, list[tuple[Rule, int]]] = {}
     for rule in program.rules:
-        read = [_linear_atom(lit) for lit in rule.body]
-        if None in read:
-            for atom in rule.body_atoms:
-                whole.setdefault(atom, []).append(rule)
-        else:
-            for position, atom in enumerate(read):
-                linear.setdefault(atom, []).append((rule, position))
+        for position, lit in enumerate(rule.body):
+            for atom in literal_atoms(lit):
+                readers.setdefault(atom, []).append((rule, position))
 
-    # a job reads its rule's literal at ``position`` off its source (the
-    # model, or one atom's changed pieces) and every other literal off the
-    # model, where the truth so far lies
+    # a job reads its rule's literal at ``position`` where its source (the
+    # model, or one atom's changed pieces) can have made it new, and every
+    # other literal off the model, where the truth so far lies
     steps = sum(len(ivs) for _, ivs in model.items())
     jobs: list[tuple[Rule, int, Model]] = [(rule, 0, model) for rule in program.rules]
     while jobs:
@@ -419,7 +428,7 @@ def naive_fixpoint_bounded(
             raise StepCapExceeded(f"oracle exceeded {step_cap} steps")
         changed: dict[Atom, list[Interval]] = {}
         for rule, position, source in jobs:
-            truth = _read(rule.body[position], source)
+            truth = _changed(rule.body[position], source, model)
             for other, lit in enumerate(rule.body):
                 if truth.is_empty:
                     break
@@ -434,13 +443,10 @@ def naive_fixpoint_bounded(
                 if merged is not None:
                     changed.setdefault(atom, []).append(merged)
         jobs = []
-        again: dict[Rule, None] = {}
         for atom, pieces in changed.items():
             steps += len(pieces)
             source = Model({atom: IntervalSet.from_iterable(pieces)})
-            jobs.extend((rule, position, source) for rule, position in linear.get(atom, ()))
-            again.update(dict.fromkeys(whole.get(atom, ())))
-        jobs.extend((rule, 0, model) for rule in again)
+            jobs.extend((rule, position, source) for rule, position in readers.get(atom, ()))
     return model
 
 

@@ -15,8 +15,9 @@ Concrete grammar (one statement per ``.``; ``%`` starts a comment):
 Each temporal operator is defined once, by its class below, which states
 its keyword, and ``OPERATORS`` maps each keyword to its class. A unary
 operator's class also states its meaning for both reasoners: ``truth``
-maps its operand's truth set to its own, and ``reads`` gives the operand
-points its truth on a region depends on. UNARY is
+maps its operand's truth set to its own, ``reads`` gives the operand
+points its truth on a region depends on, and ``affects``, its mirror, the
+points whose truth an operand region can change. UNARY is
 `boxminus`, `boxplus`, `diamondminus` or `diamondplus`; BOX is `boxminus`
 or `boxplus`; BINARY is `since` or `until`.
 
@@ -286,6 +287,14 @@ class _Unary(_Operator):
         in ``reads``, so it fits in a piece of ``inner`` exactly when it
         fits in a piece of the intersection."""
         reach = self.rho.negate() if self.past else self.rho
+        return IntervalSet.from_iterable([p.minkowski(reach) for p in region])
+
+    def affects(self, region: IntervalSet) -> IntervalSet:
+        """The mirror of ``reads``: the points whose truth reads an operand
+        point of ``region``, each piece's Minkowski sum with ``rho`` for a
+        past operator, with ``-rho`` for a future one. A point ``p`` lies
+        in it exactly when ``reads({p})`` meets ``region``."""
+        reach = self.rho if self.past else self.rho.negate()
         return IntervalSet.from_iterable([p.minkowski(reach) for p in region])
 
 

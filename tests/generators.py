@@ -58,21 +58,35 @@ def _random_linear_diamond(rng: random.Random) -> tuple[str, str]:
     return "\n".join(lines), "\n".join(facts) or f"{edbs[0]}@[0,1]."
 
 
-def _random_nested_program(rng):
+def _random_nested_program(rng, rich=False):
+    """Rules over ``N0``-``N2`` whose body literals nest diamondminus and
+    boxminus up to depth 2, with closed integer ranges. ``rich`` nests up
+    to depth 3 and also draws ranges with open ends and ``[a,inf)``; the
+    operators stay past ones, so ``reason`` takes the normal form."""
     preds = ["N0", "N1", "N2"]
+
+    def rho():
+        a = rng.randint(0, 6)
+        kind = rng.random() if rich else 0.0
+        if kind < 0.5:
+            return f"[{a},{rng.randint(a, 8)}]"
+        if kind < 0.7:
+            return f"[{a},inf)"
+        return f"{rng.choice('[(')}{a},{rng.randint(a + 1, 8)}{rng.choice('])')}"
 
     def literal(depth):
         if depth == 0 or rng.random() < 0.35:
             return rng.choice(preds)
-        a = rng.randint(0, 6)
-        b = rng.randint(a, 8)
+        rho_text = rho()  # before the operator, so the default draws keep their order
         op = rng.choice(["diamondminus", "diamondminus", "boxminus"])
-        return f"{op}[{a},{b}] {literal(depth - 1)}"
+        return f"{op}{rho_text} {literal(depth - 1)}"
 
     lines = []
     for _ in range(rng.randint(1, 4)):
         head = rng.choice(preds)
-        body = ", ".join(literal(rng.randint(1, 2)) for _ in range(rng.randint(1, 2)))
+        body = ", ".join(
+            literal(rng.randint(1, 3 if rich else 2)) for _ in range(rng.randint(1, 2))
+        )
         lines.append(f"{body} -> {head} .")
     facts = []
     for _ in range(rng.randint(1, 3)):

@@ -32,6 +32,7 @@ from chronolog.reasoner import (
     reason,
 )
 from chronolog.syntax import (
+    AUX_PREFIX,
     Atom,
     BoxMinus,
     BoxPlus,
@@ -420,20 +421,25 @@ def _join_family_database(n: int) -> Model:
 
 # the join family with its join's second literal read through an operator
 OPERATOR_JOIN_FAMILY = JOIN_FAMILY.replace("A, B -> C", "A, diamondminus[0,0] B -> C")
+# and with a rule reading C through two operators
+NESTED_JOIN_FAMILY = OPERATOR_JOIN_FAMILY + "\ndiamondminus[1,1] diamondminus[0,0] C -> D ."
 
 
 class TestJoinCost:
     """A recursive Horn join reads only the pieces its delta meets
     (``Model.meet``), not the atom's whole set after every round; the
-    oracle reads an operator literal only on what its truth there reads."""
+    oracle reads an operator literal only on what its truth there reads,
+    and a nested literal only where its changed pieces reach."""
 
     def test_pieces_built_grow_linearly(self, monkeypatch):
         """Count guard: the pieces that ``Model.get`` and ``Model.clip``
         return (each call builds them) per ``reason`` and per oracle call
         on the join family at n and 2n grow by at most 2.2 times, and per
         oracle call on the family whose join reads ``diamondminus[0,0] B``
-        (not normal form, so the oracle's only). Reading the whole set of
-        A or B once per round made them grow four times."""
+        and on that family with a rule reading ``C`` through two operators
+        (neither normal form, so the oracle's only). Reading the whole set
+        of A or B, or a nested literal's whole truth, once per round made
+        them grow four times."""
         get, clip = Model.get, Model.clip
         built = 0
 
@@ -453,7 +459,8 @@ class TestJoinCost:
         monkeypatch.setattr(Model, "clip", counting_clip)
         program = parse_program(JOIN_FAMILY)
         operator_join = parse_program(OPERATOR_JOIN_FAMILY)
-        counts = {"reason": [], "oracle": [], "operator join": []}
+        nested_join = parse_program(NESTED_JOIN_FAMILY)
+        counts = {"reason": [], "oracle": [], "operator join": [], "nested join": []}
         for n in (400, 800):
             db = _join_family_database(n)
             built = 0
@@ -465,7 +472,12 @@ class TestJoinCost:
             built = 0
             joined = naive_fixpoint_bounded(operator_join, db, 3 * n + 30)
             counts["operator join"].append(built)
+            built = 0
+            nested = naive_fixpoint_bounded(nested_join, db, 3 * n + 30)
+            counts["nested join"].append(built)
             assert pm.unroll(3 * n + 30) == oracle == joined
+            assert all(nested.get(atom) == ivs for atom, ivs in oracle.items())
+            assert len(nested.get(Atom("D"))) == 2 * n + 20
             assert len(oracle.get(Atom("C"))) > n // 2
         for name, (small, large) in counts.items():
             assert large <= 2.2 * small, (name, counts)
@@ -548,7 +560,7 @@ class TestOracle:
         "text",
         [
             "diamondminus[1,1] A -> A .",  # a linear rule
-            "diamondminus[1,1] diamondminus[0,0] A -> A .",  # a rule evaluated whole
+            "diamondminus[1,1] diamondminus[0,0] A -> A .",  # a nested rule
         ],
     )
     def test_step_cap_stops_a_runaway_derivation(self, text):
@@ -685,6 +697,71 @@ class TestRegionRead:
             assert read == whole.intersect(region), (str(lit), str(region))
             checked["empty" if read.is_empty else "nonempty"] += 1
         assert checked["empty"] > 10 and checked["nonempty"] > 100, checked
+
+    def test_changed_read_holds_every_new_point(self, monkeypatch):
+        """``reasoner._changed`` with one atom's merged pieces as the source
+        lies inside the literal's truth after the change, and holds every
+        point k/3 that the change made true."""
+        monkeypatch.setattr(reasoner, "_BLOCK", 8)
+        rng = random.Random("changed-read")
+        atoms = [Atom("A"), Atom("B")]
+        n = 30
+        grid = [F(k, 3) for k in range(-3 * 30, 3 * (3 * n + 30))]
+        grown = 0
+        for trial in range(300):
+            model = Model.from_facts(
+                Fact(atom, p) for atom in atoms if rng.random() < 0.85
+                for p in _store_pieces(n, rng)
+            )
+            lit = _random_unary(rng, atoms, rng.randint(1, 3))
+            atom = lit
+            while not isinstance(atom, Atom):
+                atom = atom.inner
+            before = reasoner._read(lit, model)
+            merged = []
+            for _ in range(rng.randint(1, 4)):
+                lo = rng.randrange(-10, 3 * n)
+                width = rng.choice((0, 1, 2, 5, 12))
+                closed = width == 0
+                piece = model.add(atom, Interval(
+                    lo, lo + width,
+                    not closed and rng.random() < 0.5, not closed and rng.random() < 0.5,
+                ))
+                if piece is not None:
+                    merged.append(piece)
+            if not merged:
+                continue
+            source = Model({atom: IntervalSet.from_iterable(merged)})
+            changed = reasoner._changed(lit, source, model)
+            after = reasoner._read(lit, model)
+            assert changed.intersect(after) == changed, (str(lit), str(changed))
+            new = [t for t in grid if after.contains(t) and not before.contains(t)]
+            assert all(changed.contains(t) for t in new), (str(lit), str(changed))
+            grown += bool(new)
+        assert grown > 80, grown
+
+    def test_affects_mirrors_reads(self):
+        """A point ``p`` lies in ``affects(R)`` exactly when ``reads({p})``
+        meets ``R``, on the points k/3 around ``R``."""
+        rng = random.Random("affects")
+        atom = Atom("A")
+        for _ in range(200):
+            op = _random_unary(rng, [atom], 1)
+            pieces = []
+            for _ in range(rng.randint(1, 3)):
+                lo = rng.randrange(-6, 20)
+                width = rng.choice((0, 1, 3))
+                closed = width == 0
+                pieces.append(Interval(
+                    lo, lo + width,
+                    not closed and rng.random() < 0.5, not closed and rng.random() < 0.5,
+                ))
+            region = IntervalSet.from_iterable(pieces)
+            affected = op.affects(region)
+            for k in range(-3 * 40, 3 * 40):
+                point = IntervalSet.of(Interval.point(F(k, 3)))
+                meets = not op.reads(point).intersect(region).is_empty
+                assert affected.contains(F(k, 3)) == meets, (str(op), str(region), k)
 
     def test_reflect_negates_every_point(self):
         rng = random.Random("reflect")
@@ -2011,6 +2088,31 @@ class TestFullPipeline:
                 text,
                 db_text,
             )
+
+    def test_rich_nested_programs_three_ways(self):
+        """On 300 rich nested programs (depth up to 3, open ends and
+        ``[a,inf)`` ranges; seed 7), ``reason`` unrolled, the oracle on the
+        normal form and the oracle on the program as written agree through
+        ``check_horizon`` on the original predicates."""
+        rng = random.Random(7)
+
+        def original_predicates(model):
+            return Model(
+                {a: ivs for a, ivs in model.items() if not a.predicate.startswith(AUX_PREFIX)}
+            )
+
+        for _ in range(300):
+            text, db_text = _random_nested_program(rng, rich=True)
+            original = parse_program(text)
+            db = parse_database(db_text)
+            normal = to_normal_form(original)
+            pm = reason(normal, db)
+            horizon = check_horizon(pm, db)
+            unrolled = original_predicates(pm.unroll(horizon))
+            assert unrolled == original_predicates(naive_fixpoint_bounded(normal, db, horizon)), (
+                text, db_text,
+            )
+            assert unrolled == naive_fixpoint_bounded(original, db, horizon), (text, db_text)
 
 
 class TestRepresentationInvariant:

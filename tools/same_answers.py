@@ -49,6 +49,7 @@ GENERATORS = (
     "_random_fp_program",
     "_random_linear_diamond",
     "_random_nested_program",
+    "_random_nested_program(rich)",
     "_random_ray_program",
     "_random_acyclic_program",
     "_random_nonground_program",
