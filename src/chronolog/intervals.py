@@ -32,7 +32,11 @@ them when one is asked for.
 (the terms, literals, facts and rules of ``syntax``, the edges and
 cycles of ``analysis``, the patterns of ``reasoner``), are values,
 immutable by contract: no code assigns to one after construction, and
-nothing guards against it at run time. Each is a plain ``__slots__``
+nothing guards against it at run time. So values are shared, never
+copied: an operation whose result equals one of its operands may return
+that operand itself (``Interval.intersect`` and ``hull`` do, and the set
+operations pass pieces through), and callers compare results with
+``==``, never with ``is``. Each is a plain ``__slots__``
 class with a hand-written ``__init__``, not a frozen dataclass. It
 equals only a value of its own class with equal fields and hashes as the
 tuple of its fields (an operator's keyword first). ``Interval``,
@@ -54,6 +58,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from operator import attrgetter
 
 RationalLike = int | Fraction | float | str
 Time = int | Fraction | float  # a float only for -inf and inf
@@ -188,33 +193,44 @@ class Interval:
         return lo_ok and hi_ok
 
     def intersect(self, other: Interval) -> Interval | None:
+        # the result takes the later lower end and the earlier upper end;
+        # an operand that gives both (either one, at a tie) is the result
         if self.lo > other.lo:
-            lo, lo_open = self.lo, self.lo_open
+            lo_self, lo_other = True, False
         elif self.lo < other.lo:
-            lo, lo_open = other.lo, other.lo_open
-        else:
-            lo, lo_open = self.lo, self.lo_open or other.lo_open
+            lo_self, lo_other = False, True
+        else:  # an open lower end lies later than a closed one
+            lo_self, lo_other = self.lo_open >= other.lo_open, other.lo_open >= self.lo_open
         if self.hi < other.hi:
-            hi, hi_open = self.hi, self.hi_open
+            hi_self, hi_other = True, False
         elif self.hi > other.hi:
-            hi, hi_open = other.hi, other.hi_open
+            hi_self, hi_other = False, True
         else:
-            hi, hi_open = self.hi, self.hi_open or other.hi_open
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
+            hi_self, hi_other = self.hi_open >= other.hi_open, other.hi_open >= self.hi_open
+        if lo_self and hi_self:
+            return self
+        if lo_other and hi_other:
+            return other
+        low, high = (self, other) if lo_self else (other, self)
+        lo, hi = low.lo, high.hi
+        if lo > hi or (lo == hi and (low.lo_open or high.hi_open)):
             return None
-        return Interval(lo, hi, lo_open, hi_open)
+        return Interval(lo, hi, low.lo_open, high.hi_open)
 
     def shift(self, d: Time) -> Interval:
-        return Interval(plus(self.lo, d), plus(self.hi, d), self.lo_open, self.hi_open)
+        try:
+            lo, hi = self.lo + d, self.hi + d
+        except OverflowError:  # see ``plus``
+            lo, hi = plus(self.lo, d), plus(self.hi, d)
+        return Interval(lo, hi, self.lo_open, self.hi_open)
 
     def minkowski(self, other: Interval) -> Interval:
         """Endpoint-wise sum; an endpoint is closed iff both summands are."""
-        return Interval(
-            plus(self.lo, other.lo),
-            plus(self.hi, other.hi),
-            self.lo_open or other.lo_open,
-            self.hi_open or other.hi_open,
-        )
+        try:
+            lo, hi = self.lo + other.lo, self.hi + other.hi
+        except OverflowError:  # see ``plus``
+            lo, hi = plus(self.lo, other.lo), plus(self.hi, other.hi)
+        return Interval(lo, hi, self.lo_open or other.lo_open, self.hi_open or other.hi_open)
 
     def negate(self) -> Interval:
         return Interval(-self.hi, -self.lo, self.hi_open, self.lo_open)
@@ -229,17 +245,26 @@ class Interval:
         return False
 
     def hull(self, other: Interval) -> Interval:
-        if (self.lo, self.lo_open) <= (other.lo, other.lo_open):
-            lo, lo_open = self.lo, self.lo_open
-        else:
-            lo, lo_open = other.lo, other.lo_open
+        # the result takes the earlier lower end and the later upper end;
+        # an operand that gives both (either one, at a tie) is the result
+        if self.lo < other.lo:
+            lo_self, lo_other = True, False
+        elif self.lo > other.lo:
+            lo_self, lo_other = False, True
+        else:  # a closed lower end lies earlier than an open one
+            lo_self, lo_other = self.lo_open <= other.lo_open, other.lo_open <= self.lo_open
         if self.hi > other.hi:
-            hi, hi_open = self.hi, self.hi_open
+            hi_self, hi_other = True, False
         elif self.hi < other.hi:
-            hi, hi_open = other.hi, other.hi_open
+            hi_self, hi_other = False, True
         else:
-            hi, hi_open = self.hi, self.hi_open and other.hi_open
-        return Interval(lo, hi, lo_open, hi_open)
+            hi_self, hi_other = self.hi_open <= other.hi_open, other.hi_open <= self.hi_open
+        if lo_self and hi_self:
+            return self
+        if lo_other and hi_other:
+            return other
+        low, high = (self, other) if lo_self else (other, self)
+        return Interval(low.lo, high.hi, low.lo_open, high.hi_open)
 
     def __str__(self) -> str:
         return _render(self.lo, self.hi, self.lo_open, self.hi_open)
@@ -255,12 +280,11 @@ def _render(lo: Time, hi: Time, lo_open: bool, hi_open: bool) -> str:
     return f"{'(' if lo_open else '['}{lo},{hi}{')' if hi_open else ']'}"
 
 
-def _lo_of(piece: Interval) -> Time:
-    return piece.lo
-
-
-def _hi_of(piece: Interval) -> Time:
-    return piece.hi
+# the bisection and sort keys, read in C: a piece's lower end, its upper
+# end, and ``Interval.sort_key``
+_lo_of = attrgetter("lo")
+_hi_of = attrgetter("hi")
+_sort_key = attrgetter("lo", "lo_open", "hi", "hi_open")
 
 
 def check_operator_range(rho: Interval) -> None:
@@ -358,7 +382,7 @@ class IntervalSet:
 
     @classmethod
     def from_iterable(cls, intervals: Iterable[Interval]) -> IntervalSet:
-        return cls(_merge(sorted(intervals, key=Interval.sort_key)))
+        return cls(_merge(sorted(intervals, key=_sort_key)))
 
     @property
     def is_empty(self) -> bool:

@@ -30,7 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 
 from .analysis import DEFAULT_CYCLE_CAP, _edge_labels, _sccs
 from .errors import InputError, NotForwardPropagating, StepCapExceeded, WindowCapExceeded
@@ -102,9 +102,11 @@ class Model:
     The readers on the reasoning path read the blocks instead, at a cost
     that follows what they ask for, not the atom's whole set: ``clip`` and
     ``meet`` read the blocks that meet a window or a set's pieces,
-    ``covers`` and ``last`` one block. Blocks are never shared between two
-    models. Atoms whose set would be empty are absent, and two models are
-    equal when they hold the same sets, however their blocks split them.
+    ``covers`` and ``last`` one block, ``descending`` the blocks its
+    caller walks down through, and ``cut`` the blocks it cuts. Blocks are
+    never shared between two models. Atoms whose set would be empty are
+    absent, and two models are equal when they hold the same sets, however
+    their blocks split them.
     """
 
     __slots__ = ("_blocks",)
@@ -223,6 +225,45 @@ class Model:
         ``ivs`` in turn. The pieces are separated, so their clips are too,
         and the result is canonical without a merge."""
         return IntervalSet(tuple(chain.from_iterable(self.clip(atom, p).pieces for p in ivs)))
+
+    def descending(self, atom: Atom, window: Interval) -> Iterator[Interval]:
+        """The pieces of ``clip(atom, window)`` from the top down, read off
+        the blocks as the walk goes: one that stops after a few pieces
+        reads one or two blocks, not the atom's whole set."""
+        blocks = self._blocks.get(atom, ())
+        lo, hi = window.lo, window.hi
+        for b in range(bisect_right(blocks, hi, key=_first_lo) - 1, -1, -1):
+            block = blocks[b]
+            for k in range(bisect_right(block, hi, key=_lo_of) - 1, -1, -1):
+                piece = block[k]
+                if piece.hi < lo:
+                    return
+                if piece.lo <= lo or piece.hi >= hi:  # it may stick out
+                    piece = piece.intersect(window)
+                    if piece is None:
+                        continue
+                yield piece
+
+    def cut(self, atom: Atom, at: Time) -> None:
+        """Drop the atom's facts from ``at`` on: ``put(atom, clip(atom,
+        (-inf, at)))``, but only the blocks that reach ``at`` are read, and
+        none when no piece does."""
+        blocks = self._blocks.get(atom)
+        if blocks is None:
+            return
+        b = bisect_left(blocks, at, key=_last_hi)
+        if b == len(blocks):
+            return
+        block = blocks[b]
+        k = bisect_left(block, at, key=_hi_of)
+        piece = block[k].intersect(Interval(NEG_INF, at, True, True))
+        del blocks[b + 1:], block[k:]
+        if piece is not None:
+            block.append(piece)
+        if not block:
+            del blocks[b]
+            if not blocks:
+                del self._blocks[atom]
 
     def first(self, atom: Atom) -> Interval | None:
         """The atom's first piece, or None for an absent atom."""
@@ -985,7 +1026,8 @@ def reason(
     forward in chunks and finds its period from a repeated state. The
     state and the frozen period both read the group's facts on a
     half-open window shifted to the origin, through one helper
-    (``_slab``); the compaction reads each atom's pieces (``Model.clip``);
+    (``_slab``); the compaction reads each atom's pieces from the top
+    (``Model.descending``);
     earlier groups are read through ``_coverage``, over each chunk and its
     lookback (see ``_derive_group``):
 
@@ -1096,7 +1138,8 @@ def reason(
       ``lowest`` when none differs. The walk stops at the first pair that
       differs, so when nothing compacts it compares one pair per atom.
       ``b`` lies before ``t + q``; the group derives on to ``b + q`` if
-      the chunks stop short, its facts are clipped before ``b``, and
+      the chunks stop short, its facts are cut at ``b`` (``Model.cut``,
+      which reads only the blocks that reach ``b``), and
       ``[b, b + q)`` becomes rays and patterns (``freeze``). ``b`` is the
       group's horizon: its rays start and its other facts end by ``b``,
       and its patterns' first occurrences end by ``b + q``, so a later
@@ -1177,22 +1220,18 @@ def reason(
         above = Interval(lowest + period, position, False, True)
         begin = lowest
         for atom in atoms:
-            a, b = facts.clip(atom, below).pieces, facts.clip(atom, above).pieces
-            i, j = len(a), len(b)
-            while i and j and a[i - 1].shift(period) == b[j - 1]:
-                i, j = i - 1, j - 1
-            if i or j:
-                point, differs = _last_difference(
-                    a[i - 1] if i else None, b[j - 1].shift(-period) if j else None
-                )
-                past = (point // period + 1) * period if differs else -(-point // period) * period
-                begin = max(begin, past)
+            pairs = zip_longest(facts.descending(atom, below), facts.descending(atom, above))
+            for x, y in pairs:
+                if x is None or y is None or x.shift(period) != y:
+                    point, differs = _last_difference(x, y and y.shift(-period))
+                    past = (point // period + 1) * period if differs else -(-point // period) * period
+                    begin = max(begin, past)
+                    break
         if derived < begin + period:
             derive(derived, begin + period)
         group_rays, group_patterns = freeze(facts, atoms, begin, period)
-        cutoff = Interval(NEG_INF, begin, True, True)
         for atom in atoms:
-            facts.put(atom, facts.clip(atom, cutoff))
+            facts.cut(atom, begin)
         for ray in group_rays:
             facts.add(ray.atom, ray.interval)
         for pat in group_patterns:

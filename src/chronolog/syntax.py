@@ -169,7 +169,12 @@ class Bottom(_Nullary):
 class Atom(Literal):
     """A predicate over terms. It hashes once, at construction, to
     ``hash((predicate, terms))``: the reasoner looks atoms up on every
-    step, and that value keeps sets and dicts of atoms in a fixed order."""
+    step, and that value keeps sets and dicts of atoms in a fixed order.
+
+    Equality stays structural, but equal atoms of one parse (one call of
+    ``parse_program`` or ``parse_database``) are one object, and so are
+    equal atoms of one ``ground`` call: a dict or set lookup between
+    them stops at identity and never reaches ``__eq__``."""
 
     __slots__ = ("predicate", "terms", "_hash")
 
@@ -566,6 +571,8 @@ class _Parser:
         self.text = text
         self.tokens, self.units = _tokenize(text)
         self.pos = 0
+        # one Atom per distinct atom of the text, keyed by predicate and terms
+        self.atoms: dict[tuple[str, tuple[Term, ...]], Atom] = {}
         self.seen_unit = False
         self.seen_bare = False
 
@@ -666,17 +673,21 @@ class _Parser:
     def parse_atom(self) -> Atom:
         name = self.parse_ident()
         tokens = self.tokens
-        if tokens[self.pos] != "(":
-            return Atom(name)
-        self.pos += 1
-        terms = [self.parse_term()]
-        while tokens[self.pos] == ",":
+        terms: tuple[Term, ...] = ()
+        if tokens[self.pos] == "(":
             self.pos += 1
-            terms.append(self.parse_term())
-        if tokens[self.pos] != ")":
-            raise self.expected(")")
-        self.pos += 1
-        return Atom(name, tuple(terms))
+            parsed = [self.parse_term()]
+            while tokens[self.pos] == ",":
+                self.pos += 1
+                parsed.append(self.parse_term())
+            if tokens[self.pos] != ")":
+                raise self.expected(")")
+            self.pos += 1
+            terms = tuple(parsed)
+        atom = self.atoms.get((name, terms))
+        if atom is None:
+            atom = self.atoms[name, terms] = Atom(name, terms)
+        return atom
 
     def parse_unary(self, *, nested: bool = False) -> Literal:
         text = self.tokens[self.pos]
@@ -962,17 +973,21 @@ def to_normal_form(program: Program) -> Program:
 # Grounding
 # ---------------------------------------------------------------------------
 
-def _substitute_term(term: Term, binding: dict[str, str]) -> Term:
-    if isinstance(term, Variable):
-        return Constant(binding[term.name])
-    return term
-
-
-def _substitute(lit: Literal, binding: dict[str, str]) -> Literal:
+def _substitute(
+    lit: Literal, binding: dict[str, str], atoms: dict[tuple[str, tuple[str, ...]], Atom]
+) -> Literal:
+    """``lit`` with each variable replaced by the constant ``binding``
+    gives it. Each ground atom is taken from ``atoms``, keyed by its
+    predicate and constant names, or made and put there, so the atoms
+    of one ``atoms`` dict are one object each."""
     if isinstance(lit, Atom):
-        return Atom(lit.predicate, tuple(_substitute_term(t, binding) for t in lit.terms))
+        names = tuple(t.name if isinstance(t, Constant) else binding[t.name] for t in lit.terms)
+        atom = atoms.get((lit.predicate, names))
+        if atom is None:
+            atom = atoms[lit.predicate, names] = Atom(lit.predicate, tuple(map(Constant, names)))
+        return atom
     if isinstance(lit, _Operator):
-        return lit.rebuild(*map(_substitute, lit.operands, repeat(binding)))
+        return lit.rebuild(*(_substitute(op, binding, atoms) for op in lit.operands))
     return lit
 
 
@@ -1080,10 +1095,13 @@ def ground(program: Program, database=None) -> Program:
         seeds += database.atoms()
     names = sorted(program.constants() | {t.name for a in seeds for t in a.terms})
     plans = []
-    for rule in program.rules:
+    feeds: dict[str, list[int]] = {}  # predicate -> the plans whose required atoms read it
+    for i, rule in enumerate(program.rules):
         required = [a for lit in rule.body for a in _required_atoms(lit)]
         bound = sorted({t.name for a in required for t in a.terms if isinstance(t, Variable)})
         plans.append((required, bound, head_atoms(rule), set()))
+        for pred in dict.fromkeys(a.predicate for a in required):
+            feeds.setdefault(pred, []).append(i)
 
     holds: dict[str, set[tuple[str, ...]]] = {}
     delta: dict[str, set[tuple[str, ...]]] = {}
@@ -1094,7 +1112,12 @@ def ground(program: Program, database=None) -> Program:
         for pred, tuples in delta.items():
             holds.setdefault(pred, set()).update(tuples)
         fresh: dict[str, set[tuple[str, ...]]] = {}
-        for required, bound, heads, fired in plans:
+        # a later round visits only the plans its delta feeds, in rule order
+        visit = range(len(plans)) if first else sorted(
+            {i for pred in delta for i in feeds.get(pred, ())}
+        )
+        for p in visit:
+            required, bound, heads, fired = plans[p]
             if first:
                 found = _matches(required, [holds.get(a.predicate, ()) for a in required])
             else:
@@ -1118,29 +1141,34 @@ def ground(program: Program, database=None) -> Program:
                             fresh.setdefault(head.predicate, set()).add(tup)
         delta, first = fresh, False
 
+    variables = [
+        sorted(set().union(literal_variables(rule.head), *map(literal_variables, rule.body)))
+        for rule in program.rules
+    ]
+    # the atoms the output shares: those of the rules it keeps as they are
+    # first, then each one an instance makes
+    atoms: dict[tuple[str, tuple[str, ...]], Atom] = {}
+    for rule, free in zip(program.rules, variables):
+        if not free:
+            for atom in (*rule.body_atoms, *head_atoms(rule)):
+                atoms.setdefault((atom.predicate, tuple(t.name for t in atom.terms)), atom)
     out: list[Rule] = []
-    for rule, (_, bound, _, fired) in zip(program.rules, plans):
-        variables = sorted(
-            set().union(
-                literal_variables(rule.head),
-                *(literal_variables(b) for b in rule.body),
-            )
-        )
-        if not variables:
+    for rule, free, (_, bound, _, fired) in zip(program.rules, variables, plans):
+        if not free:
             out.append(rule)
             continue
-        terms = tuple(Variable(v) for v in variables)
+        terms = tuple(Variable(v) for v in free)
         combos = sorted(
             combo
             for key in fired
             for combo in _instances(terms, dict(zip(bound, key)), names)
         )
         for combo in combos:
-            binding = dict(zip(variables, combo))
+            binding = dict(zip(free, combo))
             out.append(
                 Rule(
-                    tuple(_substitute(b, binding) for b in rule.body),
-                    _substitute(rule.head, binding),
+                    tuple(_substitute(b, binding, atoms) for b in rule.body),
+                    _substitute(rule.head, binding, atoms),
                     f"{rule.id}[{','.join(combo)}]",
                 )
             )

@@ -6,6 +6,7 @@ evaluated on rational grids around every endpoint.
 """
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from chronolog.intervals import (
     IntervalSet,
     NEG_INF,
     POS_INF,
+    _merge,
     lcm_rationals,
     parse_interval,
     parse_rational,
@@ -198,6 +200,73 @@ class TestIntersect:
             expected = a.contains(t) and b.contains(t)
             actual = hit is not None and hit.contains(t)
             assert actual == expected, f"{a} ^ {b} at {t}"
+
+
+def _grid_intervals() -> list[Interval]:
+    """Every interval with ends in {-inf, 0, 1, 2, 3, inf} under each
+    open/closed combination; an infinite end is forced open, so some come
+    twice, as equal but distinct objects."""
+    ends = (NEG_INF, 0, 1, 2, 3, POS_INF)
+    out = []
+    for lo in ends:
+        for hi in ends:
+            for lo_open in (False, True):
+                for hi_open in (False, True):
+                    try:
+                        out.append(Interval(lo, hi, lo_open, hi_open))
+                    except ValueError:
+                        pass
+    return out
+
+
+class TestKernelAgainstPoints:
+    """``intersect`` and ``hull`` on every pair of grid intervals, held
+    pointwise against a reference on the half-integer grid from -1 to 4,
+    which tells every such interval from every other. A result equal to
+    an operand is that operand, not a copy."""
+
+    GRID = [F(k, 2) for k in range(-2, 9)]
+
+    def test_intersect(self):
+        pieces = _grid_intervals()
+        kept = 0
+        for a in pieces:
+            for b in pieces:
+                hit = a.intersect(b)
+                for t in self.GRID:
+                    expected = a.contains(t) and b.contains(t)
+                    assert (hit is not None and hit.contains(t)) == expected, (a, b, t)
+                if hit is not None and (hit == a or hit == b):
+                    assert hit is a or hit is b, (a, b)
+                    kept += 1
+        assert kept > len(pieces) ** 2 // 4
+
+    def test_hull(self):
+        pieces = _grid_intervals()
+        kept = 0
+        for a in pieces:
+            for b in pieces:
+                hull = a.hull(b)
+                held = [s for s in self.GRID if a.contains(s) or b.contains(s)]
+                for t in self.GRID:
+                    # t lies between two points of the union
+                    expected = held[0] <= t <= held[-1]
+                    assert hull.contains(t) == expected, (a, b, t)
+                if hull == a or hull == b:
+                    assert hull is a or hull is b, (a, b)
+                    kept += 1
+        assert kept > len(pieces) ** 2 // 4
+
+    def test_from_iterable_orders_as_the_sort_key(self):
+        """Seeded lists of grid intervals, with many equal lower ends under
+        other flags: ``from_iterable`` merges them in the order of
+        ``sorted(key=Interval.sort_key)``."""
+        rng = random.Random(5)
+        pieces = _grid_intervals()
+        for _ in range(500):
+            raw = rng.choices(pieces, k=rng.randint(0, 12))
+            merged = _merge(sorted(raw, key=Interval.sort_key))
+            assert IntervalSet.from_iterable(raw).pieces == merged, raw
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Parsing, printing, normal form, and grounding."""
 
+import random
 import re
+import sys
 from fractions import Fraction as F
 from itertools import product
 
@@ -34,6 +36,7 @@ from chronolog.syntax import (
     Top,
     Until,
     Variable,
+    _Parser,
     _Value,
     _error_at,
     _offset,
@@ -538,6 +541,111 @@ class TestGround:
         assert ground(p, parse_database("A(c)@[0,1].")).is_ground
 
 
+def _frontend_program(depth: int, n: int, seed: int) -> tuple[Program, Model]:
+    """The normal form of ``diamondminus[1,1]``^depth ``C -> C`` and
+    ``P(X), Q(X,Y) -> R(Y)``, with point facts of C and facts of P and Q
+    over n constants."""
+    rng = random.Random(seed)
+    nested = "C"
+    for _ in range(depth):
+        nested = f"diamondminus[1,1] {nested}"
+    program = to_normal_form(parse_program(f"{nested} -> C .\nP(X), Q(X,Y) -> R(Y) ."))
+    db = parse_database(
+        "".join(f"C@[{c},{c}].\n" for c in sorted(rng.sample(range(depth), 3)))
+        + "".join(f"P(c{i})@[0,1].\n" for i in range(n))
+        + "".join(f"Q(c{rng.randrange(n)},c{rng.randrange(n)})@[0,1].\n" for _ in range(n))
+    )
+    return program, db
+
+
+def _lines_run_in(function, *args) -> int:
+    """How many lines of ``function``'s own body run in one call (the
+    line events of its frame, not of the frames it calls)."""
+    code, lines = function.__code__, 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        function(*args)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+class TestGroundCost:
+    def test_rounds_visit_only_the_plans_their_delta_feeds(self):
+        """Count guard: a nested literal of depth d normalizes into d aux
+        rules that pass the abstract delta on one hop per round, so a loop
+        that visits every plan in every round runs d rounds of d plans.
+        The lines ``ground`` runs itself grow at most 2.2 times from d =
+        100 to 200 (3.79 times when every round visits every plan)."""
+        counts = [_lines_run_in(ground, *_frontend_program(d, 100, d)) for d in (100, 200)]
+        assert counts[1] <= 2.2 * counts[0], counts
+
+
+def _atoms_of(rules, facts=()) -> list[Atom]:
+    atoms = [a for rule in rules for lit in (*rule.body, rule.head) for a in literal_atoms(lit)]
+    return atoms + [fact.atom for fact in facts]
+
+
+def _distinct_objects(atoms) -> int:
+    """The number of distinct atoms, after checking that equal atoms are
+    one object."""
+    first: dict[Atom, Atom] = {}
+    for atom in atoms:
+        assert first.setdefault(atom, atom) is atom, atom
+    return len(first)
+
+
+class TestOneObjectPerAtom:
+    """Equal atoms of one parse, or of one ``ground`` call, are one object,
+    so dict and set lookups between them stop at identity; equality and
+    hashes stay structural (``TestValueTypes``)."""
+
+    def test_parse_program(self):
+        program = parse_program(
+            "P(a), diamondminus[1,2] Q(a,X) -> R(X) .\n"
+            "R(X), P('a') since[0,1] Q(a,X) -> P(a) .\n"
+            "boxminus[1,1] R(b) -> S .\n"
+            "S, R(b) -> boxplus[0,1] R(b) .\n"
+            "-> P(a) ."
+        )
+        atoms = _atoms_of(program.rules, program.axioms)
+        assert len(atoms) == 13
+        assert _distinct_objects(atoms) == 5
+
+    def test_parse_database(self):
+        text = "A(a)@[0,1].\nB@[2,3].\nA('a')@[4,5].\nB@[6,6].\nA(b)@[0,0]."
+        facts = _Parser(text).parse_database_facts()
+        assert _distinct_objects(f.atom for f in facts) == 3
+
+    def test_each_parse_has_its_own_atoms(self):
+        # the objects are shared within a parse, not through module state
+        first, second = parse_program("A -> B ."), parse_program("A -> B .")
+        assert first == second
+        assert first.rules[0].head is not second.rules[0].head
+
+    def test_ground(self):
+        program = parse_program(
+            "A(X) -> B(X) .\nB(X), C(X,Y) -> D(Y) .\nB(a) -> D(a) .\n"
+            "diamondminus[1,1] D(X) -> A(X) ."
+        )
+        kept = program.rules[2]
+        db = parse_database("A(a)@[0,1].\nA(b)@[0,1].\nC(a,b)@[0,1].\nC(b,a)@[0,1].")
+        g = ground(program, db)
+        assert len(g.rules) == 7
+        atoms = _atoms_of(g.rules)
+        assert _distinct_objects(atoms) == 8
+        # the rule kept as it is shares its atoms with the instances
+        assert kept in g.rules
+        assert any(a is kept.head for rule in g.rules if rule is not kept for a in _atoms_of([rule]))
+
+
 def _exhaustive_ground(program, database):
     """Every rule instantiated with every binding of its variables over the
     constants of the program and the database, in lexicographic order."""
@@ -561,8 +669,8 @@ def _exhaustive_ground(program, database):
             binding = dict(zip(variables, combo))
             out.append(
                 Rule(
-                    tuple(_substitute(b, binding) for b in rule.body),
-                    _substitute(rule.head, binding),
+                    tuple(_substitute(b, binding, {}) for b in rule.body),
+                    _substitute(rule.head, binding, {}),
                     f"{rule.id}[{','.join(combo)}]",
                 )
             )
