@@ -6,20 +6,6 @@ constant, or eventually periodic) of their possibly infinite models for
 the forward-propagating fragment.
 """
 
-from .analysis import (
-    Cycle,
-    DepGraph,
-    Edge,
-    FragmentFlags,
-    FragmentReport,
-    RuleClass,
-    classify_rules,
-    dependency_graph,
-    fragment_checks,
-    max_applications,
-    pattern_length,
-    simple_cycles,
-)
 from .errors import (
     CapExceeded,
     ChronologError,
@@ -78,3 +64,29 @@ from .syntax import (
 )
 
 __version__ = "0.1.0"
+
+# The names of ``analysis``, loaded on first use: ``reason``, ``query``,
+# ``check`` and ``oracle`` never read it, so importing the package does
+# not compile it.
+_ANALYSIS = frozenset({
+    "Cycle",
+    "DepGraph",
+    "Edge",
+    "FragmentFlags",
+    "FragmentReport",
+    "RuleClass",
+    "classify_rules",
+    "dependency_graph",
+    "fragment_checks",
+    "max_applications",
+    "pattern_length",
+    "simple_cycles",
+})
+
+
+def __getattr__(name: str):
+    if name in _ANALYSIS:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,20 +17,8 @@ from fractions import Fraction
 
 from .errors import CycleCapExceeded, InputError
 from .intervals import POS_INF, Interval, Time, lcm_rationals, plus, to_time
-from .syntax import (
-    Atom,
-    BoxMinus,
-    DiamondMinus,
-    Program,
-    Rule,
-    Since,
-    _Value,
-    is_forward_propagating,
-)
-
-DEFAULT_CYCLE_CAP = 100_000
-
-_ZERO_INTERVAL = Interval.closed(0, 0)
+from .reasoner import _ZERO_INTERVAL, DEFAULT_CYCLE_CAP, _edge_labels, _sccs
+from .syntax import Atom, Program, Rule, _Value, is_forward_propagating
 
 
 class Edge(_Value):
@@ -100,69 +88,6 @@ class DepGraph(_Value):
     def scc_of(self) -> dict[str, int]:
         """Each node's index in ``components``."""
         return {node: i for i, members in enumerate(self.components) for node in members}
-
-
-def _sccs(succ: dict) -> list[list]:
-    """The strongly connected components of the graph with successor
-    lists ``succ`` (a node that is no key has none), by Tarjan's
-    algorithm, each after every component it has an edge into. Iterative:
-    a dependency chain may be far deeper than the recursion limit."""
-    index: dict = {}
-    low: dict = {}
-    stack: list = []
-    on_stack: set = set()
-    found: list[list] = []
-    for root in succ:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, children = work[-1]
-            for w in children:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.remove(w)
-                        component.append(w)
-                        if w == v:
-                            break
-                    found.append(component)
-    return found
-
-
-def _edge_labels(rule: Rule) -> tuple[bool, Interval, Time]:
-    """(special, interval label, shift label) shared by a rule's edges."""
-    form = rule.form
-    if form is None:
-        raise InputError(f"rule {rule.id} is not in temporal normal form")
-    if form is Atom:
-        return False, _ZERO_INTERVAL, 0
-    lit = rule.body[0]
-    if form is DiamondMinus:
-        return True, lit.rho, lit.rho.lo
-    if form is BoxMinus:
-        return True, lit.rho, lit.rho.hi
-    if form is Since:
-        return True, lit.rho, 0
-    # the forward operators: diamondplus, boxplus, until
-    return True, lit.rho.negate(), 0
 
 
 def dependency_graph(program: Program) -> DepGraph:

@@ -15,7 +15,7 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 
-from . import analysis, reasoner, syntax
+from . import reasoner, syntax
 from .errors import CapExceeded, InputError
 from .intervals import parse_rational
 from .reasoner import Model
@@ -66,6 +66,9 @@ def _emit(args, human: Callable[[], str], structured: Callable[[], dict]) -> Non
 
 
 def cmd_classify(args) -> int:
+    # imported here: no other command reads the program analysis
+    from . import analysis
+
     program = syntax.to_normal_form(_load_program(args))
     database = _load_database(args) if args.database else None
     report = analysis.classify_rules(program, database, cycle_cap=args.cycle_cap)
@@ -231,12 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         # not an option: reason enumerates no cycles, and the benchmark's
         # layer tracer reads the default
-        p.set_defaults(cycle_cap=analysis.DEFAULT_CYCLE_CAP)
+        p.set_defaults(cycle_cap=reasoner.DEFAULT_CYCLE_CAP)
 
     p = sub.add_parser("classify", help="fragment flags, finite nodes, rule classes")
     common(p, database_required=False)
     p.add_argument(
-        "--cycle-cap", type=positive_int, default=analysis.DEFAULT_CYCLE_CAP,
+        "--cycle-cap", type=positive_int, default=reasoner.DEFAULT_CYCLE_CAP,
         help="most simple cycles classify enumerates",
     )
     p.set_defaults(func=cmd_classify)

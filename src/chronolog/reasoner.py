@@ -15,8 +15,12 @@ Two independent evaluation routes are kept apart on purpose:
   the group atoms its rules read, on a slab as wide as those rules look
   back at them, and which of those atoms hold for good. The repeat gives
   the group's period (at once for a group whose rules read none of its
-  atoms: its state is empty), and one period of its facts becomes
-  repetition patterns (or rays for facts that fill the whole period).
+  atoms: its state is empty, and none is read), and one period of its
+  facts becomes repetition patterns (or rays for facts that fill the
+  whole period). The groups and their cycle steps are planned once per
+  call (``group_and_sort``, on numbered atoms), and what a group pays
+  besides deriving is kept to a small constant: a chain or a grounded
+  program has many small groups.
 
 Neither route spells out what an operator means: each unary operator's
 class states its own truth (``truth``), the operand points that truth on
@@ -32,7 +36,6 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, zip_longest
 
-from .analysis import DEFAULT_CYCLE_CAP, _edge_labels, _sccs
 from .errors import InputError, NotForwardPropagating, StepCapExceeded, WindowCapExceeded
 from .intervals import (
     Interval,
@@ -44,6 +47,7 @@ from .intervals import (
     _hi_of,
     _lo_of,
     lcm_rationals,
+    plus,
 )
 from .syntax import (
     Atom,
@@ -55,6 +59,7 @@ from .syntax import (
     Literal,
     Program,
     Rule,
+    Since,
     Top,
     _Unary,
     _Value,
@@ -64,6 +69,8 @@ from .syntax import (
 
 DEFAULT_WINDOW_CAP = 10_000
 DEFAULT_STEP_CAP = 1_000_000
+# the most simple cycles ``analysis`` enumerates; ``reason`` enumerates none
+DEFAULT_CYCLE_CAP = 100_000
 
 _ALWAYS = IntervalSet.of(Interval(NEG_INF, POS_INF, True, True))
 _NOTHING = IntervalSet.empty()
@@ -510,7 +517,9 @@ class RuleGroup(_Value):
     ``lookback``, the largest reach of the group's rules, is how far
     before a window ``_derive_group`` reads body facts and the L of
     ``reason``'s Positions; ``span``, the largest reach of those whose
-    body reads a group atom, is the S of ``reason``'s State."""
+    body reads a group atom, is the S of ``reason``'s State. A group of
+    one rule, the common case of a chain or a grounded program, indexes
+    its body atoms without a merge."""
 
     __slots__ = ("atoms", "rules", "cycle_step", "by_body", "lookback", "span")
 
@@ -520,12 +529,19 @@ class RuleGroup(_Value):
         self.atoms = atoms
         self.rules = rules
         self.cycle_step = cycle_step
-        by_body: dict[Atom, list[int]] = {}
+        if len(rules) == 1:
+            self.by_body = dict.fromkeys(rules[0].body_atoms, (0,))
+        else:
+            by_body: dict[Atom, list[int]] = {}
+            for i, rule in enumerate(rules):
+                for atom in rule.body_atoms:
+                    ids = by_body.setdefault(atom, [])
+                    if not ids or ids[-1] != i:
+                        ids.append(i)
+            self.by_body = {a: tuple(ids) for a, ids in by_body.items()}
         lookback = span = 0
-        for i, rule in enumerate(rules):
-            for atom in dict.fromkeys(rule.body_atoms):
-                by_body.setdefault(atom, []).append(i)
-            if rule.form not in (BoxMinus, DiamondMinus):
+        for rule in rules:
+            if rule.form is not BoxMinus and rule.form is not DiamondMinus:
                 continue
             rho = rule.body[0].rho
             if rho.hi != POS_INF:
@@ -534,10 +550,10 @@ class RuleGroup(_Value):
                 reach = rho.lo
             else:
                 continue
-            lookback = max(lookback, reach)
-            if rule.body[0].inner in atoms:
-                span = max(span, reach)
-        self.by_body = {a: tuple(ids) for a, ids in by_body.items()}
+            if reach > lookback:
+                lookback = reach
+            if reach > span and rule.body[0].inner in atoms:
+                span = reach
         self.lookback = lookback
         self.span = span
 
@@ -550,50 +566,142 @@ def _reads(program: Program) -> dict[Atom, list[Atom]]:
     return reads
 
 
+def _sccs(succ: dict) -> list[list]:
+    """The strongly connected components of the graph with successor
+    lists ``succ`` (a node that is no key has none), by Tarjan's
+    algorithm, each after every component it has an edge into. Iterative:
+    a dependency chain may be far deeper than the recursion limit."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    found: list[list] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ.get(w, ()))))
+                    break
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[u := work[-1][0]]:
+                    low[u] = low[v]
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.remove(w)
+                        component.append(w)
+                        if w == v:
+                            break
+                    found.append(component)
+    return found
+
+
+_ZERO_INTERVAL = Interval(0, 0)
+
+
+def _edge_labels(rule: Rule) -> tuple[bool, Interval, Time]:
+    """(special, interval label, shift label) shared by the edges of a
+    rule in the predicate dependency graph (``analysis.dependency_graph``):
+    whether its body is temporal, the range it reads (negated for a
+    future operator) and how far it moves a fact's lower end forward."""
+    form = rule.form
+    if form is None:
+        raise InputError(f"rule {rule.id} is not in temporal normal form")
+    if form is Atom:
+        return False, _ZERO_INTERVAL, 0
+    lit = rule.body[0]
+    if form is DiamondMinus:
+        return True, lit.rho, lit.rho.lo
+    if form is BoxMinus:
+        return True, lit.rho, lit.rho.hi
+    if form is Since:
+        return True, lit.rho, 0
+    # the forward operators: diamondplus, boxplus, until
+    return True, lit.rho.negate(), 0
+
+
 def group_and_sort(program: Program) -> list[RuleGroup]:
     """Rules grouped by the SCC of their head in the ground atom graph
     (``_reads``), in dependency order: on head -> body edges ``_sccs``
     gives each SCC after every SCC it reads. SCCs without rules are
     omitted.
 
+    The atoms are numbered once, in the order the rules name them, and
+    ``_sccs`` runs on the numbers, which hash in C: an ``Atom`` hashes
+    through a Python call, and Tarjan's algorithm looks each node up
+    several times. The graph, and so the groups and their order, are the
+    ones ``_reads`` gives.
+
     Each group's cycle step is worked out here, once per predicate SCC,
     and the groups of one predicate SCC share it: ``_shift_gcd`` over the
     ``(body predicate, head predicate, shift)`` of the rules inside that
-    SCC, the shift from ``analysis._edge_labels``. The predicate SCCs are
-    those of the predicate image of ``_reads``, the same graph with its
-    edges reversed. A rule not in normal form is rejected, as
-    ``analysis.dependency_graph`` rejects it."""
+    SCC, each rule's shift read once (``_edge_labels``). The predicate
+    SCCs are those of the predicate image of the atom graph, the same
+    graph with its edges reversed. A rule not in normal form is rejected,
+    as ``analysis.dependency_graph`` rejects it."""
     image: dict[str, dict[str, None]] = {}
+    number: dict[Atom, int] = {}
+    reads: dict[int, list[int]] = {}
+    heads: list[int] = []
     for rule in program.rules:
         if rule.form is None:
             raise InputError(f"rule {rule.id} is not in temporal normal form")
-        image.setdefault(rule.head.predicate, {}).update(
-            dict.fromkeys(a.predicate for a in rule.body_atoms)
-        )
+        head = number.setdefault(rule.head, len(number))
+        heads.append(head)
+        body = reads.setdefault(head, [])
+        preds = image.setdefault(rule.head.predicate, {})
+        for atom in rule.body_atoms:
+            body.append(number.setdefault(atom, len(number)))
+            preds[atom.predicate] = None
     scc_of = {p: i for i, members in enumerate(_sccs(image)) for p in members}
     inner: dict[int, list[tuple[str, str, Time]]] = {}
     for rule in program.rules:
         head = rule.head.predicate
+        scc, shift = scc_of[head], None
         for atom in rule.body_atoms:
-            if scc_of[atom.predicate] == scc_of[head]:
-                edge = (atom.predicate, head, _edge_labels(rule)[2])
-                inner.setdefault(scc_of[head], []).append(edge)
+            if scc_of[atom.predicate] == scc:
+                if shift is None:
+                    shift = _edge_labels(rule)[2]
+                inner.setdefault(scc, []).append((atom.predicate, head, shift))
     steps = {scc: _shift_gcd(edges) for scc, edges in inner.items()}
-    components = _sccs(_reads(program))
-    group_of = {atom: i for i, members in enumerate(components) for atom in members}
+    atoms = list(number)
+    components = _sccs(reads)
+    group_of = [0] * len(atoms)
+    for i, members in enumerate(components):
+        for n in members:
+            group_of[n] = i
     rules: list[list[Rule]] = [[] for _ in components]
-    for rule in program.rules:
-        rules[group_of[rule.head]].append(rule)
+    for rule, head in zip(program.rules, heads):
+        rules[group_of[head]].append(rule)
     return [
-        RuleGroup(frozenset(atoms), tuple(group_rules), steps.get(scc_of[atoms[0].predicate], 0))
-        for atoms, group_rules in zip(components, rules)
+        RuleGroup(
+            frozenset([atoms[n] for n in members]),
+            tuple(group_rules),
+            steps.get(scc_of[atoms[members[0]].predicate], 0),
+        )
+        for members, group_rules in zip(components, rules)
         if group_rules
     ]
 
 
 def _shift_gcd(edges: Iterable[tuple[str, str, Time]]) -> int | Fraction:
     """gcd of the shift sums of the cycles of the graph with the edges
-    ``(source, target, shift)``; 0 if none is positive.
+    ``(source, target, shift)``, those of one strongly connected graph;
+    0 if none is positive.
 
     No cycle is enumerated. In each strongly connected part, a search
     from one predicate gives every predicate a potential ``pot`` (the
@@ -602,16 +710,21 @@ def _shift_gcd(edges: Iterable[tuple[str, str, Time]]) -> int | Fraction:
     of its edges' slacks, and a slack is the difference of two closed
     walks' shift sums, so the gcd of the slacks is the gcd of the cycles'
     shift sums. ``boxminus[a,inf)`` never fires, so its edges (shift
-    ``inf``) are dropped and the graph may fall apart into several parts.
+    ``inf``) are dropped, and only then may the graph fall apart into
+    several parts, which ``_sccs`` finds.
     """
     succ: dict[str, list[tuple[str, int | Fraction]]] = {}
+    dropped = False
     for source, target, shift in edges:
-        if shift != POS_INF:
+        if shift == POS_INF:
+            dropped = True
+        else:
             succ.setdefault(source, []).append((target, shift))
             succ.setdefault(target, [])
+    parts = _sccs({u: [v for v, _ in out] for u, out in succ.items()}) if dropped else [[*succ]]
     # gcd(a/b, c/d) = gcd(a, c) / lcm(b, d) in lowest terms
     num, den = 0, 1
-    for part in _sccs({u: [v for v, _ in out] for u, out in succ.items()}):
+    for part in parts:
         members = set(part)
         pot = {part[0]: 0}
         stack = [part[0]]
@@ -679,11 +792,24 @@ class Pattern(_Value):
 
 def occurrences(pattern: Pattern, window: Interval) -> Iterator[Interval]:
     """The occurrences of ``pattern`` that meet a window bounded above,
-    clipped to the window."""
+    clipped to the window.
+
+    Each occurrence is built once from the offset's ends; only one that
+    reaches an end of the window (the first or the last, when the offset
+    is no longer than the period) is intersected with it."""
+    offset, period = pattern.offset, pattern.period
+    lo, hi, lo_open, hi_open = offset.lo, offset.hi, offset.lo_open, offset.hi_open
     for x in pattern.indices(window):
-        hit = pattern.occurrence(x).intersect(window)
-        if hit is not None:
-            yield hit
+        d = period * x
+        try:
+            hit = Interval(lo + d, hi + d, lo_open, hi_open)
+        except OverflowError:  # an unbounded offset: see ``intervals.plus``
+            hit = Interval(plus(lo, d), plus(hi, d), lo_open, hi_open)
+        if not (window.lo < hit.lo and hit.hi < window.hi):  # it may stick out
+            hit = hit.intersect(window)
+            if hit is None:
+                continue
+        yield hit
 
 
 def _coverage(
@@ -705,13 +831,17 @@ def _settled(last: Interval | None, patterns: Iterable[Pattern]) -> int | Fracti
     ray's lower end) and the end of each of its patterns' first
     occurrences; ``-inf`` for an atom that holds nothing.
 
-    From there on the atom holds only rays and pattern occurrences, so
-    its content repeats with every common multiple of its patterns'
-    periods."""
-    ends = [pat.first_occurrence().hi for pat in patterns]
-    if last is not None:
-        ends.append(last.hi if last.hi != POS_INF else last.lo)
-    return max(ends, default=NEG_INF)
+    A first occurrence's end is read off the pattern's offset, without
+    building the occurrence. From there on the atom holds only rays and
+    pattern occurrences, so its content repeats with every common
+    multiple of its patterns' periods."""
+    settle = NEG_INF
+    for pat in patterns:
+        if (end := plus(pat.offset.hi, pat.period * pat.start_index)) > settle:
+            settle = end
+    if last is not None and (end := last.hi if last.hi != POS_INF else last.lo) > settle:
+        settle = end
+    return settle
 
 
 class PeriodicModel(_Value):
@@ -856,16 +986,24 @@ def _derive_group(
     seeded = Interval(
         window.lo - group.lookback, window.hi, window.lo_open, window.hi_open
     )
-    ray = Interval(window.lo, POS_INF, window.lo_open, True)
-    seeds = {atom: _coverage(facts, patterns, atom, seeded) for atom in group.by_body}
-    frozen = {atom: seed for atom, seed in seeds.items() if atom in patterns}
-    frontier = {atom: seed for atom, seed in seeds.items() if not seed.is_empty}
+    by_body = group.by_body
+    frozen: dict[Atom, IntervalSet] = {}
+    frontier: dict[Atom, IntervalSet] = {}
+    for atom in by_body:
+        seed = _coverage(facts, patterns, atom, seeded)
+        if atom in patterns:
+            frozen[atom] = seed
+        if seed.pieces:
+            frontier[atom] = seed
     while frontier:
         fresh: dict[Atom, list[Interval]] = {}
-        touched = sorted({i for atom in frontier for i in group.by_body[atom]})
+        if len(frontier) == 1:  # its rules' ids, in group order
+            touched = by_body[next(iter(frontier))]
+        else:
+            touched = sorted({i for atom in frontier for i in by_body[atom]})
         for i in touched:
             rule = group.rules[i]
-            derived = IntervalSet.empty()
+            derived = _NOTHING
             if rule.form is Atom:
                 for k, atom in enumerate(rule.body):
                     delta = frontier.get(atom)
@@ -889,7 +1027,10 @@ def _derive_group(
                     continue
                 derived = lit.truth(delta)
             for piece in derived:
-                clipped = piece.intersect(ray if piece.hi == POS_INF else window)
+                clipped = piece.intersect(
+                    window if piece.hi != POS_INF
+                    else Interval(window.lo, POS_INF, window.lo_open, True)
+                )
                 if clipped is None:
                     continue
                 merged = facts.add(rule.head, clipped)
@@ -898,7 +1039,7 @@ def _derive_group(
         frontier = {
             atom: IntervalSet.from_iterable(pieces)
             for atom, pieces in fresh.items()
-            if atom in group.by_body
+            if atom in by_body
         }
 
 
@@ -924,11 +1065,12 @@ def _last_difference(a: Interval | None, b: Interval | None) -> tuple[Time, bool
     pair the sets agree, and canonical pieces are separated, so no other
     piece reaches the pair's ends: the greater hi end decides (a closed end
     beats an open one), and with equal hi ends the greater lo end."""
-    if a is None or b is None or (a.hi, a.hi_open) != (b.hi, b.hi_open):
-        top = max((p for p in (a, b) if p is not None), key=lambda p: (p.hi, not p.hi_open))
-        return top.hi, not top.hi_open
-    low = max(a, b, key=lambda p: (p.lo, p.lo_open))
-    return low.lo, low.lo_open
+    if a is not None and b is not None and a.hi == b.hi and a.hi_open == b.hi_open:
+        low = a if a.lo > b.lo or a.lo == b.lo and a.lo_open >= b.lo_open else b
+        return low.lo, low.lo_open
+    # the hi ends differ: at equal values, one is closed
+    top = a if b is None or a is not None and (a.hi > b.hi or a.hi == b.hi and b.hi_open) else b
+    return top.hi, not top.hi_open
 
 
 def freeze(
@@ -938,21 +1080,23 @@ def freeze(
     repetition patterns, for a model that repeats with ``period`` from
     ``start`` on (``start`` a multiple of ``period``).
 
-    A piece filling the whole window tiles the timeline seamlessly and
-    becomes the ray ``[start, inf)``; any other piece becomes a Pattern
-    with its offset shifted back to the origin and start index
-    ``start // period``.
+    Each atom's pieces there are read with ``Model.clip``. A piece filling
+    the whole window tiles the timeline seamlessly and becomes the ray
+    ``[start, inf)``; any other piece becomes a Pattern with its offset
+    shifted back to the origin and start index ``start // period``.
     """
-    whole = (0, period, False, True)
+    end = start + period
+    window = Interval(start, end, False, True)
     index = start // period
     rays: list[Fact] = []
     patterns: list[Pattern] = []
-    for atom, pieces in _slab(facts, atoms, start, start + period):
-        for piece in pieces:
-            if piece == whole:
+    for atom in atoms:
+        for piece in facts.clip(atom, window):
+            if piece.lo == start and piece.hi == end and not piece.lo_open:
+                # a clipped piece ends at ``end`` open
                 rays.append(Fact(atom, Interval(start, POS_INF, False, True)))
             else:
-                patterns.append(Pattern(atom, Interval(*piece), index, period))
+                patterns.append(Pattern(atom, piece.shift(-start), index, period))
     return rays, patterns
 
 
@@ -1024,12 +1168,14 @@ def reason(
 
     The groups, SCCs of ground atoms, go in dependency order. Each derives
     forward in chunks and finds its period from a repeated state. The
-    state and the frozen period both read the group's facts on a
-    half-open window shifted to the origin, through one helper
-    (``_slab``); the compaction reads each atom's pieces from the top
-    (``Model.descending``);
-    earlier groups are read through ``_coverage``, over each chunk and its
-    lookback (see ``_derive_group``):
+    state reads the group's facts on a half-open window shifted to the
+    origin (``_slab``); the compaction reads each atom's pieces from the
+    top (``Model.descending``) and compares their ends, and the frozen
+    period reads them off ``Model.clip``; earlier groups are read through
+    ``_coverage``, over each chunk and its lookback (see
+    ``_derive_group``). What a group pays besides deriving is a constant:
+    a group whose state is empty reads no state, and a group of one atom
+    sorts no atoms.
 
     * **State.** Let L be the group's lookback (``RuleGroup.lookback``)
       and ``S <= L`` its span (``RuleGroup.span``), the largest reach of
@@ -1094,9 +1240,10 @@ def reason(
       holds there anyway changes nothing.
     * **Period.** At the first position ``t + q`` whose normalized state
       equals that of an earlier position ``t``, the future repeats: the
-      model on ``[t, inf)`` equals itself shifted by ``q``. For a group
-      with the empty state this is ``q = step`` and ``t`` the first
-      position hashed.
+      model on ``[t, inf)`` equals itself shifted by ``q``. A group whose
+      rules read none of its atoms has the empty state, which equals
+      itself at every position: it takes ``q = step`` and ``t`` its first
+      position at once, after its first chunk, and no state is read.
     * **Minimality.** The inputs look the same from every position, so
       the state's key holds only the read atoms' slab (shifted by
       ``S - t``) and their ray flags. Let ``q*`` be the least multiple of
@@ -1129,7 +1276,8 @@ def reason(
       on ``[lowest, t)`` and, shifted back by ``q``, those on ``[lowest +
       q, t + q)`` are walked from the top while they agree; both lie in
       the chunks derived, which reach ``t + q``. The first pair that
-      differs, or the one piece left when a list runs out, holds the last
+      differs (their ends compared, shifted by ``q``, with no interval
+      built), or the one piece left when a list runs out, holds the last
       point where the atom differs from itself ``q`` later
       (``_last_difference``): canonical pieces are separated, so no piece
       below the pair reaches above its ends. The atom then repeats from
@@ -1140,7 +1288,8 @@ def reason(
       ``b`` lies before ``t + q``; the group derives on to ``b + q`` if
       the chunks stop short, its facts are cut at ``b`` (``Model.cut``,
       which reads only the blocks that reach ``b``), and
-      ``[b, b + q)`` becomes rays and patterns (``freeze``). ``b`` is the
+      ``[b, b + q)`` becomes rays and patterns (``freeze``, which reads
+      each atom's pieces there with ``Model.clip``). ``b`` is the
       group's horizon: its rays start and its other facts end by ``b``,
       and its patterns' first occurrences end by ``b + q``, so a later
       group reading it settles early. Only the representation changes,
@@ -1164,27 +1313,22 @@ def reason(
     horizons: list[int | Fraction] = []
 
     for group in group_and_sort(program):
-        atoms = sorted(group.atoms, key=_atom_key)
-        read = [atom for atom in atoms if atom in group.by_body]
+        atoms = [*group.atoms] if len(group.atoms) == 1 else sorted(group.atoms, key=_atom_key)
+        by_body = group.by_body
+        read = [atom for atom in atoms if atom in by_body]
         lookback, span = group.lookback, group.span
-        step = lcm_rationals(
-            [periods[a] for a in group.by_body if a in periods]
-            + ([group.cycle_step] if group.cycle_step else [])
-            or [1]
-        )
+        rates = [periods[a] for a in by_body if a in periods]
+        if group.cycle_step:
+            rates.append(group.cycle_step)
+        step = lcm_rationals(rates) if rates else 1
         settle = start
-        for a in chain(atoms, group.by_body):
+        for a in (*atoms, *by_body):
             if (s := settled.get(a)) is None:
                 # no group has frozen the atom yet: it holds database facts only
                 s = settled[a] = _settled(facts.last(a), ())
-            settle = max(settle, s)
+            if s > settle:
+                settle = s
         position = ((settle + lookback) // step + 1) * step
-
-        def state(t: int | Fraction) -> tuple:
-            ray = Interval(t, POS_INF, False, True)
-            rays = tuple([facts.covers(atom, ray) for atom in read])
-            return rays + _slab(facts, read, t - span, t) if span else rays
-
         chunks = 0
 
         def derive(lo: int | Fraction, hi: int | Fraction) -> None:
@@ -1205,8 +1349,13 @@ def reason(
                 )
             derive(derived, end)
             derived = end
+            if not read:  # the empty state repeats at the first position
+                repeat, period, position = position, step, position + step
             while period is None and position <= derived:
-                key = state(position)
+                ray = Interval(position, POS_INF, False, True)
+                key = tuple([facts.covers(atom, ray) for atom in read])
+                if span:
+                    key += _slab(facts, read, position - span, position)
                 if key in seen:
                     repeat = seen[key]
                     period = position - repeat
@@ -1222,7 +1371,11 @@ def reason(
         for atom in atoms:
             pairs = zip_longest(facts.descending(atom, below), facts.descending(atom, above))
             for x, y in pairs:
-                if x is None or y is None or x.shift(period) != y:
+                if (
+                    x is None or y is None
+                    or x.lo + period != y.lo or x.hi + period != y.hi
+                    or x.lo_open != y.lo_open or x.hi_open != y.hi_open
+                ):
                     point, differs = _last_difference(x, y and y.shift(-period))
                     past = (point // period + 1) * period if differs else -(-point // period) * period
                     begin = max(begin, past)
@@ -1236,8 +1389,8 @@ def reason(
             facts.add(ray.atom, ray.interval)
         for pat in group_patterns:
             patterns.setdefault(pat.atom, []).append(pat)
-        periods.update(dict.fromkeys(atoms, period))
         for atom in atoms:
+            periods[atom] = period
             settled[atom] = _settled(facts.last(atom), patterns.get(atom, ()))
         horizons.append(begin)
 

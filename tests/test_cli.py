@@ -667,6 +667,30 @@ class TestProcess:
         assert "Traceback" not in done.stderr
         assert done.stderr == f"error: {argv[0]}: out of memory\n"
 
+    def test_reasoning_commands_do_not_import_the_analysis(self):
+        """``reason``, ``query``, ``check`` and ``oracle`` never read the
+        program analysis, so a process that runs only them leaves
+        ``chronolog.analysis`` unimported; the package still exports its
+        names, loading it on first use."""
+        code = (
+            "import sys\n"
+            "from chronolog.cli import main\n"
+            "files = ['--program', sys.argv[1], '--database', sys.argv[2]]\n"
+            "codes = [main(['reason', *files]), main(['query', *files, '--query', 'Monday@[7,8]']),\n"
+            "         main(['check', *files]), main(['oracle', *files, '--horizon', '20'])]\n"
+            "print(codes, 'chronolog.analysis' in sys.modules)\n"
+            "from chronolog import classify_rules\n"
+            "print(classify_rules.__module__)\n"
+        )
+        src = Path(chronolog.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(FIXTURES / "weekly.dmtl"), str(FIXTURES / "weekly.db")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-2:] == ["[0, 0, 0, 0] False", "chronolog.analysis"]
+
     def test_cli_imports_without_dataclasses(self):
         """Every command pays for importing the CLI first; the value types
         are plain classes, so neither ``dataclasses`` nor the ``inspect`` it
