@@ -4,6 +4,14 @@ Subcommands: ``classify``, ``reason``, ``query``, ``oracle``, ``check``.
 Exit codes: 0 success, 1 negative verdict (query false / check found
 differences), 2 input error, 3 resource cap exceeded or out of memory,
 4 internal error (a bug: the traceback is printed).
+
+``main`` reads argv once. When its first word names a command, the
+command's own parser (``COMMANDS``, filled as ``build_parser`` builds
+each one) reads the rest, and the top-level parser only reports what the
+command's parser leaves over, as it would have. Only an argv that names
+no command (help, a missing command or an unknown one) goes through the
+top-level parser. Either way the arguments, the output and every usage
+and error text are those of the top-level parser alone.
 """
 
 from __future__ import annotations
@@ -200,10 +208,15 @@ def cmd_check(args) -> int:
     return EXIT_OK if not differences else EXIT_FALSE
 
 
+# each command's parser by name, filled by build_parser
+COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves
-    it unchanged, and building it costs far more than parsing."""
+    it unchanged, and building it costs far more than parsing. Each
+    command's parser goes into ``COMMANDS`` as it is added."""
     parser = argparse.ArgumentParser(
         prog="chronolog",
         description="DatalogMTL reasoning over finite model representations",
@@ -236,7 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
         # layer tracer reads the default
         p.set_defaults(cycle_cap=reasoner.DEFAULT_CYCLE_CAP)
 
-    p = sub.add_parser("classify", help="fragment flags, finite nodes, rule classes")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = COMMANDS[name] = sub.add_parser(name, help=summary)
+        return p
+
+    p = command("classify", "fragment flags, finite nodes, rule classes")
     common(p, database_required=False)
     p.add_argument(
         "--cycle-cap", type=positive_int, default=reasoner.DEFAULT_CYCLE_CAP,
@@ -244,21 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("reason", help="compute the periodic representation")
+    p = command("reason", "compute the periodic representation")
     reasoning(p)
     p.set_defaults(func=cmd_reason)
 
-    p = sub.add_parser("query", help="fact entailment against the representation")
+    p = command("query", "fact entailment against the representation")
     reasoning(p)
     p.add_argument("--query", required=True, help="fact, e.g. 'A(c)@[1,2]'")
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("oracle", help="bounded naive fixpoint (ground truth)")
+    p = command("oracle", "bounded naive fixpoint (ground truth)")
     common(p, database_required=True)
     p.add_argument("--horizon", required=True, help="clip derivations to (-inf, horizon]")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("check", help="diff unrolled reason output against the oracle")
+    p = command("check", "diff unrolled reason output against the oracle")
     reasoning(p)
     p.add_argument(
         "--horizon", default=None,
@@ -269,8 +286,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read by the named command's
+    parser alone when ``argv`` names one."""
+    parser = build_parser()
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except CapExceeded as exc:

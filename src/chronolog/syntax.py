@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import islice, product, repeat
 
 from .errors import InputError, ParseError
@@ -406,8 +406,14 @@ class Rule(_Value):
         self.body = body
         self.head = head
         self.id = id
-        self.form = rule_form(self)
-        self.body_atoms = tuple(a for lit in body for a in literal_atoms(lit))
+        for lit in body:
+            if lit.__class__ is not Atom:
+                self.form = rule_form(self)
+                self.body_atoms = tuple(a for lit in body for a in literal_atoms(lit))
+                return
+        # a body of atoms (or none) is its own atoms
+        self.form = Atom if body and head.__class__ is Atom else None
+        self.body_atoms = body
 
     def __str__(self) -> str:
         body = ", ".join(str(b) for b in self.body)
@@ -427,12 +433,21 @@ class Program(_Value):
 
     @property
     def is_ground(self) -> bool:
-        return not any(
-            isinstance(t, Variable)
-            for r in self.rules
-            for a in (*r.body_atoms, *head_atoms(r))
-            for t in a.terms
-        )
+        """No rule has a variable, read off each rule's body atoms and its
+        head in place: a head is boxes over an atom or ``top``."""
+        for r in self.rules:
+            for a in r.body_atoms:
+                for t in a.terms:
+                    if t.__class__ is Variable:
+                        return False
+            head = r.head
+            while isinstance(head, _Unary):
+                head = head.inner
+            if head.__class__ is Atom:
+                for t in head.terms:
+                    if t.__class__ is Variable:
+                        return False
+        return True
 
     def predicates(self) -> list[str]:
         preds: set[str] = {f.atom.predicate for f in self.axioms}
@@ -500,24 +515,27 @@ def is_forward_propagating(program: Program) -> bool:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
+_TOKEN = r"""
+    ->
+  | \d+(?:\.\d+|/\d+)?(?:[smhd]\b)?   # a number, with its unit if it has one
+  | [A-Za-z_][A-Za-z0-9_]*
+  | '(?:[^'\\\n]|\\.)*'
+  | [()\[\],.@\-]
+"""
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     \s*(?:%[^\n]*\s*)*                  # whitespace and comments, skipped
-    (?:
-        (                               # 1: the token
-            ->
-          | \d+(?:\.\d+|/\d+)?          # a number; its unit is group 2
-          | [A-Za-z_][A-Za-z0-9_]*
-          | '(?:[^'\\\n]|\\.)*'
-          | [()\[\],.@\-]
-          | \Z                          # the end of the input, as ""
-        )
-        ((?<=\d)[smhd]\b)?
-      | (.)                             # 3: a character no token starts with
+    (                                   # the one group: the token
+        {_TOKEN}
+      | \Z                              # the end of the input, as ""
+      | .                               # a stray: a character no token starts with
     )
     """,
     re.VERBOSE,
 )
+
+_WHOLE_TOKEN = re.compile(_TOKEN, re.VERBOSE)
 
 
 def _error_at(text: str, offset: int, message: str) -> ParseError:
@@ -530,51 +548,67 @@ def _error_at(text: str, offset: int, message: str) -> ParseError:
 def _offset(text: str, index: int) -> int:
     """Where the token ``index`` of ``text`` starts: ``_TOKEN_RE`` runs
     again up to it, as only an error needs a token's place."""
-    m = next(islice(_TOKEN_RE.finditer(text), index, None))
-    return max(m.start(1), m.start(3))
+    return next(islice(_TOKEN_RE.finditer(text), index, None)).start(1)
 
 
-def _tokenize(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The texts of the tokens of ``text`` and their units, in one
-    ``findall`` pass of ``_TOKEN_RE``, or the first stray character as a
-    ``ParseError``.
+def _tokenize(text: str) -> list[str]:
+    """The texts of the tokens of ``text``, in order: the flat list of one
+    ``findall`` pass of ``_TOKEN_RE``, one ``str`` per token.
 
     Each match skips whitespace and comments, then takes one token. The
     skip stops only where neither can go on, and the last alternative
     takes any character the others do not, so no match fails and none
     gives back what the skip took, however long: the only backtracking is
-    within a token (``-`` against ``->``, or a quote left open, which is
-    an error). The texts end with "" (the end of the input; twice after
-    trailing whitespace). A token's kind is read off its text: ``->`` the
-    arrow, a decimal digit first a number (whose unit, one of ``smhd``, is
-    the matching entry of the units, "" for none), a letter or ``_`` first
-    an identifier or keyword, a quote first a quoted constant, and any
-    other character punctuation.
+    within a token (``-`` against ``->``, or a quote left open). The list
+    ends with "" (the end of the input; twice after trailing whitespace).
+    A token's kind is read off its text: ``->`` the arrow, a decimal digit
+    first a number (whose unit, one of ``smhd``, is its last character if
+    that is not a digit), an ASCII letter or ``_`` first an identifier
+    or keyword, a quote first and last a quoted constant, one of
+    ``()[],.@-`` punctuation, and any other single character (a lone
+    quote among them) a stray. The list keeps strays; the parser reports
+    the first one in place of any error (see ``_Parser``).
     """
-    texts, units, stray = zip(*_TOKEN_RE.findall(text))
-    if any(stray):
-        for index, char in enumerate(stray):
-            if char:
-                raise _error_at(text, _offset(text, index), f"unexpected character {char!r}")
-    return texts, units
+    return _TOKEN_RE.findall(text)
 
 
 class _Parser:
-    """Recursive descent over the tokens of ``text``, read by index:
-    ``tokens[pos]`` is the next token's text ("" at the end of the input)
-    and ``units[pos]`` its unit (see ``_tokenize``). Each rule tests the
-    text itself, so a quoted ``'inf'`` never reads as the keyword ``inf``;
-    an error names its token by index, and only then is its line and
-    column worked out."""
+    """Recursive descent over the flat token list of ``text`` (see
+    ``_tokenize``), read by index: ``tokens[pos]`` is the next token's
+    text ("" at the end of the input). Each rule tests the text itself, so
+    a quoted ``'inf'`` never reads as the keyword ``inf``, and no rule
+    takes a stray for a token of its own; an error names its token by
+    index, and only then is its line and column worked out.
+
+    A stray character is an error wherever it stands, but the grammar
+    meets it only where it reads it. So ``parse`` reports the text's first
+    stray, at its own line and column, in place of any error the grammar
+    raises (a ``RecursionError`` on deep nesting among them); a parse that
+    succeeds has read every token, so its text has no stray. Only the
+    error path looks for strays."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens, self.units = _tokenize(text)
+        self.tokens = _tokenize(text)
         self.pos = 0
         # one Atom per distinct atom of the text, keyed by predicate and terms
         self.atoms: dict[tuple[str, tuple[Term, ...]], Atom] = {}
+        # the variables parsed so far: an atom or a head is ground when the
+        # count does not move while it is parsed
+        self.variables = 0
         self.seen_unit = False
         self.seen_bare = False
+
+    def parse(self, statements: Callable[[_Parser], object]) -> object:
+        """``statements(self)``, with the text's first stray character
+        reported in place of any error it raises."""
+        try:
+            return statements(self)
+        except (ParseError, RecursionError):
+            for index, token in enumerate(self.tokens):
+                if token and not _WHOLE_TOKEN.fullmatch(token):
+                    raise self.error(f"unexpected character {token!r}", index) from None
+            raise
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
         """A parse error at token ``pos``, by default the next one."""
@@ -586,7 +620,7 @@ class _Parser:
 
     # -- numbers and intervals ------------------------------------------
 
-    def parse_number(self) -> int | Fraction:
+    def parse_number(self) -> Time:
         pos = self.pos
         negative = self.tokens[pos] == "-"
         if negative:
@@ -595,6 +629,12 @@ class _Parser:
         if not text[:1].isdecimal():
             raise self.expected("number")
         self.pos = pos + 1
+        scale = UNIT_SCALE.get(text[-1])
+        if scale is None:
+            self.seen_bare = True
+        else:
+            text = text[:-1]
+            self.seen_unit = True
         if text.isdecimal():
             value = int(text)
         else:
@@ -602,12 +642,8 @@ class _Parser:
                 value = Fraction(text)
             except ZeroDivisionError:
                 raise self.error(f"zero denominator in {text!r}", pos) from None
-        unit = self.units[pos]
-        if unit:
-            self.seen_unit = True
-            value *= UNIT_SCALE[unit]
-        else:
-            self.seen_bare = True
+        if scale is not None:
+            value *= scale
         return to_time(-value if negative else value)
 
     def parse_endpoint(self) -> Time:
@@ -625,12 +661,21 @@ class _Parser:
         opening = tokens[start]
         if opening != "[" and opening != "(":
             raise self.error("expected interval")
-        self.pos += 1
-        lo = self.parse_endpoint()
-        if tokens[self.pos] != ",":
-            raise self.expected(",")
-        self.pos += 1
-        hi = self.parse_endpoint()
+        # two plain integers are read here, anything else by parse_endpoint;
+        # each index read exists, as the token before it is a bracket or a
+        # number, and the list ends with ""
+        lo = tokens[start + 1]
+        if lo.isdecimal() and tokens[start + 2] == "," and tokens[start + 3].isdecimal():
+            lo, hi = int(lo), int(tokens[start + 3])
+            self.pos = start + 4
+            self.seen_bare = True
+        else:
+            self.pos = start + 1
+            lo = self.parse_endpoint()
+            if tokens[self.pos] != ",":
+                raise self.expected(",")
+            self.pos += 1
+            hi = self.parse_endpoint()
         closing = tokens[self.pos]
         if closing != "]" and closing != ")":
             raise self.error("expected ']' or ')'")
@@ -651,7 +696,8 @@ class _Parser:
 
     def parse_ident(self) -> str:
         text = self.tokens[self.pos]
-        if not text.isidentifier():
+        # a stray non-ASCII letter is no identifier
+        if not (text.isidentifier() and text.isascii()):
             raise self.expected("ident")
         if text in KEYWORDS:
             raise self.error(f"{text!r} is a reserved word")
@@ -662,11 +708,12 @@ class _Parser:
 
     def parse_term(self) -> Term:
         text = self.tokens[self.pos]
-        if text[:1] == "'":
+        if text[:1] == "'" and text != "'":  # a lone quote is a stray
             self.pos += 1
             return Constant(text[1:-1].replace("\\'", "'").replace("\\\\", "\\"))
         name = self.parse_ident()
         if name[0].isupper():
+            self.variables += 1
             return Variable(name)
         return Constant(name)
 
@@ -751,16 +798,20 @@ class _Parser:
         if tokens[self.pos] != "->":
             raise self.expected("arrow")
         self.pos += 1
+        variables = self.variables
         head = self.parse_head()
         if tokens[self.pos] != ".":
             raise self.expected(".")
         self.pos += 1
         rule = Rule(tuple(body), head, f"r{index}")
-        loose = literal_variables(rule.head).difference(
-            t.name for a in rule.body_atoms for t in a.terms if isinstance(t, Variable)
-        )
-        if loose:
-            raise self.error(f"head variables {sorted(loose)} do not occur in the body", start)
+        if self.variables != variables:  # the head has variables
+            loose = literal_variables(head).difference(
+                t.name for a in rule.body_atoms for t in a.terms if isinstance(t, Variable)
+            )
+            if loose:
+                raise self.error(
+                    f"head variables {sorted(loose)} do not occur in the body", start
+                )
         return rule
 
     def parse_program(self) -> Program:
@@ -769,19 +820,21 @@ class _Parser:
         index = 1
         while self.tokens[self.pos]:
             rule = self.parse_rule(index)
-            if not rule.body:
-                if not isinstance(rule.head, Atom) or not rule.head.is_ground:
-                    raise self.error("a bodiless rule must have a ground atom head")
-                axioms.append(Fact(rule.head, Interval(NEG_INF, POS_INF, True, True)))
-            else:
+            if rule.body:
                 rules.append(rule)
                 index += 1
+            # a bodiless rule's head has no variables, or parse_rule raised
+            elif rule.head.__class__ is Atom:
+                axioms.append(Fact(rule.head, Interval(NEG_INF, POS_INF, True, True)))
+            else:
+                raise self.error("a bodiless rule must have a ground atom head")
         self._check_units()
         return Program(tuple(rules), tuple(axioms))
 
-    def parse_fact(self, subject: str = "database facts") -> Fact:
+    def parse_fact(self, subject: str = "database facts") -> tuple[Atom, Interval]:
+        variables = self.variables
         atom = self.parse_atom()
-        if not atom.is_ground:
+        if self.variables != variables:
             raise self.error(f"{subject} must be ground")
         if self.tokens[self.pos] != "@":
             raise self.expected("@")
@@ -790,14 +843,24 @@ class _Parser:
         if self.tokens[self.pos] != ".":
             raise self.expected(".")
         self.pos += 1
-        return Fact(atom, interval)
+        return atom, interval
 
-    def parse_database_facts(self) -> list[Fact]:
-        facts = []
-        while self.tokens[self.pos]:
-            facts.append(self.parse_fact())
+    def parse_database(self) -> reasoner.Model:
+        """The facts of the text, added to a ``Model`` as they are parsed."""
+        model = reasoner.Model()
+        add, tokens = model.add, self.tokens
+        while tokens[self.pos]:
+            add(*self.parse_fact())
         self._check_units()
-        return facts
+        return model
+
+    def parse_query(self) -> Fact:
+        fact = Fact(*self.parse_fact("a query"))
+        rest = self.tokens[self.pos]
+        if rest:
+            raise self.error(f"unexpected {rest!r} after the query")
+        self._check_units("query")
+        return fact
 
     def _check_units(self, subject: str = "file") -> None:
         if self.seen_unit and self.seen_bare:
@@ -805,14 +868,12 @@ class _Parser:
 
 
 def parse_program(text: str) -> Program:
-    return _Parser(text).parse_program()
+    return _Parser(text).parse(_Parser.parse_program)
 
 
-def parse_database(text: str):
+def parse_database(text: str) -> reasoner.Model:
     """Parse a database file into a Model (atom -> IntervalSet)."""
-    from .reasoner import Model
-
-    return Model.from_facts(_Parser(text).parse_database_facts())
+    return _Parser(text).parse(_Parser.parse_database)
 
 
 def parse_fact(text: str) -> Fact:
@@ -821,13 +882,7 @@ def parse_fact(text: str) -> Fact:
     stripped = text.strip()
     if not stripped.endswith("."):
         stripped += "."
-    parser = _Parser(stripped)
-    fact = parser.parse_fact("a query")
-    rest = parser.tokens[parser.pos]
-    if rest:
-        raise parser.error(f"unexpected {rest!r} after the query")
-    parser._check_units("query")
-    return fact
+    return _Parser(stripped).parse(_Parser.parse_query)
 
 
 # ---------------------------------------------------------------------------
@@ -1173,3 +1228,8 @@ def ground(program: Program, database=None) -> Program:
                 )
             )
     return Program(tuple(out), program.axioms)
+
+
+# at the end: ``reasoner`` imports this module, and only ``parse_database``
+# reads it, when it builds a ``Model``
+from . import reasoner  # noqa: E402

@@ -1,7 +1,8 @@
 """Random program generators shared by the test modules.
 
 Each takes a ``random.Random`` and returns ``(program text, database
-text)``; the same seed gives the same draws.
+text)``; the same seed gives the same draws. ``_mutate`` breaks a text
+at random places, for the fuzz tests and ``tools/same_answers.py``.
 """
 
 import random
@@ -226,3 +227,26 @@ def _random_nonground_program(rng, rich=False):
         lo = rng.randint(0, 8)
         facts.append(f"{text}@[{lo},{rng.randint(lo, 8)}].")
     return "\n".join(lines), "\n".join(facts)
+
+
+_FUZZ_PIECES = (
+    "diamondminus", "boxminus", "diamondplus", "boxplus", "since", "until",
+    "top", "bottom", "inf", "-inf", "->", "@", "[", "]", "(", ")", ",", ".",
+    "%", "'", "/", "-", "0", "1", "7", "d", "X", "c", " ", "\n",
+)
+
+
+def _mutate(rng, text: str) -> str:
+    """``text`` with one to three characters or keywords inserted,
+    replaced or deleted at random places."""
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(text) + 1)
+        piece = rng.choice(_FUZZ_PIECES)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:k] + piece + text[k:]
+        elif edit == 1:
+            text = text[:k] + piece + text[k + len(piece):]
+        else:
+            text = text[:k] + text[k + rng.randint(1, 3):]
+    return text

@@ -31,6 +31,7 @@ from chronolog.syntax import (
     to_normal_form,
 )
 
+from generators import _mutate
 from test_acceptance import UNCOMPACTED_WORKED_EXAMPLE
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -748,27 +749,61 @@ class TestProcess:
         assert done.returncode == 0, done.stderr
 
 
-_FUZZ_PIECES = (
-    "diamondminus", "boxminus", "diamondplus", "boxplus", "since", "until",
-    "top", "bottom", "inf", "-inf", "->", "@", "[", "]", "(", ")", ",", ".",
-    "%", "'", "/", "-", "0", "1", "7", "d", "X", "c", " ", "\n",
-)
+class TestDispatch:
+    """``main`` hands argv to the named command's parser, and runs the
+    top-level parser only on an argv that names no command. Either way a
+    run prints and exits as the top-level parser alone makes it."""
 
+    WEEKLY_FILES = ["--database", str(FIXTURES / "weekly.db")]
 
-def _mutate(rng, text: str) -> str:
-    """``text`` with one to three characters or keywords inserted,
-    replaced or deleted at random places."""
-    for _ in range(rng.randint(1, 3)):
-        k = rng.randrange(len(text) + 1)
-        piece = rng.choice(_FUZZ_PIECES)
-        edit = rng.randrange(3)
-        if edit == 0:
-            text = text[:k] + piece + text[k:]
-        elif edit == 1:
-            text = text[:k] + piece + text[k + len(piece):]
-        else:
-            text = text[:k] + text[k + rng.randint(1, 3):]
-    return text
+    @staticmethod
+    def outcome(capsys, run, argv):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def top_level(argv):
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    @pytest.mark.parametrize(
+        "argv, code, stream, text",
+        [
+            ([], EXIT_INPUT, 2, "chronolog: error: the following arguments are required: command\n"),
+            (["--help"], EXIT_OK, 1, "usage: chronolog [-h] {classify,reason,query,oracle,check} ...\n"),
+            (["bogus"], EXIT_INPUT, 2, "chronolog: error: argument command: invalid choice: 'bogus'"),
+            (["reason", "--help"], EXIT_OK, 1, "usage: chronolog reason [-h] --program PROGRAM"),
+            (["reason", "--prog", str(FIXTURES / "weekly.dmtl"), *WEEKLY_FILES], EXIT_OK, 1, "type: periodic\n"),
+            (["reason", "--program", str(FIXTURES / "weekly.dmtl"), *WEEKLY_FILES, "--cycle-cap", "5"],
+             EXIT_INPUT, 2, "chronolog: error: unrecognized arguments: --cycle-cap 5\n"),
+            (["reason", "--format", "json"], EXIT_INPUT, 2,
+             "chronolog reason: error: the following arguments are required: --program, --database\n"),
+        ],
+    )
+    def test_as_the_top_level_parser(self, capsys, argv, code, stream, text):
+        got = self.outcome(capsys, main, argv)
+        assert got == self.outcome(capsys, self.top_level, argv)
+        assert got[0] == code
+        assert text in got[stream] and not got[3 - stream]
+        if code == EXIT_INPUT:  # an argparse error: the usage first, then the message
+            assert got[2].startswith("usage: chronolog ")
+
+    def test_a_named_command_skips_the_top_level_parser(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser ran")
+
+        argv = ["query", "--program", str(FIXTURES / "weekly.dmtl"), *self.WEEKLY_FILES,
+                "--query", "Monday@[7,8]"]
+        expected = self.outcome(capsys, main, argv)
+        monkeypatch.setattr(build_parser(), "parse_args", refuse)
+        monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+        assert self.outcome(capsys, main, argv) == expected == (EXIT_OK, "true\n", "")
+        with pytest.raises(AssertionError, match="the top-level parser ran"):
+            main(["bogus"])
 
 
 class TestFuzz:

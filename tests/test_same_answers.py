@@ -25,9 +25,14 @@ def test_inputs_cover_every_generator_and_fixture_command(inputs):
     assert len(names) == len(set(names))
     for generator in same_answers.GENERATORS:
         assert f"{generator}#1" in names
-    commands = {argv[0] for _, kind, argv in inputs if kind == "cli"}
-    assert commands == {"classify", "reason", "check", "oracle", "query"}
+    commands = {argv[0] for _, kind, argv in inputs if kind == "cli" and argv}
+    assert commands == {"classify", "reason", "check", "oracle", "query", "--help", "bogus"}
     assert "reason --program weekly.dmtl --database weekly.db --format json" in names
+    assert {"(no arguments)", "reason --help", "reason --prog weekly.dmtl --database weekly.db"} <= set(names)
+    # count=2: two mutated texts, each in both formats
+    assert [name for name, kind, _ in inputs if kind == "mutated"] == [
+        "mutated#0 reason human", "mutated#0 reason json", "mutated#1 check human", "mutated#1 check json"
+    ]
 
 
 def test_identity_passes(inputs):

@@ -106,7 +106,7 @@ class TestParseProgram:
 
     def test_tokens_carry_kind_unit_and_position(self):
         text = "% note\n  diamondminus[12h,2] A -> B ."
-        texts, units = _tokenize(text)
+        tokens = _tokenize(text)
 
         def kind(token):  # read off the text, as _tokenize documents
             if not token:
@@ -119,19 +119,62 @@ class TestParseProgram:
                 return "IDENT"
             return "QUOTED" if token[0] == "'" else "PUNCT"
 
+        def unit(token):  # a number's last character, unless it is a digit
+            return "" if token[-1].isdecimal() else token[-1]
+
         def position(index):
             at = _error_at(text, _offset(text, index), "")
             return at.line, at.column
 
-        assert (kind(texts[0]), texts[0], units[0], position(0)) == (
-            "IDENT", "diamondminus", "", (2, 3)
-        )
-        assert (kind(texts[2]), texts[2], units[2]) == ("NUMBER", "12", "h")
+        assert (kind(tokens[0]), tokens[0], position(0)) == ("IDENT", "diamondminus", (2, 3))
+        assert (kind(tokens[2]), tokens[2], unit(tokens[2])) == ("NUMBER", "12h", "h")
         assert position(2) == (2, 16)
-        assert (kind(texts[4]), texts[4], units[4]) == ("NUMBER", "2", "")
+        assert (kind(tokens[4]), tokens[4], unit(tokens[4])) == ("NUMBER", "2", "")
         assert (_offset(text, 0), _offset(text, 2)) == (9, 22)
-        assert [kind(t) for t in texts[5:]] == ["PUNCT", "IDENT", "ARROW", "IDENT", "PUNCT", "EOF"]
-        assert _offset(text, len(texts) - 1) == len(text)
+        assert [kind(t) for t in tokens[5:]] == ["PUNCT", "IDENT", "ARROW", "IDENT", "PUNCT", "EOF"]
+        assert _offset(text, len(tokens) - 1) == len(text)
+
+    def test_a_unit_needs_a_word_boundary(self):
+        # 12hours is a number and an identifier, not 12 hours
+        assert _tokenize("12hours 12h 1/2d 1.5s") == ["12", "hours", "12h", "1/2d", "1.5s", ""]
+        with pytest.raises(ParseError, match="^1:16: expected ',', found 'hours'$"):
+            parse_program("diamondminus[12hours,2] A -> B .")
+
+    def test_a_unit_beside_a_bare_number(self):
+        for text in ("diamondminus[12h,2] A -> B .", "diamondminus[1,1] A -> B .\nboxminus[0,1d] B -> C ."):
+            with pytest.raises(
+                ParseError, match="^1:1: file mixes unit-suffixed and bare durations$"
+            ):
+                parse_program(text)
+        with pytest.raises(ParseError, match="^1:1: file mixes unit-suffixed and bare durations$"):
+            parse_database("A@[0,1].\nB@[2h,3h].")
+
+    def test_a_stray_character_wins_over_an_earlier_grammar_error(self):
+        # the grammar fails on line 1 first; the stray on line 2 is reported
+        text = "A -> -> B .\nC -> D ; E -> F ."
+        with pytest.raises(ParseError, match="^2:8: unexpected character ';'$"):
+            parse_program(text)
+        with pytest.raises(ParseError, match="^1:4: unexpected character '\\$'$"):
+            parse_database("A@[$0,1].\nB@[1,0].")
+        # and over an error that is no ParseError: nesting too deep to parse
+        deep = "diamondminus[0,0] " * (sys.getrecursionlimit() + 10) + "A -> B ;"
+        with pytest.raises(ParseError, match="unexpected character ';'$"):
+            parse_program(deep)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [("P(') -> Q .", "1:3"), ("P('a) -> Q .", "1:3"), ("P(a) -> Q('", "1:11")],
+    )
+    def test_a_lone_quote_is_a_stray_not_a_constant(self, text, where):
+        assert "'" in _tokenize(text)
+        with pytest.raises(ParseError, match=f"^{where}: unexpected character \"'\"$"):
+            parse_program(text)
+        with pytest.raises(ParseError, match="^1:3: unexpected character \"'\"$"):
+            parse_fact("P(')@[1,1]")
+
+    def test_a_non_ascii_letter_is_a_stray_not_an_identifier(self):
+        with pytest.raises(ParseError, match="^1:6: unexpected character 'é'$"):
+            parse_program("A -> é .")
 
     def test_end_of_input_is_placed_past_trailing_whitespace_and_comments(self):
         for text in ("A -> B", "A -> B \n  ", "A -> B % no dot\n% still none"):
@@ -221,6 +264,45 @@ class TestParseDatabase:
     def test_query_rejects_what_follows_its_fact(self, text, where):
         with pytest.raises(ParseError, match=f"^{re.escape(where)} after the query$"):
             parse_fact(text)
+
+    def test_integer_facts_are_read_in_one_pass(self, monkeypatch):
+        """Facts with plain integer endpoints cost one ``findall`` pass and
+        no ``parse_number`` call, and the token list holds one ``str`` per
+        token. A count, not a time: it reads the same on any machine."""
+        from chronolog import syntax
+
+        n = 300
+        text = "".join(f"A{k % 7}(c{k % 3})@[{2 * k},{2 * k + 1}].\n" for k in range(n))
+        calls = {"findall": 0, "parse_number": 0}
+        real_re, real_number = syntax._TOKEN_RE, syntax._Parser.parse_number
+
+        class CountingRe:
+            def findall(self, text):
+                calls["findall"] += 1
+                return real_re.findall(text)
+
+        def counting_number(parser):
+            calls["parse_number"] += 1
+            return real_number(parser)
+
+        lists = []
+        real_tokenize = syntax._tokenize
+        monkeypatch.setattr(syntax, "_TOKEN_RE", CountingRe())
+        monkeypatch.setattr(syntax._Parser, "parse_number", counting_number)
+        monkeypatch.setattr(syntax, "_tokenize", lambda t: lists.append(real_tokenize(t)) or lists[-1])
+        model = parse_database(text)
+        assert calls == {"findall": 1, "parse_number": 0}
+        (tokens,) = lists
+        # A0 ( c0 ) @ [ 0 , 1 ] . per fact, then "" twice (after the newline)
+        assert type(tokens) is list and len(tokens) == 11 * n + 2
+        assert {type(t) for t in tokens} == {str}
+        assert model.get(Atom("A0", (Constant("c0"),))).pieces[:2] == (
+            Interval.closed(0, 1), Interval.closed(42, 43)
+        )
+        # a fractional or unit endpoint still goes through parse_number
+        parse_database("B@[1/2,1].\n")
+        assert calls == {"findall": 2, "parse_number": 2}
+
 
 
 class TestRoundTrip:
@@ -621,8 +703,9 @@ class TestOneObjectPerAtom:
 
     def test_parse_database(self):
         text = "A(a)@[0,1].\nB@[2,3].\nA('a')@[4,5].\nB@[6,6].\nA(b)@[0,0]."
-        facts = _Parser(text).parse_database_facts()
-        assert _distinct_objects(f.atom for f in facts) == 3
+        parser = _Parser(text)
+        atoms = [parser.parse_fact()[0] for _ in range(5)]
+        assert _distinct_objects(atoms) == 3
 
     def test_each_parse_has_its_own_atoms(self):
         # the objects are shared within a parse, not through module state

@@ -18,6 +18,16 @@ once, from the working tree:
   with and without the database, ``reason``, ``check``, ``oracle
   --horizon 40`` and drawn queries, in human and JSON format. The rows
   of a run are its stdout, its stderr and its exit code.
+* ``cli.main`` on ``min(N, 300)`` mutated fixture texts (``_mutate`` in
+  ``tests/generators.py``, seed 21): the program, the database or both
+  broken at random places, run through ``reason``, ``check`` and a
+  mutated ``query`` in turn, in human and JSON format, from files
+  written for the run. Most end in a parse error, so its message, line
+  and column are compared too.
+* ``cli.main`` on a few argv cases: none, ``--help``, ``reason --help``,
+  an unknown command, ``reason`` with the abbreviation ``--prog`` and
+  with an option it does not take, so a changed usage or error text
+  counts too.
 
 Each side answers in its own process with ``PYTHONHASHSEED=0``
 (``--answer SRC INPUTS``, one JSON line per input). The script prints the
@@ -57,8 +67,12 @@ GENERATORS = (
 )
 SEED = 7
 
-# an input: (name, "program", [program text, database text, queries])
-# or (name, "cli", argv)
+MUTATIONS = 300
+MUTATION_SEED = 21
+
+# an input: (name, "program", [program text, database text, queries]),
+# (name, "cli", argv) or (name, "mutated", [program text, database text,
+# argv]), whose argv names the files as "{program}" and "{database}"
 Input = tuple
 
 
@@ -104,10 +118,37 @@ def _fixture_pairs() -> list[tuple[Path, Path]]:
     return pairs
 
 
+def _mutated_runs(generators, count: int) -> list[Input]:
+    """``count`` mutated fixture texts, each run through ``reason``,
+    ``check`` or ``query`` (in turn) in both formats."""
+    rng = random.Random(MUTATION_SEED)
+    pairs = [(program.read_text(), database.read_text()) for program, database in _fixture_pairs()]
+    files = ["--program", "{program}", "--database", "{database}", "--window-cap", "8"]
+    inputs: list[Input] = []
+    for k in range(count):
+        program_text, database_text = rng.choice(pairs)
+        query = database_text.split(".\n")[0].splitlines()[-1]
+        mutated = rng.randrange(3)  # 0: the program, 1: the database, 2: both
+        if mutated != 1:
+            program_text = generators._mutate(rng, program_text)
+        if mutated != 0:
+            database_text = generators._mutate(rng, database_text)
+        if k % 3 == 0:
+            command = ["reason", *files]
+        elif k % 3 == 1:
+            command = ["check", *files, "--horizon", "40"]
+        else:
+            command = ["query", *files, f"--query={generators._mutate(rng, query)}"]
+        for fmt in ("human", "json"):
+            argv = [*command, "--format", fmt]
+            inputs.append((f"mutated#{k} {argv[0]} {fmt}", "mutated", [program_text, database_text, argv]))
+    return inputs
+
+
 def draw_inputs(count: int) -> list[Input]:
-    """``count`` programs of each generator and the fixture runs, drawn
-    with the working tree's generators and the ``chronolog`` that is
-    imported."""
+    """``count`` programs of each generator, the fixture runs, ``min(count,
+    MUTATIONS)`` mutated fixture texts and the argv cases, drawn with the
+    working tree's generators and the ``chronolog`` that is imported."""
     spec = importlib.util.spec_from_file_location("generators", ROOT / "tests" / "generators.py")
     generators = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generators)
@@ -138,22 +179,47 @@ def draw_inputs(count: int) -> list[Input]:
         for fmt in ("human", "json"):
             argv = [*run, "--format", fmt]
             inputs.append((" ".join(argv).replace(f"{FIXTURES}/", ""), "cli", argv))
+    inputs += _mutated_runs(generators, min(count, MUTATIONS))
+    weekly = ["--database", str(FIXTURES / "weekly.db")]
+    for argv in (
+        [],
+        ["--help"],
+        ["reason", "--help"],
+        ["bogus", *weekly],
+        ["reason", "--prog", str(FIXTURES / "weekly.dmtl"), *weekly],
+        ["reason", "--program", str(FIXTURES / "weekly.dmtl"), *weekly, "--cycle-cap", "5"],
+    ):
+        name = " ".join(argv).replace(f"{FIXTURES}/", "") or "(no arguments)"
+        inputs.append((name, "cli", argv))
     return inputs
+
+
+def _run_cli(argv: list[str]) -> list[str]:
+    """The stdout, the stderr and the exit code of ``cli.main(argv)``."""
+    from chronolog import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    return [out.getvalue(), err.getvalue(), str(code)]
 
 
 def answer(item: Input) -> list[str]:
     """The rows of one input, with the ``chronolog`` that is imported."""
     _, kind, payload = item
     if kind == "cli":
-        from chronolog import cli
-
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(payload)
-            except SystemExit as exc:  # argparse rejects the arguments
-                code = exc.code
-        return [out.getvalue(), err.getvalue(), str(code)]
+        return _run_cli(payload)
+    if kind == "mutated":
+        program_text, database_text, argv = payload
+        with tempfile.TemporaryDirectory(prefix="same_answers_") as tmp:
+            paths = {"{program}": f"{tmp}/p.dmtl", "{database}": f"{tmp}/d.db"}
+            for key, text in zip(paths, (program_text, database_text)):
+                Path(paths[key]).write_text(text, encoding="utf-8")
+            rows = _run_cli([paths.get(arg, arg) for arg in argv])
+        return [row.replace(tmp, "<tmp>") for row in rows]
 
     from chronolog import reasoner, syntax
 
@@ -242,9 +308,11 @@ def run(base: str, count: int) -> int:
         inputs, lambda item: old[item[0]], lambda item: new[item[0]]
     )
     programs = sum(kind == "program" for _, kind, _ in inputs)
+    mutated = sum(kind == "mutated" for _, kind, _ in inputs)
     print(
         f"{base} against the working tree: {seen} inputs ({programs} programs, "
-        f"{seen - programs} CLI runs), {rows} rows compared, {differ} differ"
+        f"{seen - programs - mutated} CLI runs, {mutated} runs on mutated texts), "
+        f"{rows} rows compared, {differ} differ"
     )
     if first is not None:
         print(f"first difference: {first}")
