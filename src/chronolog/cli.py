@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(cycle_cap=reasoner.DEFAULT_CYCLE_CAP)
 
     def command(name: str, summary: str) -> argparse.ArgumentParser:
-        p = COMMANDS[name] = sub.add_parser(name, help=summary)
-        return p
+        COMMANDS[name] = sub.add_parser(name, help=summary)
+        return COMMANDS[name]
 
     p = command("classify", "fragment flags, finite nodes, rule classes")
     common(p, database_required=False)

@@ -583,8 +583,10 @@ class _Parser:
     A stray character is an error wherever it stands, but the grammar
     meets it only where it reads it. So ``parse`` reports the text's first
     stray, at its own line and column, in place of any error the grammar
-    raises (a ``RecursionError`` on deep nesting among them); a parse that
-    succeeds has read every token, so its text has no stray. Only the
+    raises, of any type (a ``RecursionError`` on deep nesting, or the
+    ``ValueError`` of ``int`` on a number of more than 4300 digits), as a
+    tokenizer that rejected strays before the grammar ran would; a parse
+    that succeeds has read every token, so its text has no stray. Only the
     error path looks for strays."""
 
     def __init__(self, text: str):
@@ -604,7 +606,7 @@ class _Parser:
         reported in place of any error it raises."""
         try:
             return statements(self)
-        except (ParseError, RecursionError):
+        except Exception:
             for index, token in enumerate(self.tokens):
                 if token and not _WHOLE_TOKEN.fullmatch(token):
                     raise self.error(f"unexpected character {token!r}", index) from None

@@ -160,6 +160,12 @@ class TestParseProgram:
         deep = "diamondminus[0,0] " * (sys.getrecursionlimit() + 10) + "A -> B ;"
         with pytest.raises(ParseError, match="unexpected character ';'$"):
             parse_program(deep)
+        # or a number too long for int, which the parser does not catch
+        huge = "1" * 5000
+        with pytest.raises(ParseError, match="^2:1: unexpected character '!'$"):
+            parse_database(f"A@[{huge},{huge}].\n!")
+        with pytest.raises(ParseError, match="^2:1: unexpected character '!'$"):
+            parse_program(f"diamondminus[0,{huge}h] A -> B .\n!")
 
     @pytest.mark.parametrize(
         "text, where",
@@ -302,7 +308,6 @@ class TestParseDatabase:
         # a fractional or unit endpoint still goes through parse_number
         parse_database("B@[1/2,1].\n")
         assert calls == {"findall": 2, "parse_number": 2}
-
 
 
 class TestRoundTrip:
