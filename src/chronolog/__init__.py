@@ -78,7 +78,6 @@ _ANALYSIS = frozenset({
     "classify_rules",
     "dependency_graph",
     "fragment_checks",
-    "max_applications",
     "pattern_length",
     "simple_cycles",
 })

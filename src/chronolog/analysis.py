@@ -16,7 +16,7 @@ from functools import cached_property, reduce
 from fractions import Fraction
 
 from .errors import CycleCapExceeded, InputError
-from .intervals import POS_INF, Interval, Time, lcm_rationals, plus, to_time
+from .intervals import POS_INF, Interval, Time, lcm_rationals, plus
 from .reasoner import _ZERO_INTERVAL, DEFAULT_CYCLE_CAP, _edge_labels, _sccs
 from .syntax import Atom, Program, Rule, _Value, is_forward_propagating
 
@@ -246,19 +246,6 @@ def pattern_length(program: Program, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int 
         )
     distinct = DepGraph(graph.nodes, tuple(by_label.values()))
     return _shift_lcm(_edge_cycles(distinct, cycle_cap))
-
-
-def max_applications(t1: int | Fraction, t2: int | Fraction) -> int:
-    """Upper bound on self-loop applications before a diamond cycle settles.
-
-    For a rule shifting by the range [t1, t2], the derived interval grows
-    by t2 - t1 per application, so after floor(t1/(t2-t1) + 1) rounds the
-    new interval overlaps the previous one.
-    """
-    t1, t2 = to_time(t1), to_time(t2)
-    if not 0 <= t1 < t2 < POS_INF:
-        raise ValueError("required: 0 <= t1 < t2 < inf")
-    return t1 // (t2 - t1) + 1
 
 
 # ---------------------------------------------------------------------------

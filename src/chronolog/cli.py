@@ -2,8 +2,9 @@
 
 Subcommands: ``classify``, ``reason``, ``query``, ``oracle``, ``check``.
 Exit codes: 0 success, 1 negative verdict (query false / check found
-differences), 2 input error, 3 resource cap exceeded or out of memory,
-4 internal error (a bug: the traceback is printed).
+differences), 2 input error, 3 resource cap exceeded, out of memory or
+an answer with a number longer than Python's limit for integer string
+conversion, 4 internal error (a bug: the traceback is printed).
 
 ``main`` reads argv once. When its first word names a command, the
 command's own parser (``COMMANDS``, filled as ``build_parser`` builds
@@ -316,7 +317,18 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print(f"error: {args.command}: out of memory", file=sys.stderr)
         return EXIT_CAP
-    except Exception:
+    except Exception as exc:
+        # the parser reports an input number past Python's limit for
+        # integer string conversion (exit 2), so only an answer's number,
+        # printed, can reach it here
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            print(
+                f"error: {args.command}: the answer has a number of more than "
+                f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+                "integer string conversion",
+                file=sys.stderr,
+            )
+            return EXIT_CAP
         import traceback
 
         traceback.print_exc()

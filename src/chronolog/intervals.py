@@ -293,20 +293,16 @@ def check_operator_range(rho: Interval) -> None:
         raise ValueError(f"operator range {rho} has a negative left endpoint")
 
 
-def _box_holds_at(t: Time, i: Interval, rho: Interval) -> bool:
-    # The probe window t - rho must lie entirely inside i (t is finite).
-    lo = NEG_INF if rho.hi == POS_INF else t - rho.hi
-    window = Interval(lo, t - rho.lo, rho.hi_open, rho.lo_open)
-    return i.contains_interval(window)
-
-
 def _box_minus(i: Interval, rho: Interval) -> Interval | None:
     """All points whose entire lookback window ``t - rho`` lies inside
     ``i``, or None when there is none.
 
-    The candidate endpoints are ``i.lo + rho.hi`` and ``i.hi + rho.lo``;
-    whether each is attained is decided by the pointwise condition itself,
-    which keeps the openness flags correct for every flag combination.
+    The points run from ``i.lo + rho.hi`` to ``i.hi + rho.lo``. At the
+    lower end the window starts at ``i.lo``, with ``rho.hi``'s flag, so
+    that end is attained unless ``i`` is open there and the window closed;
+    likewise the upper end with ``i.hi`` and ``rho.lo``. A window
+    unbounded below (``rho.hi`` infinite) lies in ``i`` only if ``i`` is
+    unbounded below too.
     """
     if rho.hi == POS_INF:
         if NEG_INF < i.lo:
@@ -315,14 +311,10 @@ def _box_minus(i: Interval, rho: Interval) -> Interval | None:
     else:
         lo = plus(i.lo, rho.hi)
     hi = plus(i.hi, rho.lo)
-    if lo > hi:
+    lo_open = i.lo_open and not rho.hi_open
+    hi_open = i.hi_open and not rho.lo_open
+    if lo > hi or lo == hi and (lo_open or hi_open):
         return None
-    if lo == hi:
-        if NEG_INF < lo and _box_holds_at(lo, i, rho):
-            return Interval(lo, hi)
-        return None
-    lo_open = lo == NEG_INF or not _box_holds_at(lo, i, rho)
-    hi_open = hi == POS_INF or not _box_holds_at(hi, i, rho)
     return Interval(lo, hi, lo_open, hi_open)
 
 

@@ -13,14 +13,14 @@ Two independent evaluation routes are kept apart on purpose:
 * ``reason`` derives per SCC group, forward in chunks, and stops once
   the group's state repeats, past every aperiodic input: the facts of
   the group atoms its rules read, on a slab as wide as those rules look
-  back at them, and which of those atoms hold for good. The repeat gives
-  the group's period (at once for a group whose rules read none of its
-  atoms: its state is empty, and none is read), and one period of its
-  facts becomes repetition patterns (or rays for facts that fill the
-  whole period). The groups and their cycle steps are planned once per
-  call (``group_and_sort``, on numbered atoms), and what a group pays
-  besides deriving is kept to a small constant: a chain or a grounded
-  program has many small groups.
+  back at them, and which of those atoms hold for good, read off each
+  atom's last piece. The repeat gives the group's period (at the second
+  position for a group whose rules read none of its atoms: its state is
+  empty), and one period of its facts becomes repetition patterns (or
+  rays for facts that fill the whole period). The groups and their
+  cycle steps are planned once per call (``group_and_sort``, on numbered
+  atoms), and what a group pays besides deriving is kept to a small
+  constant: a chain or a grounded program has many small groups.
 
 Neither route spells out what an operator means: each unary operator's
 class states its own truth (``truth``), the operand points that truth on
@@ -109,9 +109,9 @@ class Model:
     The readers on the reasoning path read the blocks instead, at a cost
     that follows what they ask for, not the atom's whole set: ``clip`` and
     ``meet`` read the blocks that meet a window or a set's pieces,
-    ``covers`` and ``last`` one block, ``descending`` the blocks its
-    caller walks down through, and ``cut`` the blocks it cuts. Blocks are
-    never shared between two models. Atoms whose set would be empty are
+    ``first`` and ``last`` one piece, ``descending`` the blocks its caller
+    walks down through, and ``cut`` the blocks it cuts. Blocks are never
+    shared between two models. Atoms whose set would be empty are
     absent, and two models are equal when they hold the same sets, however
     their blocks split them.
     """
@@ -282,18 +282,6 @@ class Model:
         blocks = self._blocks.get(atom)
         return blocks[-1][-1] if blocks else None
 
-    def covers(self, atom: Atom, interval: Interval) -> bool:
-        """``get(atom).covers_interval(interval)``, read off one block: only
-        the last piece that starts at or before ``interval.lo`` can cover
-        it."""
-        blocks = self._blocks.get(atom)
-        if blocks is None:
-            return False
-        b = bisect_right(blocks, interval.lo, key=_first_lo) - 1 if len(blocks) > 1 else 0
-        block = blocks[b] if b >= 0 else ()
-        k = bisect_right(block, interval.lo, key=_lo_of) - 1
-        return k >= 0 and block[k].contains_interval(interval)
-
     def atoms(self) -> list[Atom]:
         return sorted(self._blocks, key=_atom_key)
 
@@ -345,11 +333,9 @@ class Model:
 
 def max_time_point(db: Model) -> int | Fraction:
     """Largest finite endpoint in the database (0 when there is none),
-    read off each atom's last piece: its upper end, or a ray's lower end
-    (none for ``(-inf, inf)``)."""
-    ends = (
-        last.hi if last.hi != POS_INF else last.lo for last in map(db.last, db.atoms())
-    )
+    read off each atom's last piece (``_settled``: its upper end, or a
+    ray's lower end, none for ``(-inf, inf)``)."""
+    ends = (_settled(db.last(atom), ()) for atom in db.atoms())
     return max((end for end in ends if end != NEG_INF), default=0)
 
 
@@ -844,6 +830,18 @@ def _settled(last: Interval | None, patterns: Iterable[Pattern]) -> int | Fracti
     return settle
 
 
+def _holds_on(last: Interval | None, t: int | Fraction) -> bool:
+    """Whether an atom holds on all of ``[t, inf)``, read off ``last``, its
+    last piece from ``Model.last``: only a ray covers ``[t, inf)``, and a
+    ray is an atom's last piece. It holds when that piece is unbounded
+    above and starts before ``t``, or at ``t`` with a closed end."""
+    return (
+        last is not None
+        and last.hi == POS_INF
+        and (last.lo < t or last.lo == t and not last.lo_open)
+    )
+
+
 class PeriodicModel(_Value):
     """Finite representation of a possibly infinite model.
 
@@ -1174,8 +1172,8 @@ def reason(
     period reads them off ``Model.clip``; earlier groups are read through
     ``_coverage``, over each chunk and its lookback (see
     ``_derive_group``). What a group pays besides deriving is a constant:
-    a group whose state is empty reads no state, and a group of one atom
-    sorts no atoms.
+    a group whose state is empty hashes two empty keys, and a group of one
+    atom sorts no atoms.
 
     * **State.** Let L be the group's lookback (``RuleGroup.lookback``)
       and ``S <= L`` its span (``RuleGroup.span``), the largest reach of
@@ -1183,10 +1181,11 @@ def reason(
       a forward-propagating group, the model on ``[t, inf)`` is fixed by
       the read atoms' facts on the slab ``[t - S, t)``, by its inputs
       (database facts and earlier groups) on ``[t - L, inf)``, and by one
-      flag per read atom: do its facts already cover ``[t, inf)``?
-      ``_derive_group`` stores a derived ray whole, so once a
-      ``diamondminus[a,inf)`` rule's body has held before ``t - a``, its
-      head's facts cover ``[t, inf)``. An atom without the flag can
+      flag per read atom: do its facts already cover ``[t, inf)``? Only a
+      ray covers it, and a ray is an atom's last piece, so the flag is
+      read off that piece (``_holds_on``). ``_derive_group`` stores a
+      derived ray whole, so once a ``diamondminus[a,inf)`` rule's body has
+      held before ``t - a``, its head's facts cover ``[t, inf)``. An atom without the flag can
       therefore still gain only from body points in ``[t - S, inf)`` (a
       read atom) or ``[t - L, inf)`` (an input), and an atom with it gains
       nothing more; every other head point ``t' >= t`` reads no further
@@ -1242,8 +1241,9 @@ def reason(
       equals that of an earlier position ``t``, the future repeats: the
       model on ``[t, inf)`` equals itself shifted by ``q``. A group whose
       rules read none of its atoms has the empty state, which equals
-      itself at every position: it takes ``q = step`` and ``t`` its first
-      position at once, after its first chunk, and no state is read.
+      itself at every position: the search finds it again at the second
+      position, in the first chunk, and takes ``q = step`` and ``t`` the
+      first position.
     * **Minimality.** The inputs look the same from every position, so
       the state's key holds only the read atoms' slab (shifted by
       ``S - t``) and their ray flags. Let ``q*`` be the least multiple of
@@ -1349,11 +1349,8 @@ def reason(
                 )
             derive(derived, end)
             derived = end
-            if not read:  # the empty state repeats at the first position
-                repeat, period, position = position, step, position + step
             while period is None and position <= derived:
-                ray = Interval(position, POS_INF, False, True)
-                key = tuple([facts.covers(atom, ray) for atom in read])
+                key = tuple([_holds_on(facts.last(atom), position) for atom in read])
                 if span:
                     key += _slab(facts, read, position - span, position)
                 if key in seen:

@@ -33,6 +33,7 @@ Database files contain facts: ``atom "@" interval "."``.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice, product, repeat
@@ -583,11 +584,12 @@ class _Parser:
     A stray character is an error wherever it stands, but the grammar
     meets it only where it reads it. So ``parse`` reports the text's first
     stray, at its own line and column, in place of any error the grammar
-    raises, of any type (a ``RecursionError`` on deep nesting, or the
-    ``ValueError`` of ``int`` on a number of more than 4300 digits), as a
+    raises, of any type (a ``RecursionError`` on deep nesting, say), as a
     tokenizer that rejected strays before the grammar ran would; a parse
     that succeeds has read every token, so its text has no stray. Only the
-    error path looks for strays."""
+    error path looks for strays. A number longer than Python's limit for
+    integer string conversion (``sys.get_int_max_str_digits``, 4300 digits
+    by default) is an error at its own token (``too_long``)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -620,6 +622,16 @@ class _Parser:
         found = self.tokens[self.pos]
         return self.error(f"expected {want!r}, found {found or 'end of input'!r}")
 
+    def too_long(self, pos: int) -> ParseError:
+        """The error for the number at token ``pos``, which ``int`` or
+        ``Fraction`` rejected (``ValueError``) as longer than Python's
+        limit for integer string conversion."""
+        return self.error(
+            f"number of more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for integer string conversion",
+            pos,
+        )
+
     # -- numbers and intervals ------------------------------------------
 
     def parse_number(self) -> Time:
@@ -637,13 +649,12 @@ class _Parser:
         else:
             text = text[:-1]
             self.seen_unit = True
-        if text.isdecimal():
-            value = int(text)
-        else:
-            try:
-                value = Fraction(text)
-            except ZeroDivisionError:
-                raise self.error(f"zero denominator in {text!r}", pos) from None
+        try:
+            value = int(text) if text.isdecimal() else Fraction(text)
+        except ZeroDivisionError:
+            raise self.error(f"zero denominator in {text!r}", pos) from None
+        except ValueError:
+            raise self.too_long(pos) from None
         if scale is not None:
             value *= scale
         return to_time(-value if negative else value)
@@ -668,7 +679,11 @@ class _Parser:
         # number, and the list ends with ""
         lo = tokens[start + 1]
         if lo.isdecimal() and tokens[start + 2] == "," and tokens[start + 3].isdecimal():
-            lo, hi = int(lo), int(tokens[start + 3])
+            try:
+                lo = int(lo)
+                hi = int(tokens[start + 3])
+            except ValueError:
+                raise self.too_long(start + 1 if type(lo) is str else start + 3) from None
             self.pos = start + 4
             self.seen_bare = True
         else:

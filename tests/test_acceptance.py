@@ -9,12 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from chronolog.analysis import (
-    RuleClass,
-    classify_rules,
-    max_applications,
-    pattern_length,
-)
+from chronolog.analysis import RuleClass, classify_rules, pattern_length
 from chronolog.intervals import (
     NEG_INF,
     POS_INF,
@@ -35,6 +30,7 @@ from chronolog.reasoner import (
 from chronolog.syntax import Atom, parse_database, parse_program, to_normal_form
 
 from generators import _random_fp_program, _random_linear_diamond
+from test_analysis import max_applications
 from test_intervals import box_holds_at, diamond_holds_at, probe_grid
 
 

@@ -17,12 +17,11 @@ from chronolog.analysis import (
     classify_rules,
     dependency_graph,
     fragment_checks,
-    max_applications,
     pattern_length,
     simple_cycles,
 )
 from chronolog.errors import CycleCapExceeded
-from chronolog.intervals import Interval, POS_INF, parse_interval
+from chronolog.intervals import Interval, POS_INF, parse_interval, to_time
 from chronolog.reasoner import check_horizon, naive_fixpoint_bounded, reason
 from chronolog.syntax import (
     Atom,
@@ -599,7 +598,23 @@ class TestPatternLength:
             assert total % pattern_length(parse_program(sub)) == 0
 
 
+def max_applications(t1: int | F, t2: int | F) -> int:
+    """Upper bound on self-loop applications before a diamond cycle settles.
+
+    For a rule shifting by the range [t1, t2], the derived interval grows
+    by t2 - t1 per application, so after floor(t1/(t2-t1) + 1) rounds the
+    new interval overlaps the previous one.
+    """
+    t1, t2 = to_time(t1), to_time(t2)
+    if not 0 <= t1 < t2 < POS_INF:
+        raise ValueError("required: 0 <= t1 < t2 < inf")
+    return t1 // (t2 - t1) + 1
+
+
 class TestMaxApplications:
+    """``max_applications``, a bound the paper states and no code of the
+    package calls, held against ``reason``."""
+
     def test_documented_values(self):
         assert max_applications(3, 4) == 4
         assert max_applications(0, 5) == 1

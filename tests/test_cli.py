@@ -575,6 +575,71 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: invalid horizon '1/0'\n"
 
+    @pytest.mark.parametrize(
+        "command, program, database, query, place",
+        [
+            # the inline integers of an interval, either end
+            ("reason", "A -> B .\n", "A@[{long},{long}].\n", None, "1:4"),
+            ("reason", "A -> B .\n", "B@[0,1].\nA@[0,{long}].\n", None, "2:6"),
+            # a program's operator range, read by reason and by classify
+            ("reason", "diamondminus[{long},{long}] A -> B .\n", "A@[0,1].\n", None, "1:14"),
+            ("classify", "diamondminus[{long},{long}] A -> B .\n", None, None, "1:14"),
+            # a query
+            ("query", "A -> B .\n", "A@[0,1].\n", "A@[{long},{long}]", "1:4"),
+            # parse_number: negative, with a unit, a fraction and a decimal
+            ("reason", "A -> B .\n", "A@[-{long},0].\n", None, "1:5"),
+            ("reason", "A -> B .\n", "A@[0,{long}h].\n", None, "1:6"),
+            ("reason", "A -> B .\n", "A@[1/{long},1].\n", None, "1:4"),
+            ("reason", "A -> B .\n", "A@[0,1.{long}].\n", None, "1:6"),
+        ],
+    )
+    def test_over_long_input_number_exits_2(
+        self, tmp_path, capsys, command, program, database, query, place
+    ):
+        """A number longer than Python's limit for integer string conversion
+        is an input error at its own line and column, not a traceback."""
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("no limit on integer string conversion")
+        long = "1" * (limit + 700)
+        argv = [command, "--program", str(tmp_path / "p.dmtl")]
+        (tmp_path / "p.dmtl").write_text(program.format(long=long))
+        if database is not None:
+            (tmp_path / "d.db").write_text(database.format(long=long))
+            argv += ["--database", str(tmp_path / "d.db")]
+        if query is not None:
+            argv += ["--query", query.format(long=long)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {place}: number of more than {limit} digits, "
+            "Python's limit for integer string conversion\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, fmt", [("reason", "human"), ("reason", "json"), ("check", "human")]
+    )
+    def test_answer_past_the_digit_limit_exits_3(self, tmp_path, capsys, command, fmt):
+        """An answer holding a number that Python will not print under its
+        limit for integer string conversion is a cap (exit 3), not a
+        traceback: ``B`` holds one point past a database number of the
+        limit's length."""
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("no limit on integer string conversion")
+        nines = "9" * limit
+        (tmp_path / "p.dmtl").write_text("diamondminus[1,1] A -> B .\n")
+        (tmp_path / "d.db").write_text(f"A@[{nines},{nines}].\n")
+        argv = [command, "--program", str(tmp_path / "p.dmtl"),
+                "--database", str(tmp_path / "d.db"), "--format", fmt]
+        assert main(argv) == EXIT_CAP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {command}: the answer has a number of more than {limit} digits, "
+            "Python's limit for integer string conversion\n"
+        )
+
     def test_internal_value_error_is_not_an_input_error(self, paths, monkeypatch, capsys):
         """A bug is neither an input error (2) nor a verdict (1): it exits
         4 and prints its traceback."""

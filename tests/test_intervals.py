@@ -394,10 +394,18 @@ class TestBoxMinus:
                 assert out.length() <= i.length()
 
 
-def _interval_strategy(max_abs=8, allow_rays=False):
-    def build(lo, w, lo_open, hi_open):
+def _interval_strategy(max_abs=8):
+    """Intervals with fractional ends and every pair of flags, bounded or
+    unbounded on either side or both."""
+
+    def build(lo, w, lo_open, hi_open, shape):
+        lo, hi = to_time(lo), to_time(lo + w)
+        if shape in ("up", "whole"):
+            hi = POS_INF
+        if shape in ("down", "whole"):
+            lo = NEG_INF
         try:
-            return Interval(to_time(lo), to_time(lo + w), lo_open, hi_open)
+            return Interval(lo, hi, lo_open, hi_open)
         except ValueError:
             return None
 
@@ -407,13 +415,17 @@ def _interval_strategy(max_abs=8, allow_rays=False):
         st.fractions(min_value=0, max_value=max_abs, max_denominator=4),
         st.booleans(),
         st.booleans(),
+        st.sampled_from(("bounded", "bounded", "up", "down", "whole")),
     ).filter(lambda x: x is not None)
 
 
 def _range_strategy():
-    def build(lo, w, lo_open, hi_open):
+    """Operator ranges ``rho``: bounded, or ``[a, inf)`` (``(a, inf)``)."""
+
+    def build(lo, w, lo_open, hi_open, ray):
         try:
-            return Interval(to_time(lo), to_time(lo + w), lo_open, hi_open)
+            hi = POS_INF if ray else to_time(lo + w)
+            return Interval(to_time(lo), hi, lo_open, hi_open)
         except ValueError:
             return None
 
@@ -423,7 +435,25 @@ def _range_strategy():
         st.fractions(min_value=0, max_value=8, max_denominator=4),
         st.booleans(),
         st.booleans(),
+        st.sampled_from((False, False, True)),
     ).filter(lambda x: x is not None)
+
+
+# every interval over these ends with every pair of flags, as operand and
+# as operator range (a range starts at 0 or later)
+_GRID_ENDS = (NEG_INF, -3, -1, 0, F(1, 2), 1, 2, 3, 5, POS_INF)
+_GRID_INTERVALS = sorted(
+    {
+        Interval(lo, hi, lo_open, hi_open)
+        for lo in _GRID_ENDS
+        for hi in _GRID_ENDS
+        for lo_open in (False, True)
+        for hi_open in (False, True)
+        if lo < hi or lo == hi and not (lo_open or hi_open) and NEG_INF < lo < POS_INF
+    },
+    key=Interval.sort_key,
+)
+_GRID_RANGES = [rho for rho in _GRID_INTERVALS if rho.lo >= 0]
 
 
 class TestPointwiseConformance:
@@ -443,6 +473,17 @@ class TestPointwiseConformance:
         out = IntervalSet.of(i).box_minus(rho)
         for t in probe_grid(i, rho):
             assert out.contains(t) == box_holds_at(t, i, rho)
+
+    @pytest.mark.parametrize("i", _GRID_INTERVALS, ids=str)
+    def test_box_on_every_end_and_flag(self, i):
+        """``box_minus`` against the pointwise definition for every operand
+        and range over a grid of ends, infinite ones among them, with
+        every pair of flags: each way an end of the result can be attained
+        or missed, and each way the result can be empty."""
+        for rho in _GRID_RANGES:
+            out = IntervalSet.of(i).box_minus(rho)
+            for t in probe_grid(i, rho):
+                assert out.contains(t) == box_holds_at(t, i, rho), (i, rho, t)
 
 
 def reference_merge(intervals) -> IntervalSet:

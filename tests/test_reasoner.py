@@ -22,6 +22,7 @@ from chronolog.reasoner import (
     Model,
     Pattern,
     PeriodicModel,
+    _holds_on,
     backward_slice,
     check_horizon,
     freeze,
@@ -54,7 +55,7 @@ from generators import (
     _random_nonground_program,
     _random_ray_program,
 )
-from grid import _grid_model
+from grid import _grid_model, grid_exact
 from test_acceptance import UNCOMPACTED_WORKED_EXAMPLE, oracle_span
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -237,15 +238,28 @@ class TestBlockStore:
                         continue
                     window = Interval(lo, lo + width, lo_open, hi_open)
                     assert model.clip(Atom("A"), window) == whole.clip(window)
-                    assert model.covers(Atom("A"), window) == whole.covers_interval(window)
                     assert list(model.descending(Atom("A"), window)) == list(
                         reversed(whole.clip(window).pieces)
                     )
+            assert _holds_on(model.last(Atom("A")), lo) == whole.covers_interval(
+                Interval.ray_from(lo)
+            )
         assert model.clip(Atom("B"), _WHOLE).is_empty
-        assert not model.covers(Atom("B"), Interval.point(0))
+        assert not _holds_on(model.last(Atom("B")), 0)
         assert sorted(model.finite_endpoints()) == sorted(
             e for p in whole for e in (p.lo, p.hi) if NEG_INF < e < POS_INF
         )
+        # the flags read off the last piece: a ray closed or open at ``t``,
+        # and a last piece bounded above
+        for ray_open in (False, True):
+            for last in (Interval(7, POS_INF, ray_open, True), Interval(7, 9, ray_open, False)):
+                facts = (Interval.closed(0, 1), Interval(3, 5, True, False), last)
+                model = Model.from_facts(Fact(Atom("A"), p) for p in facts)
+                whole = model.get(Atom("A"))
+                for t in (F(13, 2), 7, F(15, 2), 9, 10):
+                    assert _holds_on(model.last(Atom("A")), t) == whole.covers_interval(
+                        Interval.ray_from(t)
+                    ), (last, t)
 
     @pytest.mark.parametrize("block", [4, 16])
     def test_meet_and_last_match_the_set(self, monkeypatch, block):
@@ -1228,19 +1242,26 @@ class TestAgainstTheGrid:
     @pytest.mark.parametrize(
         "generate",
         [_random_fp_program, _random_linear_diamond, _random_nested_program,
-         _random_nonground_program],
+         _random_nonground_program, _random_ray_program],
     )
     def test_normal_form_against_the_written_program(self, generate):
         """``reason`` on the normal form, unrolled to 24, and the oracle on
         the normal form through 24 hold each atom of the program as
         written (grounded, not normalized) on the points k/2 of [0, 24]
         where its least model does (``_aux`` atoms aside); 400 programs,
-        seed 7. The grid is exact there: a past operator reads no point
+        seed 7, of which those whose ranges the grid reads exactly
+        (``grid_exact``: integer ends, ``[a,inf)`` among them; every one
+        but some of ``_random_ray_program``'s, which draws fractional
+        ends). The grid is exact there: a past operator reads no point
         after the one it decides."""
         rng = random.Random(7)
+        ran = 0
         for _ in range(400):
             text, db_text = generate(rng)
             written, db = parse_program(text), model_of(db_text)
+            if not grid_exact(written):
+                continue
+            ran += 1
             program = ground(to_normal_form(written), db)
             expected = _grid_model(ground(written, db), db)
             for side, model in (
@@ -1255,6 +1276,9 @@ class TestAgainstTheGrid:
                 assert {a: ks for a, ks in grid.items() if ks} == expected, (
                     side, text, db_text,
                 )
+        # fractional ranges wait for a scaled grid; the filter must not
+        # drop the rest
+        assert ran >= 150
 
 
 def test_in_group_stretching_diamond_matches_oracle():
@@ -2043,9 +2067,9 @@ class TestFirstChunk:
 
 
 class TestGroupsWithoutACycle:
-    """A group of one atom that none of its rules reads skips the state
-    search: its period is the lcm of its inputs' periods and it derives
-    one chunk."""
+    """A group of one atom that none of its rules reads has the empty
+    state, which repeats at the second position the search hashes: its
+    period is the lcm of its inputs' periods and it derives one chunk."""
 
     @staticmethod
     def periods(monkeypatch) -> dict[str, object]:
@@ -2097,22 +2121,30 @@ class TestGroupsWithoutACycle:
 
     @pytest.mark.parametrize("queried", ["Workday", "Weekend"])
     def test_weekly_slices(self, monkeypatch, queried):
-        """Count guard: only the state search reads the ray flags, and only
-        the Monday cycle searches; every other group derives one chunk."""
-        covers = Model.covers
-        calls = 0
+        """Count guard: the state search reads a ray flag and a slab only
+        for the Monday cycle, at its two positions; every other group's
+        state is empty, and every group derives one chunk."""
+        holds_on, slab = reasoner._holds_on, reasoner._slab
+        flags = 0
+        slabs: list[list[str]] = []
 
-        def counting(self, atom, interval):
-            nonlocal calls
-            calls += 1
-            return covers(self, atom, interval)
+        def counting_flags(last, t):
+            nonlocal flags
+            flags += 1
+            return holds_on(last, t)
 
-        monkeypatch.setattr(Model, "covers", counting)
+        def counting_slabs(facts, atoms, lo, hi):
+            slabs.append([str(a) for a in atoms])
+            return slab(facts, atoms, lo, hi)
+
+        monkeypatch.setattr(reasoner, "_holds_on", counting_flags)
+        monkeypatch.setattr(reasoner, "_slab", counting_slabs)
         program, database = backward_slice(
             parse_program(WEEKLY_CALENDAR), model_of("Mon@[0,1)."), Atom(queried)
         )
         chunks = TestFirstChunk.chunks(program, database)
-        assert calls == 2
+        assert flags == 2
+        assert slabs == [["Mon"], ["Mon"]]
         assert len(chunks) == (6 if queried == "Workday" else 8)
         assert set(chunks.values()) == {1}
 
